@@ -17,8 +17,20 @@ coefficients and positive leading coefficient.  Every operation is pure and
 no floating point is used anywhere.
 
 GCDs are computed by content/primitive-part recursion on a chosen main
-variable with a primitive pseudo-remainder sequence; the objects arising
-here are small (total degree <= ~8), so this is entirely adequate.
+variable with a primitive pseudo-remainder sequence.  They dominate the cost
+of every pipeline, so the field operations run as few and as small gcds as
+the canonical form allows.  The operators rely on canonical operands and
+cancel crosswise (Henrici; Knuth, TAOCP vol. 2, 4.5.1): a sum gcds only the
+two denominators, and then the new numerator against their common factor; a
+product gcds each numerator against the other denominator; inverses and
+powers need no gcd at all.  A gcd is skipped outright when one side is
+constant.  :func:`exact_divide` runs one pass over a remainder kept in a
+dict and a heap of its exponents in graded-lex order (Monagan & Pearce,
+J. Symb. Comp. 2011), and it rejects a non-divisor early from per-variable
+degree bounds, which also makes the divisibility shortcuts in the gcd cheap
+when they fail.  Because the operators trust their operands, every
+``MRat(num, den, _normalized=True)`` must receive a pair that is already
+canonical; ``MRat(num, den)`` normalizes an arbitrary pair.
 """
 
 from __future__ import annotations
@@ -27,6 +39,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import add, le, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -224,12 +238,7 @@ class MPoly:
         return max((e[i] for e in self.terms), default=0)
 
     def variables(self) -> tuple[str, ...]:
-        present = set()
-        for e in self.terms:
-            for i, p in enumerate(e):
-                if p:
-                    present.add(i)
-        return tuple(self.ctx.names[i] for i in sorted(present))
+        return tuple(n for n, powers in zip(self.ctx.names, zip(*self.terms)) if any(powers))
 
     def involves(self, names: Iterable[str]) -> bool:
         idx = [self.ctx.index(n) for n in names]
@@ -271,13 +280,10 @@ class MPoly:
         out: dict[Exponent, Fraction] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                e = tuple(i + j for i, j in zip(ea, eb))
-                s = out.get(e, Fraction(0)) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MPoly(self.ctx, out)
+                e = tuple(map(add, ea, eb))
+                old = out.get(e)
+                out[e] = ca * cb if old is None else old + ca * cb
+        return MPoly(self.ctx, out)  # drops the terms that cancelled
 
     def scale(self, c: Fraction | int) -> "MPoly":
         c = Fraction(c)
@@ -358,14 +364,7 @@ class MPoly:
 
     def fraction_content(self) -> Fraction:
         """Positive rational c such that self/c has coprime integer coefficients."""
-        if self.is_zero():
-            return Fraction(1)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm)
+        return _rational_content(self.terms.values())
 
     def sign(self) -> int:
         if self.is_zero():
@@ -382,18 +381,13 @@ class MPoly:
     def monomial_gcd(self) -> Exponent:
         if self.is_zero():
             return self.ctx.zero_exp()
-        it = iter(self.terms)
-        acc = list(next(it))
-        for e in it:
-            acc = [min(a, b) for a, b in zip(acc, e)]
-        return tuple(acc)
+        return tuple(map(min, zip(*self.terms)))
 
     def shift_down(self, mono: Exponent) -> "MPoly":
         """Divide by the monomial ``mono`` (must divide every term)."""
-        out = {}
-        for e, c in self.terms.items():
-            out[tuple(i - j for i, j in zip(e, mono))] = c
-        return MPoly(self.ctx, out)
+        if not any(mono):
+            return self
+        return MPoly(self.ctx, {tuple(map(sub, e, mono)): c for e, c in self.terms.items()})
 
     # -- printing --------------------------------------------------------------
 
@@ -401,6 +395,15 @@ class MPoly:
         return render_poly(self)
 
     __repr__ = __str__
+
+
+def _rational_content(coeffs: Iterable[Fraction]) -> Fraction:
+    """Positive rational c such that the coeffs over c are coprime integers (1 if none)."""
+    coeffs = list(coeffs)
+    if not coeffs:
+        return Fraction(1)
+    return Fraction(math.gcd(*(c.numerator for c in coeffs)),
+                    math.lcm(*(c.denominator for c in coeffs)))
 
 
 def render_poly(p: MPoly) -> str:
@@ -441,31 +444,68 @@ def _frac_str(q: Fraction) -> str:
 
 
 def exact_divide(a: MPoly, b: MPoly) -> MPoly | None:
-    """Return a/b when b divides a exactly, else None."""
+    """Return a/b when b divides a exactly, else None.
+
+    Exponents are handled as keys ``(-deg e, -e_1, ..., -e_n)``: keys add
+    like exponents, and the smallest key is the graded-lex largest exponent,
+    so the remainder's heap of keys pops its leading term.  A key whose term
+    has cancelled stays in the heap and is skipped when it comes up; the
+    leading exponent only decreases, so a cancelled key never returns.  If b
+    divides a, the quotient's degree and low degree in every variable (and
+    in total) are those of a less those of b, which bounds every quotient
+    key before and during the loop.
+    """
     if b.is_zero():
         raise DivisionByZero("polynomial division by zero")
     if a.is_zero():
         return a
     if b.is_constant():
         return a.scale(1 / b.constant_value())
-    eb, cb = b.leading()
+    a._check(b)
+    rem = {_div_key(e): c for e, c in a.terms.items()}
+    divisor = sorted((_div_key(e), c) for e, c in b.terms.items())
+    lo_a, hi_a = _key_bounds(rem)
+    lo_b, hi_b = _key_bounds([k for k, _ in divisor])
+    lo = tuple(map(sub, lo_a, lo_b))
+    hi = tuple(map(sub, hi_a, hi_b))
+    if any(h > 0 for h in hi) or not all(map(le, lo, hi)):
+        return None
+    (lead, lead_c), rest = divisor[0], divisor[1:]
+    heap = list(rem)
+    heapify(heap)
     quotient: dict[Exponent, Fraction] = {}
-    r = a
-    while not r.is_zero():
-        er, cr = r.leading()
-        qe = tuple(i - j for i, j in zip(er, eb))
-        if any(q < 0 for q in qe):
+    while heap:
+        k = heappop(heap)
+        c = rem.pop(k, None)
+        if c is None:
+            continue
+        kq = tuple(map(sub, k, lead))
+        if not (all(map(le, lo, kq)) and all(map(le, kq, hi))):
             return None
-        qc = cr / cb
-        quotient[qe] = qc
-        r = r - MPoly(a.ctx, {qe: qc}) * b
-    return MPoly(a.ctx, quotient)
+        qc = c / lead_c
+        quotient[kq] = qc
+        for kb, cb in rest:
+            kr = tuple(map(add, kq, kb))
+            old = rem.get(kr)
+            if old is None:
+                rem[kr] = -qc * cb
+                heappush(heap, kr)
+            else:
+                s = old - qc * cb
+                if s:
+                    rem[kr] = s
+                else:
+                    del rem[kr]
+    return MPoly(a.ctx, {tuple(map(neg, kq[1:])): c for kq, c in quotient.items()})
 
 
-def _gcd_fraction(a: Fraction, b: Fraction) -> Fraction:
-    num = math.gcd(a.numerator, b.numerator)
-    den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
+def _div_key(e: Exponent) -> tuple[int, ...]:
+    return (-sum(e), *map(neg, e))
+
+
+def _key_bounds(keys) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    cols = list(zip(*keys))
+    return tuple(map(min, cols)), tuple(map(max, cols))
 
 
 def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
@@ -559,6 +599,19 @@ def _pseudo_rem(ua: dict[int, MPoly], ub: dict[int, MPoly], ctx: Context, v: str
     return r
 
 
+def _drop_rational_content(u: dict[int, MPoly]) -> dict[int, MPoly]:
+    """Divide out the rational content of all coefficients together.
+
+    A rational number is a unit over Q, so this leaves the gcd unchanged; the
+    polynomial content alone would let the integers of the sequence grow
+    exponentially (univariate coefficients have polynomial content 1).
+    """
+    unit = _rational_content(c for p in u.values() for c in p.terms.values())
+    if unit == 1:
+        return u
+    return {d: p.scale(1 / unit) for d, p in u.items()}
+
+
 def _prs_gcd(ua: dict[int, MPoly], ub: dict[int, MPoly], ctx: Context, v: str) -> MPoly:
     a, b = ua, ub
     if _univ_degree(a) < _univ_degree(b):
@@ -570,7 +623,7 @@ def _prs_gcd(ua: dict[int, MPoly], ub: dict[int, MPoly], ctx: Context, v: str) -
         if _univ_degree(r) == 0:
             return ctx.poly(1)
         cont = _list_gcd(list(r.values()))
-        a, b = b, _divide_coeffs(r, cont)
+        a, b = b, _drop_rational_content(_divide_coeffs(r, cont))
     g = _univ_to_poly(b, ctx, v)
     cont = _list_gcd(list(b.values()))
     g = exact_divide(g, cont)
@@ -638,31 +691,54 @@ class MRat:
     # -- field operations ---------------------------------------------------
 
     def __add__(self, other: "MRat") -> "MRat":
-        return MRat(self.num * other.den + other.num * self.den, self.den * other.den)
+        an, ad, bn, bd = self.num, self.den, other.num, other.den
+        # a constant denominator is 1, and n/d + m is already in lowest terms
+        if ad.is_constant():
+            return MRat(an * bd + bn, bd, _normalized=True)
+        if bd.is_constant():
+            return MRat(an + bn * ad, ad, _normalized=True)
+        g = poly_gcd(ad, bd)
+        if g.is_constant():
+            return MRat(an * bd + bn * ad, ad * bd, _normalized=True)
+        ad, bd = exact_divide(ad, g), exact_divide(bd, g)
+        num = an * bd + bn * ad
+        if num.is_zero():
+            return MRat.from_poly(num)
+        # num is coprime to ad and bd, so only the common factor g can cancel
+        num, g = _cancel(num, g)
+        den = ad * bd if g.is_constant() else ad * bd * g
+        return MRat(*_unit_normalize(num, den), _normalized=True)
 
     def __sub__(self, other: "MRat") -> "MRat":
-        return MRat(self.num * other.den - other.num * self.den, self.den * other.den)
+        return self + (-other)
 
     def __neg__(self) -> "MRat":
         return MRat(-self.num, self.den, _normalized=True)
 
     def __mul__(self, other: "MRat") -> "MRat":
-        return MRat(self.num * other.num, self.den * other.den)
+        an, bd = _cancel(self.num, other.den)
+        bn, ad = _cancel(other.num, self.den)
+        num = an * bn
+        if num.is_zero():
+            return MRat.from_poly(num)
+        return MRat(*_unit_normalize(num, ad * bd), _normalized=True)
 
     def __truediv__(self, other: "MRat") -> "MRat":
         if other.is_zero():
             raise DivisionByZero(f"division of {self} by zero")
-        return MRat(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def inverse(self) -> "MRat":
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
-        return MRat(self.den, self.num)
+        return MRat(*_unit_normalize(self.den, self.num), _normalized=True)
 
     def __pow__(self, n: int) -> "MRat":
         if n < 0:
             return self.inverse() ** (-n)
-        return MRat(self.num ** n, self.den ** n)
+        # powers of coprime polynomials stay coprime (and, by Gauss's lemma,
+        # powers of primitive ones primitive)
+        return MRat(*_unit_normalize(self.num ** n, self.den ** n), _normalized=True)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MRat):
@@ -724,11 +800,21 @@ def _poly_subs(p: MPoly, values: Mapping[str, "MRat"]) -> MRat:
 def _normalize_pair(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
     if num.is_zero():
         return num, num.ctx.poly(1)
-    if not den.is_constant():
-        g = poly_gcd(num, den)
-        if not (g.is_constant() and g.constant_value() == 1):
-            num = exact_divide(num, g)
-            den = exact_divide(den, g)
+    return _unit_normalize(*_cancel(num, den))
+
+
+def _cancel(p: MPoly, q: MPoly) -> tuple[MPoly, MPoly]:
+    """(p/g, q/g) for g = gcd(p, q); no gcd is run when p or q is constant."""
+    if p.is_constant() or q.is_constant():
+        return p, q
+    g = poly_gcd(p, q)
+    if g.is_constant():
+        return p, q
+    return exact_divide(p, g), exact_divide(q, g)
+
+
+def _unit_normalize(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
+    """Scale both so den has coprime integer coefficients, leading one positive."""
     unit = den.fraction_content() * den.sign()
     if unit != 1:
         num = num.scale(1 / unit)

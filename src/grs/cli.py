@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import io as gio
-from .algebra import AlgebraError, InconsistentSystem, StuckSystem
+from .algebra import AlgebraError, DivisionByZero, InconsistentSystem, StuckSystem
 from .blowup import NotResolvable, resolve_multiplicity
 from .catalog import (MATCH_PAIRS, get_maps, get_scheme, get_system, match_pair,
                       scheme_names, system_names, HVI_TEXT)
@@ -131,10 +131,15 @@ def cmd_singular(args) -> int:
     rows = []
     for p in points:
         local = divisor_chart_local(vf, p.chart)
-        matrix, _ = linearization_matrix(local, p.location)
+        try:
+            matrix, _ = linearization_matrix(local, p.location)
+            entries = [[str(matrix[i, j]) for j in range(2)] for i in range(2)]
+        except DivisionByZero:
+            # a pole of the field's derivatives at the point: the matrix is
+            # only informational, so report it undefined and go on
+            entries = None
         row = {"point": p.label, "multiplicity": p.multiplicity,
-               "chart": p.chart, "divisor": local.divisor,
-               "matrix": [[str(matrix[i, j]) for j in range(2)] for i in range(2)]}
+               "chart": p.chart, "divisor": local.divisor, "matrix": entries}
         if p.multiplicity == 1:
             li = linearization(vf, p)
             row["eigenvalues"] = [str(e) for e in li.eigenvalues]
@@ -148,8 +153,12 @@ def cmd_singular(args) -> int:
     else:
         for r in rows:
             print(f"X={r['point']} (multiplicity {r['multiplicity']}, chart {r['chart']})")
-            print(f"  matrix [[{r['matrix'][0][0]}, {r['matrix'][0][1]}], "
-                  f"[{r['matrix'][1][0]}, {r['matrix'][1][1]}]]")
+            if r["matrix"] is None:
+                print(f"  matrix undefined (field not regular at X={r['point']} "
+                      f"in chart {r['chart']})")
+            else:
+                print(f"  matrix [[{r['matrix'][0][0]}, {r['matrix'][0][1]}], "
+                      f"[{r['matrix'][1][0]}, {r['matrix'][1][1]}]]")
             print(f"  local index {tuple(r['eigenvalues'])}  ratio {r['ratio']}")
     return 0
 

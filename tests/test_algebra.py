@@ -1,11 +1,12 @@
 """Exact arithmetic kernel tests: canonical forms, gcd, triangular solve."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grs.algebra import (Context, DivisionByZero, InconsistentSystem, MRat, Mat2,
+from grs.algebra import (Context, DivisionByZero, InconsistentSystem, MPoly, MRat, Mat2,
                          ParseError, StuckSystem, mrat_arith, parse_rat, poly_gcd,
                          solve_triangular, split_content, exact_divide)
 
@@ -190,3 +191,156 @@ def test_rename_and_lift(ctx):
     assert "beta" in renamed.ctx
     bigger = ctx.extend(tuple())
     assert r.lift(bigger) == r
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against SymPy (a test-only dependency): the kernel's gcd,
+# exact division and canonical MRat forms must match an independent oracle.
+# ---------------------------------------------------------------------------
+
+ORACLE_CTX = Context.make(fiber=("x",), parameters=["a"])  # symbols x, t, a
+
+
+def _polys(min_terms=0, max_terms=3, constant=True, degree=2):
+    """Small polynomials in x, t, a: up to three terms of bounded degree per symbol."""
+    monomials = st.tuples(*[st.integers(0, degree)] * 3)
+    if not constant:
+        monomials = monomials.filter(any)
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool)
+    return st.dictionaries(monomials, coeffs, min_size=min_terms, max_size=max_terms).map(
+        lambda terms: MPoly(ORACLE_CTX, terms))
+
+
+_nonzero = _polys(min_terms=1)
+_nonconstant = _polys(min_terms=1, constant=False)
+# factors of the pairs built from products: degree <= 1 per symbol keeps every
+# product within degree 2, where the kernel's gcd stays fast
+_factor = _polys(min_terms=1, constant=False, degree=1)
+_cofactor = _polys(min_terms=1, degree=1)
+
+
+def _sympy():
+    sp = pytest.importorskip("sympy")
+    return sp, sp.symbols(ORACLE_CTX.names)
+
+
+def _to_sympy(p):
+    sp, syms = _sympy()
+    return sp.Add(*[sp.Rational(c.numerator, c.denominator)
+                    * sp.Mul(*[s ** k for s, k in zip(syms, e)])
+                    for e, c in p.terms.items()])
+
+
+def _from_sympy(expr):
+    sp, syms = _sympy()
+    terms = {}
+    for e, c in sp.Poly(expr, *syms, domain="QQ").terms():
+        c = sp.Rational(c)
+        if c:
+            terms[e] = Fraction(int(c.p), int(c.q))
+    return terms
+
+
+def _unit_free(terms, other=None):
+    """Divide both term dicts by the unit making ``terms`` integer-primitive
+    with a positive graded-lex leading coefficient (written here from scratch,
+    not with the kernel's helpers)."""
+    other = {} if other is None else other
+    if not terms:
+        return terms, other
+    content = Fraction(math.gcd(*(c.numerator for c in terms.values())),
+                       math.lcm(*(c.denominator for c in terms.values())))
+    lead = terms[max(terms, key=lambda e: (sum(e), e))]
+    unit = content if lead > 0 else -content
+    return ({e: c / unit for e, c in terms.items()},
+            {e: c / unit for e, c in other.items()})
+
+
+def _assert_canonical_as_sympy(result, expr):
+    """result is exactly the canonical form of the SymPy expression expr."""
+    sp, _ = _sympy()
+    num, den = sp.fraction(sp.cancel(sp.together(expr)))
+    want_den, want_num = _unit_free(_from_sympy(den), _from_sympy(num))
+    assert (result.num.terms, result.den.terms) == (want_num, want_den)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_polys(), _polys(), _polys())
+def test_poly_gcd_matches_sympy(a, b, g):
+    sp, _ = _sympy()
+    a, b = a * g, b * g
+    ours = poly_gcd(a, b)
+    theirs = _from_sympy(sp.gcd(_to_sympy(a), _to_sympy(b)))
+    assert ours.terms == _unit_free(theirs)[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_polys(), _nonzero)
+def test_exact_divide_recovers_the_quotient(a, b):
+    assert exact_divide(a * b, b) == a
+
+
+def _sympy_divides(d, a):
+    sp, _ = _sympy()
+    return sp.fraction(sp.cancel(_to_sympy(a) / _to_sympy(d)))[1].is_number
+
+
+@settings(max_examples=20, deadline=None)
+@given(_nonconstant, _nonconstant)
+def test_exact_divide_rejects_a_non_divisor(p, q):
+    one = ORACLE_CTX.poly(1)
+    b, q = p + one, q + one  # p and q have no constant term
+    # early: b*q has a higher degree than b in some symbol, and b*x a higher
+    # low degree in x, so the degree bounds reject before any division step
+    for d in (b * q, b * ORACLE_CTX.poly_var("x")):
+        assert exact_divide(b, d) is None
+        assert not _sympy_divides(d, b)
+    # mid-loop: b*q + 1 has every degree and low degree of b*q (its constant
+    # term is 2), so only the division steps can find the remainder
+    a = b * q + one
+    for name in ORACLE_CTX.names:
+        i = ORACLE_CTX.index(name)
+        assert b.degree_in(name) <= a.degree_in(name)
+        assert min(e[i] for e in a.terms) == min(e[i] for e in b.terms) == 0
+    assert exact_divide(a, b) is None
+    assert not _sympy_divides(b, a)
+
+
+# pairs (a, b) that drive each branch of the MRat operators
+MRAT_PAIRS = {
+    "constant_den": st.tuples(_polys(), st.fractions(1, 3, max_denominator=3), _polys(),
+                              _nonconstant).map(
+        lambda v: (MRat(v[0], ORACLE_CTX.poly(v[1])), MRat(v[2], v[3]))),
+    "coprime_dens": st.tuples(_nonzero, _nonconstant, _nonzero, _nonconstant).map(
+        lambda v: (MRat(v[0], v[1]), MRat(v[2], v[3]))),
+    "shared_factor": st.tuples(_cofactor, _factor, _cofactor, _factor, _factor).map(
+        lambda v: (MRat(v[0], v[4] * v[1]), MRat(v[2], v[4] * v[3]))),
+    # n/(f1*f2) + (f2*m - n)/(f1*f2) = m/f1: the sum's numerator shares f2
+    # with the common denominator
+    "second_gcd": st.tuples(_cofactor, _cofactor, _factor, _factor).map(
+        lambda v: (MRat(v[0], v[2] * v[3]), MRat(v[3] * v[1] - v[0], v[2] * v[3]))),
+    # (f*u)/(g*w) * (g*v)/(f*z): both cross gcds of a product are nontrivial
+    "cross_factors": st.tuples(_factor, _factor, _cofactor, _cofactor, _factor, _factor).map(
+        lambda v: (MRat(v[0] * v[2], v[1] * v[4]), MRat(v[1] * v[3], v[0] * v[5]))),
+    "zero_sum": st.tuples(_nonzero, _nonconstant).map(
+        lambda v: (MRat(v[0], v[1]), -MRat(v[0], v[1]))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MRAT_PAIRS))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data(), power=st.integers(-2, 3))
+def test_mrat_operators_match_sympy_cancel(kind, data, power):
+    a, b = data.draw(MRAT_PAIRS[kind])
+    ea = _to_sympy(a.num) / _to_sympy(a.den)
+    eb = _to_sympy(b.num) / _to_sympy(b.den)
+    _assert_canonical_as_sympy(a + b, ea + eb)
+    _assert_canonical_as_sympy(a - b, ea - eb)
+    _assert_canonical_as_sympy(a * b, ea * eb)
+    _assert_canonical_as_sympy((a + b) * a, (ea + eb) * ea)
+    if not b.is_zero():
+        _assert_canonical_as_sympy(a / b, ea / eb)
+        _assert_canonical_as_sympy(b.inverse(), 1 / eb)
+        _assert_canonical_as_sympy(b ** power, eb ** power)
+    if kind == "zero_sum":
+        assert (a + b).is_zero() and (a + b).den == ORACLE_CTX.poly(1)

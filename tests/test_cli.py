@@ -69,6 +69,27 @@ def test_cli_singular_pvi(capsys):
     assert "ratio 2" in out
 
 
+def test_cli_singular_piv_reports_undefined_matrix(capsys):
+    # the field has a pole at the triple point X=inf, so its matrix is undefined
+    code, out, err = _run(capsys, "singular", "--system", "piv")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "X=0 (multiplicity 1, chart U2)",
+        "  matrix [[4, 2*beta1], [0, 2]]",
+        "  local index ('2', '4')  ratio 2",
+        "X=inf (multiplicity 3, chart U3)",
+        "  matrix undefined (field not regular at X=inf in chart U3)",
+        "  local index ('degenerate (multiple point)', 'degenerate (multiple point)')"
+        "  ratio resolve the point first",
+    ]
+    code, out, _ = _run(capsys, "singular", "--system", "piv", "--format", "json")
+    assert code == 0
+    rows = {row["point"]: row for row in json.loads(out)}
+    assert rows["0"]["matrix"] == [["4", "2*beta1"], ["0", "2"]]
+    assert rows["inf"]["matrix"] is None
+    assert rows["inf"]["multiplicity"] == 3
+
+
 def test_cli_resolve(capsys):
     code, out, _ = _run(capsys, "resolve", "--system", "gen-pv", "--point", "0")
     assert code == 0
