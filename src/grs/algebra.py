@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import add, le, neg, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -144,9 +144,6 @@ class Context:
     def extend(self, extra: Sequence[Sym]) -> "Context":
         return Context(self.syms + tuple(extra))
 
-    def kind_indices(self, kind: str) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.syms) if s.kind == kind)
-
     # -- element builders ---------------------------------------------------
 
     def zero_exp(self) -> Exponent:
@@ -178,13 +175,7 @@ def split_content(p: MPoly, names: Sequence[str]) -> tuple[MPoly, MPoly]:
     polynomial in the named symbols; the primitive part carries the actual
     dependence on them.
     """
-    idx = [p.ctx.index(n) for n in names]
-    groups: dict[Exponent, dict[Exponent, Fraction]] = {}
-    for e, c in p.terms.items():
-        key = tuple(e[i] if i in idx else 0 for i in range(len(e)))
-        rest = tuple(0 if i in idx else e[i] for i in range(len(e)))
-        groups.setdefault(key, {})[rest] = c
-    coeffs = [MPoly(p.ctx, terms) for terms in groups.values()]
+    coeffs = coefficients_in(p, names)
     content = coeffs[0]
     for c in coeffs[1:]:
         if content.is_constant():
@@ -194,6 +185,21 @@ def split_content(p: MPoly, names: Sequence[str]) -> tuple[MPoly, MPoly]:
     if content.is_constant():
         return p.ctx.poly(1), p
     return content, exact_divide(p, content)
+
+
+def coefficients_in(p: MPoly, names: Sequence[str]) -> list[MPoly]:
+    """Coefficients of p viewed as a polynomial in the named symbols.
+
+    Each coefficient is a polynomial in the other symbols; they come in the
+    order in which their monomials in ``names`` first occur among p's terms.
+    """
+    idx = [p.ctx.index(n) for n in names]
+    groups: dict[Exponent, dict[Exponent, Fraction]] = {}
+    for e, c in p.terms.items():
+        key = tuple(e[i] if i in idx else 0 for i in range(len(e)))
+        rest = tuple(0 if i in idx else e[i] for i in range(len(e)))
+        groups.setdefault(key, {})[rest] = c
+    return [MPoly(p.ctx, terms) for terms in groups.values()]
 
 
 def union_context(a: Context, b: Context) -> Context:
@@ -229,9 +235,6 @@ class MPoly:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
         return next(iter(self.terms.values()))
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def degree_in(self, name: str) -> int:
         i = self.ctx.index(name)
@@ -650,11 +653,9 @@ class MRat:
 
     @staticmethod
     def from_poly(p: MPoly) -> "MRat":
-        one = p.ctx.poly(1)
-        num = p
         # put the rational content of the numerator on display unchanged;
         # the denominator 1 is already canonical
-        return MRat(num, one, _normalized=True)
+        return MRat(p, p.ctx.poly(1), _normalized=True)
 
     @property
     def ctx(self) -> Context:
@@ -663,17 +664,9 @@ class MRat:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant()
-
     def is_polynomial_in(self, names: Iterable[str]) -> bool:
         """Polynomial in the given variables (denominator free of them)."""
         return not self.den.involves(list(names))
-
-    def as_poly(self) -> MPoly:
-        if not self.is_polynomial():
-            raise ValueError(f"{self} is not polynomial")
-        return self.num.scale(1 / self.den.constant_value())
 
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
@@ -823,26 +816,6 @@ def _unit_normalize(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic entry point per the module contract
-# ---------------------------------------------------------------------------
-
-
-def mrat_arith(a: MRat, b: MRat, op: str) -> MRat:
-    """Field arithmetic on canonical rational functions ('+', '-', '*', '/')."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b.is_zero():
-            raise DivisionByZero("mrat_arith: division by zero")
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-# ---------------------------------------------------------------------------
 # 2x2 matrices
 # ---------------------------------------------------------------------------
 
@@ -889,8 +862,9 @@ class Mat2:
             raise ValueError("eigenvalues only read off triangular matrices here")
         return self.diagonal()
 
-    def scale(self, f: MRat) -> "Mat2":
-        return Mat2([[self.entries[i][j] * f for j in range(2)] for i in range(2)])
+    def map(self, fn: Callable[[MRat], MRat]) -> "Mat2":
+        """The matrix with fn applied to every entry."""
+        return Mat2([[fn(e) for e in row] for row in self.entries])
 
     def __sub__(self, other: "Mat2") -> "Mat2":
         return Mat2([[self.entries[i][j] - other.entries[i][j] for j in range(2)]
@@ -936,20 +910,19 @@ class TriangularSolution:
     trace: list[TraceStep] = field(default_factory=list)
 
 
-def _eq_poly(eq: MPoly | MRat) -> MPoly:
-    if isinstance(eq, MRat):
-        return eq.num
-    return eq
-
-
-def _relation_normal_form(p: MPoly) -> MPoly:
+def _relation_normal_form(p: MPoly, live: Sequence[str] | None = None) -> MPoly:
     """Parameter relation with invertible coefficient-field content removed.
 
     The time symbol belongs to the coefficient field Q(t), so a factor like
-    t in front of an eigenvalue relation is a unit and is stripped.
+    t in front of an eigenvalue relation is a unit and is stripped.  When
+    ``live`` names symbols (the eigenvalues of a scheme), the content in
+    every other symbol is stripped as well.
     """
-    live = [n for n in p.variables()
-            if p.ctx.syms[p.ctx.index(n)].kind not in ("time", "fiber")]
+    if live is None:
+        live = [n for n in p.variables()
+                if p.ctx.syms[p.ctx.index(n)].kind not in ("time", "fiber")]
+    else:
+        live = [n for n in live if p.involves([n])]
     if not live:
         return p.primitive()
     return split_content(p, live)[1].primitive()
@@ -979,7 +952,7 @@ def solve_triangular(equations: Sequence[MPoly | MRat],
     eqs: list[tuple[str, MPoly]] = []
     for k, eq in enumerate(equations):
         tag = sources[k] if sources else f"eq{k}"
-        p = _eq_poly(eq)
+        p = eq.num if isinstance(eq, MRat) else eq
         if not p.is_zero():
             eqs.append((tag, p))
     # a nonzero form is only used through its unknown-primitive part; its

@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .algebra import MPoly, MRat, Mat2
+from .algebra import MPoly, MRat
 from .singularities import (AccessiblePoint, LocalField, divisor_chart_local,
                             find_divisor_roots, linearization_matrix,
                             local_index_from_matrix, restricted_numerator,
-                            _eval_coeffs, _trim, _deflate, default_candidates)
+                            root_multiplicity, _eval_coeffs, _trim, _deflate,
+                            default_candidates)
 from .surface import PlaneVectorField, CoefficientFamily, chart_from_u0
 
 
@@ -50,9 +51,6 @@ class LocalChart:
     @property
     def ctx(self):
         return self.fx.ctx
-
-    def component_parts(self) -> tuple[tuple[MPoly, MPoly], tuple[MPoly, MPoly]]:
-        return (self.fx.num, self.fx.den), (self.fy.num, self.fy.den)
 
 
 def start_chart(vf: PlaneVectorField, chart: str) -> LocalChart:
@@ -87,14 +85,6 @@ def invert_fiber_chart(c: LocalChart) -> LocalChart:
     fx = c.fx.subs(sub)
     fy = -(y * y) * c.fy.subs(sub)
     return LocalChart(fx, fy, c.u_expr, c.v_expr.inverse())
-
-
-def blow_up(vf: PlaneVectorField, point: AccessiblePoint) -> LocalChart:
-    """Single blow-up of vf at an accessible point (moved to the origin first)."""
-    chart = start_chart(vf, point.chart)
-    if not point.location.is_zero():
-        chart = translate_chart(chart, point.location)
-    return blow_up_chart(chart)
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +144,10 @@ def resolve_multiplicity(vf: PlaneVectorField, point: AccessiblePoint,
     """
     k = point.multiplicity
     if k not in (2, 3):
-        raise ResolutionError("resolution implemented for multiplicities 2 and 3")
-    local = divisor_chart_local(vf, point.chart)
-    coeffs = restricted_numerator(local)
-    order = _vanishing_order(coeffs, point.location)
+        raise ResolutionError(f"X={point.label} has multiplicity {k}; resolution is "
+                              "implemented for multiplicities 2 and 3")
+    order, _ = root_multiplicity(restricted_numerator(divisor_chart_local(vf, point.chart)),
+                                 point.location)
     if order != k:
         raise NotResolvable(
             f"numerator vanishes to order {order} at {point.label}, expected {k}")
@@ -195,15 +185,6 @@ def resolve_multiplicity(vf: PlaneVectorField, point: AccessiblePoint,
     trace = ResolutionTrace(steps, chart, location, fpoint)
     trace.final_index()  # validates accessibility of the resolved point
     return trace
-
-
-def _vanishing_order(coeffs: Sequence[MRat], root: MRat) -> int:
-    cs = _trim(list(coeffs))
-    order = 0
-    while len(cs) > 1 and _eval_coeffs(cs, root).is_zero():
-        cs = _trim(_deflate(cs, root))
-        order += 1
-    return order
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +320,7 @@ def degenerate_matrix_criterion(family: CoefficientFamily) -> EquivalenceReport:
             diff = tuple(sorted(set(sets[a]) ^ set(sets[b])))
             residuals[f"{a} vs {b}"] = diff
     conds = {"a5": zero, "a7": zero, "a10": zero}
-    shaped = Mat2([[matrix[i, j].subs(conds) for j in range(2)] for i in range(2)])
+    shaped = matrix.map(lambda r: r.subs(conds))
     equivalent = all(not r for r in residuals.values())
     return EquivalenceReport(sets, str(shaped), residuals, equivalent)
 

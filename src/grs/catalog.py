@@ -10,7 +10,7 @@ these transcriptions term for term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Context, MPoly, MRat, Mat2

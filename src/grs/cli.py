@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import io as gio
 from .algebra import AlgebraError, DivisionByZero, InconsistentSystem, StuckSystem
-from .blowup import NotResolvable, resolve_multiplicity
+from .blowup import NotResolvable, ResolutionError, resolve_multiplicity
 from .catalog import (MATCH_PAIRS, get_maps, get_scheme, get_system, match_pair,
                       scheme_names, system_names, HVI_TEXT)
 from .diophantine import (RELATIONS, bounded_integer_search, enumerate_natural)
@@ -23,7 +23,8 @@ from .recovery import (NoRelation, SchemeError, VerificationMismatch, eigenvalue
                        construct_existence_system, match_specialization, recover,
                        relation_substitution)
 from .singularities import (SingularityError, UnresolvedFactor, accessible_points,
-                            alpha_test, linearization)
+                            alpha_test, divisor_chart_local, linearization,
+                            linearization_matrix)
 from .symmetry import verify_involution, verify_symmetry
 
 USAGE_ERROR, SOLVER_FAILURE, VERIFY_MISMATCH = 1, 2, 3
@@ -36,31 +37,32 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_ERROR)
 
 
-def _load_system(ref: str, normalized: bool = True):
-    """Resolve builtin:<name>, <name>, or a JSON file to (vf, entry-or-None)."""
+def _load(ref: str, kind: str, names: list[str], get, from_json):
+    """Resolve builtin:<name>, <name>, or a JSON file to (entry, None) or (None, object)."""
     name = ref.removeprefix("builtin:")
-    if name in system_names():
-        entry = get_system(name)
+    if name in names:
+        return get(name), None
+    if os.path.exists(ref):
+        with open(ref) as fh:
+            return None, from_json(gio.loads(fh.read()))
+    raise FileNotFoundError(
+        f"{ref!r} is neither a builtin {kind} ({', '.join(names)}) nor a file")
+
+
+def _load_system(ref: str, normalized: bool = True):
+    """(vf, entry-or-None) for a system reference."""
+    entry, vf = _load(ref, "system", system_names(), get_system, gio.vf_from_json)
+    if entry is not None:
         vf = entry.vf
         if normalized and entry.normalization:
             vf = vf.subs_params(entry.normalization)
-        return vf, entry
-    if os.path.exists(ref):
-        with open(ref) as fh:
-            return gio.vf_from_json(gio.loads(fh.read())), None
-    raise FileNotFoundError(
-        f"{ref!r} is neither a builtin system ({', '.join(system_names())}) nor a file")
+    return vf, entry
 
 
 def _load_scheme(ref: str):
-    name = ref.removeprefix("builtin:")
-    if name in scheme_names():
-        return get_scheme(name).scheme, get_scheme(name)
-    if os.path.exists(ref):
-        with open(ref) as fh:
-            return gio.scheme_from_json(gio.loads(fh.read())), None
-    raise FileNotFoundError(
-        f"{ref!r} is neither a builtin scheme ({', '.join(scheme_names())}) nor a file")
+    """(scheme, entry-or-None) for a scheme reference."""
+    entry, scheme = _load(ref, "scheme", scheme_names(), get_scheme, gio.scheme_from_json)
+    return (scheme if entry is None else entry.scheme), entry
 
 
 def _print_vf(vf, fmt: str):
@@ -106,8 +108,7 @@ def cmd_recover(args) -> int:
         data = gio.vf_to_json(vf)
         data["free"] = list(rec.free)
         data["relations"] = [str(r) for r in rec.relations]
-        data["trace"] = [f"{s.unknown} -> {s.value}   [{s.source}]"
-                         for s in rec.solution.trace]
+        data["trace"] = [str(s) for s in rec.solution.trace]
         print(gio.dumps(data))
     else:
         _print_vf(vf, "pretty")
@@ -125,7 +126,6 @@ def cmd_recover(args) -> int:
 
 
 def cmd_singular(args) -> int:
-    from .singularities import divisor_chart_local, linearization_matrix
     vf, entry = _load_system(args.system)
     points = accessible_points(vf)
     rows = []
@@ -164,11 +164,12 @@ def cmd_singular(args) -> int:
 
 
 def _find_point(vf, label: str):
-    for p in accessible_points(vf):
+    points = accessible_points(vf)
+    for p in points:
         if p.label == label:
             return p
     raise SingularityError(f"no accessible point X={label}; "
-                           f"have {[p.label for p in accessible_points(vf)]}")
+                           f"have {[p.label for p in points]}")
 
 
 def cmd_resolve(args) -> int:
@@ -264,9 +265,16 @@ def cmd_symmetry(args) -> int:
     return 0 if (rep.invariant and inv) else VERIFY_MISMATCH
 
 
+def _fractions(text: str) -> list[Fraction]:
+    try:
+        return [Fraction(v) for v in text.split(",")]
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def cmd_construct(args) -> int:
-    points = [Fraction(p) for p in args.points.split(",")] if args.points else []
-    ratios = [Fraction(r) for r in args.ratios.split(",")]
+    points = _fractions(args.points) if args.points else []
+    ratios = _fractions(args.ratios)
     sys_ = construct_existence_system(args.n, points, ratios)
     if args.format == "json":
         data = gio.vf_to_json(sys_.vf)
@@ -352,7 +360,7 @@ def main(argv=None) -> int:
     except (VerificationMismatch, NotResolvable) as exc:
         print(f"verification mismatch: {exc}", file=sys.stderr)
         return VERIFY_MISMATCH
-    except (SchemeError, SingularityError, UnresolvedFactor, AlgebraError,
+    except (SchemeError, SingularityError, UnresolvedFactor, AlgebraError, ResolutionError,
             FileNotFoundError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -9,7 +9,6 @@ provided as an exploratory tool; classifying all integer solutions is open.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Sequence

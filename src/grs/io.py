@@ -15,7 +15,7 @@ import json
 import re
 from typing import Any, Iterable
 
-from .algebra import Context, Mat2
+from .algebra import Context, Mat2, Sym
 from .recovery import GRScheme, ResolvedData, SingularSpec
 from .surface import PlaneVectorField, SurfaceModel
 
@@ -37,7 +37,6 @@ def context_to_json(ctx: Context) -> list[dict[str, str]]:
 
 
 def context_from_json(data: list[dict[str, str]]) -> Context:
-    from .algebra import Sym
     return Context(tuple(Sym(d["name"], d["kind"]) for d in data))
 
 

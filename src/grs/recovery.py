@@ -22,17 +22,19 @@ yield the eigenvalue relation of the scheme instead of a solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .algebra import (Context, InconsistentSystem, MPoly, MRat, Mat2, StuckSystem, Sym,
-                      TriangularSolution, solve_triangular)
+                      TriangularSolution, coefficients_in, solve_triangular,
+                      _relation_normal_form)
 from .blowup import resolve_family, resolve_multiplicity
 from .singularities import (AccessiblePoint, accessible_points, divisor_chart_local,
                             linearization_matrix, local_index_from_matrix)
 from .surface import (CoefficientFamily, PlaneVectorField, SurfaceModel,
-                      SIGMA2_UNKNOWNS, check_log_condition, generic_family)
+                      SIGMA2_UNKNOWNS, check_log_condition, family_context,
+                      generic_family, poly_block, _u1_pole_conditions)
 
 
 class SchemeError(Exception):
@@ -53,12 +55,6 @@ class RelationViolated(SchemeError):
 
 class DegeneratePoints(SchemeError):
     pass
-
-
-class NoCorrespondence(SchemeError):
-    def __init__(self, residual):
-        self.residual = residual
-        super().__init__(f"no affine correspondence; residual: {residual}")
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +186,7 @@ def generate_constraints(family: CoefficientFamily, scheme: GRScheme) -> Constra
         chart = "U3" if spec.location is None else "U2"
         loc = ctx.rat(0) if spec.location is None else spec.location.lift(ctx)
         label = f"X={spec.label}"
-        target = Mat2([[spec.matrix[i, j].lift(ctx) for j in range(2)] for i in range(2)])
+        target = spec.matrix.map(lambda r: r.lift(ctx))
         if spec.multiplicity == 1:
             local = divisor_chart_local(vf, chart)
             matrix, access = linearization_matrix(local, loc)
@@ -222,16 +218,6 @@ def generate_constraints(family: CoefficientFamily, scheme: GRScheme) -> Constra
 # ---------------------------------------------------------------------------
 
 
-def recovery_context(scheme: GRScheme, unknowns: Sequence[str]) -> Context:
-    twist_syms: list[str] = []
-    for g in scheme.model.twist:
-        for name in g.num.variables() + g.den.variables():
-            if name not in twist_syms:
-                twist_syms.append(name)
-    params = list(dict.fromkeys(list(scheme.params) + twist_syms))
-    return Context.make(parameters=params, unknowns=list(unknowns))
-
-
 def recover(scheme: GRScheme, verify: bool = True) -> RecoveredSystem:
     """Solve the scheme's constraint system on the generic family.
 
@@ -242,10 +228,9 @@ def recover(scheme: GRScheme, verify: bool = True) -> RecoveredSystem:
     """
     if scheme.model.n != 2:
         raise SchemeError("recovery is implemented over the S_2 model")
-    ctx = recovery_context(scheme, SIGMA2_UNKNOWNS)
-    model = SurfaceModel(scheme.model.n, tuple(g.lift(ctx) for g in scheme.model.twist))
-    scheme = GRScheme(model, _lift_specs(scheme.specs, ctx), scheme.params,
-                      scheme.eigenvalue_syms, scheme.name)
+    ctx = family_context(scheme.model, scheme.params, SIGMA2_UNKNOWNS)
+    scheme = lift_scheme(scheme, ctx)
+    model = scheme.model
     family = generic_family(model, ctx)
     cons = generate_constraints(family, scheme)
     sol = solve_triangular(cons.equations, family.unknowns,
@@ -254,11 +239,11 @@ def recover(scheme: GRScheme, verify: bool = True) -> RecoveredSystem:
     dydt = family.vf.dydt.subs(sol.assignments)
     # project out the solved unknowns; surviving free unknowns stay as
     # parameters (the residual scale freedom of the scheme)
-    tidy = recovery_context(scheme, []).extend(
+    tidy = family_context(model, scheme.params, []).extend(
         tuple(Sym(u, "parameter") for u in sol.free))
     tidy_model = SurfaceModel(model.n, tuple(g.lift(tidy) for g in model.twist))
     vf = PlaneVectorField(dxdt.lift(tidy), dydt.lift(tidy), "U0", tidy_model)
-    relations = tuple(_strip_relation(r, scheme.eigenvalue_syms).lift(tidy)
+    relations = tuple(_relation_normal_form(r, scheme.eigenvalue_syms).lift(tidy)
                       for r in sol.relations)
     rec = RecoveredSystem(vf, dict(sol.assignments), tuple(sol.free),
                           relations, sol, scheme)
@@ -267,44 +252,33 @@ def recover(scheme: GRScheme, verify: bool = True) -> RecoveredSystem:
     return rec
 
 
-def _strip_relation(rel: MPoly, eigenvalue_syms: Sequence[str]) -> MPoly:
-    """Remove parameter-only content so the relation is pure in the eigenvalues."""
-    from .algebra import split_content
-    live = [s for s in eigenvalue_syms if rel.involves([s])]
-    if not live:
-        return rel.primitive()
-    return split_content(rel, live)[1].primitive()
-
-
-def _lift_specs(specs: Sequence[SingularSpec], ctx: Context) -> tuple[SingularSpec, ...]:
-    out = []
-    for s in specs:
-        matrix = Mat2([[s.matrix[i, j].lift(ctx) for j in range(2)] for i in range(2)])
+def map_scheme(scheme: GRScheme, fn: Callable[[MRat], MRat], **changes) -> GRScheme:
+    """The scheme with fn applied to every entry of its columns (matrix,
+    resolved-point data, location); ``changes`` replace other GRScheme fields."""
+    specs = []
+    for s in scheme.specs:
         resolved = None
         if s.resolved is not None:
-            resolved = ResolvedData(tuple(m.lift(ctx) for m in s.resolved.patch_map),
-                                    tuple(p.lift(ctx) for p in s.resolved.point))
-        loc = None if s.location is None else s.location.lift(ctx)
-        out.append(SingularSpec(loc, s.multiplicity, matrix, resolved))
-    return tuple(out)
+            resolved = ResolvedData(tuple(map(fn, s.resolved.patch_map)),
+                                    tuple(map(fn, s.resolved.point)))
+        loc = None if s.location is None else fn(s.location)
+        specs.append(SingularSpec(loc, s.multiplicity, s.matrix.map(fn), resolved))
+    return replace(scheme, specs=tuple(specs), **changes)
+
+
+def lift_scheme(scheme: GRScheme, ctx: Context) -> GRScheme:
+    """The scheme with its surface twist and every column entry lifted into ctx."""
+    model = SurfaceModel(scheme.model.n, tuple(g.lift(ctx) for g in scheme.model.twist))
+    return map_scheme(scheme, lambda r: r.lift(ctx), model=model)
 
 
 def specialize_scheme(scheme: GRScheme, values: Mapping[str, MRat],
                       name: str | None = None) -> GRScheme:
     """The scheme with parameter values substituted (e.g. numeric eigenvalues)."""
-    specs = []
-    for s in scheme.specs:
-        m = Mat2([[s.matrix[i, j].subs(values) for j in range(2)] for i in range(2)])
-        resolved = None
-        if s.resolved is not None:
-            resolved = ResolvedData(tuple(p.subs(values) for p in s.resolved.patch_map),
-                                    tuple(p.subs(values) for p in s.resolved.point))
-        loc = None if s.location is None else s.location.subs(values)
-        specs.append(SingularSpec(loc, s.multiplicity, m, resolved))
-    params = tuple(p for p in scheme.params if p not in values)
-    eigen = tuple(e for e in scheme.eigenvalue_syms if e not in values)
-    return GRScheme(scheme.model, tuple(specs), params, eigen,
-                    name if name is not None else scheme.name + "-specialized")
+    return map_scheme(scheme, lambda r: r.subs(values),
+                      params=tuple(p for p in scheme.params if p not in values),
+                      eigenvalue_syms=tuple(e for e in scheme.eigenvalue_syms if e not in values),
+                      name=name if name is not None else scheme.name + "-specialized")
 
 
 def relation_substitution(relations: Sequence[MPoly],
@@ -326,10 +300,9 @@ def relation_substitution(relations: Sequence[MPoly],
     return subs
 
 
-def _zero_modulo(value: MRat, relsub: Mapping[str, MRat]) -> bool:
-    if value.is_zero():
-        return True
-    return value.subs(relsub).is_zero()
+def zero_modulo(value: MRat, relsub: Mapping[str, MRat]) -> bool:
+    """Whether value vanishes, outright or after the relation substitution."""
+    return value.is_zero() or (bool(relsub) and value.subs(relsub).is_zero())
 
 
 def verify_recovered(rec: RecoveredSystem) -> None:
@@ -359,7 +332,7 @@ def verify_recovered(rec: RecoveredSystem) -> None:
         if spec.multiplicity == 1:
             local = divisor_chart_local(vf, point.chart)
             matrix, access = linearization_matrix(local, point.location)
-            if not _zero_modulo(access, relsub):
+            if not zero_modulo(access, relsub):
                 raise VerificationMismatch(f"X={label} lost accessibility")
         else:
             trace = resolve_multiplicity(vf, point,
@@ -380,7 +353,7 @@ def verify_recovered(rec: RecoveredSystem) -> None:
         for i in range(2):
             for j in range(2):
                 diff = matrix[i, j] - target[i, j].lift(ctx) * f
-                if not _zero_modulo(diff, relsub):
+                if not zero_modulo(diff, relsub):
                     raise VerificationMismatch(
                         f"X={label}: matrix entry ({i},{j}) mismatch: {diff}")
 
@@ -475,19 +448,12 @@ def construct_existence_system(n: int, c: Sequence, m: Sequence,
             if i != j:
                 term = term * (x - cv)
         weighted = weighted + term
-    b1 = ctx.rat(0)
-    for k in range(n + 2):
-        b1 = b1 + ctx.var(f"u1_{k}") * x ** k
-    b4 = ctx.rat(0)
-    for k in range(n + 1):
-        b4 = b4 + ctx.var(f"u2_{k}") * x ** k
-    b3 = ctx.rat(0)
-    for k in range(n):
-        b3 = b3 + ctx.var(f"u3_{k}") * x ** k
+    b1 = poly_block(ctx, "u1", n + 1)
+    b4 = poly_block(ctx, "u2", n)
+    b3 = poly_block(ctx, "u3", n - 1)
     model = SurfaceModel(n, tuple([ctx.var(twist_name)] + [ctx.rat(0)] * (n - 2))
                          if n >= 2 else ())
     vf = PlaneVectorField(lead * y + b1, -weighted * y * y + b4 * y + b3, "U0", model)
-    from .surface import _u1_pole_conditions
     conditions = _u1_pole_conditions(vf)
     sol = solve_triangular(conditions, unknowns)
     # substitute in two stages: solved values may reference free coefficients
@@ -564,7 +530,7 @@ def match_specialization(general: PlaneVectorField, reference: PlaneVectorField,
         gnum, gden = gcomp.num.lift(big), gcomp.den.lift(big)
         rnum, rden = _reference_in(big, rcomp, ansatz)
         eq = gnum * rden - rnum * gden
-        equations.extend(_split_by_monomials(eq, coeff_names))
+        equations.extend(coefficients_in(eq, [n for n in big.names if n not in coeff_names]))
     try:
         sol = _solve_with_square_fallback(equations, coeff_names)
     except (StuckSystem, InconsistentSystem) as exc:
@@ -627,13 +593,10 @@ def _solve_with_square_fallback(equations: Sequence[MPoly], unknowns: Sequence[s
             if not disc.is_constant():
                 continue
             root_disc = rational_sqrt(disc.constant_value())
-            if root_disc is None:
+            if root_disc is None or not (a.is_constant() and b.is_constant()):
                 continue
-            roots = sorted({(-b.constant_value() + s * root_disc)
-                            / (2 * a.constant_value())
-                            for s in (1, -1)}) if a.is_constant() and b.is_constant() else None
-            if roots is None:
-                continue
+            roots = sorted({(-b.constant_value() + s * root_disc) / (2 * a.constant_value())
+                            for s in (1, -1)})
             last_exc = exc
             for r in roots:
                 branch = eqs + [p.ctx.poly_var(u) - p.ctx.poly(r)]
@@ -655,29 +618,9 @@ def _reference_in(big: Context, rcomp: MRat, param_values: Mapping[str, MRat]) -
     num_r = num.subs(values)
     den_r = den.subs(values)
     combined = num_r / den_r
-
-    def drop(p: MPoly) -> MPoly:
-        mapping = {}
-        for e, cval in p.terms.items():
-            ne = [0] * len(big)
-            for i, name in enumerate(target.names):
-                if e[i]:
-                    if name not in big:
-                        raise SchemeError(f"unsubstituted reference symbol {name}")
-                    ne[big.index(name)] = e[i]
-            mapping[tuple(ne)] = cval
-        return MPoly(big, mapping)
-
-    return drop(combined.num), drop(combined.den)
-
-
-def _split_by_monomials(eq: MPoly, unknowns: Sequence[str]) -> list[MPoly]:
-    """Split an equation into coefficient equations per non-unknown monomial."""
-    ctx = eq.ctx
-    unknown_idx = [ctx.index(u) for u in unknowns]
-    groups: dict[tuple, dict] = {}
-    for e, cval in eq.terms.items():
-        key = tuple(0 if i in unknown_idx else p for i, p in enumerate(e))
-        rest = tuple(p if i in unknown_idx else 0 for i, p in enumerate(e))
-        groups.setdefault(key, {})[rest] = cval
-    return [MPoly(ctx, terms) for terms in groups.values()]
+    try:
+        return combined.num.lift(big), combined.den.lift(big)
+    except KeyError:
+        name = next(n for n in combined.num.variables() + combined.den.variables()
+                    if n not in big)
+        raise SchemeError(f"unsubstituted reference symbol {name}") from None

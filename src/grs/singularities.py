@@ -132,6 +132,17 @@ def _trim(coeffs: list[MRat]) -> list[MRat]:
     return coeffs
 
 
+def root_multiplicity(coeffs: Sequence[MRat], root: MRat) -> tuple[int, list[MRat]]:
+    """Vanishing order of the coefficient list at root, and the trimmed
+    quotient by (var - root)^order."""
+    coeffs = _trim(list(coeffs))
+    mult = 0
+    while len(coeffs) > 1 and _eval_coeffs(coeffs, root).is_zero():
+        coeffs = _trim(_deflate(coeffs, root))
+        mult += 1
+    return mult, coeffs
+
+
 def find_divisor_roots(coefficients: Sequence[MRat],
                        candidates: Sequence[MRat]) -> list[tuple[MRat, int]]:
     """All roots of a univariate polynomial over Q(t, params), with multiplicity.
@@ -146,10 +157,7 @@ def find_divisor_roots(coefficients: Sequence[MRat],
         return []
     roots: list[tuple[MRat, int]] = []
     for cand in candidates:
-        mult = 0
-        while len(coeffs) > 1 and _eval_coeffs(coeffs, cand).is_zero():
-            coeffs = _trim(_deflate(coeffs, cand))
-            mult += 1
+        mult, coeffs = root_multiplicity(coeffs, cand)
         if mult:
             roots.append((cand, mult))
     while len(coeffs) == 2:
@@ -197,9 +205,6 @@ class AccessiblePoint:
     def label(self) -> str:
         return "inf" if self.at_infinity else str(self.location)
 
-    def coordinates(self) -> tuple[MRat, MRat]:
-        return self.location, self.location.ctx.rat(0)
-
     def __str__(self):
         mult = f" ({self.multiplicity})" if self.multiplicity > 1 else ""
         return f"X={self.label}{mult}"
@@ -218,14 +223,8 @@ def accessible_points(vf: PlaneVectorField,
     f1 = restricted_numerator(u2)
     points = [AccessiblePoint("U2", root, mult)
               for root, mult in find_divisor_roots(f1, candidates)]
-    u3 = divisor_chart_local(vf, "U3")
-    f1_inf = restricted_numerator(u3)
     zero = ctx.rat(0)
-    coeffs = _trim(list(f1_inf))
-    mult = 0
-    while len(coeffs) > 1 and _eval_coeffs(coeffs, zero).is_zero():
-        coeffs = _trim(_deflate(coeffs, zero))
-        mult += 1
+    mult, _ = root_multiplicity(restricted_numerator(divisor_chart_local(vf, "U3")), zero)
     if mult:
         points.append(AccessiblePoint("U3", zero, mult, at_infinity=True))
     return points
@@ -260,9 +259,6 @@ class LocalIndex:
     divisor: str
     eigenvalues: tuple[MRat, MRat]
     ratio: MRat
-
-    def scale_relative_to(self, reference: MRat) -> Mat2:
-        return self.matrix.scale(reference.inverse())
 
 
 def linearization_matrix(local: LocalField, along_location: MRat,
@@ -355,7 +351,7 @@ def alpha_test(vf: PlaneVectorField, point: AccessiblePoint,
     def at_t0(r: MRat) -> MRat:
         return r.lift(ctx).subs(fix)
 
-    reduced = Mat2([[at_t0(index.matrix[i, j]) for j in range(2)] for i in range(2)])
+    reduced = index.matrix.map(at_t0)
     order = ("x", "y")
     di = order.index(index.divisor)
     si = 1 - di

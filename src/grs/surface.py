@@ -50,10 +50,6 @@ class SurfaceModel:
             raise SurfaceError(
                 f"S_{self.n} needs {self.n - 1} twist coefficients, got {len(self.twist)}")
 
-    @property
-    def self_intersection(self) -> int:
-        return self.n
-
     def twist_in(self, ctx: Context) -> tuple[MRat, ...]:
         return tuple(g.lift(ctx) if g.ctx != ctx else g for g in self.twist)
 
@@ -269,6 +265,7 @@ def sigma2_family(ctx: Context, model: SurfaceModel) -> CoefficientFamily:
 
 def family_context(model: SurfaceModel, parameters: Sequence[str],
                    unknowns: Sequence[str]) -> Context:
+    """Context of the given parameters, the twist's symbols and the unknowns."""
     twist_syms = []
     for g in model.twist:
         for name in g.num.variables() + g.den.variables():
@@ -298,6 +295,15 @@ def _ansatz_unknown_names(n: int) -> list[str]:
     return names
 
 
+def poly_block(ctx: Context, prefix: str, degree: int) -> MRat:
+    """The polynomial sum of prefix_k * x^k for k = 0..degree."""
+    x = ctx.var("x")
+    acc = ctx.rat(0)
+    for k in range(degree + 1):
+        acc = acc + ctx.var(f"{prefix}_{k}") * x ** k
+    return acc
+
+
 def generic_family(model: SurfaceModel, ctx: Context | None = None) -> CoefficientFamily:
     """Most general family satisfying the log condition on S_n.
 
@@ -305,25 +311,15 @@ def generic_family(model: SurfaceModel, ctx: Context | None = None) -> Coefficie
     the family is generated from the degree caps by imposing polynomiality
     of the U1 rewrite and eliminating the forced coefficients.
     """
-    if model.n == 2:
-        if ctx is None:
-            ctx = family_context(model, [], SIGMA2_UNKNOWNS)
-        fam = sigma2_family(ctx, SurfaceModel(2, tuple(g.lift(ctx) for g in model.twist)))
-        return fam
-    names = _ansatz_unknown_names(model.n)
+    names = SIGMA2_UNKNOWNS if model.n == 2 else _ansatz_unknown_names(model.n)
     if ctx is None:
         ctx = family_context(model, [], names)
     model = SurfaceModel(model.n, tuple(g.lift(ctx) for g in model.twist))
-    x, y = ctx.var("x"), ctx.var("y")
-    caps = _family_caps(model.n)
-
-    def block(b: int, cap: int) -> MRat:
-        acc = ctx.rat(0)
-        for k in range(cap + 1):
-            acc = acc + ctx.var(f"b{b}_{k}") * x ** k
-        return acc
-
-    b1, b2, b3, b4, b5 = (block(i + 1, caps[i]) for i in range(5))
+    if model.n == 2:
+        return sigma2_family(ctx, model)
+    y = ctx.var("y")
+    b1, b2, b3, b4, b5 = (poly_block(ctx, f"b{b}", cap)
+                          for b, cap in enumerate(_family_caps(model.n), start=1))
     vf = PlaneVectorField(b1 + b2 * y, b3 + b4 * y + b5 * y * y, "U0", model)
     conditions = _u1_pole_conditions(vf)
     sol = solve_triangular(conditions, names)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import Context, DivisionByZero, MPoly, MRat
-from .recovery import relation_substitution
+from .recovery import relation_substitution, zero_modulo
 from .surface import PlaneVectorField
 
 
@@ -162,9 +162,10 @@ def verify_symmetry(vf: PlaneVectorField, bmap: BirationalMap, mode: str = "nume
 
     In numeric-probe mode all parameters and eigenvalues are instantiated at
     random rationals consistent with the eigenvalue relation and the
-    residual is compared with zero exactly, draw by draw.  In symbolic mode
-    the residual is reduced modulo the relation; a residual that vanishes
-    only modulo the relation is reported, not failed.
+    residual is compared with zero exactly, draw by draw; ``draws`` must be
+    at least 1.  In symbolic mode the residual is reduced modulo the
+    relation; a residual that vanishes only modulo the relation is reported,
+    not failed.
     """
     if mode == "symbolic":
         r1, r2 = invariance_residual(vf, bmap)
@@ -178,6 +179,8 @@ def verify_symmetry(vf: PlaneVectorField, bmap: BirationalMap, mode: str = "nume
         return SymmetryReport(False, mode, residual=(str(r1), str(r2)))
     if mode != "numeric-probe":
         raise SymmetryError(f"unknown mode {mode!r}")
+    if draws < 1:
+        raise ValueError(f"numeric-probe mode needs draws >= 1, got {draws}")
     ctx = vf.ctx
     params = [s.name for s in ctx.syms if s.kind == "parameter"]
     f1, f2 = vf.components()
@@ -219,21 +222,14 @@ def verify_involution(bmap: BirationalMap, relation: MPoly | None = None,
     """Exact check that the map composed with itself is the identity."""
     ctx = bmap.ctx
     relsub = relation_substitution([relation], eigenvalue_syms) if relation is not None else {}
-
-    def reduces_to(value: MRat, target: MRat) -> bool:
-        diff = value - target
-        if diff.is_zero():
-            return True
-        return bool(relsub) and diff.subs(relsub).is_zero()
-
     full = bmap.full_subs()
-    if not reduces_to(bmap.x_image.subs(full), ctx.var("x")):
+    if not zero_modulo(bmap.x_image.subs(full) - ctx.var("x"), relsub):
         return False
-    if not reduces_to(bmap.y_image.subs(full), ctx.var("y")):
+    if not zero_modulo(bmap.y_image.subs(full) - ctx.var("y"), relsub):
         return False
-    if not reduces_to(bmap.t_image.subs({"t": bmap.t_image}), ctx.var("t")):
+    if not zero_modulo(bmap.t_image.subs({"t": bmap.t_image}) - ctx.var("t"), relsub):
         return False
     for p, image in bmap.param_map.items():
-        if not reduces_to(image.subs(bmap.param_map), ctx.var(p)):
+        if not zero_modulo(image.subs(bmap.param_map) - ctx.var(p), relsub):
             return False
     return True

@@ -97,6 +97,28 @@ def test_cli_resolve(capsys):
     assert "resolved point: (0, -t)" in out
 
 
+def test_cli_resolve_simple_point_is_a_usage_error(capsys):
+    code, out, err = _run(capsys, "resolve", "--system", "pvi", "--point", "0")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: X=0 has multiplicity 1;") and err.count("\n") == 1
+
+
+def test_cli_resolve_unresolvable_point_exits_three(tmp_path, capsys):
+    """a10 != 0 keeps the exceptional origin of the double point X=0 inaccessible."""
+    from grs.algebra import Context
+    from grs.surface import SIGMA2_UNKNOWNS, generic_family, sigma2_model
+    ctx = Context.make(parameters=["alpha2"], unknowns=list(SIGMA2_UNKNOWNS))
+    family = generic_family(sigma2_model(ctx), ctx)
+    values = {"a1": 1, "a2": 1, "a3": 0, "a4": 0, "a5": 0, "a6": 0, "a7": 0,
+              "a8": 0, "a9": 0, "a10": 3}
+    vf = family.vf.subs_params({k: ctx.rat(v) for k, v in values.items()})
+    path = tmp_path / "double.json"
+    path.write_text(gio.dumps(gio.vf_to_json(vf)))
+    code, out, err = _run(capsys, "resolve", "--system", str(path), "--point", "0")
+    assert (code, out) == (3, "")
+    assert err.startswith("verification mismatch:") and err.count("\n") == 1
+
+
 def test_cli_alpha_test(capsys):
     code, out, _ = _run(capsys, "alpha-test", "--system", "pvi", "--point", "0")
     assert code == 0
@@ -117,6 +139,22 @@ def test_cli_construct(capsys):
                         "--ratios", "2,2,2,2")
     assert code == 0
     assert "accessible points: 0, 1, t, inf" in out
+
+
+@pytest.mark.parametrize("flags", [("--ratios", "1/0"),
+                                   ("--points", "1/0,1", "--ratios", "2,2,2,2")])
+def test_cli_construct_zero_denominator_exits_one(capsys, flags):
+    code, out, err = _run(capsys, "construct", "--n", "2", *flags)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: zero denominator in '1/0") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("draws", ["0", "-3"])
+def test_cli_symmetry_without_probes_exits_one(capsys, draws):
+    code, out, err = _run(capsys, "symmetry", "--system", "gen-pvi", "--map", "pi2",
+                          "--draws", draws)
+    assert (code, out) == (1, "")
+    assert err == f"error: numeric-probe mode needs draws >= 1, got {draws}\n"
 
 
 def test_cli_match(capsys):

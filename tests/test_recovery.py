@@ -9,19 +9,17 @@ from grs.algebra import MRat, union_context
 from grs.catalog import (get_scheme, get_system, match_pair, pvi_system,
                          scheme_gen_pv, scheme_pvi)
 from grs.recovery import (DegeneratePoints, GRScheme, NoRelation, RelationViolated,
-                          SingularSpec, construct_existence_system,
+                          SchemeError, SingularSpec, construct_existence_system,
                           eigenvalue_relation, generate_constraints,
-                          match_specialization, recover, recovery_context,
-                          relation_substitution, specialize_scheme, _lift_specs)
-from grs.surface import SIGMA2_UNKNOWNS, SurfaceModel, generic_family
+                          lift_scheme, match_specialization, recover,
+                          relation_substitution, specialize_scheme)
+from grs.surface import SIGMA2_UNKNOWNS, family_context, generic_family
 
 
 def _prepared(scheme):
-    ctx = recovery_context(scheme, SIGMA2_UNKNOWNS)
-    model = SurfaceModel(scheme.model.n, tuple(g.lift(ctx) for g in scheme.model.twist))
-    lifted = GRScheme(model, _lift_specs(scheme.specs, ctx), scheme.params,
-                      scheme.eigenvalue_syms, scheme.name)
-    return generic_family(model, ctx), lifted
+    ctx = family_context(scheme.model, scheme.params, SIGMA2_UNKNOWNS)
+    lifted = lift_scheme(scheme, ctx)
+    return generic_family(lifted.model, ctx), lifted
 
 
 def _same_equation(poly, ctx, text):
@@ -294,6 +292,12 @@ def test_builtin_pairs_give_definitive_verdicts(pair):
     general, reference, ref_params, note = match_pair(pair)
     rep = match_specialization(general, reference, ref_params)
     assert rep.found, rep.residual
+
+
+def test_match_names_an_unsubstituted_reference_parameter():
+    general, reference, _, _ = match_pair("gen-piv:piv")
+    with pytest.raises(SchemeError, match="unsubstituted reference symbol beta2"):
+        match_specialization(general, reference, ["beta1"])
 
 
 def test_piv_pair_is_the_identity_correspondence():

@@ -46,6 +46,12 @@ def test_symbolic_mode_all_maps(sys_name, map_name):
         assert rep.relation_required
 
 
+def test_probe_mode_needs_a_draw():
+    entry, bmap = _get("gen-piii", "s")
+    with pytest.raises(ValueError):
+        verify_symmetry(entry.vf, bmap, draws=0)
+
+
 def test_pi3_verbatim_transcription_fails_and_is_reported():
     """The printed alpha images of the x -> 1/x map do not give an invariance
     (recorded discrepancy finding); the derived plain swap does."""
