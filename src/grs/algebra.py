@@ -31,6 +31,15 @@ degree bounds, which also makes the divisibility shortcuts in the gcd cheap
 when they fail.  Because the operators trust their operands, every
 ``MRat(num, den, _normalized=True)`` must receive a pair that is already
 canonical; ``MRat(num, den)`` normalizes an arbitrary pair.
+
+Substitution runs a Horner scheme in one substituted symbol at a time and
+finds the symbols a polynomial involves in one pass over its terms.  When
+every value it meets has denominator 1 (numeric draws, constants, polynomial
+assignments), the scheme runs on MPoly and wraps the result once: on such
+operands the MRat operators run no gcd and form the same products and sums,
+so the result is the same polynomial.  :func:`solve_triangular` reduces
+each pending equation and each nonzero form once per change of its
+assignments, never once per scan.
 """
 
 from __future__ import annotations
@@ -59,11 +68,13 @@ class DivisionByZero(AlgebraError):
 class StuckSystem(AlgebraError):
     """Triangular elimination found no equation linear in a single unknown.
 
-    Carries the unsolved equations so the caller can report them.
+    Carries the unsolved equations so the caller can report them, and in
+    ``sources`` the source tag of each.
     """
 
-    def __init__(self, remaining):
+    def __init__(self, remaining, sources):
         self.remaining = list(remaining)
+        self.sources = list(sources)
         super().__init__(
             "no equation is linear in a single unsolved unknown; remaining: "
             + "; ".join(str(e) for e in self.remaining)
@@ -561,7 +572,7 @@ def _list_gcd(polys: list[MPoly]) -> MPoly:
 
 
 def _divide_coeffs(u: dict[int, MPoly], cont: MPoly) -> dict[int, MPoly]:
-    if cont.is_constant() and cont.constant_value() == 1:
+    if _is_one(cont):
         return u
     return {d: exact_divide(c, cont) for d, c in u.items()}
 
@@ -763,7 +774,7 @@ class MRat:
         return MRat(self.num.rename(names), self.den.rename(names), _normalized=True)
 
     def __str__(self) -> str:
-        if self.den.is_constant() and self.den.constant_value() == 1:
+        if _is_one(self.den):
             return render_poly(self.num)
         return f"({render_poly(self.num)})/({render_poly(self.den)})"
 
@@ -771,23 +782,60 @@ class MRat:
 
 
 def _poly_subs(p: MPoly, values: Mapping[str, "MRat"]) -> MRat:
-    """Simultaneous substitution: substituted values are never re-substituted."""
-    active = [n for n in values if p.involves([n])]
+    """Simultaneous substitution: substituted values are never re-substituted.
+
+    Only the keys p involves take part.  When each of their values has
+    denominator 1, the Horner scheme runs on their numerators as MPoly and
+    the result is wrapped once: the MRat operators on such operands run no
+    gcd and compute the same products and sums, so the result is the same
+    polynomial.
+    """
+    active = _active(p, values)
     if not active:
         return MRat.from_poly(p)
+    if all(_is_one(values[n].den) for n in active):
+        return MRat.from_poly(_horner(p, {n: values[n].num for n in active}, lambda q: q))
+    return _horner(p, {n: values[n] for n in active}, MRat.from_poly)
+
+
+def _active(p: MPoly, names: Iterable[str]) -> list[str]:
+    """The names that p involves, in order, from one pass over its terms.
+
+    Every name is looked up, so an undeclared one raises KeyError even when
+    p is free of it.
+    """
+    index = [(n, p.ctx.index(n)) for n in names]
+    if not p.terms:
+        return []
+    support = [any(col) for col in zip(*p.terms)]
+    return [n for n, i in index if support[i]]
+
+
+def _horner(p: MPoly, values: Mapping[str, MPoly | MRat], wrap: Callable[[MPoly], MPoly | MRat]):
+    """Substitute ``values`` (all MPoly or all MRat) into p.
+
+    ``wrap`` turns a polynomial free of the substituted names into the same type.
+    """
+    active = _active(p, values)
+    if not active:
+        return wrap(p)
     name = active[0]
     val = values[name]
     univ = p.as_univariate(name)
     top = max(univ)
     # Horner in the substituted value; coefficients (free of ``name``) are
     # substituted recursively, so the whole map applies simultaneously.
-    acc = _poly_subs(univ[top], values)
+    acc = _horner(univ[top], values, wrap)
     for d in range(top - 1, -1, -1):
         coeff = univ.get(d)
         acc = acc * val
         if coeff is not None:
-            acc = acc + _poly_subs(coeff, values)
+            acc = acc + _horner(coeff, values, wrap)
     return acc
+
+
+def _is_one(p: MPoly) -> bool:
+    return len(p.terms) == 1 and p.terms.get(p.ctx.zero_exp()) == 1
 
 
 def _normalize_pair(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
@@ -922,10 +970,27 @@ def _relation_normal_form(p: MPoly, live: Sequence[str] | None = None) -> MPoly:
         live = [n for n in p.variables()
                 if p.ctx.syms[p.ctx.index(n)].kind not in ("time", "fiber")]
     else:
-        live = [n for n in live if p.involves([n])]
+        live = _active(p, live)
     if not live:
         return p.primitive()
     return split_content(p, live)[1].primitive()
+
+
+class _Pending:
+    """An equation solve_triangular has not used yet.
+
+    ``reduced`` is the equation under the assignments of ``version``, and
+    ``unsolved`` lists the unsolved unknowns it involves then.
+    """
+
+    __slots__ = ("tag", "raw", "version", "reduced", "unsolved")
+
+    def __init__(self, tag: str, raw: MPoly):
+        self.tag = tag
+        self.raw = raw
+        self.version = -1
+        self.reduced = raw
+        self.unsolved: list[str] = []
 
 
 def solve_triangular(equations: Sequence[MPoly | MRat],
@@ -949,37 +1014,61 @@ def solve_triangular(equations: Sequence[MPoly | MRat],
     """
     unknowns = list(unknowns)
     unknown_set = set(unknowns)
-    eqs: list[tuple[str, MPoly]] = []
+    eqs: list[_Pending] = []
     for k, eq in enumerate(equations):
         tag = sources[k] if sources else f"eq{k}"
         p = eq.num if isinstance(eq, MRat) else eq
         if not p.is_zero():
-            eqs.append((tag, p))
+            eqs.append(_Pending(tag, p))
     # a nonzero form is only used through its unknown-primitive part; its
     # parameter content is generically nonzero anyway
-    forms = [split_content(f, [u for u in unknowns if f.involves([u])])[1]
+    forms = [split_content(f, _active(f, unknowns))[1]
              for f in nonzero_forms if not f.is_zero()]
     assignments: dict[str, MRat] = {}
     relations: list[MPoly] = []
     trace: list[TraceStep] = []
     solved: set[str] = set()
+    # apply_current(p) depends only on p and the assignments, so everything
+    # derived from it is cached under this counter, which goes up whenever
+    # the assignments (and with them ``solved``) change
+    version = 0
+    reduced_forms: tuple[int, list[MPoly]] = (-1, [])
 
     def apply_current(p: MPoly) -> MPoly:
         if not assignments or not p.involves(assignments.keys()):
             return p
         return p.subs(assignments).num
 
+    def reduce(eq: _Pending) -> MPoly:
+        if eq.version != version:
+            eq.version, eq.reduced = version, apply_current(eq.raw)
+            eq.unsolved = [u for u in _active(eq.reduced, unknowns) if u not in solved]
+        return eq.reduced
+
+    def current_forms() -> list[MPoly]:
+        nonlocal reduced_forms
+        if reduced_forms[0] != version:
+            now = []
+            for form in forms:
+                f = apply_current(form)
+                if f.is_zero() or f.is_constant():
+                    continue
+                live = _active(f, unknowns)
+                if live:
+                    now.append(split_content(f, live)[1])
+            reduced_forms = (version, now)
+        return reduced_forms[1]
+
     progress = True
     while progress and eqs:
         progress = False
-        for pos, (tag, raw) in enumerate(eqs):
-            p = apply_current(raw)
+        for pos, eq in enumerate(eqs):
+            p = reduce(eq)
             if p.is_zero():
                 del eqs[pos]
                 progress = True
                 break
-            unsolved_here = [u for u in unknowns if u not in solved and p.involves([u])]
-            if not unsolved_here:
+            if not eq.unsolved:
                 if p.is_constant():
                     raise InconsistentSystem(p)
                 relations.append(_relation_normal_form(p))
@@ -988,14 +1077,7 @@ def solve_triangular(equations: Sequence[MPoly | MRat],
                 break
             # relation extraction: c(params) * L with L a designated nonzero form
             handled = False
-            for form in forms:
-                f = apply_current(form)
-                if f.is_zero() or f.is_constant():
-                    continue
-                live = [u for u in unknowns if f.involves([u])]
-                if not live:
-                    continue
-                f = split_content(f, live)[1]
+            for f in current_forms():
                 q = exact_divide(p, f)
                 if q is not None and not q.involves(unknown_set):
                     if q.is_constant():
@@ -1009,37 +1091,32 @@ def solve_triangular(equations: Sequence[MPoly | MRat],
                 progress = True
                 break
             pivot = None
-            for u in unknowns:
-                if u in solved or not p.involves([u]):
-                    continue
+            for u in eq.unsolved:
                 if p.degree_in(u) != 1:
                     continue
                 coeff = p.coefficient(u, 1)
                 if coeff.involves(unknown_set - solved):
-                    continue
-                if coeff.is_zero():
                     continue
                 pivot = (u, coeff)
                 break
             if pivot is None:
                 continue
             u, coeff = pivot
-            rest = p - p.coefficient(u, 1) * p.ctx.poly_var(u)
+            rest = p - coeff * p.ctx.poly_var(u)
             value = MRat(-rest, coeff)
             for k in list(assignments):
                 assignments[k] = assignments[k].subs({u: value})
             assignments[u] = value
             solved.add(u)
-            trace.append(TraceStep(u, value, tag))
+            version += 1
+            trace.append(TraceStep(u, value, eq.tag))
             del eqs[pos]
             progress = True
             break
 
     if eqs:
-        leftovers = [apply_current(p) for _, p in eqs]
-        leftovers = [p for p in leftovers if not p.is_zero()]
-        if leftovers:
-            raise StuckSystem(leftovers)
+        # the last scan reduced every equation left and found none zero
+        raise StuckSystem([eq.reduced for eq in eqs], [eq.tag for eq in eqs])
     free = [u for u in unknowns if u not in solved]
     return TriangularSolution(assignments, relations, free, trace)
 

@@ -362,7 +362,9 @@ def main(argv=None) -> int:
         return VERIFY_MISMATCH
     except (SchemeError, SingularityError, UnresolvedFactor, AlgebraError, ResolutionError,
             FileNotFoundError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return USAGE_ERROR
 
 

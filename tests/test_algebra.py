@@ -139,6 +139,32 @@ def test_solve_triangular_stuck_reports_remaining(ctx):
     assert err.value.remaining
 
 
+def test_solve_triangular_stuck_reports_sources(ctx):
+    a5, a7, a8 = ctx.poly_var("a5"), ctx.poly_var("a7"), ctx.poly_var("a8")
+    alpha4, one = ctx.poly_var("alpha4"), ctx.poly(1)
+    eqs = [a5 * a7 - one, a8 - alpha4, a7 * a7 - a8]
+    with pytest.raises(StuckSystem) as err:
+        solve_triangular(eqs, ["a5", "a7", "a8"], sources=["first", "second", "third"])
+    assert [str(p) for p in err.value.remaining] == ["a5*a7 - 1", "a7^2 - alpha4"]
+    assert err.value.sources == ["first", "third"]
+    assert str(err.value) == ("no equation is linear in a single unsolved unknown; "
+                              "remaining: a5*a7 - 1; a7^2 - alpha4")
+
+
+def test_solve_triangular_rereads_equations_and_forms_after_a_pivot(ctx):
+    # before a8 is solved, e1 has no pivot and the form does not divide it;
+    # a8 -> a5 turns both into multiples of a10^2 + a5^2*a7, so e1 must be
+    # re-reduced and the form re-read to yield the relation n1 - 2
+    a5, a7, a8, a10 = (ctx.poly_var(n) for n in ("a5", "a7", "a8", "a10"))
+    n1, two = ctx.poly_var("n1"), ctx.poly(2)
+    e1 = (n1 - two) * (a10 * a10 + a8 * a5 * a7)
+    form = a10 * a10 + a8 * a8 * a7
+    sol = solve_triangular([e1, a8 - a5], ["a8", "a5", "a7", "a10"], nonzero_forms=[form])
+    assert {k: str(v) for k, v in sol.assignments.items()} == {"a8": "a5"}
+    assert [str(r) for r in sol.relations] == ["n1 - 2"]
+    assert sol.free == ["a5", "a7", "a10"]
+
+
 def test_relation_extraction_via_nonzero_form(ctx):
     # c(params) * a10 = 0 with a10 designated nonzero records the relation c=0
     a10, n1 = ctx.poly_var("a10"), ctx.poly_var("n1")
@@ -344,3 +370,54 @@ def test_mrat_operators_match_sympy_cancel(kind, data, power):
         _assert_canonical_as_sympy(b ** power, eb ** power)
     if kind == "zero_sum":
         assert (a + b).is_zero() and (a + b).den == ORACLE_CTX.poly(1)
+
+
+# values of each kind that MPoly.subs and MRat.subs take; like the factors
+# above, the rational values and targets stay small, so that every gcd the
+# substitution runs stays fast
+SUBS_VALUES = {
+    "constant": st.fractions(-3, 3, max_denominator=3).map(ORACLE_CTX.rat),
+    "polynomial": _cofactor.map(MRat.from_poly),
+    "rational": st.tuples(_cofactor, _polys(min_terms=1, max_terms=2, constant=False,
+                                            degree=1)).map(lambda v: MRat(v[0], v[1])),
+}
+SUBS_VALUES["mixed"] = st.one_of(*SUBS_VALUES.values())
+
+
+@pytest.mark.parametrize("kind", sorted(SUBS_VALUES))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), p=_polys(), q=_cofactor, d=_factor)
+def test_subs_matches_sympy_cancel(kind, data, p, q, d):
+    sp, syms = _sympy()
+    names = data.draw(st.lists(st.sampled_from(ORACLE_CTX.names), min_size=1, max_size=2,
+                               unique=True))
+    values = {n: data.draw(SUBS_VALUES[kind]) for n in names}
+    theirs = {syms[ORACLE_CTX.index(n)]: _to_sympy(v.num) / _to_sympy(v.den)
+              for n, v in values.items()}
+
+    def subs(expr):
+        return sp.cancel(expr.subs(theirs, simultaneous=True))
+
+    _assert_canonical_as_sympy(p.subs(values), subs(_to_sympy(p)))
+    r = MRat(q, d)
+    den = subs(_to_sympy(r.den))
+    if den == 0:
+        with pytest.raises(DivisionByZero):
+            r.subs(values)
+    else:
+        _assert_canonical_as_sympy(r.subs(values), subs(_to_sympy(r.num)) / den)
+
+
+def test_subs_errors():
+    x, t = ORACLE_CTX.poly_var("x"), ORACLE_CTX.var("t")
+    other = Context.make(fiber=("x",))
+    for value in (other.rat(2), other.var("t"), other.var("t") / (other.var("t") + other.rat(1))):
+        with pytest.raises(ValueError, match="context mismatch"):
+            x.subs({"x": value})
+    with pytest.raises(KeyError):
+        x.subs({"z": t})  # undeclared, even though x is free of it
+    one = ORACLE_CTX.rat(1)
+    with pytest.raises(DivisionByZero):  # rational value: x*t - t - 1 -> 0
+        (one / (MRat.from_poly(x) * t - t - one)).subs({"x": one + one / t})
+    with pytest.raises(DivisionByZero):  # polynomial value: x - 1 -> 0
+        (one / (MRat.from_poly(x) - one)).subs({"x": one})

@@ -1,12 +1,15 @@
 """CLI and serialization tests: determinism, exit codes, round trips."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from grs import io as gio
-from grs.catalog import get_scheme, get_system, scheme_names, system_names
+from grs.catalog import MATCH_PAIRS, get_scheme, get_system, scheme_names, system_names
 from grs.cli import main
+
+GOLDEN_CLI = Path(__file__).parent / "golden_cli"
 
 
 @pytest.mark.parametrize("name", system_names())
@@ -161,6 +164,24 @@ def test_cli_match(capsys):
     code, out, _ = _run(capsys, "match", "--pair", "gen-piv:piv")
     assert code == 0
     assert "beta1 -> alpha1" in out
+
+
+@pytest.mark.parametrize("pair", MATCH_PAIRS)
+def test_cli_match_json_matches_golden(capsys, pair):
+    code, out, err = _run(capsys, "match", "--pair", pair, "--format", "json")
+    golden = (GOLDEN_CLI / f"match_{pair.replace(':', '_')}.json").read_text()
+    assert (code, out, err) == (0, golden, "")
+
+
+@pytest.mark.parametrize("system, message", [
+    ("nope", "unknown builtin system 'nope'; available: "),
+    ("piv", "no builtin maps for 'piv'; available: "),
+])
+def test_cli_symmetry_key_error_prints_the_bare_message(capsys, system, message):
+    code, out, err = _run(capsys, "symmetry", "--system", system, "--map", "s")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}[") and err.endswith("]\n")
+    assert err.count("\n") == 1
 
 
 def test_cli_usage_error_exits_one(capsys):
