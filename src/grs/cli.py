@@ -23,8 +23,8 @@ from .recovery import (NoRelation, SchemeError, VerificationMismatch, eigenvalue
                        construct_existence_system, match_specialization, recover,
                        relation_substitution)
 from .singularities import (SingularityError, UnresolvedFactor, accessible_points,
-                            alpha_test, divisor_chart_local, linearization,
-                            linearization_matrix)
+                            alpha_test, divisor_chart_local, linearization_matrix,
+                            local_index_from_matrix)
 from .symmetry import verify_involution, verify_symmetry
 
 USAGE_ERROR, SOLVER_FAILURE, VERIFY_MISMATCH = 1, 2, 3
@@ -135,13 +135,18 @@ def cmd_singular(args) -> int:
             matrix, _ = linearization_matrix(local, p.location)
             entries = [[str(matrix[i, j]) for j in range(2)] for i in range(2)]
         except DivisionByZero:
-            # a pole of the field's derivatives at the point: the matrix is
-            # only informational, so report it undefined and go on
+            # a pole of the field's derivatives at the point: a simple point
+            # needs its matrix, a multiple point's is only informational, so
+            # report it undefined and go on
+            if p.multiplicity == 1:
+                raise
             entries = None
         row = {"point": p.label, "multiplicity": p.multiplicity,
                "chart": p.chart, "divisor": local.divisor, "matrix": entries}
         if p.multiplicity == 1:
-            li = linearization(vf, p)
+            # accessible_points returns roots of F1(s, 0), so the
+            # accessibility value of a simple point is zero
+            li = local_index_from_matrix(matrix, local.divisor)
             row["eigenvalues"] = [str(e) for e in li.eigenvalues]
             row["ratio"] = str(li.ratio)
         else:

@@ -36,8 +36,9 @@ def context_to_json(ctx: Context) -> list[dict[str, str]]:
     return [{"name": s.name, "kind": s.kind} for s in ctx.syms]
 
 
-def context_from_json(data: list[dict[str, str]]) -> Context:
-    return Context(tuple(Sym(d["name"], d["kind"]) for d in data))
+def context_from_json(data: list[dict[str, str]], where: str = "symbols") -> Context:
+    return Context(tuple(Sym(_get(d, "name", f"{where}[{i}]"), _get(d, "kind", f"{where}[{i}]"))
+                         for i, d in enumerate(data)))
 
 
 def vf_to_json(vf: PlaneVectorField) -> dict[str, Any]:
@@ -52,15 +53,17 @@ def vf_to_json(vf: PlaneVectorField) -> dict[str, Any]:
 
 
 def vf_from_json(data: dict[str, Any]) -> PlaneVectorField:
+    doc = "vector field JSON"
+    dxdt, dydt = _get(data, "dxdt", doc), _get(data, "dydt", doc)
+    model_data = _get(data, "model", doc)
+    twist = _get(model_data, "twist", f"{doc} model")
     if "symbols" in data:
-        ctx = context_from_json(data["symbols"])
+        ctx = context_from_json(data["symbols"], f"{doc} symbols")
     else:
-        texts = [data["dxdt"], data["dydt"], *data["model"]["twist"]]
-        ctx = _inferred_context(texts, data.get("params", ()))
-    model = SurfaceModel(int(data["model"]["n"]),
-                         tuple(ctx.parse(g) for g in data["model"]["twist"]))
-    return PlaneVectorField(ctx.parse(data["dxdt"]), ctx.parse(data["dydt"]),
-                            data["chart"], model)
+        ctx = _inferred_context([dxdt, dydt, *twist], data.get("params", ()))
+    model = SurfaceModel(int(_get(model_data, "n", f"{doc} model")),
+                         tuple(ctx.parse(g) for g in twist))
+    return PlaneVectorField(ctx.parse(dxdt), ctx.parse(dydt), _get(data, "chart", doc), model)
 
 
 def scheme_to_json(scheme: GRScheme) -> dict[str, Any]:
@@ -90,30 +93,50 @@ def scheme_to_json(scheme: GRScheme) -> dict[str, Any]:
 
 
 def scheme_from_json(data: dict[str, Any]) -> GRScheme:
+    doc = "scheme JSON"
+    model_data = _get(data, "model", doc)
+    twist = _get(model_data, "twist", f"{doc} model")
+    # (location, multiplicity, matrix, (map, point) or None) per spec
+    fields = []
+    for i, entry in enumerate(_get(data, "specs", doc)):
+        where = f"{doc} specs[{i}]"
+        spec = [_get(entry, name, where) for name in ("location", "multiplicity", "matrix")]
+        resolved = entry.get("resolved")
+        if resolved is not None:
+            resolved = tuple(_get(resolved, name, f"{where} resolved")
+                             for name in ("map", "point"))
+        fields.append((*spec, resolved))
     if "symbols" in data:
-        ctx = context_from_json(data["symbols"])
+        ctx = context_from_json(data["symbols"], f"{doc} symbols")
     else:
-        texts = list(data["model"]["twist"])
-        for entry in data["specs"]:
-            texts.append(entry["location"])
-            texts += [e for row in entry["matrix"] for e in row]
-            if entry.get("resolved"):
-                texts += list(entry["resolved"]["map"]) + list(entry["resolved"]["point"])
+        texts = list(twist)
+        for location, _, matrix, resolved in fields:
+            texts.append(location)
+            texts += [e for row in matrix for e in row]
+            if resolved is not None:
+                texts += list(resolved[0]) + list(resolved[1])
         ctx = _inferred_context(texts, data.get("params", ()))
-    model = SurfaceModel(int(data["model"]["n"]),
-                         tuple(ctx.parse(g) for g in data["model"]["twist"]))
+    model = SurfaceModel(int(_get(model_data, "n", f"{doc} model")),
+                         tuple(ctx.parse(g) for g in twist))
     specs = []
-    for entry in data["specs"]:
-        loc = None if entry["location"] == "inf" else ctx.parse(entry["location"])
-        matrix = Mat2([[ctx.parse(e) for e in row] for row in entry["matrix"]])
-        resolved = None
-        if "resolved" in entry and entry["resolved"] is not None:
-            resolved = ResolvedData(
-                tuple(ctx.parse(m) for m in entry["resolved"]["map"]),
-                tuple(ctx.parse(p) for p in entry["resolved"]["point"]))
-        specs.append(SingularSpec(loc, int(entry["multiplicity"]), matrix, resolved))
+    for location, multiplicity, matrix, resolved in fields:
+        loc = None if location == "inf" else ctx.parse(location)
+        matrix = Mat2([[ctx.parse(e) for e in row] for row in matrix])
+        if resolved is not None:
+            resolved = ResolvedData(tuple(ctx.parse(m) for m in resolved[0]),
+                                    tuple(ctx.parse(p) for p in resolved[1]))
+        specs.append(SingularSpec(loc, int(multiplicity), matrix, resolved))
     return GRScheme(model, tuple(specs), tuple(data.get("params", ())),
                     tuple(data.get("eigenvalues", ())), data.get("name", ""))
+
+
+def _get(obj: Any, name: str, where: str) -> Any:
+    """Field ``name`` of a JSON object; a ValueError names a missing one and where."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    if name not in obj:
+        raise ValueError(f"{where} has no field {name!r}")
+    return obj[name]
 
 
 def dumps(data: Any) -> str:

@@ -13,13 +13,24 @@ at the point, with the chain-rule correction -s0'(t) entering the entry
 (along-divisor row, divisor column) whenever the location moves with t.
 That correction is what pins the overall normalization of recovered
 systems with a singular point at X = t.
+
+The matrix is computed at the point, never as a rational function.  For
+each row N/D = d * component, the partials N_c and D_c are polynomial
+derivatives, and N, D, N_c, D_c are evaluated at p = (s0, 0); the entry is
+(N_c(p) D(p) - N(p) D_c(p)) / D(p)^2, or N_c(p) / D(p) when D_c = 0, and
+the accessibility value is N(p) / D(p).  This is exact: substitution is a
+ring homomorphism, and the reduced derivative's denominator divides D^2, so
+when D(p) != 0 the canonical value equals that of the reduced derivative
+substituted at p.  A row with D(p) = 0 (a field not regular at the point)
+takes the derivative path, substituting the reduced derivative, which
+raises DivisionByZero unless the pole cancels in it.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .algebra import Context, MRat, Mat2, Sym
 from .surface import PlaneVectorField, chart_transform
@@ -272,22 +283,39 @@ def linearization_matrix(local: LocalField, along_location: MRat,
     d_name, s_name = local.divisor, local.along
     d = ctx.var(d_name)
     point = {s_name: along_location, d_name: ctx.rat(0)}
-    rows = {}
-    for name in ("x", "y"):
-        cleared = local.component(name) * d
-        rows[name] = cleared
-    access_value = rows[s_name].subs(point)
+    order = ("x", "y")
+    rows = {name: local.component(name) * d for name in order}
+    # (N(p), D(p)) of each row N/D
+    values = {name: (row.num.subs(point), row.den.subs(point)) for name, row in rows.items()}
+    num_s, den_s = values[s_name]
+    # where D(p) = 0, subs raises the DivisionByZero that names the row
+    access_value = rows[s_name].subs(point) if den_s.is_zero() else num_s / den_s
     moving = along_location.derivative(time) if time in ctx else ctx.rat(0)
     entries = [[None, None], [None, None]]
-    order = ("x", "y")
     for i, row_name in enumerate(order):
         for j, col_name in enumerate(order):
-            entries[i][j] = rows[row_name].derivative(col_name).subs(point)
+            entries[i][j] = _partial_at(rows[row_name], col_name, point, *values[row_name])
     if not moving.is_zero():
         i = order.index(s_name)
         j = order.index(d_name)
         entries[i][j] = entries[i][j] - moving
     return Mat2(entries), access_value
+
+
+def _partial_at(row: MRat, name: str, point: Mapping[str, MRat],
+                num_p: MRat, den_p: MRat) -> MRat:
+    """d(row)/d(name) at p, for row = N/D with N(p), D(p) given.
+
+    Where D(p) != 0 the quotient rule is evaluated at p, with no derivative
+    built and normalized; otherwise the reduced derivative is substituted.
+    """
+    if den_p.is_zero():
+        return row.derivative(name).subs(point)
+    num_c = row.num.derivative(name).subs(point)
+    den_c = row.den.derivative(name)
+    if den_c.is_zero():
+        return num_c / den_p
+    return (num_c * den_p - num_p * den_c.subs(point)) / (den_p * den_p)
 
 
 def local_index_from_matrix(matrix: Mat2, divisor: str) -> LocalIndex:

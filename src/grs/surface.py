@@ -10,12 +10,15 @@ field the two chart coordinates are always denoted by the context symbols
   U3: (U1 x-coord, 1/U1 y-coord)   second divisor chart
 
 Transforms are exact rational substitutions followed by canonicalization;
-"polynomial" always means denominator 1 after canonicalization.
+"polynomial" always means denominator 1 after canonicalization.  A field's
+rewrite into a chart is computed once and held on the field, for as long as
+the field lives; the held rewrites take no part in its equality, hash or
+text.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -79,6 +82,9 @@ class PlaneVectorField:
     dydt: MRat
     chart: str
     model: SurfaceModel
+    # chart_transform's results by target chart; not part of the field's value
+    _rewrites: dict[str, PlaneVectorField] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.chart not in CHARTS:
@@ -149,10 +155,17 @@ def chart_transform(vf: PlaneVectorField, target: str) -> PlaneVectorField:
 
     Chain rule on the rational transition maps; the time direction is
     untouched because all gluing maps are t-independent.  The result can be
-    non-polynomial, which is informative rather than an error.
+    non-polynomial, which is informative rather than an error.  Each rewrite
+    is computed once and held on ``vf``.
     """
     if target == vf.chart:
         return vf
+    if target not in vf._rewrites:
+        vf._rewrites[target] = _push_forward(vf, target)
+    return vf._rewrites[target]
+
+
+def _push_forward(vf: PlaneVectorField, target: str) -> PlaneVectorField:
     ctx = vf.ctx
     model = vf.model
     x, y = ctx.var("x"), ctx.var("y")

@@ -173,6 +173,22 @@ def test_cli_match_json_matches_golden(capsys, pair):
     assert (code, out, err) == (0, golden, "")
 
 
+@pytest.mark.parametrize("system", system_names())
+def test_cli_singular_json_matches_golden(capsys, system):
+    code, out, err = _run(capsys, "singular", "--system", system, "--format", "json")
+    golden = (GOLDEN_CLI / f"singular_{system}.json").read_text()
+    assert (code, out, err) == (0, golden, "")
+
+
+@pytest.mark.parametrize("system", ["pvi", "gen-pvi"])
+@pytest.mark.parametrize("point", ["0", "1", "t", "inf"])
+def test_cli_alpha_test_json_matches_golden(capsys, system, point):
+    code, out, err = _run(capsys, "alpha-test", "--system", system, "--point", point,
+                          "--format", "json")
+    golden = (GOLDEN_CLI / f"alpha-test_{system}_{point}.json").read_text()
+    assert (code, out, err) == (0, golden, "")
+
+
 @pytest.mark.parametrize("system, message", [
     ("nope", "unknown builtin system 'nope'; available: "),
     ("piv", "no builtin maps for 'piv'; available: "),
@@ -202,6 +218,45 @@ def test_cli_malformed_scheme_file(tmp_path, capsys):
     code = main(["recover", "--scheme", str(bad)])
     err = capsys.readouterr().err
     assert code == 1
+
+
+@pytest.mark.parametrize("document, message", [
+    ({"chart": "U0"}, "vector field JSON has no field 'dxdt'"),
+    ({"chart": "U0", "dxdt": "x", "dydt": "y"}, "vector field JSON has no field 'model'"),
+    ({"dxdt": "x", "dydt": "y", "model": {"n": 2, "twist": ["alpha2"]}},
+     "vector field JSON has no field 'chart'"),
+    ({"chart": "U0", "dxdt": "x", "dydt": "y", "model": {"twist": ["alpha2"]}},
+     "vector field JSON model has no field 'n'"),
+    ({"chart": "U0", "dxdt": "x", "dydt": "y", "model": {"n": 2, "twist": ["alpha2"]},
+      "symbols": [{"name": "x"}]}, "vector field JSON symbols[0] has no field 'kind'"),
+    (["x", "y"], "vector field JSON is not a JSON object"),
+])
+def test_cli_vector_field_file_names_the_missing_field(tmp_path, capsys, document, message):
+    path = tmp_path / "vf.json"
+    path.write_text(gio.dumps(document))
+    assert _run(capsys, "show", "--system", str(path)) == (1, "", f"error: {message}\n")
+
+
+_MODEL = {"n": 2, "twist": ["alpha2"]}
+_SPEC = {"location": "0", "multiplicity": 1, "matrix": [["1", "0"], ["0", "2"]]}
+
+
+@pytest.mark.parametrize("document, message", [
+    ({"specs": [_SPEC]}, "scheme JSON has no field 'model'"),
+    ({"model": _MODEL}, "scheme JSON has no field 'specs'"),
+    ({"model": {"n": 2}, "specs": [_SPEC]}, "scheme JSON model has no field 'twist'"),
+    ({"model": _MODEL, "specs": [_SPEC, {"location": "1", "multiplicity": 1}]},
+     "scheme JSON specs[1] has no field 'matrix'"),
+    ({"model": _MODEL, "specs": [{"location": "0", "matrix": [["1", "0"], ["0", "2"]]}]},
+     "scheme JSON specs[0] has no field 'multiplicity'"),
+    ({"model": _MODEL, "specs": [dict(_SPEC, resolved={"map": ["x", "x^2*y"]})]},
+     "scheme JSON specs[0] resolved has no field 'point'"),
+    ({"model": _MODEL, "specs": ["0"]}, "scheme JSON specs[0] is not a JSON object"),
+])
+def test_cli_scheme_file_names_the_missing_field(tmp_path, capsys, document, message):
+    path = tmp_path / "scheme.json"
+    path.write_text(gio.dumps(document))
+    assert _run(capsys, "relation", "--scheme", str(path)) == (1, "", f"error: {message}\n")
 
 
 def test_cli_solver_failure_exits_two(tmp_path, capsys):

@@ -6,11 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from grs.algebra import Context, Mat2
-from grs.catalog import get_system, pvi_system
-from grs.singularities import (UnresolvedFactor, accessible_points, alpha_test,
+from grs.algebra import Context, DivisionByZero, Mat2
+from grs.blowup import resolve_family, resolve_multiplicity
+from grs.catalog import get_system, pvi_system, system_names
+from grs.recovery import relation_substitution
+from grs.singularities import (LocalField, UnresolvedFactor, accessible_points, alpha_test,
                                branch_point_screen, is_accessible, linearization,
-                               screen_vector_field, divisor_chart_local)
+                               linearization_matrix, screen_vector_field,
+                               divisor_chart_local)
 from grs.surface import (PlaneVectorField, SIGMA2_UNKNOWNS, generic_family,
                          sigma2_model)
 
@@ -225,3 +228,102 @@ def test_branch_point_screen():
 
 def test_screen_vector_field_on_pvi(pvi):
     assert screen_vector_field(pvi).passes
+
+
+# ---------------------------------------------------------------------------
+# linearization_matrix against the quotient-rule reference
+# ---------------------------------------------------------------------------
+
+
+def _quotient_rule_matrix(local, location, time="t"):
+    """The matrix as the derivatives define it: each partial of d * component
+    built and normalized as a rational function, then substituted."""
+    ctx = local.ctx
+    d_name, s_name = local.divisor, local.along
+    point = {s_name: location, d_name: ctx.rat(0)}
+    order = ("x", "y")
+    rows = {name: local.component(name) * ctx.var(d_name) for name in order}
+    access = rows[s_name].subs(point)
+    entries = [[rows[r].derivative(c).subs(point) for c in order] for r in order]
+    moving = location.derivative(time) if time in ctx else ctx.rat(0)
+    i, j = order.index(s_name), order.index(d_name)
+    entries[i][j] = entries[i][j] - moving
+    return Mat2(entries), access
+
+
+def _assert_same_linearization(local, location):
+    matrix, access = linearization_matrix(local, location)
+    want_matrix, want_access = _quotient_rule_matrix(local, location)
+    assert matrix == want_matrix and access == want_access
+    assert str(matrix) == str(want_matrix) and str(access) == str(want_access)
+
+
+def _cli_system(name):
+    entry = get_system(name)
+    vf = entry.vf
+    return vf.subs_params(entry.normalization) if entry.normalization else vf
+
+
+@pytest.mark.parametrize("name", system_names())
+def test_linearization_matches_quotient_rule_at_builtin_points(name):
+    vf = _cli_system(name)
+    for p in accessible_points(vf):
+        local = divisor_chart_local(vf, p.chart)
+        if (name, p.label) == ("piv", "inf"):
+            # the field has a pole at this triple point: both paths refuse it
+            with pytest.raises(DivisionByZero):
+                linearization_matrix(local, p.location)
+            with pytest.raises(DivisionByZero):
+                _quotient_rule_matrix(local, p.location)
+            continue
+        _assert_same_linearization(local, p.location)
+
+
+@pytest.mark.parametrize("name, label", [("gen-pv", "0"), ("gen-piv", "0"),
+                                         ("gen-piii", "inf")])
+def test_linearization_matches_quotient_rule_at_resolved_points(name, label):
+    entry = get_system(name)
+    vf = entry.vf.subs_params(relation_substitution([entry.relation],
+                                                    entry.eigenvalue_syms))
+    point = {p.label: p for p in accessible_points(vf)}[label]
+    trace = resolve_multiplicity(vf, point)
+    _assert_same_linearization(trace.final_local_field(), trace.final_location)
+
+
+def test_linearization_matches_quotient_rule_on_generic_family():
+    """The unknown-coefficient family the constraint generator linearizes:
+    at 0, 1 and t in U2, at infinity in U3, and at the resolved double point."""
+    ctx = Context.make(parameters=["alpha2"], unknowns=list(SIGMA2_UNKNOWNS))
+    fam = generic_family(sigma2_model(ctx), ctx)
+    for chart, location in [("U2", ctx.rat(0)), ("U2", ctx.rat(1)),
+                            ("U2", ctx.var("t")), ("U3", ctx.rat(0))]:
+        _assert_same_linearization(divisor_chart_local(fam.vf, chart), location)
+    res = resolve_family(fam.vf, ctx.rat(0), 2, -ctx.var("t"), fam.unknowns)
+    _assert_same_linearization(res.trace.final_local_field(), res.trace.final_location)
+
+
+@pytest.mark.parametrize("divisor", ["x", "y"])
+def test_linearization_matches_quotient_rule_where_denominators_involve_the_chart(divisor):
+    """Rows N/D whose D involves the chart coordinates, regular at the point
+    (the quotient rule at p) or vanishing there (both paths refuse it with
+    the same message)."""
+    ctx = Context.make(parameters=["a"])
+    x, y, t, a = (ctx.var(n) for n in ("x", "y", "t", "a"))
+    one, three = ctx.rat(1), ctx.rat(3)
+    d, s = (x, y) if divisor == "x" else (y, x)
+    along = (s * s * d + a * s + t * d * d - s) / (d * (one + s + t * d))
+    across = (s * d - a * d * d) / (ctx.rat(2) - s * d + a * s * s)
+
+    def local_field(along, across):
+        comps = {divisor: across, "y" if divisor == "x" else "x": along}
+        return LocalField(comps["x"], comps["y"], divisor)
+
+    for location in (ctx.rat(0), one, t, a, t / (t - one)):
+        _assert_same_linearization(local_field(along, across), location)
+    pole = one / (s - three)
+    for local in (local_field(along * pole, across), local_field(along, across * pole)):
+        with pytest.raises(DivisionByZero) as got:
+            linearization_matrix(local, three)
+        with pytest.raises(DivisionByZero) as want:
+            _quotient_rule_matrix(local, three)
+        assert str(got.value) == str(want.value)

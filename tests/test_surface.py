@@ -56,6 +56,40 @@ def test_hand_chain_rule_oracle(ctx):
     assert u1.dydt == y
 
 
+def _fresh(vf):
+    return PlaneVectorField(vf.dxdt, vf.dydt, vf.chart, vf.model)
+
+
+def test_chart_transform_is_computed_once_per_field_and_chart(family):
+    vf = family.vf
+    for chart in ("U1", "U2", "U3"):
+        first = chart_transform(vf, chart)
+        assert chart_transform(vf, chart) is first
+        # the held rewrite is the one a field without any held rewrite gives
+        fresh = chart_transform(_fresh(vf), chart)
+        assert first is not fresh and first == fresh and first.chart == chart
+    assert chart_transform(vf, "U0") is vf
+
+
+def test_held_rewrites_do_not_change_equality_hash_or_text(family):
+    warm = family.vf
+    chart_transform(warm, "U2")
+    cold = _fresh(warm)
+    assert warm == cold and hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold) and str(warm) == str(cold)
+    assert {warm: 1}[cold] == 1
+
+
+def test_subs_params_field_holds_no_stale_rewrite(ctx, family):
+    vf = family.vf
+    before = chart_transform(vf, "U1")
+    special = vf.subs_params({"alpha2": ctx.rat(3)})
+    after = chart_transform(special, "U1")
+    assert after != before
+    assert after == chart_transform(_fresh(special), "U1")
+    assert after.model == special.model
+
+
 def _u1_transcription(ctx):
     """The rewrite of the generic family in (x1, y1), transcribed by hand."""
     x, y = ctx.var("x"), ctx.var("y")
