@@ -976,6 +976,27 @@ def _relation_normal_form(p: MPoly, live: Sequence[str] | None = None) -> MPoly:
     return split_content(p, live)[1].primitive()
 
 
+def solve_linear(p: MPoly, candidates: Iterable[str],
+                 blocked: Iterable[str]) -> tuple[str, MRat] | None:
+    """The first candidate u in which p is linear with a coefficient free of
+    ``blocked``, and the value -rest/coeff solving p = 0 for it; else None."""
+    for u in candidates:
+        if p.degree_in(u) != 1:
+            continue
+        coeff = p.coefficient(u, 1)
+        if coeff.involves(blocked):
+            continue
+        return u, MRat(-(p - coeff * p.ctx.poly_var(u)), coeff)
+    return None
+
+
+def assign(assignments: dict[str, MRat], u: str, value: MRat) -> None:
+    """Record u -> value and substitute it into the earlier assignments."""
+    for k in list(assignments):
+        assignments[k] = assignments[k].subs({u: value})
+    assignments[u] = value
+
+
 class _Pending:
     """An equation solve_triangular has not used yet.
 
@@ -1090,23 +1111,11 @@ def solve_triangular(equations: Sequence[MPoly | MRat],
             if handled:
                 progress = True
                 break
-            pivot = None
-            for u in eq.unsolved:
-                if p.degree_in(u) != 1:
-                    continue
-                coeff = p.coefficient(u, 1)
-                if coeff.involves(unknown_set - solved):
-                    continue
-                pivot = (u, coeff)
-                break
+            pivot = solve_linear(p, eq.unsolved, unknown_set - solved)
             if pivot is None:
                 continue
-            u, coeff = pivot
-            rest = p - coeff * p.ctx.poly_var(u)
-            value = MRat(-rest, coeff)
-            for k in list(assignments):
-                assignments[k] = assignments[k].subs({u: value})
-            assignments[u] = value
+            u, value = pivot
+            assign(assignments, u, value)
             solved.add(u)
             version += 1
             trace.append(TraceStep(u, value, eq.tag))
@@ -1132,6 +1141,11 @@ class ParseError(AlgebraError):
     pass
 
 
+# deepest parenthesis nesting parse_rat accepts; each level takes four
+# frames of its recursive descent, well inside Python's recursion limit
+MAX_NESTING = 100
+
+
 def _tokenize(text: str) -> list[str]:
     out = []
     pos = 0
@@ -1150,6 +1164,7 @@ def parse_rat(ctx: Context, text: str) -> MRat:
     """Parse +,-,*,/,^ expressions over declared symbols and integers."""
     tokens = _tokenize(text)
     pos = 0
+    depth = 0
 
     def peek():
         return tokens[pos] if pos < len(tokens) else None
@@ -1200,10 +1215,15 @@ def parse_rat(ctx: Context, text: str) -> MRat:
         return node
 
     def parse_atom() -> MRat:
+        nonlocal depth
         tok = take()
         if tok == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}")
             node = parse_expr()
             take(")")
+            depth -= 1
             return node
         if tok.isdigit():
             return ctx.rat(int(tok))

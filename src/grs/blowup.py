@@ -11,9 +11,9 @@ triple points treated here it comes out as (x, x^2*y) and (x, x^3*y).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
-from .algebra import MPoly, MRat
+from .algebra import MPoly, MRat, assign, solve_linear
 from .singularities import (AccessiblePoint, LocalField, divisor_chart_local,
                             find_divisor_roots, linearization_matrix,
                             local_index_from_matrix, restricted_numerator,
@@ -51,12 +51,6 @@ class LocalChart:
     @property
     def ctx(self):
         return self.fx.ctx
-
-
-def start_chart(vf: PlaneVectorField, chart: str) -> LocalChart:
-    local = divisor_chart_local(vf, chart)
-    u, v = chart_from_u0(vf.ctx, vf.model, chart)
-    return LocalChart(local.fx, local.fy, u, v)
 
 
 def translate_chart(c: LocalChart, u0: MRat, time: str = "t") -> LocalChart:
@@ -134,6 +128,41 @@ class ResolutionTrace:
         return local_index_from_matrix(matrix, "x")
 
 
+def _with(c: LocalChart, assignments: Mapping[str, MRat] | None) -> LocalChart:
+    """The chart with the assignments substituted into its field."""
+    if not assignments:
+        return c
+    return LocalChart(c.fx.subs(assignments), c.fy.subs(assignments), c.u_expr, c.v_expr)
+
+
+def _blow_up_sequence(vf: PlaneVectorField, chart: str, location: MRat, k: int,
+                      on_pole: Callable[[int, str, MPoly], None],
+                      assignments: Mapping[str, MRat] | None = None
+                      ) -> tuple[LocalChart, list[str]]:
+    """Translate the point to the origin, blow up k times, invert the fiber.
+
+    ``on_pole(j, component, value)`` sees the numerator value at the origin
+    of each component with a pole there, after every blow-up j < k.  The
+    assignments, which ``on_pole`` may extend, are substituted into the
+    field before each step.  Returns the final chart and the step text.
+    """
+    local = divisor_chart_local(vf, chart)
+    c = LocalChart(local.fx, local.fy, *chart_from_u0(vf.ctx, vf.model, chart))
+    steps = [f"start in divisor chart {chart}"]
+    if not location.is_zero():
+        c = translate_chart(c, location)
+        steps.append(f"translate X -> X - ({location})")
+    for j in range(1, k + 1):
+        c = blow_up_chart(_with(c, assignments))
+        steps.append(f"blow-up {j}: (X, Y) -> (X, Y/X)")
+        if j < k:
+            for name, value in _origin_pole_values(_with(c, assignments)):
+                on_pole(j, name, value)
+    c = invert_fiber_chart(_with(c, assignments))
+    steps.append("fiber inversion: (X, Y) -> (X, 1/Y)")
+    return c, steps
+
+
 def resolve_multiplicity(vf: PlaneVectorField, point: AccessiblePoint,
                          expected_location: MRat | None = None) -> ResolutionTrace:
     """Resolve a multiplicity-2 or 3 accessible point into a simple one.
@@ -151,22 +180,13 @@ def resolve_multiplicity(vf: PlaneVectorField, point: AccessiblePoint,
     if order != k:
         raise NotResolvable(
             f"numerator vanishes to order {order} at {point.label}, expected {k}")
-    chart = start_chart(vf, point.chart)
-    steps = [f"start in divisor chart {point.chart}"]
-    if not point.location.is_zero():
-        chart = translate_chart(chart, point.location)
-        steps.append(f"translate X -> X - ({point.location})")
-    for j in range(1, k + 1):
-        chart = blow_up_chart(chart)
-        steps.append(f"blow-up {j}: (X, Y) -> (X, Y/X)")
-        if j < k:
-            for name, value in _origin_pole_values(chart):
-                if not value.is_zero():
-                    raise NotResolvable(
-                        f"after blow-up {j} the origin is not accessible "
-                        f"({name}-component numerator = {value})")
-    chart = invert_fiber_chart(chart)
-    steps.append("fiber inversion: (X, Y) -> (X, 1/Y)")
+
+    def inaccessible(j: int, name: str, value: MPoly) -> None:
+        if not value.is_zero():
+            raise NotResolvable(f"after blow-up {j} the origin is not accessible "
+                                f"({name}-component numerator = {value})")
+
+    chart, steps = _blow_up_sequence(vf, point.chart, point.location, k, inaccessible)
     final = LocalField(chart.fx, chart.fy, divisor="x")
     coeffs = restricted_numerator(final)
     candidates = []
@@ -213,7 +233,6 @@ def resolve_family(vf: PlaneVectorField, location: MRat, multiplicity: int,
     """
     conditions: list[tuple[str, MPoly]] = []
     assignments: dict[str, MRat] = {}
-    unknown_set = set(unknowns)
 
     def emit(tag: str, value: MPoly):
         sub = value.subs(assignments).num if assignments else value
@@ -221,25 +240,10 @@ def resolve_family(vf: PlaneVectorField, location: MRat, multiplicity: int,
             return
         conditions.append((tag, sub.primitive()))
         # keep the working field consistent with the emitted condition
-        for u in unknowns:
-            if u in assignments or not sub.involves([u]):
-                continue
-            if sub.degree_in(u) == 1:
-                coeff = sub.coefficient(u, 1)
-                if not coeff.involves(unknown_set) and not coeff.is_zero():
-                    rest = sub - coeff * sub.ctx.poly_var(u)
-                    value_u = MRat(-rest, coeff)
-                    for k in list(assignments):
-                        assignments[k] = assignments[k].subs({u: value_u})
-                    assignments[u] = value_u
-                    return
-        raise ResolutionError(f"cannot impose condition {sub} = 0 on the family")
-
-    def current(chart_obj: LocalChart) -> LocalChart:
-        if not assignments:
-            return chart_obj
-        return LocalChart(chart_obj.fx.subs(assignments), chart_obj.fy.subs(assignments),
-                          chart_obj.u_expr, chart_obj.v_expr)
+        solved = solve_linear(sub, [u for u in unknowns if u not in assignments], unknowns)
+        if solved is None:
+            raise ResolutionError(f"cannot impose condition {sub} = 0 on the family")
+        assign(assignments, *solved)
 
     local = divisor_chart_local(vf, chart)
     coeffs = restricted_numerator(local)
@@ -249,25 +253,16 @@ def resolve_family(vf: PlaneVectorField, location: MRat, multiplicity: int,
         value = _eval_coeffs([c.subs(assignments) for c in work], location)
         emit(f"X={location} multiplicity order {j}", value.num)
         work = _trim(_deflate([c.subs(assignments) for c in work], location))
-    start = start_chart(vf, chart)
-    steps = [f"start in divisor chart {chart}"]
-    if not location.is_zero():
-        start = translate_chart(start, location)
-        steps.append(f"translate X -> X - ({location})")
-    chart_obj = start
-    for j in range(1, multiplicity + 1):
-        chart_obj = blow_up_chart(current(chart_obj))
-        steps.append(f"blow-up {j}: (X, Y) -> (X, Y/X)")
-        if j < multiplicity:
-            for name, value in _origin_pole_values(current(chart_obj)):
-                emit(f"blow-up step {j}: exceptional origin accessibility", value)
-    chart_obj = invert_fiber_chart(current(chart_obj))
-    steps.append("fiber inversion: (X, Y) -> (X, 1/Y)")
+    chart_obj, steps = _blow_up_sequence(
+        vf, chart, location, multiplicity,
+        lambda j, name, value: emit(f"blow-up step {j}: exceptional origin accessibility",
+                                    value),
+        assignments)
     final = LocalField(chart_obj.fx, chart_obj.fy, divisor="x")
     access = _eval_coeffs(restricted_numerator(final),
                           resolved_location.subs(assignments) if assignments else resolved_location)
     emit("resolved-point accessibility", access.num)
-    chart_obj = current(chart_obj)
+    chart_obj = _with(chart_obj, assignments)
     fpoint = AccessiblePoint("exceptional", resolved_location, 1)
     trace = ResolutionTrace(steps, chart_obj, resolved_location, fpoint, conditions)
     return FamilyResolution(trace, conditions, assignments)

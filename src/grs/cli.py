@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 solver failure (stuck or
 inconsistent constraint system), 3 verification mismatch (a check that was
-expected to hold exactly did not).  Output is deterministic: canonical
-polynomial text or sorted JSON, no timestamps.
+expected to hold exactly did not).  A run whose stdout is closed early (a
+reader such as ``head`` that stops) ends quietly with exit code 1.  Output is
+deterministic: canonical polynomial text or sorted JSON, no timestamps.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .recovery import (NoRelation, SchemeError, VerificationMismatch, eigenvalue
 from .singularities import (SingularityError, UnresolvedFactor, accessible_points,
                             alpha_test, divisor_chart_local, linearization_matrix,
                             local_index_from_matrix)
+from .surface import SurfaceError
 from .symmetry import verify_involution, verify_symmetry
 
 USAGE_ERROR, SOLVER_FAILURE, VERIFY_MISMATCH = 1, 2, 3
@@ -358,15 +360,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush at
+        # interpreter exit cannot fail again (Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return USAGE_ERROR
     except (StuckSystem, InconsistentSystem, NoRelation) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return SOLVER_FAILURE
     except (VerificationMismatch, NotResolvable) as exc:
         print(f"verification mismatch: {exc}", file=sys.stderr)
         return VERIFY_MISMATCH
-    except (SchemeError, SingularityError, UnresolvedFactor, AlgebraError, ResolutionError,
-            FileNotFoundError, KeyError, ValueError) as exc:
+    except (SchemeError, SingularityError, SurfaceError, UnresolvedFactor, AlgebraError,
+            ResolutionError, FileNotFoundError, KeyError, ValueError) as exc:
         # str() of a KeyError is the repr of its message, quotes and all
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

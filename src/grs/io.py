@@ -37,7 +37,8 @@ def context_to_json(ctx: Context) -> list[dict[str, str]]:
 
 
 def context_from_json(data: list[dict[str, str]], where: str = "symbols") -> Context:
-    return Context(tuple(Sym(_get(d, "name", f"{where}[{i}]"), _get(d, "kind", f"{where}[{i}]"))
+    return Context(tuple(Sym(_get(d, "name", f"{where}[{i}]", str),
+                             _get(d, "kind", f"{where}[{i}]", str))
                          for i, d in enumerate(data)))
 
 
@@ -54,16 +55,18 @@ def vf_to_json(vf: PlaneVectorField) -> dict[str, Any]:
 
 def vf_from_json(data: dict[str, Any]) -> PlaneVectorField:
     doc = "vector field JSON"
-    dxdt, dydt = _get(data, "dxdt", doc), _get(data, "dydt", doc)
-    model_data = _get(data, "model", doc)
-    twist = _get(model_data, "twist", f"{doc} model")
-    if "symbols" in data:
-        ctx = context_from_json(data["symbols"], f"{doc} symbols")
+    dxdt, dydt = _get(data, "dxdt", doc, str), _get(data, "dydt", doc, str)
+    model_data = _get(data, "model", doc, dict)
+    twist = _get(model_data, "twist", f"{doc} model", [str])
+    symbols = _get(data, "symbols", doc, list, None)
+    if symbols is not None:
+        ctx = context_from_json(symbols, f"{doc} symbols")
     else:
-        ctx = _inferred_context([dxdt, dydt, *twist], data.get("params", ()))
-    model = SurfaceModel(int(_get(model_data, "n", f"{doc} model")),
+        ctx = _inferred_context([dxdt, dydt, *twist], _get(data, "params", doc, [str], ()))
+    model = SurfaceModel(_get(model_data, "n", f"{doc} model", int),
                          tuple(ctx.parse(g) for g in twist))
-    return PlaneVectorField(ctx.parse(dxdt), ctx.parse(dydt), _get(data, "chart", doc), model)
+    return PlaneVectorField(ctx.parse(dxdt), ctx.parse(dydt), _get(data, "chart", doc, str),
+                            model)
 
 
 def scheme_to_json(scheme: GRScheme) -> dict[str, Any]:
@@ -94,20 +97,24 @@ def scheme_to_json(scheme: GRScheme) -> dict[str, Any]:
 
 def scheme_from_json(data: dict[str, Any]) -> GRScheme:
     doc = "scheme JSON"
-    model_data = _get(data, "model", doc)
-    twist = _get(model_data, "twist", f"{doc} model")
+    model_data = _get(data, "model", doc, dict)
+    twist = _get(model_data, "twist", f"{doc} model", [str])
+    params = _get(data, "params", doc, [str], ())
+    eigenvalues = _get(data, "eigenvalues", doc, [str], ())
     # (location, multiplicity, matrix, (map, point) or None) per spec
     fields = []
-    for i, entry in enumerate(_get(data, "specs", doc)):
+    for i, entry in enumerate(_get(data, "specs", doc, list)):
         where = f"{doc} specs[{i}]"
-        spec = [_get(entry, name, where) for name in ("location", "multiplicity", "matrix")]
-        resolved = entry.get("resolved")
+        spec = [_get(entry, name, where, kind) for name, kind
+                in (("location", str), ("multiplicity", int), ("matrix", [[str]]))]
+        resolved = _get(entry, "resolved", where, dict, None)
         if resolved is not None:
-            resolved = tuple(_get(resolved, name, f"{where} resolved")
+            resolved = tuple(_get(resolved, name, f"{where} resolved", [str])
                              for name in ("map", "point"))
         fields.append((*spec, resolved))
-    if "symbols" in data:
-        ctx = context_from_json(data["symbols"], f"{doc} symbols")
+    symbols = _get(data, "symbols", doc, list, None)
+    if symbols is not None:
+        ctx = context_from_json(symbols, f"{doc} symbols")
     else:
         texts = list(twist)
         for location, _, matrix, resolved in fields:
@@ -115,8 +122,8 @@ def scheme_from_json(data: dict[str, Any]) -> GRScheme:
             texts += [e for row in matrix for e in row]
             if resolved is not None:
                 texts += list(resolved[0]) + list(resolved[1])
-        ctx = _inferred_context(texts, data.get("params", ()))
-    model = SurfaceModel(int(_get(model_data, "n", f"{doc} model")),
+        ctx = _inferred_context(texts, params)
+    model = SurfaceModel(_get(model_data, "n", f"{doc} model", int),
                          tuple(ctx.parse(g) for g in twist))
     specs = []
     for location, multiplicity, matrix, resolved in fields:
@@ -125,18 +132,45 @@ def scheme_from_json(data: dict[str, Any]) -> GRScheme:
         if resolved is not None:
             resolved = ResolvedData(tuple(ctx.parse(m) for m in resolved[0]),
                                     tuple(ctx.parse(p) for p in resolved[1]))
-        specs.append(SingularSpec(loc, int(multiplicity), matrix, resolved))
-    return GRScheme(model, tuple(specs), tuple(data.get("params", ())),
-                    tuple(data.get("eigenvalues", ())), data.get("name", ""))
+        specs.append(SingularSpec(loc, multiplicity, matrix, resolved))
+    return GRScheme(model, tuple(specs), tuple(params), tuple(eigenvalues),
+                    _get(data, "name", doc, str, ""))
 
 
-def _get(obj: Any, name: str, where: str) -> Any:
-    """Field ``name`` of a JSON object; a ValueError names a missing one and where."""
+_REQUIRED = object()
+
+
+def _get(obj: Any, name: str, where: str, kind: Any, default: Any = _REQUIRED) -> Any:
+    """Field ``name`` of a JSON object, of the JSON type ``kind``.
+
+    ``kind`` is str, int, list or dict, or [k] for a list whose every item
+    is of kind k.  A field that is absent gives ``default``; without one, a
+    ValueError names the missing field and where, as it does a field of
+    another type.
+    """
     if not isinstance(obj, dict):
         raise ValueError(f"{where} is not a JSON object")
     if name not in obj:
-        raise ValueError(f"{where} has no field {name!r}")
+        if default is _REQUIRED:
+            raise ValueError(f"{where} has no field {name!r}")
+        return default
+    if not _is_kind(obj[name], kind):
+        raise ValueError(f"{where} field {name!r} is not {_kind_name(kind)}")
     return obj[name]
+
+
+def _is_kind(value: Any, kind: Any) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_is_kind(v, kind[0]) for v in value)
+    # JSON true and false are not integers
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+def _kind_name(kind: Any, plural: bool = False) -> str:
+    if isinstance(kind, list):
+        return ("lists" if plural else "a list") + " of " + _kind_name(kind[0], True)
+    name = {str: "string", int: "integer", list: "list", dict: "JSON object"}[kind]
+    return name + "s" if plural else ("an " if name[0] == "i" else "a ") + name
 
 
 def dumps(data: Any) -> str:

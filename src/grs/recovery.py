@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .algebra import (Context, InconsistentSystem, MPoly, MRat, Mat2, StuckSystem, Sym,
-                      TriangularSolution, coefficients_in, solve_triangular,
+                      TriangularSolution, coefficients_in, solve_linear, solve_triangular,
                       _relation_normal_form)
 from .blowup import resolve_family, resolve_multiplicity
 from .singularities import (AccessiblePoint, accessible_points, divisor_chart_local,
@@ -286,17 +286,10 @@ def relation_substitution(relations: Sequence[MPoly],
     """Solve each relation for the latest eigenvalue symbol appearing linearly."""
     subs: dict[str, MRat] = {}
     for rel in relations:
-        for sym in reversed(list(eigenvalue_syms)):
-            if sym in subs or not rel.involves([sym]):
-                continue
-            if rel.degree_in(sym) != 1:
-                continue
-            coeff = rel.coefficient(sym, 1)
-            if coeff.is_zero() or coeff.involves(subs.keys()):
-                continue
-            rest = rel - coeff * rel.ctx.poly_var(sym)
-            subs[sym] = MRat(-rest, coeff)
-            break
+        solved = solve_linear(rel, [s for s in reversed(eigenvalue_syms) if s not in subs],
+                              subs.keys())
+        if solved is not None:
+            subs[solved[0]] = solved[1]
     return subs
 
 

@@ -165,6 +165,16 @@ def chart_transform(vf: PlaneVectorField, target: str) -> PlaneVectorField:
     return vf._rewrites[target]
 
 
+def chain_rule(phi: tuple[MRat, MRat], f: tuple[MRat, MRat],
+               time: bool = False) -> tuple[MRat, MRat]:
+    """J_phi . F, plus d(phi)/dt when ``time`` is set (birational maps; the
+    chart gluing maps are t-independent, so chart rewrites leave it off)."""
+    d = [p.derivative("x") * f[0] + p.derivative("y") * f[1] for p in phi]
+    if time:
+        d = [di + p.derivative("t") for di, p in zip(d, phi)]
+    return d[0], d[1]
+
+
 def _push_forward(vf: PlaneVectorField, target: str) -> PlaneVectorField:
     ctx = vf.ctx
     model = vf.model
@@ -172,11 +182,8 @@ def _push_forward(vf: PlaneVectorField, target: str) -> PlaneVectorField:
     # target coordinates as functions of the current chart's coordinates
     tx, ty = chart_from_u0(ctx, model, target)
     cx, cy = chart_to_u0(ctx, model, vf.chart)
-    phi1 = tx.subs({"x": cx, "y": cy})
-    phi2 = ty.subs({"x": cx, "y": cy})
-    f1, f2 = vf.dxdt, vf.dydt
-    d1 = phi1.derivative("x") * f1 + phi1.derivative("y") * f2
-    d2 = phi2.derivative("x") * f1 + phi2.derivative("y") * f2
+    phi = (tx.subs({"x": cx, "y": cy}), ty.subs({"x": cx, "y": cy}))
+    d1, d2 = chain_rule(phi, vf.components())
     # express in the target coordinates: current coords as functions of target's
     bx, by = chart_from_u0(ctx, model, vf.chart)
     ux, uy = chart_to_u0(ctx, model, target)

@@ -9,7 +9,10 @@ of a system F means the chain-rule identity
 holds identically; the time reparameterization Jacobian tau' folds the
 dt-rescaling into the comparison.  Verification is exact either per random
 rational parameter draw (the default acceptance path) or fully symbolically
-with reduction modulo the eigenvalue relation where one is required.
+with reduction modulo the eigenvalue relation where one is required.  Both
+modes take the difference of the two sides from one helper, ``_residual``,
+whose left side is ``surface.chain_rule``; a probe substitutes its draw
+before it differentiates.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Sequence
 
 from .algebra import Context, DivisionByZero, MPoly, MRat
 from .recovery import relation_substitution, zero_modulo
-from .surface import PlaneVectorField
+from .surface import PlaneVectorField, chain_rule
 
 
 class SymmetryError(Exception):
@@ -67,11 +70,6 @@ def identity_map(ctx: Context, name: str = "id") -> BirationalMap:
 # ---------------------------------------------------------------------------
 
 
-def _jacobian(bmap: BirationalMap) -> tuple[MRat, MRat, MRat, MRat]:
-    return (bmap.x_image.derivative("x"), bmap.x_image.derivative("y"),
-            bmap.y_image.derivative("x"), bmap.y_image.derivative("y"))
-
-
 def push_forward(vf: PlaneVectorField, bmap: BirationalMap,
                  inverse: BirationalMap | None = None) -> PlaneVectorField:
     """Exact transformed field, written in the image variables.
@@ -80,36 +78,36 @@ def push_forward(vf: PlaneVectorField, bmap: BirationalMap,
     their images, which is the correct inverse for the involutions used
     throughout; pass an explicit inverse otherwise.
     """
-    j00, j01, j10, j11 = _jacobian(bmap)
-    det = j00 * j11 - j01 * j10
+    xi, yi = bmap.x_image, bmap.y_image
+    det = xi.derivative("x") * yi.derivative("y") - xi.derivative("y") * yi.derivative("x")
     if det.is_zero():
         raise SingularJacobian(f"{bmap.name}: Jacobian in (x, y) is singular")
     tprime = bmap.t_image.derivative("t")
     if tprime.is_zero():
         raise SymmetryError(f"{bmap.name}: time image does not depend on t")
-    f1, f2 = vf.components()
-    d1 = (j00 * f1 + j01 * f2 + bmap.x_image.derivative("t")) / tprime
-    d2 = (j10 * f1 + j11 * f2 + bmap.y_image.derivative("t")) / tprime
+    d1, d2 = chain_rule((xi, yi), vf.components(), time=True)
     if inverse is None:
-        inv_subs = {"x": bmap.x_image.subs(bmap.param_map),
-                    "y": bmap.y_image.subs(bmap.param_map),
+        inv_subs = {"x": xi.subs(bmap.param_map), "y": yi.subs(bmap.param_map),
                     "t": bmap.t_image}
     else:
         inv_subs = {"x": inverse.x_image, "y": inverse.y_image, "t": inverse.t_image}
-    return PlaneVectorField(d1.subs(inv_subs), d2.subs(inv_subs), vf.chart, vf.model)
+    return PlaneVectorField((d1 / tprime).subs(inv_subs), (d2 / tprime).subs(inv_subs),
+                            vf.chart, vf.model)
+
+
+def _residual(f: tuple[MRat, MRat], images: tuple[MRat, MRat, MRat],
+              f_at_image: tuple[MRat, MRat]) -> tuple[MRat, MRat]:
+    """J_phi . F + d(phi)/dt - tau' . F(phi, tau), given F and F(phi, tau)."""
+    lhs1, lhs2 = chain_rule(images[:2], f, time=True)
+    tprime = images[2].derivative("t")
+    return lhs1 - tprime * f_at_image[0], lhs2 - tprime * f_at_image[1]
 
 
 def invariance_residual(vf: PlaneVectorField, bmap: BirationalMap) -> tuple[MRat, MRat]:
     """Chain-rule residual; identically zero iff the system is invariant."""
-    j00, j01, j10, j11 = _jacobian(bmap)
-    tprime = bmap.t_image.derivative("t")
-    f1, f2 = vf.components()
     image = bmap.full_subs()
-    lhs1 = j00 * f1 + j01 * f2 + bmap.x_image.derivative("t")
-    lhs2 = j10 * f1 + j11 * f2 + bmap.y_image.derivative("t")
-    rhs1 = tprime * f1.subs(image)
-    rhs2 = tprime * f2.subs(image)
-    return lhs1 - rhs1, lhs2 - rhs2
+    return _residual(vf.components(), (bmap.x_image, bmap.y_image, bmap.t_image),
+                     (vf.dxdt.subs(image), vf.dydt.subs(image)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,24 +191,17 @@ def verify_symmetry(vf: PlaneVectorField, bmap: BirationalMap, mode: str = "nume
             raise SymmetryError("parameter draws kept hitting excluded loci")
         values = draw_parameters(ctx, rng, relation, eigenvalue_syms)
         try:
-            f1v, f2v = f1.subs(values), f2.subs(values)
-            ximg = bmap.x_image.subs(values)
-            yimg = bmap.y_image.subs(values)
-            timg = bmap.t_image.subs(values)
+            fv = (f1.subs(values), f2.subs(values))
+            images = tuple(img.subs(values)
+                           for img in (bmap.x_image, bmap.y_image, bmap.t_image))
             mapped = {p: bmap.param_map.get(p, ctx.var(p)).subs(values) for p in params}
-            lhs1 = (ximg.derivative("x") * f1v + ximg.derivative("y") * f2v
-                    + ximg.derivative("t"))
-            lhs2 = (yimg.derivative("x") * f1v + yimg.derivative("y") * f2v
-                    + yimg.derivative("t"))
-            tprime = timg.derivative("t")
-            image = {"x": ximg, "y": yimg, "t": timg}
-            rhs1 = tprime * f1.subs(mapped).subs(image)
-            rhs2 = tprime * f2.subs(mapped).subs(image)
+            image = dict(zip(("x", "y", "t"), images))
+            r1, r2 = _residual(fv, images, (f1.subs(mapped).subs(image),
+                                            f2.subs(mapped).subs(image)))
         except DivisionByZero:
             continue
-        if not (lhs1 - rhs1).is_zero() or not (lhs2 - rhs2).is_zero():
-            return SymmetryReport(False, mode, draws=done + 1,
-                                  residual=(str(lhs1 - rhs1), str(lhs2 - rhs2)),
+        if not r1.is_zero() or not r2.is_zero():
+            return SymmetryReport(False, mode, draws=done + 1, residual=(str(r1), str(r2)),
                                   note=f"failed at draw {done + 1} with "
                                        + ", ".join(f"{k}={v}" for k, v in values.items()))
         done += 1

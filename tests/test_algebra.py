@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grs.algebra import (Context, DivisionByZero, InconsistentSystem, MPoly, MRat, Mat2,
-                         ParseError, StuckSystem, parse_rat, poly_gcd,
+from grs.algebra import (MAX_NESTING, Context, DivisionByZero, InconsistentSystem, MPoly,
+                         MRat, Mat2, ParseError, StuckSystem, parse_rat, poly_gcd,
                          solve_triangular, split_content, exact_divide)
 
 
@@ -192,6 +192,16 @@ def test_parser_round_trip(ctx):
 def test_parser_rejects_unknown_symbol(ctx):
     with pytest.raises(ParseError):
         parse_rat(ctx, "zeta + 1")
+
+
+def test_parser_nesting_budget(ctx):
+    """The deepest accepted nesting parses; one level more, or thousands
+    (which would exhaust the recursion limit), is a ParseError."""
+    nested = "(" * MAX_NESTING + "t" + ")" * MAX_NESTING
+    assert parse_rat(ctx, nested) == ctx.var("t")
+    for depth in (MAX_NESTING + 1, 5000):
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING}"):
+            parse_rat(ctx, "(" * depth + "t" + ")" * depth)
 
 
 def test_grlex_rendering_deterministic():

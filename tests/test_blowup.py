@@ -4,7 +4,7 @@ points, the degenerate-matrix equivalence, and the graded expansion."""
 import pytest
 
 from grs.algebra import Context
-from grs.blowup import (LocalChart, NotResolvable, blow_up_chart,
+from grs.blowup import (LocalChart, NotResolvable, ResolutionError, blow_up_chart,
                         degenerate_matrix_criterion, expansion_eigenvalues,
                         resolve_family, resolve_multiplicity)
 from grs.catalog import get_system
@@ -34,6 +34,18 @@ def test_blow_up_exposes_a10_condition(family):
     polys = [str(p) for _, p in res.conditions]
     assert any("blow-up step 1" in t for t in tags)
     assert "a10" in polys
+
+
+@pytest.mark.parametrize("a7, condition", [
+    ("a5^2", "a5^2"),              # linear in no unknown
+    ("a5*a10 + a5", "a5*a10 + a5"),  # linear only with coefficients in unknowns
+])
+def test_resolve_family_rejects_a_condition_it_cannot_solve(family, a7, condition):
+    ctx = family.vf.ctx
+    vf = family.vf.subs_params({"a7": ctx.parse(a7)})
+    with pytest.raises(ResolutionError) as exc:
+        resolve_family(vf, ctx.rat(0), 2, -ctx.var("t"), family.unknowns)
+    assert str(exc.value) == f"cannot impose condition {condition} = 0 on the family"
 
 
 def test_radial_field_blow_up_kills_fiber_component():

@@ -1,6 +1,9 @@
 """CLI and serialization tests: determinism, exit codes, round trips."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -189,6 +192,45 @@ def test_cli_alpha_test_json_matches_golden(capsys, system, point):
     assert (code, out, err) == (0, golden, "")
 
 
+@pytest.mark.parametrize("system, point", [("gen-pv", "0"), ("gen-piv", "0"),
+                                           ("gen-piii", "inf")])
+def test_cli_resolve_json_matches_golden(capsys, system, point):
+    code, out, err = _run(capsys, "resolve", "--system", system, "--point", point,
+                          "--format", "json")
+    golden = (GOLDEN_CLI / f"resolve_{system}_{point}.json").read_text()
+    assert (code, out, err) == (0, golden, "")
+
+
+_SHIPPED_MAPS = [("gen-piii", "s"), ("gen-piii", "pi"), ("gen-piv", "s"), ("gen-pv", "s"),
+                 ("gen-pv", "pi"), ("gen-pvi", "s"), ("gen-pvi", "pi1"), ("gen-pvi", "pi2"),
+                 ("gen-pvi", "pi3")]
+
+
+@pytest.mark.parametrize("system, bmap", _SHIPPED_MAPS + [("gen-pvi", "pi3-verbatim")])
+def test_cli_symmetry_probe_json_matches_golden(capsys, system, bmap):
+    """pi3-verbatim pins the failing draw, the note and the residual text."""
+    code, out, err = _run(capsys, "symmetry", "--system", system, "--map", bmap,
+                          "--format", "json")
+    golden = (GOLDEN_CLI / f"symmetry_{system}_{bmap}.json").read_text()
+    assert (code, out, err) == (3 if bmap == "pi3-verbatim" else 0, golden, "")
+
+
+@pytest.mark.parametrize("system, bmap", _SHIPPED_MAPS)
+def test_cli_symmetry_symbolic_json_matches_golden(capsys, system, bmap):
+    code, out, err = _run(capsys, "symmetry", "--system", system, "--map", bmap,
+                          "--symbolic", "--format", "json")
+    golden = (GOLDEN_CLI / f"symmetry_{system}_{bmap}_symbolic.json").read_text()
+    assert (code, out, err) == (0, golden, "")
+
+
+@pytest.mark.parametrize("scheme", scheme_names())
+def test_cli_recover_json_matches_golden(capsys, scheme):
+    """The JSON trace pins the order in which the solver picks its pivots."""
+    code, out, err = _run(capsys, "recover", "--scheme", scheme, "--format", "json")
+    golden = (GOLDEN_CLI / f"recover_{scheme}.json").read_text()
+    assert (code, out, err) == (0, golden, "")
+
+
 @pytest.mark.parametrize("system, message", [
     ("nope", "unknown builtin system 'nope'; available: "),
     ("piv", "no builtin maps for 'piv'; available: "),
@@ -230,11 +272,40 @@ def test_cli_malformed_scheme_file(tmp_path, capsys):
     ({"chart": "U0", "dxdt": "x", "dydt": "y", "model": {"n": 2, "twist": ["alpha2"]},
       "symbols": [{"name": "x"}]}, "vector field JSON symbols[0] has no field 'kind'"),
     (["x", "y"], "vector field JSON is not a JSON object"),
+    ({"chart": "U0", "dxdt": 5, "dydt": "y", "model": {"n": 2, "twist": ["alpha2"]}},
+     "vector field JSON field 'dxdt' is not a string"),
+    ({"chart": "U0", "dxdt": "x", "dydt": "y", "model": {"n": 2, "twist": 5}},
+     "vector field JSON model field 'twist' is not a list of strings"),
+    ({"chart": "U0", "dxdt": "x", "dydt": "y", "model": {"n": "abc", "twist": ["alpha2"]}},
+     "vector field JSON model field 'n' is not an integer"),
+    ({"chart": "U0", "dxdt": "(" * 5000 + "x" + ")" * 5000, "dydt": "y",
+      "model": {"n": 2, "twist": ["alpha2"]}}, "parentheses nested deeper than 100"),
 ])
 def test_cli_vector_field_file_names_the_missing_field(tmp_path, capsys, document, message):
     path = tmp_path / "vf.json"
     path.write_text(gio.dumps(document))
     assert _run(capsys, "show", "--system", str(path)) == (1, "", f"error: {message}\n")
+
+
+def test_cli_unknown_chart_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "vf.json"
+    path.write_text(gio.dumps({"chart": "U9", "dxdt": "x", "dydt": "y",
+                               "model": {"n": 2, "twist": ["alpha2"]}}))
+    assert _run(capsys, "show", "--system", str(path)) == (1, "", "error: unknown chart U9\n")
+
+
+def test_cli_closed_stdout_exits_quietly():
+    """A reader that stops early (``grs ... | head``) leaves no traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "grs.cli", "show", "--system", "pvi",
+                               "--format", "json"], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 _MODEL = {"n": 2, "twist": ["alpha2"]}
@@ -252,6 +323,15 @@ _SPEC = {"location": "0", "multiplicity": 1, "matrix": [["1", "0"], ["0", "2"]]}
     ({"model": _MODEL, "specs": [dict(_SPEC, resolved={"map": ["x", "x^2*y"]})]},
      "scheme JSON specs[0] resolved has no field 'point'"),
     ({"model": _MODEL, "specs": ["0"]}, "scheme JSON specs[0] is not a JSON object"),
+    ({"model": _MODEL, "specs": 5}, "scheme JSON field 'specs' is not a list"),
+    ({"model": {"n": 2, "twist": 5}, "specs": [_SPEC]},
+     "scheme JSON model field 'twist' is not a list of strings"),
+    ({"model": {"n": "abc", "twist": ["alpha2"]}, "specs": [_SPEC]},
+     "scheme JSON model field 'n' is not an integer"),
+    ({"model": _MODEL, "specs": [dict(_SPEC, matrix=[[1, 0], [0, 2]])]},
+     "scheme JSON specs[0] field 'matrix' is not a list of lists of strings"),
+    ({"model": _MODEL, "specs": [dict(_SPEC, multiplicity=True)]},
+     "scheme JSON specs[0] field 'multiplicity' is not an integer"),
 ])
 def test_cli_scheme_file_names_the_missing_field(tmp_path, capsys, document, message):
     path = tmp_path / "scheme.json"
