@@ -28,7 +28,17 @@ constant.  :func:`exact_divide` runs one pass over a remainder kept in a
 dict and a heap of its exponents in graded-lex order (Monagan & Pearce,
 J. Symb. Comp. 2011), and it rejects a non-divisor early from per-variable
 degree bounds, which also makes the divisibility shortcuts in the gcd cheap
-when they fail.  Because the operators trust their operands, every
+when they fail.  Most gcds the pipeline asks for are constant, and a
+coprimality certificate settles those before any division or PRS step, at
+every level of the recursion (Brown, J. ACM 1971): every symbol but one is
+set to a fixed residue modulo the prime 2^61 - 1, and Euclid runs on the two
+univariate images in each symbol both operands involve.  By Gauss's lemma
+lc_v(gcd) divides lc_v(a), so while both leading coefficients survive the
+evaluation no image gcd has a lower degree in v than the true gcd; images
+coprime in every shared symbol therefore prove the gcd constant.  Any other
+outcome (a vanished leading coefficient, the prime in a denominator, an image
+gcd of positive degree) falls through to the exact path, the only one that
+computes a nontrivial gcd.  Because the operators trust their operands, every
 ``MRat(num, den, _normalized=True)`` must receive a pair that is already
 canonical; ``MRat(num, den)`` normalizes an arbitrary pair.
 
@@ -45,6 +55,7 @@ assignments, never once per scan.
 from __future__ import annotations
 
 import math
+import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -544,6 +555,8 @@ def _gcd_core(a: MPoly, b: MPoly) -> MPoly:
     shared = set(a.variables()) & set(b.variables())
     if not shared:
         return a.ctx.poly(1)
+    if _coprime_certified(a, b, shared):
+        return a.ctx.poly(1)
     # quick divisibility shortcuts
     if exact_divide(b, a) is not None:
         return a
@@ -560,6 +573,84 @@ def _gcd_core(a: MPoly, b: MPoly) -> MPoly:
     pb = _divide_coeffs(ub, cont_b)
     prim = _prs_gcd(pa, pb, a.ctx, v)
     return cont * prim
+
+
+_PRIME = (1 << 61) - 1
+_RESIDUES: list[int] = []
+_INVERSES: list[int] = []
+
+
+def _residues(n: int) -> tuple[list[int], list[int]]:
+    """Fixed nonzero residues mod _PRIME for context indices 0..n-1, and their inverses."""
+    while len(_RESIDUES) < n:
+        r = random.Random(len(_RESIDUES)).randrange(2, _PRIME)
+        _RESIDUES.append(r)
+        _INVERSES.append(pow(r, -1, _PRIME))
+    return _RESIDUES, _INVERSES
+
+
+def _term_images(p: MPoly, residues: list[int]) -> list[tuple[Exponent, int]] | None:
+    """Each term's value mod _PRIME at the fixed residues; None if _PRIME divides a denominator."""
+    images = []
+    for e, c in p.terms.items():
+        d = c.denominator
+        if d % _PRIME == 0:
+            return None
+        m = c.numerator % _PRIME if d == 1 else c.numerator * pow(d, -1, _PRIME) % _PRIME
+        for r, k in zip(residues, e):
+            if k:
+                m = m * pow(r, k, _PRIME) % _PRIME
+        images.append((e, m))
+    return images
+
+
+def _image_in(images: list[tuple[Exponent, int]], i: int, inverse: int) -> list[int] | None:
+    """Univariate image in symbol i (coefficients from degree 0 up), every other
+    symbol at its residue; None if the leading coefficient vanishes."""
+    coeffs = [0] * (max(e[i] for e, _ in images) + 1)
+    powers = [1]
+    for _ in range(len(coeffs) - 1):
+        powers.append(powers[-1] * inverse % _PRIME)
+    for e, m in images:
+        k = e[i]
+        coeffs[k] += m * powers[k]
+    coeffs = [c % _PRIME for c in coeffs]
+    return coeffs if coeffs[-1] else None
+
+
+def _coprime_mod_p(f: list[int], g: list[int]) -> bool:
+    """Whether two univariate images of positive degree are coprime over
+    GF(_PRIME); Euclid reduces the two lists in place."""
+    if len(f) < len(g):
+        f, g = g, f
+    while True:
+        lead = pow(g[-1], -1, _PRIME)
+        n = len(g) - 1
+        while len(f) > n:
+            q = f.pop() * lead % _PRIME
+            shift = len(f) - n
+            for j in range(n):
+                f[shift + j] = (f[shift + j] - q * g[j]) % _PRIME
+            while f and not f[-1]:
+                f.pop()
+        if not f:
+            return False
+        if len(f) == 1:
+            return True
+        f, g = g, f
+
+
+def _coprime_certified(a: MPoly, b: MPoly, shared: Iterable[str]) -> bool:
+    """True only if gcd(a, b) is constant, proved by modular images (module docstring)."""
+    residues, inverses = _residues(len(a.ctx))
+    images = (_term_images(a, residues), _term_images(b, residues))
+    if None in images:
+        return False
+    for i in sorted(map(a.ctx.index, shared)):
+        fa, fb = (_image_in(terms, i, inverses[i]) for terms in images)
+        if fa is None or fb is None or not _coprime_mod_p(fa, fb):
+            return False
+    return True
 
 
 def _list_gcd(polys: list[MPoly]) -> MPoly:

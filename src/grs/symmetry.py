@@ -132,13 +132,10 @@ def _random_fraction(rng: random.Random) -> Fraction:
 
 
 def draw_parameters(ctx: Context, rng: random.Random,
-                    relation: MPoly | None = None,
-                    eigenvalue_syms: Sequence[str] = ()) -> dict[str, MRat]:
-    """One exact rational parameter draw consistent with the relation."""
+                    relsub: dict[str, MRat]) -> dict[str, MRat]:
+    """One exact rational parameter draw consistent with the eigenvalue
+    relation, given as its solved substitution ``relsub``."""
     params = [s.name for s in ctx.syms if s.kind == "parameter"]
-    relsub = {}
-    if relation is not None:
-        relsub = relation_substitution([relation], eigenvalue_syms)
     for _ in range(200):
         values = {p: ctx.rat(_random_fraction(rng)) for p in params if p not in relsub}
         try:
@@ -183,13 +180,14 @@ def verify_symmetry(vf: PlaneVectorField, bmap: BirationalMap, mode: str = "nume
     params = [s.name for s in ctx.syms if s.kind == "parameter"]
     f1, f2 = vf.components()
     rng = random.Random(seed)
+    relsub = {} if relation is None else relation_substitution([relation], eigenvalue_syms)
     done = 0
     attempts = 0
     while done < draws:
         attempts += 1
         if attempts > 50 * draws:
             raise SymmetryError("parameter draws kept hitting excluded loci")
-        values = draw_parameters(ctx, rng, relation, eigenvalue_syms)
+        values = draw_parameters(ctx, rng, relsub)
         try:
             fv = (f1.subs(values), f2.subs(values))
             images = tuple(img.subs(values)

@@ -1,14 +1,18 @@
 """Exact arithmetic kernel tests: canonical forms, gcd, triangular solve."""
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis import assume
 
 from grs.algebra import (MAX_NESTING, Context, DivisionByZero, InconsistentSystem, MPoly,
                          MRat, Mat2, ParseError, StuckSystem, parse_rat, poly_gcd,
                          solve_triangular, split_content, exact_divide)
+from grs import algebra
 
 
 @pytest.fixture
@@ -431,3 +435,102 @@ def test_subs_errors():
         (one / (MRat.from_poly(x) * t - t - one)).subs({"x": one + one / t})
     with pytest.raises(DivisionByZero):  # polynomial value: x - 1 -> 0
         (one / (MRat.from_poly(x) - one)).subs({"x": one})
+
+
+# -- the coprimality certificate in front of the exact gcd -------------------
+
+
+def _shared(a, b):
+    return set(a.variables()) & set(b.variables())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_nonzero, _nonzero, _factor)
+def test_certificate_never_passes_a_planted_common_factor(a, b, g):
+    a, b = a * g, b * g
+    assert not algebra._coprime_certified(a, b, _shared(a, b))
+
+
+def test_certificate_falls_through_when_a_leading_coefficient_vanishes():
+    """g = x*t - r_x*t - r_t*x is constant at t = r_t as a polynomial in x,
+    and at x = r_x as one in t, so both images of g*(x+1) and g*(x+2) are
+    coprime; only the degree check stands between them and a wrong answer."""
+    residues, _ = algebra._residues(len(ORACLE_CTX))
+    x, t = ORACLE_CTX.poly_var("x"), ORACLE_CTX.poly_var("t")
+    rx, rt = residues[ORACLE_CTX.index("x")], residues[ORACLE_CTX.index("t")]
+    g = x * t - t.scale(rx) - x.scale(rt)
+    one = ORACLE_CTX.poly(1)
+    a, b = g * (x + one), g * (x + one + one)
+    assert not algebra._coprime_certified(a, b, _shared(a, b))
+    assert poly_gcd(a, b) == g.primitive()
+
+
+def test_certificate_falls_through_when_the_prime_divides_a_denominator():
+    x, t = ORACLE_CTX.poly_var("x"), ORACLE_CTX.poly_var("t")
+    a = x * t + ORACLE_CTX.poly(Fraction(1, algebra._PRIME))
+    b = x + t
+    assert not algebra._coprime_certified(a, b, _shared(a, b))
+    assert algebra._coprime_certified(x * t + ORACLE_CTX.poly(1), b, _shared(a, b))
+    assert poly_gcd(a, b) == ORACLE_CTX.poly(1)
+
+
+_dense_factor = _polys(min_terms=3, max_terms=3, constant=False, degree=2)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_dense_factor, _dense_factor, _dense_factor, _dense_factor)
+def test_poly_gcd_of_dense_coprime_products_matches_sympy(f1, f2, f3, f4):
+    """Products of two 3-term factors of degree <= 2 in x, t, a; the exact
+    path alone spends up to minutes on such a pair."""
+    sp, _ = _sympy()
+    a, b = f1 * f2, f3 * f4
+    theirs = _from_sympy(sp.gcd(_to_sympy(a), _to_sympy(b)))
+    assume(not any(any(e) for e in theirs))
+    assert poly_gcd(a, b).terms == _unit_free(theirs)[0]
+
+
+KERNEL_CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "kernel.jsonl"
+
+
+def _corpus_gcd_pairs():
+    """The gcd operands of the frozen kernel corpus (format: perfbench/corpus.py)."""
+    if not KERNEL_CORPUS.exists():
+        pytest.skip("kernel corpus not present")
+    with open(KERNEL_CORPUS) as fh:
+        header = json.loads(fh.readline())
+        contexts = [Context([algebra.Sym(n, k) for n, k in c]) for c in header["contexts"]]
+        ops = [json.loads(line) for line in fh]
+
+    def decode(ctx, data):
+        terms = {}
+        for coeff, sparse in data:
+            e = [0] * len(ctx)
+            for i, k in sparse:
+                e[i] = k
+            terms[tuple(e)] = Fraction(coeff)
+        return MPoly(ctx, terms)
+
+    return [(decode(contexts[op["ctx"]], op["args"][0]), decode(contexts[op["ctx"]], op["args"][1]))
+            for op in ops if op["kind"] == "gcd"]
+
+
+def test_corpus_gcds_are_unchanged_by_the_certificate(monkeypatch):
+    """Every gcd of the kernel corpus equals the exact path's, and every pair
+    the certificate passes, at any depth of the recursion, has a constant gcd."""
+    pairs = _corpus_gcd_pairs()
+    assert pairs
+    certify = algebra._coprime_certified
+    passed = []
+
+    def recording(a, b, shared):
+        ok = certify(a, b, shared)
+        if ok:
+            passed.append((a, b))
+        return ok
+
+    monkeypatch.setattr(algebra, "_coprime_certified", recording)
+    with_certificate = [poly_gcd(a, b) for a, b in pairs]
+    assert passed
+    monkeypatch.setattr(algebra, "_coprime_certified", lambda a, b, shared: False)
+    assert [poly_gcd(a, b) for a, b in pairs] == with_certificate
+    assert all(poly_gcd(a, b).is_constant() for a, b in passed)
