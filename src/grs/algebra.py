@@ -42,14 +42,16 @@ computes a nontrivial gcd.  Because the operators trust their operands, every
 ``MRat(num, den, _normalized=True)`` must receive a pair that is already
 canonical; ``MRat(num, den)`` normalizes an arbitrary pair.
 
-Substitution runs a Horner scheme in one substituted symbol at a time and
-finds the symbols a polynomial involves in one pass over its terms.  When
-every value it meets has denominator 1 (numeric draws, constants, polynomial
-assignments), the scheme runs on MPoly and wraps the result once: on such
-operands the MRat operators run no gcd and form the same products and sums,
-so the result is the same polynomial.  :func:`solve_triangular` reduces
-each pending equation and each nonzero form once per change of its
-assignments, never once per scan.
+Substitution finds the symbols a polynomial involves in one pass over its
+terms, and puts the constant values (numeric draws, parameter values) in with
+one more: each distinct monomial in those symbols is evaluated once, over
+integers, and each new coefficient is reduced once.  A Horner scheme in one
+substituted symbol at a time then takes the values left.  When each of them
+has denominator 1 (polynomial assignments), the scheme runs on MPoly and
+wraps the result once: on such operands the MRat operators run no gcd and
+form the same products and sums, so the result is the same polynomial.
+:func:`solve_triangular` reduces each pending equation and each nonzero form
+once per change of its assignments, never once per scan.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, le, neg, sub
+from operator import add, itemgetter, le, mul, neg, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -875,18 +877,63 @@ class MRat:
 def _poly_subs(p: MPoly, values: Mapping[str, "MRat"]) -> MRat:
     """Simultaneous substitution: substituted values are never re-substituted.
 
-    Only the keys p involves take part.  When each of their values has
-    denominator 1, the Horner scheme runs on their numerators as MPoly and
-    the result is wrapped once: the MRat operators on such operands run no
-    gcd and compute the same products and sums, so the result is the same
-    polynomial.
+    Only the keys p involves take part.  Constant values go in first, in one
+    pass over the terms.  When each value left has denominator 1, the Horner
+    scheme runs on their numerators as MPoly and the result is wrapped once:
+    the MRat operators on such operands run no gcd and compute the same
+    products and sums, so the result is the same polynomial.
     """
     active = _active(p, values)
+    constants = {}
+    for n in active:
+        v = values[n]
+        if _is_one(v.den) and v.num.is_constant():
+            p._check(v.num)
+            constants[n] = v.num.constant_value()
+    if constants:
+        p = _subs_constants(p, constants)
+        active = [n for n in active if n not in constants]
     if not active:
         return MRat.from_poly(p)
     if all(_is_one(values[n].den) for n in active):
         return MRat.from_poly(_horner(p, {n: values[n].num for n in active}, lambda q: q))
     return _horner(p, {n: values[n] for n in active}, MRat.from_poly)
+
+
+def _subs_constants(p: MPoly, values: Mapping[str, Fraction]) -> MPoly:
+    """p with the named symbols set to constants, in one pass over its terms.
+
+    The value of each distinct monomial in those symbols is computed once, as
+    an integer numerator and denominator, and each new coefficient is summed
+    over integers and reduced once.
+    """
+    at = [p.ctx.index(n) for n in values]
+    pick = itemgetter(*at)
+    nums = [v.numerator for v in values.values()]
+    dens = [v.denominator for v in values.values()]
+    keep = tuple(int(i not in at) for i in range(len(p.ctx)))
+    weights: dict = {}
+    sums: dict[Exponent, list[int]] = {}
+    for e, c in p.terms.items():
+        powers = pick(e)
+        w = weights.get(powers)
+        if w is None:
+            ks = powers if len(at) > 1 else (powers,)
+            w = weights[powers] = (math.prod(map(pow, nums, ks)), math.prod(map(pow, dens, ks)))
+        if not w[0]:
+            continue
+        n, d = c.numerator * w[0], c.denominator * w[1]
+        e = tuple(map(mul, e, keep))
+        acc = sums.get(e)
+        if acc is None:
+            sums[e] = [n, d]
+        elif acc[1] == d:
+            acc[0] += n
+        else:
+            acc[0] = acc[0] * d + n * acc[1]
+            acc[1] *= d
+    # MPoly drops the coefficients that cancelled
+    return MPoly(p.ctx, {e: Fraction(n, d) for e, (n, d) in sums.items()})
 
 
 def _active(p: MPoly, names: Iterable[str]) -> list[str]:
@@ -1236,6 +1283,11 @@ class ParseError(AlgebraError):
 # frames of its recursive descent, well inside Python's recursion limit
 MAX_NESTING = 100
 
+# largest power parse_rat computes: a written exponent, times the exponents
+# of the powers it sits inside, so that (x^8)^8 is accepted but (x^8)^9 and
+# 2^99999999 are not; the builtin systems need at most 3
+MAX_EXPONENT = 64
+
 
 def _tokenize(text: str) -> list[str]:
     out = []
@@ -1256,6 +1308,8 @@ def parse_rat(ctx: Context, text: str) -> MRat:
     tokens = _tokenize(text)
     pos = 0
     depth = 0
+    # the largest power inside each open parenthesis, outermost first
+    powers = [1]
 
     def peek():
         return tokens[pos] if pos < len(tokens) else None
@@ -1289,7 +1343,7 @@ def parse_rat(ctx: Context, text: str) -> MRat:
         while peek() in ("+", "-"):
             if take() == "-":
                 sign = -sign
-        node = parse_atom()
+        node, inner = parse_atom()
         if peek() in ("^", "**"):
             take()
             neg = False
@@ -1299,27 +1353,32 @@ def parse_rat(ctx: Context, text: str) -> MRat:
             exp_tok = take()
             if not exp_tok.isdigit():
                 raise ParseError(f"expected integer exponent in {text!r}")
+            if len(exp_tok) > len(str(MAX_EXPONENT)) or int(exp_tok) * inner > MAX_EXPONENT:
+                raise ParseError(f"power above MAX_EXPONENT = {MAX_EXPONENT} in {text!r}")
             e = int(exp_tok)
+            powers[-1] = max(powers[-1], e * inner)
             node = node ** (-e if neg else e)
         if sign < 0:
             node = -node
         return node
 
-    def parse_atom() -> MRat:
+    def parse_atom() -> tuple[MRat, int]:
+        """The atom, and the largest power computed inside it."""
         nonlocal depth
         tok = take()
         if tok == "(":
             depth += 1
             if depth > MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}")
+            powers.append(1)
             node = parse_expr()
             take(")")
             depth -= 1
-            return node
+            return node, powers.pop()
         if tok.isdigit():
-            return ctx.rat(int(tok))
+            return ctx.rat(int(tok)), 1
         if tok in ctx:
-            return ctx.var(tok)
+            return ctx.var(tok), 1
         raise ParseError(f"unknown symbol {tok!r} (context: {ctx.names})")
 
     node = parse_expr()

@@ -12,7 +12,30 @@ rational parameter draw (the default acceptance path) or fully symbolically
 with reduction modulo the eigenvalue relation where one is required.  Both
 modes take the difference of the two sides from one helper, ``_residual``,
 whose left side is ``surface.chain_rule``; a probe substitutes its draw
-before it differentiates.
+before it differentiates, and one function, ``_vanishes``, decides whether a
+residual vanishes outright or modulo the relation.
+
+A probe run draws and checks in full until one draw passes.  That draw is a
+random-point identity test (Schwartz, J. ACM 1980; Zippel, EUROSAM 1979),
+so a map that is not a symmetry almost always fails at once, with the same
+draw, note and residual text as a run of per-draw checks.  After it, the
+exact residual is reduced once.  Where it vanishes, every later draw is only
+tested for admissibility, because then the probe of an admissible draw
+passes.  The argument: let v be the draw and R_v the rational functions in
+the parameters, x, y and t whose reduced denominator does not vanish
+identically in x, y, t when the parameters are set to v.  Setting the
+parameters to v is a ring homomorphism from R_v onto the rational functions
+in x, y, t, and it commutes with d/dx, d/dy and d/dt.  The probe's
+conditions put F, the images and the mapped parameters in R_v.  Where also
+den(F) at the mapped parameters and the images specializes to a nonzero
+function, F at the mapped parameters and the images lies in R_v, so the
+residual does, and the probe's residual is its image under the
+homomorphism.  The draw satisfies the relation, so that image is also the
+image of the residual after the relation substitution; a residual that
+vanishes there gives zero.  ``_admissible`` certifies those denominators
+nonzero by their values at one fixed point; where it cannot, the draw is
+probed in full, so the excluded draws, and the error after too many of
+them, are the same as when every draw is probed.
 """
 
 from __future__ import annotations
@@ -28,10 +51,6 @@ from .surface import PlaneVectorField, chain_rule
 
 
 class SymmetryError(Exception):
-    pass
-
-
-class SingularJacobian(SymmetryError):
     pass
 
 
@@ -61,38 +80,9 @@ class BirationalMap:
                 f"t -> {self.t_image}; {params}")
 
 
-def identity_map(ctx: Context, name: str = "id") -> BirationalMap:
-    return BirationalMap(name, ctx.var("x"), ctx.var("y"), ctx.var("t"), {})
-
-
 # ---------------------------------------------------------------------------
-# Push-forward and the invariance residual
+# The invariance residual
 # ---------------------------------------------------------------------------
-
-
-def push_forward(vf: PlaneVectorField, bmap: BirationalMap,
-                 inverse: BirationalMap | None = None) -> PlaneVectorField:
-    """Exact transformed field, written in the image variables.
-
-    The inverse map defaults to the map itself with parameters replaced by
-    their images, which is the correct inverse for the involutions used
-    throughout; pass an explicit inverse otherwise.
-    """
-    xi, yi = bmap.x_image, bmap.y_image
-    det = xi.derivative("x") * yi.derivative("y") - xi.derivative("y") * yi.derivative("x")
-    if det.is_zero():
-        raise SingularJacobian(f"{bmap.name}: Jacobian in (x, y) is singular")
-    tprime = bmap.t_image.derivative("t")
-    if tprime.is_zero():
-        raise SymmetryError(f"{bmap.name}: time image does not depend on t")
-    d1, d2 = chain_rule((xi, yi), vf.components(), time=True)
-    if inverse is None:
-        inv_subs = {"x": xi.subs(bmap.param_map), "y": yi.subs(bmap.param_map),
-                    "t": bmap.t_image}
-    else:
-        inv_subs = {"x": inverse.x_image, "y": inverse.y_image, "t": inverse.t_image}
-    return PlaneVectorField((d1 / tprime).subs(inv_subs), (d2 / tprime).subs(inv_subs),
-                            vf.chart, vf.model)
 
 
 def _residual(f: tuple[MRat, MRat], images: tuple[MRat, MRat, MRat],
@@ -150,6 +140,58 @@ def draw_parameters(ctx: Context, rng: random.Random,
     raise SymmetryError("could not draw consistent parameters")
 
 
+def _vanishes(residual: tuple[MRat, MRat], relsub: dict[str, MRat]) -> bool:
+    """Whether both components vanish, outright or modulo the relation."""
+    return all(zero_modulo(r, relsub) for r in residual)
+
+
+def _probe_residual(f: tuple[MRat, MRat], bmap: BirationalMap, values: dict[str, MRat],
+                    params: Sequence[str]) -> tuple[MRat, MRat]:
+    """The residual at one parameter draw, substituted before it differentiates.
+
+    Raises DivisionByZero where the draw leaves F, an image, a mapped parameter
+    or F at the mapped parameters and the images undefined.
+    """
+    ctx = bmap.ctx
+    fv = (f[0].subs(values), f[1].subs(values))
+    images = tuple(img.subs(values) for img in (bmap.x_image, bmap.y_image, bmap.t_image))
+    mapped = {p: bmap.param_map.get(p, ctx.var(p)).subs(values) for p in params}
+    image = dict(zip(("x", "y", "t"), images))
+    return _residual(fv, images, (f[0].subs(mapped).subs(image),
+                                  f[1].subs(mapped).subs(image)))
+
+
+# the point at which ``_admissible`` evaluates; any point will do, since a
+# zero there only sends the draw to the full probe
+_POINT = {"x": Fraction(101, 103), "y": Fraction(107, 109), "t": Fraction(113, 127)}
+
+
+def _admissible(dens: Sequence[MPoly], bmap: BirationalMap, values: dict[str, MRat],
+                params: Sequence[str]) -> bool:
+    """Cheap sufficient test that ``_probe_residual`` is defined at a draw.
+
+    ``dens`` are the denominators of F.  True where they are nonzero at the
+    draw and ``_POINT``, the images are defined there, the mapped parameters
+    are defined at the draw, and ``dens`` at the mapped parameters and those
+    image values are nonzero.  Each value then certifies that a denominator
+    the probe divides by is a nonzero function.  False where this test
+    cannot tell.
+    """
+    ctx = bmap.ctx
+    point = dict(values)
+    point.update((n, ctx.rat(v)) for n, v in _POINT.items())
+    try:
+        if any(d.subs(point).is_zero() for d in dens):
+            return False
+        at = {n: img.subs(point)
+              for n, img in zip(("x", "y", "t"), (bmap.x_image, bmap.y_image, bmap.t_image))}
+        at.update((p, bmap.param_map[p].subs(values) if p in bmap.param_map else values[p])
+                  for p in params)
+    except DivisionByZero:
+        return False
+    return not any(d.subs(at).is_zero() for d in dens)
+
+
 def verify_symmetry(vf: PlaneVectorField, bmap: BirationalMap, mode: str = "numeric-probe",
                     relation: MPoly | None = None, eigenvalue_syms: Sequence[str] = (),
                     draws: int = 20, seed: int = 20200828) -> SymmetryReport:
@@ -158,29 +200,32 @@ def verify_symmetry(vf: PlaneVectorField, bmap: BirationalMap, mode: str = "nume
     In numeric-probe mode all parameters and eigenvalues are instantiated at
     random rationals consistent with the eigenvalue relation and the
     residual is compared with zero exactly, draw by draw; ``draws`` must be
-    at least 1.  In symbolic mode the residual is reduced modulo the
-    relation; a residual that vanishes only modulo the relation is reported,
-    not failed.
+    at least 1.  After the first passing draw the exact residual is reduced
+    once; where it vanishes, the later draws are only tested for
+    admissibility (see the module docstring).  In symbolic mode the residual
+    is reduced modulo the relation; a residual that vanishes only modulo the
+    relation is reported, not failed.
     """
     if mode == "symbolic":
-        r1, r2 = invariance_residual(vf, bmap)
-        if r1.is_zero() and r2.is_zero():
+        residual = invariance_residual(vf, bmap)
+        if _vanishes(residual, {}):
             return SymmetryReport(True, mode)
         if relation is not None:
-            relsub = relation_substitution([relation], eigenvalue_syms)
-            if r1.subs(relsub).is_zero() and r2.subs(relsub).is_zero():
+            if _vanishes(residual, relation_substitution([relation], eigenvalue_syms)):
                 return SymmetryReport(True, mode, relation_required=True,
                                       note="residual vanishes modulo the eigenvalue relation")
-        return SymmetryReport(False, mode, residual=(str(r1), str(r2)))
+        return SymmetryReport(False, mode, residual=tuple(map(str, residual)))
     if mode != "numeric-probe":
         raise SymmetryError(f"unknown mode {mode!r}")
     if draws < 1:
         raise ValueError(f"numeric-probe mode needs draws >= 1, got {draws}")
     ctx = vf.ctx
     params = [s.name for s in ctx.syms if s.kind == "parameter"]
-    f1, f2 = vf.components()
+    f = vf.components()
+    dens = {c.den for c in f}
     rng = random.Random(seed)
     relsub = {} if relation is None else relation_substitution([relation], eigenvalue_syms)
+    proved = None  # whether the exact residual vanishes, decided after one passing draw
     done = 0
     attempts = 0
     while done < draws:
@@ -188,14 +233,11 @@ def verify_symmetry(vf: PlaneVectorField, bmap: BirationalMap, mode: str = "nume
         if attempts > 50 * draws:
             raise SymmetryError("parameter draws kept hitting excluded loci")
         values = draw_parameters(ctx, rng, relsub)
+        if proved and _admissible(dens, bmap, values, params):
+            done += 1
+            continue
         try:
-            fv = (f1.subs(values), f2.subs(values))
-            images = tuple(img.subs(values)
-                           for img in (bmap.x_image, bmap.y_image, bmap.t_image))
-            mapped = {p: bmap.param_map.get(p, ctx.var(p)).subs(values) for p in params}
-            image = dict(zip(("x", "y", "t"), images))
-            r1, r2 = _residual(fv, images, (f1.subs(mapped).subs(image),
-                                            f2.subs(mapped).subs(image)))
+            r1, r2 = _probe_residual(f, bmap, values, params)
         except DivisionByZero:
             continue
         if not r1.is_zero() or not r2.is_zero():
@@ -203,7 +245,24 @@ def verify_symmetry(vf: PlaneVectorField, bmap: BirationalMap, mode: str = "nume
                                   note=f"failed at draw {done + 1} with "
                                        + ", ".join(f"{k}={v}" for k, v in values.items()))
         done += 1
+        if proved is None and done < draws:
+            proved = _proved(vf, bmap, params, relsub)
     return SymmetryReport(True, mode, draws=done)
+
+
+def _proved(vf: PlaneVectorField, bmap: BirationalMap, params: Sequence[str],
+            relsub: dict[str, MRat]) -> bool:
+    """Whether the exact residual vanishes, outright or modulo the relation.
+
+    False, so that every draw is probed, when the reduction divides by zero
+    or the map sends a symbol other than a parameter in its parameter map.
+    """
+    if not set(bmap.param_map) <= set(params):
+        return False
+    try:
+        return _vanishes(invariance_residual(vf, bmap), relsub)
+    except DivisionByZero:
+        return False
 
 
 def verify_involution(bmap: BirationalMap, relation: MPoly | None = None,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis import assume
 
-from grs.algebra import (MAX_NESTING, Context, DivisionByZero, InconsistentSystem, MPoly,
+from grs.algebra import (MAX_EXPONENT, MAX_NESTING, Context, DivisionByZero, InconsistentSystem, MPoly,
                          MRat, Mat2, ParseError, StuckSystem, parse_rat, poly_gcd,
                          solve_triangular, split_content, exact_divide)
 from grs import algebra
@@ -206,6 +206,19 @@ def test_parser_nesting_budget(ctx):
     for depth in (MAX_NESTING + 1, 5000):
         with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING}"):
             parse_rat(ctx, "(" * depth + "t" + ")" * depth)
+
+
+def test_parser_exponent_budget(ctx):
+    """A power up to MAX_EXPONENT parses, nested powers counting as their
+    product; a larger one is refused before any of it is computed."""
+    x = ctx.var("x")
+    assert parse_rat(ctx, f"x^{MAX_EXPONENT}") == x ** MAX_EXPONENT
+    assert parse_rat(ctx, "(x^8)^8") == x ** 64
+    assert parse_rat(ctx, f"t^-{MAX_EXPONENT}") == ctx.var("t") ** -MAX_EXPONENT
+    for text in (f"x^{MAX_EXPONENT + 1}", "2^99999999", "(x+t)^99999999", "(x^8)^9",
+                 "((2^4)^4)^5", "(t*(x^2)^17)^2", "x^" + "9" * 5000):
+        with pytest.raises(ParseError, match=f"power above MAX_EXPONENT = {MAX_EXPONENT}"):
+            parse_rat(ctx, text)
 
 
 def test_grlex_rendering_deterministic():
@@ -420,6 +433,30 @@ def test_subs_matches_sympy_cancel(kind, data, p, q, d):
             r.subs(values)
     else:
         _assert_canonical_as_sympy(r.subs(values), subs(_to_sympy(r.num)) / den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=_polys(max_terms=6), q=_cofactor, d=_factor)
+def test_constants_substituted_in_one_pass_match_horner(data, p, q, d):
+    """Substitution puts constant values in with one pass over the terms;
+    the Horner scheme over MRat with every value, constants included, is
+    the reference."""
+    names = data.draw(st.lists(st.sampled_from(ORACLE_CTX.names), min_size=1, max_size=3,
+                               unique=True))
+    values = {n: data.draw(SUBS_VALUES["constant" if i == 0 else "mixed"])
+              for i, n in enumerate(names)}
+
+    def horner(poly):
+        return algebra._horner(poly, values, MRat.from_poly)
+
+    assert p.subs(values) == horner(p)
+    r = MRat(q, d)
+    den = horner(r.den)
+    if den.is_zero():
+        with pytest.raises(DivisionByZero):
+            r.subs(values)
+    else:
+        assert r.subs(values) == horner(r.num) / den
 
 
 def test_subs_errors():

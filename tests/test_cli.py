@@ -289,6 +289,15 @@ def test_cli_vector_field_file_names_the_missing_field(tmp_path, capsys, documen
     assert _run(capsys, "show", "--system", str(path)) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("power", ["2^99999999", "(x+y)^99999999"])
+def test_cli_exponent_above_the_budget_exits_one(tmp_path, capsys, power):
+    path = tmp_path / "vf.json"
+    path.write_text(gio.dumps({"chart": "U0", "dxdt": power, "dydt": "y",
+                               "model": {"n": 2, "twist": ["alpha2"]}}))
+    assert _run(capsys, "show", "--system", str(path)) == (
+        1, "", f"error: power above MAX_EXPONENT = 64 in {power!r}\n")
+
+
 def test_cli_unknown_chart_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "vf.json"
     path.write_text(gio.dumps({"chart": "U9", "dxdt": "x", "dydt": "y",

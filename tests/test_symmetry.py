@@ -1,11 +1,50 @@
 """Birational symmetry tests: exact probes, involutions, push-forwards."""
 
+import random
+
 import pytest
 
-from grs.algebra import Context
+from grs import symmetry
+from grs.algebra import Context, DivisionByZero
 from grs.catalog import get_maps, get_system
-from grs.symmetry import (BirationalMap, SingularJacobian, identity_map,
-                          push_forward, verify_involution, verify_symmetry)
+from grs.recovery import relation_substitution
+from grs.surface import PlaneVectorField, SurfaceModel, chain_rule
+from grs.symmetry import (BirationalMap, SymmetryError, SymmetryReport, _residual,
+                          verify_involution, verify_symmetry)
+
+
+class SingularJacobian(SymmetryError):
+    pass
+
+
+def identity_map(ctx: Context, name: str = "id") -> BirationalMap:
+    return BirationalMap(name, ctx.var("x"), ctx.var("y"), ctx.var("t"), {})
+
+
+def push_forward(vf: PlaneVectorField, bmap: BirationalMap,
+                 inverse: BirationalMap | None = None) -> PlaneVectorField:
+    """Exact transformed field, written in the image variables.
+
+    The inverse map defaults to the map itself with parameters replaced by
+    their images, which is the correct inverse for the involutions used
+    throughout; pass an explicit inverse otherwise.
+    """
+    xi, yi = bmap.x_image, bmap.y_image
+    det = xi.derivative("x") * yi.derivative("y") - xi.derivative("y") * yi.derivative("x")
+    if det.is_zero():
+        raise SingularJacobian(f"{bmap.name}: Jacobian in (x, y) is singular")
+    tprime = bmap.t_image.derivative("t")
+    if tprime.is_zero():
+        raise SymmetryError(f"{bmap.name}: time image does not depend on t")
+    d1, d2 = chain_rule((xi, yi), vf.components(), time=True)
+    if inverse is None:
+        inv_subs = {"x": xi.subs(bmap.param_map), "y": yi.subs(bmap.param_map),
+                    "t": bmap.t_image}
+    else:
+        inv_subs = {"x": inverse.x_image, "y": inverse.y_image, "t": inverse.t_image}
+    return PlaneVectorField((d1 / tprime).subs(inv_subs), (d2 / tprime).subs(inv_subs),
+                            vf.chart, vf.model)
+
 
 CASES = [(sys_name, map_name)
          for sys_name, map_names in [("gen-pvi", ("s", "pi1", "pi2", "pi3")),
@@ -154,3 +193,134 @@ def test_singular_jacobian_rejected():
         push_forward(push_forward(entry.vf, identity_map(entry.vf.ctx)),
                      BirationalMap("deg", entry.vf.ctx.var("x"),
                                    entry.vf.ctx.var("x"), entry.vf.ctx.var("t"), {}))
+
+
+# -- probe verdicts from the exact residual ----------------------------------
+
+
+def _reference_probe(vf, bmap, relation=None, eigenvalue_syms=(), draws=20,
+                     seed=20200828):
+    """Numeric-probe mode as a loop that checks every draw in full."""
+    ctx = vf.ctx
+    params = [s.name for s in ctx.syms if s.kind == "parameter"]
+    f1, f2 = vf.components()
+    rng = random.Random(seed)
+    relsub = {} if relation is None else relation_substitution([relation], eigenvalue_syms)
+    done = 0
+    attempts = 0
+    while done < draws:
+        attempts += 1
+        if attempts > 50 * draws:
+            raise SymmetryError("parameter draws kept hitting excluded loci")
+        values = symmetry.draw_parameters(ctx, rng, relsub)
+        try:
+            fv = (f1.subs(values), f2.subs(values))
+            images = tuple(img.subs(values)
+                           for img in (bmap.x_image, bmap.y_image, bmap.t_image))
+            mapped = {p: bmap.param_map.get(p, ctx.var(p)).subs(values) for p in params}
+            image = dict(zip(("x", "y", "t"), images))
+            r1, r2 = _residual(fv, images, (f1.subs(mapped).subs(image),
+                                            f2.subs(mapped).subs(image)))
+        except DivisionByZero:
+            continue
+        if not r1.is_zero() or not r2.is_zero():
+            return SymmetryReport(False, "numeric-probe", draws=done + 1,
+                                  residual=(str(r1), str(r2)),
+                                  note=f"failed at draw {done + 1} with "
+                                       + ", ".join(f"{k}={v}" for k, v in values.items()))
+        done += 1
+    return SymmetryReport(True, "numeric-probe", draws=done)
+
+
+@pytest.mark.parametrize("sys_name, map_name", CASES + [("gen-pvi", "pi3-verbatim")])
+def test_probe_matches_the_per_draw_loop(sys_name, map_name):
+    entry, bmap = _get(sys_name, map_name)
+    for seed in (1, 2, 3, 5, 8):
+        for draws in (1, 3, 20):
+            args = (entry.vf, bmap, entry.relation, entry.eigenvalue_syms, draws, seed)
+            assert verify_symmetry(entry.vf, bmap, "numeric-probe", *args[2:]) \
+                == _reference_probe(*args), (seed, draws)
+
+
+def _scaling_case():
+    """dx/dt = x^2/((103 x - 101 b)(a - 2)), dy/dt = y under x -> x/(a-1),
+    b -> b/(a-1).
+
+    Invariant, since F1(c x, c b) = c F1(x, b).  The draws with a = 1 (the
+    x image undefined) or a = 2 (F undefined) are excluded, and at the draws
+    with b = 1 the denominator of F vanishes at the point where the probe
+    tests it first, so they are probed in full."""
+    ctx = Context.make(parameters=["a", "b"])
+    x, y, t, a, b = (ctx.var(n) for n in ("x", "y", "t", "a", "b"))
+    one, two = ctx.rat(1), ctx.rat(2)
+    vf = PlaneVectorField(x * x / ((ctx.rat(103) * x - ctx.rat(101) * b) * (a - two)), y,
+                          "U0", SurfaceModel(1, ()))
+    bmap = BirationalMap("scale", x / (a - one), y, t, {"b": b / (a - one)})
+    return vf, bmap
+
+
+def _spy(monkeypatch, events, name, outcome):
+    """Log (name, outcome of the result, or "excluded") for each call."""
+    original = getattr(symmetry, name)
+
+    def wrapper(*args):
+        try:
+            result = original(*args)
+        except DivisionByZero:
+            events.append((name, "excluded"))
+            raise
+        events.append((name, outcome(result)))
+        return result
+    monkeypatch.setattr(symmetry, name, wrapper)
+
+
+def test_probe_after_the_proof_excludes_draws_and_falls_back(monkeypatch):
+    vf, bmap = _scaling_case()
+    assert verify_symmetry(vf, bmap, "symbolic").invariant
+    events = []
+    _spy(monkeypatch, events, "_proved", bool)
+    _spy(monkeypatch, events, "_admissible", bool)
+    _spy(monkeypatch, events, "_probe_residual", lambda r: "passed")
+    _spy(monkeypatch, events, "draw_parameters", lambda r: "drawn")
+    for seed in range(1, 9):
+        start = len(events)
+        report = verify_symmetry(vf, bmap, draws=20, seed=seed)
+        attempts = events[start:].count(("draw_parameters", "drawn"))
+        start = len(events)
+        assert report == _reference_probe(vf, bmap, draws=20, seed=seed)
+        assert attempts == events[start:].count(("draw_parameters", "drawn"))
+    after = events[events.index(("_proved", True)) + 1:]
+    # the cheap test certified most draws and could not tell at some; the
+    # full probe then passed some of those and excluded the others
+    assert ("_admissible", True) in after
+    assert ("_admissible", False) in after
+    assert ("_probe_residual", "passed") in after
+    assert ("_probe_residual", "excluded") in after
+
+
+def test_probe_continues_when_the_exact_residual_does_not_vanish():
+    """x -> x + (a - a0) t leaves the residual ((a - a0)(1 - t), 0) on
+    dx/dt = x, dy/dt = y; a0 is the first draw of a, so that draw passes and
+    a later one fails, with the same report as when every draw is probed."""
+    ctx = Context.make(parameters=["a", "b"])
+    x, y, t, a = (ctx.var(n) for n in ("x", "y", "t", "a"))
+    vf = PlaneVectorField(x, y, "U0", SurfaceModel(1, ()))
+    for seed in (1, 2, 3):
+        a0 = symmetry.draw_parameters(ctx, random.Random(seed), {})["a"]
+        bmap = BirationalMap("shear", x + (a - a0) * t, y, t, {})
+        report = verify_symmetry(vf, bmap, draws=20, seed=seed)
+        assert not report.invariant and report.draws > 1
+        assert report == _reference_probe(vf, bmap, draws=20, seed=seed)
+
+
+def test_probe_raises_when_every_draw_is_excluded():
+    """The x image has the relation n1*n2 - 4 as its denominator, which
+    every draw consistent with the relation makes vanish."""
+    ctx = Context.make(parameters=["n1", "n2"])
+    x, y, t, n1, n2 = (ctx.var(n) for n in ("x", "y", "t", "n1", "n2"))
+    relation = (n1 * n2 - ctx.rat(4)).num
+    vf = PlaneVectorField(x, y, "U0", SurfaceModel(1, ()))
+    bmap = BirationalMap("excluded", x / (n1 * n2 - ctx.rat(4)), y, t, {})
+    for call in (verify_symmetry, _reference_probe):
+        with pytest.raises(SymmetryError, match="kept hitting excluded loci"):
+            call(vf, bmap, relation=relation, eigenvalue_syms=("n1", "n2"), draws=3)
