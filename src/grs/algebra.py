@@ -199,13 +199,7 @@ def split_content(p: MPoly, names: Sequence[str]) -> tuple[MPoly, MPoly]:
     polynomial in the named symbols; the primitive part carries the actual
     dependence on them.
     """
-    coeffs = coefficients_in(p, names)
-    content = coeffs[0]
-    for c in coeffs[1:]:
-        if content.is_constant():
-            break
-        content = poly_gcd(content, c)
-    content = content.primitive()
+    content = _list_gcd(coefficients_in(p, names))
     if content.is_constant():
         return p.ctx.poly(1), p
     return content, exact_divide(p, content)

@@ -10,7 +10,7 @@ triple points treated here it comes out as (x, x^2*y) and (x, x^3*y).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .algebra import MPoly, MRat, assign, solve_linear
@@ -53,11 +53,11 @@ class LocalChart:
         return self.fx.ctx
 
 
-def translate_chart(c: LocalChart, u0: MRat, time: str = "t") -> LocalChart:
+def translate_chart(c: LocalChart, u0: MRat) -> LocalChart:
     """Shift the first coordinate by u0(t); the chain rule subtracts u0'."""
     ctx = c.ctx
     shift = {"x": ctx.var("x") + u0}
-    du0 = u0.derivative(time) if time in ctx else ctx.rat(0)
+    du0 = u0.derivative("t") if "t" in ctx else ctx.rat(0)
     return LocalChart(c.fx.subs(shift) - du0, c.fy.subs(shift), c.u_expr - u0, c.v_expr)
 
 
@@ -111,8 +111,6 @@ class ResolutionTrace:
     steps: list[str]
     final_chart: LocalChart
     final_location: MRat      # along-divisor coordinate of the resolved point
-    final_point: AccessiblePoint
-    conditions: list[tuple[str, MPoly]] = field(default_factory=list)
 
     @property
     def final_chart_map(self) -> tuple[MRat, MRat]:
@@ -201,8 +199,7 @@ def resolve_multiplicity(vf: PlaneVectorField, point: AccessiblePoint,
     location, mult = roots[0]
     if mult != 1:
         raise NotResolvable(f"resolved point at {location} is not simple (order {mult})")
-    fpoint = AccessiblePoint("exceptional", location, 1)
-    trace = ResolutionTrace(steps, chart, location, fpoint)
+    trace = ResolutionTrace(steps, chart, location)
     trace.final_index()  # validates accessibility of the resolved point
     return trace
 
@@ -218,7 +215,6 @@ class FamilyResolution:
 
     trace: ResolutionTrace
     conditions: list[tuple[str, MPoly]]
-    assignments: dict[str, MRat]
 
 
 def resolve_family(vf: PlaneVectorField, location: MRat, multiplicity: int,
@@ -263,9 +259,7 @@ def resolve_family(vf: PlaneVectorField, location: MRat, multiplicity: int,
                           resolved_location.subs(assignments) if assignments else resolved_location)
     emit("resolved-point accessibility", access.num)
     chart_obj = _with(chart_obj, assignments)
-    fpoint = AccessiblePoint("exceptional", resolved_location, 1)
-    trace = ResolutionTrace(steps, chart_obj, resolved_location, fpoint, conditions)
-    return FamilyResolution(trace, conditions, assignments)
+    return FamilyResolution(ResolutionTrace(steps, chart_obj, resolved_location), conditions)
 
 
 # ---------------------------------------------------------------------------

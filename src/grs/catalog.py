@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Context, MPoly, MRat, Mat2
+from .diophantine import relation_polynomial
 from .recovery import GRScheme, ResolvedData, SingularSpec
 from .surface import PlaneVectorField, SurfaceModel, sigma2_model
 from .symmetry import BirationalMap
@@ -44,26 +45,25 @@ class SchemeEntry:
 
 ALPHAS = tuple(f"alpha{i}" for i in range(5))
 
-
-def _ctx_pvi() -> Context:
-    return Context.make(parameters=ALPHAS)
-
-
-def _ctx_gen_pvi() -> Context:
-    return Context.make(parameters=list(ALPHAS) + ["n1", "n2", "n3", "n4"])
-
-
-def _ctx_gen_pv() -> Context:
-    return Context.make(parameters=["alpha0", "alpha1", "alpha2", "alpha3",
-                                    "n1", "n2", "n3"])
+# Each builtin family once: its parameters in context order, its eigenvalue
+# symbols, and the name of its eigenvalue relation in diophantine.RELATIONS.
+FAMILIES: dict[str, tuple[tuple[str, ...], tuple[str, ...], str | None]] = {
+    "pvi": (ALPHAS, (), None),
+    "gen-pvi": (ALPHAS + ("n1", "n2", "n3", "n4"), ("n1", "n2", "n3", "n4"), "genVI"),
+    "gen-pv": (ALPHAS[:4] + ("n1", "n2", "n3"), ("n1", "n2", "n3"), "genV"),
+    "gen-piv": (ALPHAS[:3] + ("n1", "n2", "a"), ("n1", "n2"), "genIV"),
+    "gen-piii": (ALPHAS[:3] + ("n1", "n2"), ("n1", "n2"), "genIII"),
+}
 
 
-def _ctx_gen_piv() -> Context:
-    return Context.make(parameters=["alpha0", "alpha1", "alpha2", "n1", "n2", "a"])
+def _ctx(name: str) -> Context:
+    return Context.make(parameters=FAMILIES[name][0])
 
 
-def _ctx_gen_piii() -> Context:
-    return Context.make(parameters=["alpha0", "alpha1", "alpha2", "n1", "n2"])
+def _system(name: str, vf: PlaneVectorField, description: str) -> SystemEntry:
+    params, syms, rel = FAMILIES[name]
+    return SystemEntry(name, vf, params, syms, relation_polynomial(rel, vf.ctx), None,
+                       description)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +84,7 @@ def pvi_system(normalized: bool = False) -> SystemEntry:
     with normalized=True that relation is substituted (alpha0 eliminated),
     which is what makes the field admissible on the surface.
     """
-    ctx = _ctx_pvi()
+    ctx = _ctx("pvi")
     x, y, t = ctx.var("x"), ctx.var("y"), ctx.var("t")
     a0, a1, a2, a3, a4 = (ctx.var(n) for n in ALPHAS)
     one, two = ctx.rat(1), ctx.rat(2)
@@ -101,13 +101,13 @@ def pvi_system(normalized: bool = False) -> SystemEntry:
     normalization = {"alpha0": one - a1 - two * a2 - a3 - a4}
     if normalized:
         vf = vf.subs_params(normalization)
-    return SystemEntry("pvi", vf, ALPHAS, (), None, normalization,
+    return SystemEntry("pvi", vf, *FAMILIES["pvi"][:2], None, normalization,
                        "sixth Painleve system, polynomial Hamiltonian form")
 
 
 def gen_pvi_system() -> SystemEntry:
     """Four simple points with eigenvalues (n_i, 1); reduces to PVI at n=2."""
-    ctx = _ctx_gen_pvi()
+    ctx = _ctx("gen-pvi")
     x, y, t = ctx.var("x"), ctx.var("y"), ctx.var("t")
     a0, a1, a2, a3, a4 = (ctx.var(n) for n in ALPHAS)
     n1, n2, n3 = ctx.var("n1"), ctx.var("n2"), ctx.var("n3")
@@ -129,22 +129,12 @@ def gen_pvi_system() -> SystemEntry:
                       - n1 * n3 * a3 * (t - one) - n2 * n3 * a4 * t) * y
                    - a2 * (q * a1 + (p3 - s2) * a2))
     vf = PlaneVectorField(dxdt, dydt, "U0", sigma2_model(ctx))
-    relation = _relation_gen_pvi(ctx)
-    return SystemEntry("gen-pvi", vf, tuple(ALPHAS) + ("n1", "n2", "n3", "n4"),
-                       ("n1", "n2", "n3", "n4"), relation, None,
-                       "eigenvalue generalization of PVI (four simple points)")
-
-
-def _relation_gen_pvi(ctx: Context) -> MPoly:
-    n1, n2, n3, n4 = (ctx.poly_var(n) for n in ("n1", "n2", "n3", "n4"))
-    two = ctx.poly(2)
-    return (n2 * n3 * n4 + n1 * n3 * n4 + n1 * n2 * n4 + n1 * n2 * n3
-            - two * n1 * n2 * n3 * n4)
+    return _system("gen-pvi", vf, "eigenvalue generalization of PVI (four simple points)")
 
 
 def gen_pv_system() -> SystemEntry:
     """Double point at X=0 plus two simple points; reduces to PV at n=2."""
-    ctx = _ctx_gen_pv()
+    ctx = _ctx("gen-pv")
     x, y, t = ctx.var("x"), ctx.var("y"), ctx.var("t")
     a0, a1, a2, a3 = (ctx.var(f"alpha{i}") for i in range(4))
     n1, n2 = ctx.var("n1"), ctx.var("n2")
@@ -165,22 +155,12 @@ def gen_pv_system() -> SystemEntry:
                       + (n1 + n2) * t) * y
                    + two * n1 * a2 * (a1 + a2 - n2 * a2))
     vf = PlaneVectorField(dxdt, dydt, "U0", sigma2_model(ctx))
-    relation = _relation_gen_pv(ctx)
-    return SystemEntry("gen-pv", vf, ("alpha0", "alpha1", "alpha2", "alpha3",
-                                      "n1", "n2", "n3"),
-                       ("n1", "n2", "n3"), relation, None,
-                       "eigenvalue generalization of PV (double point at X=0)")
-
-
-def _relation_gen_pv(ctx: Context) -> MPoly:
-    n1, n2, n3 = (ctx.poly_var(n) for n in ("n1", "n2", "n3"))
-    two = ctx.poly(2)
-    return two * n1 * n2 * n3 - (n1 + n2) * n3 - two * (n1 + n2)
+    return _system("gen-pv", vf, "eigenvalue generalization of PV (double point at X=0)")
 
 
 def gen_piv_system() -> SystemEntry:
     """Triple point at X=0 plus a simple point; overall scale a(t) stays free."""
-    ctx = _ctx_gen_piv()
+    ctx = _ctx("gen-piv")
     x, y, t = ctx.var("x"), ctx.var("y"), ctx.var("t")
     a1, a2 = ctx.var("alpha1"), ctx.var("alpha2")
     n1 = ctx.var("n1")
@@ -194,21 +174,12 @@ def gen_piv_system() -> SystemEntry:
                 - (two * n1 - one) * t / (three * n1) * y
                 + a2 * (a1 - (n1 - one) * a2) / n1)
     vf = PlaneVectorField(dxdt, dydt, "U0", sigma2_model(ctx))
-    relation = _relation_gen_piv(ctx)
-    return SystemEntry("gen-piv", vf, ("alpha0", "alpha1", "alpha2", "n1", "n2", "a"),
-                       ("n1", "n2"), relation, None,
-                       "eigenvalue generalization of PIV (triple point at X=0)")
-
-
-def _relation_gen_piv(ctx: Context) -> MPoly:
-    n1, n2 = ctx.poly_var("n1"), ctx.poly_var("n2")
-    two, three = ctx.poly(2), ctx.poly(3)
-    return two * n1 * n2 - three * n1 - n2 - three
+    return _system("gen-piv", vf, "eigenvalue generalization of PIV (triple point at X=0)")
 
 
 def gen_piii_system() -> SystemEntry:
     """Two double points (X=0 and X=inf); reduces to PIII at n=(2,2)."""
-    ctx = _ctx_gen_piii()
+    ctx = _ctx("gen-piii")
     x, y, t = ctx.var("x"), ctx.var("y"), ctx.var("t")
     a0, a1, a2 = (ctx.var(f"alpha{i}") for i in range(3))
     n1 = ctx.var("n1")
@@ -220,15 +191,7 @@ def gen_piii_system() -> SystemEntry:
     dydt = pref * (four * x * y ** 2 - four * x * y
                    - (two * n1 * a1 + (n1 - six) * a2) * y - two * a2)
     vf = PlaneVectorField(dxdt, dydt, "U0", sigma2_model(ctx))
-    relation = _relation_gen_piii(ctx)
-    return SystemEntry("gen-piii", vf, ("alpha0", "alpha1", "alpha2", "n1", "n2"),
-                       ("n1", "n2"), relation, None,
-                       "eigenvalue generalization of PIII (two double points)")
-
-
-def _relation_gen_piii(ctx: Context) -> MPoly:
-    n1, n2 = ctx.poly_var("n1"), ctx.poly_var("n2")
-    return n1 * n2 - ctx.poly(4)
+    return _system("gen-piii", vf, "eigenvalue generalization of PIII (two double points)")
 
 
 def piv_reference() -> SystemEntry:
@@ -259,7 +222,7 @@ def _mat(ctx: Context, rows) -> Mat2:
 
 
 def scheme_pvi() -> SchemeEntry:
-    ctx = _ctx_pvi()
+    ctx = _ctx("pvi")
     t = ctx.var("t")
     specs = (
         SingularSpec(ctx.rat(0), 1, _mat(ctx, [["2", "-alpha4"], ["0", "1"]])),
@@ -267,14 +230,14 @@ def scheme_pvi() -> SchemeEntry:
         SingularSpec(t, 1, _mat(ctx, [["2", "-alpha0"], ["0", "1"]])),
         SingularSpec(None, 1, _mat(ctx, [["2", "-alpha1"], ["0", "1"]])),
     )
-    scheme = GRScheme(sigma2_model(ctx), specs, ALPHAS, (), "pvi")
+    scheme = GRScheme(sigma2_model(ctx), specs, *FAMILIES["pvi"][:2], "pvi")
     return SchemeEntry("pvi", scheme, "pvi",
                        "fully determined; equals PVI after the parameter "
                        "normalization alpha0+alpha1+2*alpha2+alpha3+alpha4=1")
 
 
 def scheme_gen_pvi() -> SchemeEntry:
-    ctx = _ctx_gen_pvi()
+    ctx = _ctx("gen-pvi")
     t = ctx.var("t")
     specs = (
         SingularSpec(ctx.rat(0), 1, _mat(ctx, [["n1", "alpha4"], ["0", "1"]])),
@@ -282,14 +245,12 @@ def scheme_gen_pvi() -> SchemeEntry:
         SingularSpec(t, 1, _mat(ctx, [["n3", "alpha0"], ["0", "1"]])),
         SingularSpec(None, 1, _mat(ctx, [["n4", "alpha1"], ["0", "1"]])),
     )
-    scheme = GRScheme(sigma2_model(ctx), specs,
-                      tuple(ALPHAS) + ("n1", "n2", "n3", "n4"),
-                      ("n1", "n2", "n3", "n4"), "gen-pvi")
+    scheme = GRScheme(sigma2_model(ctx), specs, *FAMILIES["gen-pvi"][:2], "gen-pvi")
     return SchemeEntry("gen-pvi", scheme, "gen-pvi", "fully determined")
 
 
 def scheme_gen_pv() -> SchemeEntry:
-    ctx = _ctx_gen_pv()
+    ctx = _ctx("gen-pv")
     t = ctx.var("t")
     x, y = ctx.var("x"), ctx.var("y")
     resolved = ResolvedData((x, x ** 2 * y), (ctx.rat(0), -t))
@@ -299,29 +260,28 @@ def scheme_gen_pv() -> SchemeEntry:
         SingularSpec(ctx.rat(1), 1, _mat(ctx, [["n1", "alpha0"], ["0", "1"]])),
         SingularSpec(None, 1, _mat(ctx, [["n2", "alpha1"], ["0", "1"]])),
     )
-    scheme = GRScheme(sigma2_model(ctx), specs,
-                      ("alpha0", "alpha1", "alpha2", "alpha3", "n1", "n2", "n3"),
-                      ("n1", "n2", "n3"), "gen-pv")
+    scheme = GRScheme(sigma2_model(ctx), specs, *FAMILIES["gen-pv"][:2], "gen-pv")
     return SchemeEntry("gen-pv", scheme, "gen-pv", "fully determined")
 
 
 def scheme_gen_piv() -> SchemeEntry:
-    ctx = _ctx_gen_piv()
+    ctx = _ctx("gen-piv")
     x, y = ctx.var("x"), ctx.var("y")
     resolved = ResolvedData((x, x ** 3 * y), (ctx.rat(0), ctx.rat(Fraction(-1, 2))))
     specs = (
         SingularSpec(ctx.rat(0), 3, _mat(ctx, [["1", "0"], ["2*t", "n2"]]), resolved),
         SingularSpec(None, 1, _mat(ctx, [["n1", "alpha1"], ["0", "1"]])),
     )
-    scheme = GRScheme(sigma2_model(ctx), specs,
-                      ("alpha0", "alpha1", "alpha2", "n1", "n2"),
-                      ("n1", "n2"), "gen-piv")
+    params, syms, _ = FAMILIES["gen-piv"]
+    # the scheme leaves the overall scale a(t) free: it is not a scheme parameter
+    scheme = GRScheme(sigma2_model(ctx), specs, tuple(p for p in params if p != "a"),
+                      syms, "gen-piv")
     return SchemeEntry("gen-piv", scheme, "gen-piv",
                        "underdetermined by one overall function a(t)")
 
 
 def scheme_gen_piii() -> SchemeEntry:
-    ctx = _ctx_gen_piii()
+    ctx = _ctx("gen-piii")
     t = ctx.var("t")
     x, y = ctx.var("x"), ctx.var("y")
     a2 = ctx.var("alpha2")
@@ -334,9 +294,7 @@ def scheme_gen_piii() -> SchemeEntry:
         SingularSpec(None, 2, _mat(ctx, [["1", "0"], ["2*alpha1", "n2"]]),
                      resolved_inf),
     )
-    scheme = GRScheme(sigma2_model(ctx), specs,
-                      ("alpha0", "alpha1", "alpha2", "n1", "n2"),
-                      ("n1", "n2"), "gen-piii")
+    scheme = GRScheme(sigma2_model(ctx), specs, *FAMILIES["gen-piii"][:2], "gen-piii")
     return SchemeEntry("gen-piii", scheme, "gen-piii", "fully determined")
 
 
@@ -346,7 +304,7 @@ def scheme_gen_piii() -> SchemeEntry:
 
 
 def maps_gen_pvi() -> list[BirationalMap]:
-    ctx = _ctx_gen_pvi()
+    ctx = _ctx("gen-pvi")
     x, y, t = ctx.var("x"), ctx.var("y"), ctx.var("t")
     a0, a1, a2, a3, a4 = (ctx.var(n) for n in ALPHAS)
     n1, n2, n3, n4 = (ctx.var(n) for n in ("n1", "n2", "n3", "n4"))
@@ -390,7 +348,7 @@ def maps_gen_pvi() -> list[BirationalMap]:
 
 
 def maps_gen_pv() -> list[BirationalMap]:
-    ctx = _ctx_gen_pv()
+    ctx = _ctx("gen-pv")
     x, y, t = ctx.var("x"), ctx.var("y"), ctx.var("t")
     a0, a1, a2, a3 = (ctx.var(f"alpha{i}") for i in range(4))
     n1, n2 = ctx.var("n1"), ctx.var("n2")
@@ -410,7 +368,7 @@ def maps_gen_pv() -> list[BirationalMap]:
 
 
 def maps_gen_piv() -> list[BirationalMap]:
-    ctx = _ctx_gen_piv()
+    ctx = _ctx("gen-piv")
     x, y, t = ctx.var("x"), ctx.var("y"), ctx.var("t")
     a1, a2 = ctx.var("alpha1"), ctx.var("alpha2")
     n1 = ctx.var("n1")
@@ -424,7 +382,7 @@ def maps_gen_piv() -> list[BirationalMap]:
 
 
 def maps_gen_piii() -> list[BirationalMap]:
-    ctx = _ctx_gen_piii()
+    ctx = _ctx("gen-piii")
     x, y, t = ctx.var("x"), ctx.var("y"), ctx.var("t")
     a0, a1, a2 = (ctx.var(f"alpha{i}") for i in range(3))
     n1, n2 = ctx.var("n1"), ctx.var("n2")

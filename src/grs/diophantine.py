@@ -15,6 +15,9 @@ from typing import Sequence
 
 RELATIONS = ("genVI", "genV", "genIV", "genIII")
 
+# bounded_integer_search refuses a box of more tuples than this
+MAX_SEARCH = 10**7
+
 
 class RelationError(Exception):
     pass
@@ -190,11 +193,19 @@ def brute_force_box(rel: str, bound: int, convention: str = "paper") -> list[tup
 def bounded_integer_search(rel: str, bound: int) -> list[tuple[int, ...]]:
     """All signed nonzero integer tuples with |entries| <= bound satisfying
     the relation.  Explicitly non-exhaustive: a bounded exploration, not a
-    classification.
+    classification.  The box holds (2*bound)^k tuples; one of more than
+    MAX_SEARCH raises ValueError.
     """
     if bound < 1:
         return []
     k = arity(rel)
+    if (2 * bound) ** k > MAX_SEARCH:
+        largest = 1
+        while (2 * (largest + 1)) ** k <= MAX_SEARCH:
+            largest += 1
+        raise ValueError(f"{rel} search box of (2*{bound})^{k} = {(2 * bound) ** k} tuples "
+                         f"exceeds the budget of {MAX_SEARCH}; the largest bound "
+                         f"allowed is {largest}")
     values = [v for v in range(-bound, bound + 1) if v != 0]
     out = []
     for tup in product(values, repeat=k):
@@ -204,30 +215,27 @@ def bounded_integer_search(rel: str, bound: int) -> list[tuple[int, ...]]:
 
 
 def relation_polynomial(rel: str, ctx=None):
-    """The relation as a cleared polynomial in symbols n1, n2, ..."""
+    """The relation as a cleared polynomial in symbols n1, n2, ...
+
+    Built in ``ctx`` when given (it must hold those symbols), otherwise in a
+    context of the symbols alone.  This is the one home of the relation
+    polynomials; the builtin systems of ``catalog`` take theirs from here.
+    """
     from .algebra import Context
     k = arity(rel)
     if ctx is None:
         ctx = Context.make(fiber=(), time=None,
                            parameters=[f"n{i}" for i in range(1, k + 1)])
     n = [ctx.poly_var(f"n{i}") for i in range(1, k + 1)]
+    two = ctx.poly(2)
     if rel == "genVI":
-        total = ctx.poly(0)
-        prod = ctx.poly(1)
-        for v in n:
-            prod = prod * v
-        for i in range(4):
-            term = ctx.poly(1)
-            for j in range(4):
-                if j != i:
-                    term = term * n[j]
-            total = total + term
-        return total - ctx.poly(2) * prod
+        n1, n2, n3, n4 = n
+        return (n2 * n3 * n4 + n1 * n3 * n4 + n1 * n2 * n4 + n1 * n2 * n3
+                - two * n1 * n2 * n3 * n4)
     if rel == "genV":
-        return (ctx.poly(2) * n[0] * n[1] * n[2] - (n[0] + n[1]) * n[2]
-                - ctx.poly(2) * (n[0] + n[1]))
+        return two * n[0] * n[1] * n[2] - (n[0] + n[1]) * n[2] - two * (n[0] + n[1])
     if rel == "genIV":
-        return ctx.poly(2) * n[0] * n[1] - ctx.poly(3) * n[0] - n[1] - ctx.poly(3)
+        return two * n[0] * n[1] - ctx.poly(3) * n[0] - n[1] - ctx.poly(3)
     if rel == "genIII":
         return n[0] * n[1] - ctx.poly(4)
     raise RelationError(f"unknown relation {rel!r}")

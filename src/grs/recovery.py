@@ -31,7 +31,7 @@ from .algebra import (Context, InconsistentSystem, MPoly, MRat, Mat2, StuckSyste
                       _relation_normal_form)
 from .blowup import resolve_family, resolve_multiplicity
 from .singularities import (AccessiblePoint, accessible_points, divisor_chart_local,
-                            linearization_matrix, local_index_from_matrix)
+                            linearization, linearization_matrix)
 from .surface import (CoefficientFamily, PlaneVectorField, SurfaceModel,
                       SIGMA2_UNKNOWNS, check_log_condition, family_context,
                       generic_family, poly_block, _u1_pole_conditions)
@@ -113,7 +113,6 @@ class RecoveredSystem:
     """A solved scheme: the vector field, residual freedom, and provenance."""
 
     vf: PlaneVectorField
-    assignments: dict[str, MRat]
     free: tuple[str, ...]
     relations: tuple[MPoly, ...]
     solution: TriangularSolution
@@ -245,8 +244,7 @@ def recover(scheme: GRScheme, verify: bool = True) -> RecoveredSystem:
     vf = PlaneVectorField(dxdt.lift(tidy), dydt.lift(tidy), "U0", tidy_model)
     relations = tuple(_relation_normal_form(r, scheme.eigenvalue_syms).lift(tidy)
                       for r in sol.relations)
-    rec = RecoveredSystem(vf, dict(sol.assignments), tuple(sol.free),
-                          relations, sol, scheme)
+    rec = RecoveredSystem(vf, tuple(sol.free), relations, sol, scheme)
     if verify:
         verify_recovered(rec)
     return rec
@@ -375,16 +373,14 @@ class ExistenceSystem:
     points: list[AccessiblePoint]
     ratios: dict[str, MRat]
     n: int
-    c: tuple[MRat, ...]
     m: tuple[MRat, ...]
 
 
 def construct_existence_system(n: int, c: Sequence, m: Sequence,
-                               ctx: Context | None = None,
-                               twist_name: str = "alpha",
-                               scale_name: str = "a1t") -> ExistenceSystem:
+                               ctx: Context | None = None) -> ExistenceSystem:
     """Build the system with n+2 simple accessible points c_1..c_n, t, inf
-    and local-index ratios m_1..m_{n+2}.
+    and local-index ratios m_1..m_{n+2}, on the surface with twist alpha and
+    overall scale a1t.
 
     The y-blocks are fixed by the data; the remaining polynomial blocks are
     solved so the U1 rewrite is polynomial (free coefficients are set to
@@ -403,7 +399,7 @@ def construct_existence_system(n: int, c: Sequence, m: Sequence,
     if ctx is None:
         extra = sorted({name for v in list(c) + list(m) if isinstance(v, MRat)
                         for name in v.num.variables() + v.den.variables()})
-        params = [twist_name, scale_name] + [e for e in extra if e not in (twist_name, scale_name)]
+        params = ["alpha", "a1t"] + [e for e in extra if e not in ("alpha", "a1t")]
         ctx = Context.make(parameters=params, unknowns=unknowns)
 
     def lift(v) -> MRat:
@@ -429,7 +425,7 @@ def construct_existence_system(n: int, c: Sequence, m: Sequence,
         raise RelationViolated(f"sum of reciprocal ratios is {total}, expected {n}")
 
     x, y = ctx.var("x"), ctx.var("y")
-    a1 = ctx.var(scale_name)
+    a1 = ctx.var("a1t")
     lead = a1
     for cv in locations:
         lead = lead * (x - cv)
@@ -444,7 +440,7 @@ def construct_existence_system(n: int, c: Sequence, m: Sequence,
     b1 = poly_block(ctx, "u1", n + 1)
     b4 = poly_block(ctx, "u2", n)
     b3 = poly_block(ctx, "u3", n - 1)
-    model = SurfaceModel(n, tuple([ctx.var(twist_name)] + [ctx.rat(0)] * (n - 2))
+    model = SurfaceModel(n, tuple([ctx.var("alpha")] + [ctx.rat(0)] * (n - 2))
                          if n >= 2 else ())
     vf = PlaneVectorField(lead * y + b1, -weighted * y * y + b4 * y + b3, "U0", model)
     conditions = _u1_pole_conditions(vf)
@@ -467,15 +463,13 @@ def construct_existence_system(n: int, c: Sequence, m: Sequence,
     order["t"] = n
     order["inf"] = n + 1
     for p in points:
-        local = divisor_chart_local(final, p.chart)
-        matrix, access = linearization_matrix(local, p.location)
-        index = local_index_from_matrix(matrix, "y")
+        index = linearization(final, p)
         ratios[p.label] = index.ratio
         expected = ms[order[p.label]]
         if index.ratio != expected:
             raise VerificationMismatch(
                 f"ratio at X={p.label} is {index.ratio}, expected {expected}")
-    return ExistenceSystem(final, points, ratios, n, tuple(cs), tuple(ms))
+    return ExistenceSystem(final, points, ratios, n, tuple(ms))
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +482,6 @@ class CorrespondenceReport:
     found: bool
     param_map: dict[str, MRat]
     residual: tuple[str, ...]
-    direction: str = "reference-params as affine functions of general-params"
 
 
 def match_specialization(general: PlaneVectorField, reference: PlaneVectorField,

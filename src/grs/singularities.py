@@ -272,8 +272,7 @@ class LocalIndex:
     ratio: MRat
 
 
-def linearization_matrix(local: LocalField, along_location: MRat,
-                         time: str = "t") -> tuple[Mat2, MRat]:
+def linearization_matrix(local: LocalField, along_location: MRat) -> tuple[Mat2, MRat]:
     """Matrix of linear approximation and the accessibility value F1(p).
 
     No accessibility check is performed here; callers either verify the
@@ -290,7 +289,7 @@ def linearization_matrix(local: LocalField, along_location: MRat,
     num_s, den_s = values[s_name]
     # where D(p) = 0, subs raises the DivisionByZero that names the row
     access_value = rows[s_name].subs(point) if den_s.is_zero() else num_s / den_s
-    moving = along_location.derivative(time) if time in ctx else ctx.rat(0)
+    moving = along_location.derivative("t") if "t" in ctx else ctx.rat(0)
     entries = [[None, None], [None, None]]
     for i, row_name in enumerate(order):
         for j, col_name in enumerate(order):
@@ -365,16 +364,14 @@ class AlphaTestResult:
     ratio: MRat
 
 
-def alpha_test(vf: PlaneVectorField, point: AccessiblePoint,
-               t0_name: str = "t0") -> AlphaTestResult:
+def alpha_test(vf: PlaneVectorField, point: AccessiblePoint) -> AlphaTestResult:
     if point.multiplicity != 1:
         raise SingularityError("alpha test applies to simple points")
     index = linearization(vf, point)
     ctx = index.matrix[0, 0].ctx
-    if t0_name not in ctx:
-        ctx = ctx.extend([Sym(t0_name, "parameter")])
-    t0 = ctx.var(t0_name)
-    fix = {"t": t0}
+    if "t0" not in ctx:
+        ctx = ctx.extend([Sym("t0", "parameter")])
+    fix = {"t": ctx.var("t0")}
 
     def at_t0(r: MRat) -> MRat:
         return r.lift(ctx).subs(fix)

@@ -194,15 +194,6 @@ def _push_forward(vf: PlaneVectorField, target: str) -> PlaneVectorField:
     return PlaneVectorField(g1, g2, target, model)
 
 
-def roundtrip_is_identity(ctx: Context, model: SurfaceModel, chart: str) -> bool:
-    """Exact check that chart -> U0 -> chart composes to the identity."""
-    u0 = chart_to_u0(ctx, model, chart)
-    back = chart_from_u0(ctx, model, chart)
-    comp1 = back[0].subs({"x": u0[0], "y": u0[1]})
-    comp2 = back[1].subs({"x": u0[0], "y": u0[1]})
-    return comp1 == ctx.var("x") and comp2 == ctx.var("y")
-
-
 # ---------------------------------------------------------------------------
 # Logarithmic pole condition
 # ---------------------------------------------------------------------------

@@ -50,6 +50,10 @@ from .recovery import relation_substitution, zero_modulo
 from .surface import PlaneVectorField, chain_rule
 
 
+# a probe run is linear in its draws; more than this many is refused
+MAX_DRAWS = 1000
+
+
 class SymmetryError(Exception):
     pass
 
@@ -200,11 +204,12 @@ def verify_symmetry(vf: PlaneVectorField, bmap: BirationalMap, mode: str = "nume
     In numeric-probe mode all parameters and eigenvalues are instantiated at
     random rationals consistent with the eigenvalue relation and the
     residual is compared with zero exactly, draw by draw; ``draws`` must be
-    at least 1.  After the first passing draw the exact residual is reduced
-    once; where it vanishes, the later draws are only tested for
-    admissibility (see the module docstring).  In symbolic mode the residual
-    is reduced modulo the relation; a residual that vanishes only modulo the
-    relation is reported, not failed.
+    at least 1 and at most MAX_DRAWS.  After the first passing draw the
+    exact residual is reduced once; where it vanishes, the later draws are
+    only tested for admissibility (see the module docstring).  In symbolic
+    mode ``draws`` is ignored and the residual is reduced modulo the
+    relation; a residual that vanishes only modulo the relation is reported,
+    not failed.
     """
     if mode == "symbolic":
         residual = invariance_residual(vf, bmap)
@@ -219,6 +224,8 @@ def verify_symmetry(vf: PlaneVectorField, bmap: BirationalMap, mode: str = "nume
         raise SymmetryError(f"unknown mode {mode!r}")
     if draws < 1:
         raise ValueError(f"numeric-probe mode needs draws >= 1, got {draws}")
+    if draws > MAX_DRAWS:
+        raise ValueError(f"numeric-probe mode takes at most {MAX_DRAWS} draws, got {draws}")
     ctx = vf.ctx
     params = [s.name for s in ctx.syms if s.kind == "parameter"]
     f = vf.components()

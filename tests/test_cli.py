@@ -163,6 +163,25 @@ def test_cli_symmetry_without_probes_exits_one(capsys, draws):
     assert err == f"error: numeric-probe mode needs draws >= 1, got {draws}\n"
 
 
+def test_cli_symmetry_draws_over_cap_exits_one(capsys):
+    code, out, err = _run(capsys, "symmetry", "--system", "gen-pvi", "--map", "pi2",
+                          "--draws", "1000000000")
+    assert (code, out) == (1, "")
+    assert err == "error: numeric-probe mode takes at most 1000 draws, got 1000000000\n"
+    # symbolic mode draws nothing and ignores the option
+    code, out, _ = _run(capsys, "symmetry", "--system", "gen-piii", "--map", "s",
+                        "--symbolic", "--draws", "1000000000")
+    assert code == 0 and "invariant=True (symbolic, draws=0)" in out
+
+
+def test_cli_classify_integers_over_budget_exits_one(capsys):
+    # the default --bound 100 asks for a genVI box of 200^4 tuples
+    code, out, err = _run(capsys, "classify", "--relation", "genVI", "--integers")
+    assert (code, out) == (1, "")
+    assert err == ("error: genVI search box of (2*100)^4 = 1600000000 tuples exceeds "
+                   "the budget of 10000000; the largest bound allowed is 28\n")
+
+
 def test_cli_match(capsys):
     code, out, _ = _run(capsys, "match", "--pair", "gen-piv:piv")
     assert code == 0

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from grs.algebra import Context
+from grs.catalog import FAMILIES, get_system
 from grs.diophantine import (ShapeMismatch, ZeroEntry, bounded_integer_search,
                              brute_force_box, check_relation, enumerate_natural,
-                             fuchs_relation, relation_symmetry_group)
+                             fuchs_relation, relation_polynomial, relation_symmetry_group)
 
 
 def test_genVI_four_types():
@@ -64,6 +66,31 @@ def test_bounded_integer_search():
     tuples = bounded_integer_search("genVI", 2)
     assert (2, 2, 2, 2) in tuples
     assert all(check_relation("genVI", t) for t in tuples)
+    # a box over the tuple budget is refused, naming the largest bound allowed
+    with pytest.raises(ValueError, match=r"largest bound allowed is 28$"):
+        bounded_integer_search("genVI", 29)
+    with pytest.raises(ValueError, match=r"largest bound allowed is 107$"):
+        bounded_integer_search("genV", 108)
+
+
+RELATION_TEXT = {
+    "gen-pvi": "-2*n1*n2*n3*n4 + n1*n2*n3 + n1*n2*n4 + n1*n3*n4 + n2*n3*n4",
+    "gen-pv": "2*n1*n2*n3 - n1*n3 - n2*n3 - 2*n1 - 2*n2",
+    "gen-piv": "2*n1*n2 - 3*n1 - n2 - 3",
+    "gen-piii": "n1*n2 - 4",
+}
+
+
+@pytest.mark.parametrize("family", sorted(RELATION_TEXT))
+def test_relation_polynomial_is_each_family_relation(family):
+    assert str(get_system(family).relation) == RELATION_TEXT[family]
+    rel = FAMILIES[family][2]
+    # built in a caller's context that holds other symbols too
+    ctx = Context.make(parameters=["beta", "n1", "n2", "n3", "n4", "gamma"])
+    poly = relation_polynomial(rel, ctx)
+    assert poly.ctx == ctx
+    assert str(poly) == RELATION_TEXT[family]
+    assert poly == relation_polynomial(rel).lift(ctx)
 
 
 def test_symmetry_groups_match_declared_conventions():
