@@ -1311,7 +1311,9 @@ def parse_rat(ctx: Context, text: str) -> MRat:
     def take(expected=None):
         nonlocal pos
         tok = peek()
-        if tok is None or (expected is not None and tok != expected):
+        if tok is None:
+            raise ParseError(f"unexpected end of input in {text!r}")
+        if expected is not None and tok != expected:
             raise ParseError(f"expected {expected!r}, found {tok!r} in {text!r}")
         pos += 1
         return tok
@@ -1373,6 +1375,8 @@ def parse_rat(ctx: Context, text: str) -> MRat:
             return ctx.rat(int(tok)), 1
         if tok in ctx:
             return ctx.var(tok), 1
+        if not tok.isidentifier():
+            raise ParseError(f"unexpected {tok!r} in {text!r}")
         raise ParseError(f"unknown symbol {tok!r} (context: {ctx.names})")
 
     node = parse_expr()

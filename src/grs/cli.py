@@ -356,6 +356,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _fail(kind: str, message, code: int) -> int:
+    """Print a failure as one line on stderr and return its exit code."""
+    # a message may quote user text (a chart name, a point label) that holds
+    # line breaks; they are printed escaped
+    print(f"{kind}: " + "\\n".join(str(message).splitlines()), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -369,17 +377,14 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return USAGE_ERROR
     except (StuckSystem, InconsistentSystem, NoRelation) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return SOLVER_FAILURE
+        return _fail("solver failure", exc, SOLVER_FAILURE)
     except (VerificationMismatch, NotResolvable) as exc:
-        print(f"verification mismatch: {exc}", file=sys.stderr)
-        return VERIFY_MISMATCH
+        return _fail("verification mismatch", exc, VERIFY_MISMATCH)
     except (SchemeError, SingularityError, SurfaceError, UnresolvedFactor, AlgebraError,
             ResolutionError, FileNotFoundError, KeyError, ValueError) as exc:
         # str() of a KeyError is the repr of its message, quotes and all
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
-        return USAGE_ERROR
+        return _fail("error", message, USAGE_ERROR)
 
 
 if __name__ == "__main__":

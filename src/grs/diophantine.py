@@ -1,10 +1,13 @@
 """Natural-number solutions of the eigenvalue relations, with exact search.
 
-Each relation is evaluated exactly on rational tuples.  The enumerations
-use proof-backed bounds (re-derived below per relation, asserted next to the
-code) and the test of record is brute force over a box, so no case analysis
-is trusted blindly.  A separate bounded search over signed integers is
-provided as an exploratory tool; classifying all integer solutions is open.
+Each relation is evaluated exactly on rational tuples.  One box scan finds
+the solutions among given entries: it scans the leading entries and solves
+the last one exactly, then re-checks the tuple.  The natural list is that
+scan at NATURAL_BOUND, a bound proved below per relation, and the test of
+record is the same scan at bound 100, so no case analysis is trusted
+blindly.  A bounded search over signed integers is the scan over the
+nonzero integers of [-bound, bound], an exploratory tool; classifying all
+integer solutions is open.
 """
 
 from __future__ import annotations
@@ -75,11 +78,25 @@ def _satisfies_convention(rel: str, tup: tuple[int, ...], convention: str) -> bo
         return True
     if rel == "genVI":
         return all(a <= b for a, b in zip(tup, tup[1:]))
-    if rel == "genV":
-        return tup[0] >= tup[1]
-    if rel == "genIII":
+    if rel in ("genV", "genIII"):
         return tup[0] >= tup[1]
     return True
+
+
+# No entry of a natural solution exceeds NATURAL_BOUND, so the box scan over
+# [1, NATURAL_BOUND]^k lists them all:
+# - genVI is symmetric; with a <= b <= c <= d, 4/a >= 2 gives a <= 2.  a = 2
+#   leaves 1/b + 1/c + 1/d = 3/2, so 3/b >= 3/2 forces b = c = d = 2.  a = 1
+#   leaves 1/b + 1/c + 1/d = 1, so b is 2 or 3, and 1/c + 1/d = 1/2 or 2/3
+#   gives (c, d) = (3, 6), (4, 4) or (3, 3).
+# - genV: n3 = 2(n1+n2)/(2 n1 n2 - n1 - n2); let m <= M be n1 and n2.  m = 1
+#   gives n3 = 2 + 4/(M-1), so M - 1 divides 4: M <= 5 and n3 <= 6.  m >= 2
+#   makes the denominator at least n1 + n2, so n3 <= 2, and n3 >= 1 needs
+#   2mM <= 3(m+M), that is (2m-3)(2M-3) <= 9, so M <= 6.
+# - genIV: 2 n2 = 3 + 9/(2 n1 - 1), so 2 n1 - 1 divides 9: n1 is 1, 2 or 5
+#   and n2 is 6, 3 or 2.
+# - genIII: n1 n2 = 4, so both entries divide 4.
+NATURAL_BOUND = 6
 
 
 def enumerate_natural(rel: str, convention: str = "paper") -> list[tuple[int, ...]]:
@@ -94,100 +111,56 @@ def enumerate_natural(rel: str, convention: str = "paper") -> list[tuple[int, ..
     """
     if convention not in ("paper", "all"):
         raise RelationError(f"unknown convention {convention!r}")
-    out: list[tuple[int, ...]] = []
+    return brute_force_box(rel, NATURAL_BOUND, convention)
+
+
+def _last_entry(rel: str, head: tuple[int, ...]) -> int | None:
+    """The integer last entry that completes the nonzero integers ``head``
+    to a solution of the relation, or None if there is none.
+
+    Each relation is linear in its last entry (genVI in its reciprocal), so
+    that entry is num/den; den = 0 leaves no solution on a nonzero head.
+    """
     if rel == "genVI":
-        # nondecreasing unit-fraction enumeration: at each slot k entries
-        # remain, so target <= k/n forces n <= k/target, and 1/n <= target
-        # forces n >= ceil(1/target); the box is finite and complete.
-        out = sorted(_unit_sum_tuples(4, Fraction(2), 1))
+        a, b, c = head
+        num = a * b * c
+        den = 2 * num - (a + b) * c - a * b
     elif rel == "genV":
-        # n3 = 2(n1+n2)/(2 n1 n2 - n1 - n2); positivity and n3 >= 1 force
-        # 2 n1 n2 <= 3(n1+n2), so min(n1,n2) <= 3 and max(n1,n2) <= 6.
-        for n1 in range(1, 13):
-            for n2 in range(1, 13):
-                den = 2 * n1 * n2 - n1 - n2
-                if den <= 0:
-                    continue
-                num = 2 * (n1 + n2)
-                if num % den == 0:
-                    out.append((n1, n2, num // den))
-        out = sorted(set(out))
+        n1, n2 = head
+        num, den = 2 * (n1 + n2), 2 * n1 * n2 - n1 - n2
     elif rel == "genIV":
-        # n2 = 3(n1+1)/(2 n1 - 1): 2 n1 - 1 must divide 9, so n1 in {1,2,5}.
-        for n1 in range(1, 6):
-            den = 2 * n1 - 1
-            num = 3 * (n1 + 1)
-            if den > 0 and num % den == 0:
-                out.append((n1, num // den))
-        out = sorted(set(out))
+        num, den = 3 * (head[0] + 1), 2 * head[0] - 1
     elif rel == "genIII":
-        out = sorted((d, 4 // d) for d in (1, 2, 4))
+        num, den = 4, head[0]
     else:
         raise RelationError(f"unknown relation {rel!r}")
-    if convention == "all":
-        # close up under the (symbolically verified) symmetry group
-        group = relation_symmetry_group(rel)
-        out = sorted({tuple(t[i] for i in perm) for t in out for perm in group})
-    return [t for t in out if _satisfies_convention(rel, t, convention)]
+    if den == 0 or num % den:
+        return None
+    return num // den
 
 
-def _unit_sum_tuples(k: int, target: Fraction, minimum: int) -> list[tuple[int, ...]]:
-    """Nondecreasing k-tuples of naturals whose reciprocals sum to target."""
-    if target <= 0:
-        return []
-    if k == 1:
-        if target.numerator == 1 and target.denominator >= minimum:
-            return [(target.denominator,)]
-        return []
-    lo = max(minimum, -((-target.denominator) // target.numerator))  # ceil(1/target)
-    hi = (k * target.denominator) // target.numerator  # floor(k/target)
+def _box(rel: str, entries: Sequence[int]) -> list[tuple[int, ...]]:
+    """Every tuple of nonzero ``entries`` satisfying the relation, sorted.
+
+    The leading entries are scanned and the last one is solved exactly, kept
+    only when it is one of ``entries`` and re-checked by check_relation.
+    """
+    members = set(entries)
     out = []
-    for n in range(lo, hi + 1):
-        for rest in _unit_sum_tuples(k - 1, target - Fraction(1, n), n):
-            out.append((n,) + rest)
-    return out
+    for head in product(entries, repeat=arity(rel) - 1):
+        last = _last_entry(rel, head)
+        if last in members and check_relation(rel, head + (last,)):
+            out.append(head + (last,))
+    return sorted(out)
 
 
 def brute_force_box(rel: str, bound: int, convention: str = "paper") -> list[tuple[int, ...]]:
-    """Oracle: every natural tuple in [1, bound]^k satisfying the relation.
-
-    Equivalent to the full box scan: all coordinates but the last are
-    scanned exhaustively and the last is solved exactly (each relation
-    determines it uniquely, being strictly monotone / linear in it), then
-    re-checked against the relation.
-    """
-    out = []
-    if rel == "genVI":
-        rng = range(1, bound + 1)
-        for a in rng:
-            for b in rng:
-                ab = a * b
-                sab = a + b
-                for c in rng:
-                    den = ab * c
-                    num = 2 * den - (sab * c + ab)  # 2 - 1/a - 1/b - 1/c
-                    if num > 0 and den % num == 0 and den // num <= bound:
-                        out.append((a, b, c, den // num))
-    elif rel == "genV":
-        for head in product(range(1, bound + 1), repeat=2):
-            n1, n2 = head
-            den = 2 * n1 * n2 - n1 - n2
-            num = 2 * (n1 + n2)
-            if den > 0 and num % den == 0 and 1 <= num // den <= bound:
-                out.append((n1, n2, num // den))
-    elif rel in ("genIV", "genIII"):
-        for n1 in range(1, bound + 1):
-            if rel == "genIV":
-                den, num = 2 * n1 - 1, 3 * (n1 + 1)
-            else:
-                den, num = n1, 4
-            if den > 0 and num % den == 0 and 1 <= num // den <= bound:
-                out.append((n1, num // den))
-    else:
+    """Every natural tuple in [1, bound]^k satisfying the relation, listed
+    under the convention of enumerate_natural."""
+    if rel not in RELATIONS:
         raise RelationError(f"unknown relation {rel!r}")
-    out = [t for t in out if check_relation(rel, t)
-           and _satisfies_convention(rel, t, convention)]
-    return sorted(out)
+    return [t for t in _box(rel, range(1, bound + 1))
+            if _satisfies_convention(rel, t, convention)]
 
 
 def bounded_integer_search(rel: str, bound: int) -> list[tuple[int, ...]]:
@@ -206,12 +179,7 @@ def bounded_integer_search(rel: str, bound: int) -> list[tuple[int, ...]]:
         raise ValueError(f"{rel} search box of (2*{bound})^{k} = {(2 * bound) ** k} tuples "
                          f"exceeds the budget of {MAX_SEARCH}; the largest bound "
                          f"allowed is {largest}")
-    values = [v for v in range(-bound, bound + 1) if v != 0]
-    out = []
-    for tup in product(values, repeat=k):
-        if check_relation(rel, tup):
-            out.append(tup)
-    return sorted(out)
+    return _box(rel, [v for v in range(-bound, bound + 1) if v != 0])
 
 
 def relation_polynomial(rel: str, ctx=None):

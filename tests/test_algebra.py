@@ -198,6 +198,23 @@ def test_parser_rejects_unknown_symbol(ctx):
         parse_rat(ctx, "zeta + 1")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("((", "unexpected end of input in '(('"),
+    ("1+", "unexpected end of input in '1+'"),
+    ("x^", "unexpected end of input in 'x^'"),
+    ("", "unexpected end of input in ''"),
+    ("t^-", "unexpected end of input in 't^-'"),
+    ("x+)", "unexpected ')' in 'x+)'"),
+    (")", "unexpected ')' in ')'"),
+    ("x*/t", "unexpected '/' in 'x*/t'"),
+    ("(x t", "expected ')', found 't' in '(x t'"),
+])
+def test_parser_names_the_end_of_input_and_a_stray_token(ctx, text, message):
+    with pytest.raises(ParseError) as info:
+        parse_rat(ctx, text)
+    assert str(info.value) == message
+
+
 def test_parser_nesting_budget(ctx):
     """The deepest accepted nesting parses; one level more, or thousands
     (which would exhaust the recursion limit), is a ParseError."""

@@ -427,3 +427,19 @@ def test_cli_show_hvi(capsys):
     code, out, _ = _run(capsys, "show", "--system", "hvi")
     assert code == 0
     assert "alpha0 + alpha1 + 2*alpha2 + alpha3 + alpha4 = 1" in out
+
+
+def test_cli_truncated_expression_names_the_end_of_input(tmp_path, capsys):
+    path = tmp_path / "vf.json"
+    path.write_text(gio.dumps({"chart": "U0", "dxdt": "x+", "dydt": "y",
+                               "model": {"n": 2, "twist": ["alpha2"]}}))
+    assert _run(capsys, "show", "--system", str(path)) == (
+        1, "", "error: unexpected end of input in 'x+'\n")
+
+
+def test_cli_message_quoting_a_line_break_stays_one_line(tmp_path, capsys):
+    path = tmp_path / "vf.json"
+    path.write_text(gio.dumps({"chart": "U9\nU0", "dxdt": "x", "dydt": "y",
+                               "model": {"n": 2, "twist": ["alpha2"]}}))
+    assert _run(capsys, "show", "--system", str(path)) == (
+        1, "", "error: unknown chart U9\\nU0\n")

@@ -1,14 +1,16 @@
 """Eigenvalue relation classifications: paper lists, box oracles, conventions."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from grs.algebra import Context
+from grs.algebra import Context, solve_linear
 from grs.catalog import FAMILIES, get_system
-from grs.diophantine import (ShapeMismatch, ZeroEntry, bounded_integer_search,
-                             brute_force_box, check_relation, enumerate_natural,
-                             fuchs_relation, relation_polynomial, relation_symmetry_group)
+from grs.diophantine import (RELATIONS, ShapeMismatch, ZeroEntry, _last_entry, arity,
+                             bounded_integer_search, brute_force_box, check_relation,
+                             enumerate_natural, fuchs_relation, relation_polynomial,
+                             relation_symmetry_group)
 
 
 def test_genVI_four_types():
@@ -71,6 +73,55 @@ def test_bounded_integer_search():
         bounded_integer_search("genVI", 29)
     with pytest.raises(ValueError, match=r"largest bound allowed is 107$"):
         bounded_integer_search("genV", 108)
+
+
+def _full_box(rel, entries):
+    """Reference scan: check_relation on every tuple of the box."""
+    return sorted(t for t in product(entries, repeat=arity(rel)) if check_relation(rel, t))
+
+
+# the declared paper conventions, stated independently of the module
+PAPER_ORDER = {
+    "genVI": lambda t: list(t) == sorted(t),
+    "genV": lambda t: t[0] >= t[1],
+    "genIV": lambda t: True,
+    "genIII": lambda t: t[0] >= t[1],
+}
+
+
+@pytest.mark.parametrize("rel", RELATIONS)
+def test_box_scans_equal_the_full_box(rel):
+    for bound in range(-1, (4 if rel == "genVI" else 10) + 1):
+        signed = [v for v in range(-bound, bound + 1) if v != 0]
+        assert bounded_integer_search(rel, bound) == _full_box(rel, signed)
+        naturals = _full_box(rel, range(1, bound + 1))
+        assert brute_force_box(rel, bound, "all") == naturals
+        assert brute_force_box(rel, bound) == [t for t in naturals if PAPER_ORDER[rel](t)]
+
+
+@pytest.mark.parametrize("rel", RELATIONS)
+def test_last_entry_is_the_relation_polynomial_solved_for_it(rel):
+    """On every nonzero head of a small signed box, _last_entry is the value
+    solve_linear finds for the last symbol when that value is an integer,
+    and None when it is not or does not exist."""
+    poly = relation_polynomial(rel)
+    k = arity(rel)
+    name, value = solve_linear(poly, [f"n{k}"], [])
+    assert name == f"n{k}"
+    outcomes = set()
+    for head in product([v for v in range(-4, 5) if v != 0], repeat=k - 1):
+        point = {f"n{i + 1}": poly.ctx.rat(v) for i, v in enumerate(head)}
+        den = value.den.subs(point).constant_value()
+        if den == 0:
+            expected, outcome = None, "no solution"
+        else:
+            q = value.num.subs(point).constant_value() / den
+            expected = q.numerator if q.denominator == 1 else None
+            outcome = "integer" if expected is not None else "not an integer"
+        assert _last_entry(rel, head) == expected, head
+        outcomes.add(outcome)
+    assert {"integer", "not an integer"} <= outcomes
+    assert ("no solution" in outcomes) == (rel in ("genVI", "genV"))
 
 
 RELATION_TEXT = {
