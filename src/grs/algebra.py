@@ -38,7 +38,17 @@ evaluation no image gcd has a lower degree in v than the true gcd; images
 coprime in every shared symbol therefore prove the gcd constant.  Any other
 outcome (a vanished leading coefficient, the prime in a denominator, an image
 gcd of positive degree) falls through to the exact path, the only one that
-computes a nontrivial gcd.  Because the operators trust their operands, every
+computes a nontrivial gcd.  There the divisibility shortcuts come first:
+when a small operand divides a large one they return it at once, where the
+content below would cost one gcd per coefficient.  Then the path takes out
+the symbols that occur in one operand only (Geddes, Czapor & Labahn 1992,
+ch. 7): if a involves symbols that b lacks, gcd(a, b) involves none of them,
+so it divides the content of a in them (the gcd of a's coefficients as a
+polynomial in those symbols), and gcd(a, b) = gcd(content, b).  A PRS in a
+shared symbol would otherwise carry the one-sided symbols through every
+pseudo-remainder, whose coefficients then grow with each step.  The result
+is the same: a gcd made primitive with a positive leading coefficient is
+unique.  Because the operators trust their operands, every
 ``MRat(num, den, _normalized=True)`` must receive a pair that is already
 canonical; ``MRat(num, den)`` normalizes an arbitrary pair.
 
@@ -558,6 +568,11 @@ def _gcd_core(a: MPoly, b: MPoly) -> MPoly:
         return a
     if exact_divide(a, b) is not None:
         return b
+    # symbols in one operand only: the gcd divides that operand's content in them
+    for p, q in ((a, b), (b, a)):
+        only = [n for n in p.variables() if n not in shared]
+        if only:
+            return poly_gcd(_list_gcd(coefficients_in(p, only)), q)
     # main variable: smallest combined degree keeps the PRS short
     v = min(shared, key=lambda n: (a.degree_in(n) + b.degree_in(n), a.ctx.index(n)))
     ua = a.as_univariate(v)

@@ -229,6 +229,8 @@ def cmd_relation(args) -> int:
 
 def cmd_classify(args) -> int:
     if args.integers:
+        if args.bound < 1:
+            raise ValueError(f"--integers needs --bound >= 1, got {args.bound}")
         rows = bounded_integer_search(args.relation, args.bound)
         label = f"integer tuples with 0 < |entries| <= {args.bound} (non-exhaustive search)"
     else:

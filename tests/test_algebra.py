@@ -588,3 +588,93 @@ def test_corpus_gcds_are_unchanged_by_the_certificate(monkeypatch):
     monkeypatch.setattr(algebra, "_coprime_certified", lambda a, b, shared: False)
     assert [poly_gcd(a, b) for a, b in pairs] == with_certificate
     assert all(poly_gcd(a, b).is_constant() for a, b in passed)
+
+
+def _sympy_gcd(a, b):
+    """sympy.gcd of a and b as a unit-free term dict in the kernel's exponents.
+
+    SymPy gets only the symbols of a's context that a or b involves, so the
+    pair needs no fixed oracle context and SymPy no unused generators."""
+    sp = pytest.importorskip("sympy")
+    idx = [i for i, n in enumerate(a.ctx.names) if n in set(a.variables()) | set(b.variables())]
+    gens = [sp.Symbol(a.ctx.names[i]) for i in idx] or [sp.Symbol("_")]
+
+    def to_sympy(p):
+        return sp.Poly.from_dict({tuple(e[i] for i in idx) or (0,): sp.Rational(c.numerator, c.denominator)
+                                  for e, c in p.terms.items()}, *gens, domain="QQ")
+
+    terms = {}
+    for mono, c in to_sympy(a).gcd(to_sympy(b)).terms():
+        c = sp.Rational(c)
+        if c:
+            e = [0] * len(a.ctx)
+            for i, k in zip(idx, mono):
+                e[i] = k
+            terms[tuple(e)] = Fraction(int(c.p), int(c.q))
+    return _unit_free(terms)[0]
+
+
+def test_corpus_gcds_match_sympy():
+    """Every gcd of the kernel corpus, in the symbols of its own context."""
+    pairs = _corpus_gcd_pairs()
+    assert pairs
+    for a, b in pairs:
+        assert poly_gcd(a, b).terms == _sympy_gcd(a, b)
+
+
+ONE_SIDED_CTX = Context([algebra.Sym(n, k) for n, k in (
+    ("t", "time"), ("n1", "unknown"), ("n2", "unknown"), ("a9", "parameter"), ("a10", "parameter"))])
+
+
+def _captured_pair():
+    """A pair from the gen-pvi scheme with point 0 at t^5: a9 and a10 occur
+    in the first operand only, and the gcd is t - 1."""
+    a = ONE_SIDED_CTX.parse(
+        "-t^14*n1*n2*a9 - t^14*n1*n2*a10 + t^10*n1*n2*a9 + t^10*n1*n2*a10 + t^9*n1*n2*a9"
+        " - t^5*n1*n2*a9 + t^4*n1*n2*a10 - n1*n2*a10").num
+    b = ONE_SIDED_CTX.parse("t^10*n1 - t^9*n1 - t^4*n2 + n2").num
+    return a, b
+
+
+def test_gcd_takes_the_content_in_one_sided_symbols_first(monkeypatch):
+    """The first operand's content in a9, a10 (n1*n2*(t - 1)) stands in for
+    it; a PRS in t on the whole pair made 59,999 nested gcd calls."""
+    a, b = _captured_pair()
+    core = algebra._gcd_core
+    calls = []
+
+    def counting(p, q):
+        calls.append(1)
+        return core(p, q)
+
+    monkeypatch.setattr(algebra, "_gcd_core", counting)
+    assert poly_gcd(a, b) == ONE_SIDED_CTX.parse("t - 1").num
+    assert len(calls) <= 8
+
+
+def test_captured_one_sided_pair_matches_sympy():
+    a, b = _captured_pair()
+    assert poly_gcd(a, b).terms == _sympy_gcd(a, b)
+
+
+PLANT_CTX = Context.make(fiber=("x",), parameters=["a", "b"])  # symbols x, t, a, b
+
+
+def _plant_polys(names):
+    """Nonzero polynomials of degree <= 1 per symbol in the named symbols of PLANT_CTX."""
+    monomials = st.tuples(*[st.integers(0, 1) if n in names else st.just(0) for n in PLANT_CTX.names])
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool)
+    return st.dictionaries(monomials, coeffs, min_size=1, max_size=4).map(
+        lambda terms: MPoly(PLANT_CTX, terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_plant_polys(["x", "t"]), _plant_polys(["x", "t", "a"]), _plant_polys(["x", "t", "b"]))
+def test_planted_gcd_with_one_sided_symbols_matches_sympy(g, f1, f2):
+    """g*f1 and g*f2 where a occurs only in the first operand and b only in
+    the second: each operand's content in its own extra symbol must keep g."""
+    assume(not g.is_constant() and f1.involves(["a"]) and f2.involves(["b"]))
+    a, b = g * f1, g * f2
+    ours = poly_gcd(a, b)
+    assert ours.terms == _sympy_gcd(a, b)
+    assert exact_divide(ours, g.primitive()) is not None

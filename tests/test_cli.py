@@ -182,6 +182,22 @@ def test_cli_classify_integers_over_budget_exits_one(capsys):
                    "the budget of 10000000; the largest bound allowed is 28\n")
 
 
+@pytest.mark.parametrize("bound", ["0", "-4"])
+def test_cli_classify_integers_bound_below_one_exits_one(capsys, bound):
+    assert _run(capsys, "classify", "--relation", "genIV", "--integers", "--bound", bound) == (
+        1, "", f"error: --integers needs --bound >= 1, got {bound}\n")
+
+
+def test_cli_recover_point_at_a_high_power_of_t(capsys):
+    """gen-pvi with point 0 moved to t^5 (io.scheme_to_json of the builtin,
+    one location changed); its gcds once ran a PRS without end."""
+    scheme = Path(__file__).parent / "fixtures" / "gen-pvi_point0_t5.json"
+    code, out, err = _run(capsys, "recover", "--scheme", str(scheme))
+    assert (code, err) == (0, "")
+    assert ("# eigenvalue relation: 2*n1*n2*n3*n4 - n1*n2*n3 - n1*n2*n4 - n1*n3*n4"
+            " - n2*n3*n4 = 0") in out.splitlines()
+
+
 def test_cli_match(capsys):
     code, out, _ = _run(capsys, "match", "--pair", "gen-piv:piv")
     assert code == 0
