@@ -92,12 +92,18 @@ class StuckSystem(AlgebraError):
     """Triangular elimination found no equation linear in a single unknown.
 
     Carries the unsolved equations so the caller can report them, and in
-    ``sources`` the source tag of each.
+    ``sources`` the source tag of each.  When solve_triangular raises it,
+    ``state`` is the :class:`Elimination` at the stuck point: the pending
+    equations with their reductions under the current assignments, the
+    assignments, relations and trace so far, the solved unknowns and the
+    version of the assignments.  ``state.branch(tag, equation)`` resumes a
+    copy of it with one more equation and leaves the state itself as it is.
     """
 
-    def __init__(self, remaining, sources):
+    def __init__(self, remaining, sources, state=None):
         self.remaining = list(remaining)
         self.sources = list(sources)
+        self.state = state
         super().__init__(
             "no equation is linear in a single unsolved unknown; remaining: "
             + "; ".join(str(e) for e in self.remaining)
@@ -1160,6 +1166,117 @@ class _Pending:
         self.reduced = raw
         self.unsolved: list[str] = []
 
+    def copy(self) -> _Pending:
+        twin = _Pending(self.tag, self.raw)
+        twin.version, twin.reduced, twin.unsolved = self.version, self.reduced, self.unsolved
+        return twin
+
+
+class Elimination:
+    """The state of one run of solve_triangular.
+
+    ``pending`` holds the equations not yet used, in list order, each with
+    its cached reduction; ``assignments``, ``relations``, ``trace`` and
+    ``solved`` hold what the run has found so far.  ``version`` counts the
+    changes of the assignments, and everything derived from them (the
+    reductions of ``pending`` and ``reduced_forms``) is cached under it.
+    """
+
+    __slots__ = ("pending", "unknowns", "unknown_set", "forms", "assignments",
+                 "relations", "trace", "solved", "version", "reduced_forms")
+
+    def __init__(self, pending: list[_Pending], unknowns: list[str], forms: list[MPoly]):
+        self.pending = pending
+        self.unknowns = unknowns
+        self.unknown_set = set(unknowns)
+        self.forms = forms
+        self.assignments: dict[str, MRat] = {}
+        self.relations: list[MPoly] = []
+        self.trace: list[TraceStep] = []
+        self.solved: set[str] = set()
+        self.version = 0
+        self.reduced_forms: tuple[int, list[MPoly]] = (-1, [])
+
+    def branch(self, tag: str, equation: MPoly) -> TriangularSolution:
+        """Run a copy of this state with ``equation`` appended as ``tag``;
+        this state is left as it was."""
+        twin = Elimination([eq.copy() for eq in self.pending] + [_Pending(tag, equation)],
+                           self.unknowns, self.forms)
+        twin.assignments, twin.relations, twin.trace, twin.solved = (
+            dict(self.assignments), list(self.relations), list(self.trace), set(self.solved))
+        twin.version, twin.reduced_forms = self.version, self.reduced_forms
+        return twin.run()
+
+    def apply_current(self, p: MPoly) -> MPoly:
+        if not self.assignments or not p.involves(self.assignments.keys()):
+            return p
+        return p.subs(self.assignments).num
+
+    def reduce(self, eq: _Pending) -> MPoly:
+        if eq.version != self.version:
+            eq.version, eq.reduced = self.version, self.apply_current(eq.raw)
+            eq.unsolved = [u for u in _active(eq.reduced, self.unknowns)
+                           if u not in self.solved]
+        return eq.reduced
+
+    def current_forms(self) -> list[MPoly]:
+        if self.reduced_forms[0] != self.version:
+            now = []
+            for form in self.forms:
+                f = self.apply_current(form)
+                if f.is_zero() or f.is_constant():
+                    continue
+                live = _active(f, self.unknowns)
+                if live:
+                    now.append(split_content(f, live)[1])
+            self.reduced_forms = (self.version, now)
+        return self.reduced_forms[1]
+
+    def step(self) -> bool:
+        """Act on the first pending equation that allows it; False if none does."""
+        for pos, eq in enumerate(self.pending):
+            p = self.reduce(eq)
+            if p.is_zero():
+                del self.pending[pos]
+                return True
+            if not eq.unsolved:
+                if p.is_constant():
+                    raise InconsistentSystem(p)
+                self.relations.append(_relation_normal_form(p))
+                del self.pending[pos]
+                return True
+            # relation extraction: c(params) * L with L a designated nonzero form
+            for f in self.current_forms():
+                q = exact_divide(p, f)
+                if q is not None and not q.involves(self.unknown_set):
+                    if q.is_constant():
+                        # p = (nonzero constant) * (designated nonzero form)
+                        raise InconsistentSystem(p)
+                    self.relations.append(_relation_normal_form(q))
+                    del self.pending[pos]
+                    return True
+            pivot = solve_linear(p, eq.unsolved, self.unknown_set - self.solved)
+            if pivot is None:
+                continue
+            u, value = pivot
+            assign(self.assignments, u, value)
+            self.solved.add(u)
+            self.version += 1
+            self.trace.append(TraceStep(u, value, eq.tag))
+            del self.pending[pos]
+            return True
+        return False
+
+    def run(self) -> TriangularSolution:
+        while self.pending and self.step():
+            pass
+        if self.pending:
+            # the last scan reduced every equation left and found none zero
+            raise StuckSystem([eq.reduced for eq in self.pending],
+                              [eq.tag for eq in self.pending], self)
+        free = [u for u in self.unknowns if u not in self.solved]
+        return TriangularSolution(self.assignments, self.relations, free, self.trace)
+
 
 def solve_triangular(equations: Sequence[MPoly | MRat],
                      unknowns: Sequence[str],
@@ -1179,102 +1296,29 @@ def solve_triangular(equations: Sequence[MPoly | MRat],
     InconsistentSystem).  An equation of the form c(params) * L with L a
     registered nonzero form is also turned into the relation c = 0 rather
     than forcing L = 0.
+
+    Pivot order: every step acts on the first equation, in list order, that
+    it can act on (drop it as zero, record it as a relation, or solve it for
+    an unknown), and then scans again from the front.  So a run with one
+    more equation appended last takes the same steps as the run without it
+    for as long as the latter can act at all, and reaches the new equation
+    only where the latter got stuck.  Resuming the stuck run's state (the
+    ``Elimination`` a StuckSystem carries) with the equation appended is
+    therefore exact: it gives the same assignments, relations, free
+    unknowns, trace and source tags as solving everything again.
     """
     unknowns = list(unknowns)
-    unknown_set = set(unknowns)
-    eqs: list[_Pending] = []
+    pending: list[_Pending] = []
     for k, eq in enumerate(equations):
         tag = sources[k] if sources else f"eq{k}"
         p = eq.num if isinstance(eq, MRat) else eq
         if not p.is_zero():
-            eqs.append(_Pending(tag, p))
+            pending.append(_Pending(tag, p))
     # a nonzero form is only used through its unknown-primitive part; its
     # parameter content is generically nonzero anyway
     forms = [split_content(f, _active(f, unknowns))[1]
              for f in nonzero_forms if not f.is_zero()]
-    assignments: dict[str, MRat] = {}
-    relations: list[MPoly] = []
-    trace: list[TraceStep] = []
-    solved: set[str] = set()
-    # apply_current(p) depends only on p and the assignments, so everything
-    # derived from it is cached under this counter, which goes up whenever
-    # the assignments (and with them ``solved``) change
-    version = 0
-    reduced_forms: tuple[int, list[MPoly]] = (-1, [])
-
-    def apply_current(p: MPoly) -> MPoly:
-        if not assignments or not p.involves(assignments.keys()):
-            return p
-        return p.subs(assignments).num
-
-    def reduce(eq: _Pending) -> MPoly:
-        if eq.version != version:
-            eq.version, eq.reduced = version, apply_current(eq.raw)
-            eq.unsolved = [u for u in _active(eq.reduced, unknowns) if u not in solved]
-        return eq.reduced
-
-    def current_forms() -> list[MPoly]:
-        nonlocal reduced_forms
-        if reduced_forms[0] != version:
-            now = []
-            for form in forms:
-                f = apply_current(form)
-                if f.is_zero() or f.is_constant():
-                    continue
-                live = _active(f, unknowns)
-                if live:
-                    now.append(split_content(f, live)[1])
-            reduced_forms = (version, now)
-        return reduced_forms[1]
-
-    progress = True
-    while progress and eqs:
-        progress = False
-        for pos, eq in enumerate(eqs):
-            p = reduce(eq)
-            if p.is_zero():
-                del eqs[pos]
-                progress = True
-                break
-            if not eq.unsolved:
-                if p.is_constant():
-                    raise InconsistentSystem(p)
-                relations.append(_relation_normal_form(p))
-                del eqs[pos]
-                progress = True
-                break
-            # relation extraction: c(params) * L with L a designated nonzero form
-            handled = False
-            for f in current_forms():
-                q = exact_divide(p, f)
-                if q is not None and not q.involves(unknown_set):
-                    if q.is_constant():
-                        # p = (nonzero constant) * (designated nonzero form)
-                        raise InconsistentSystem(p)
-                    relations.append(_relation_normal_form(q))
-                    del eqs[pos]
-                    handled = True
-                    break
-            if handled:
-                progress = True
-                break
-            pivot = solve_linear(p, eq.unsolved, unknown_set - solved)
-            if pivot is None:
-                continue
-            u, value = pivot
-            assign(assignments, u, value)
-            solved.add(u)
-            version += 1
-            trace.append(TraceStep(u, value, eq.tag))
-            del eqs[pos]
-            progress = True
-            break
-
-    if eqs:
-        # the last scan reduced every equation left and found none zero
-        raise StuckSystem([eq.reduced for eq in eqs], [eq.tag for eq in eqs])
-    free = [u for u in unknowns if u not in solved]
-    return TriangularSolution(assignments, relations, free, trace)
+    return Elimination(pending, unknowns, forms).run()
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ yield the eigenvalue relation of the scheme instead of a solution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -549,49 +550,64 @@ def _solve_with_square_fallback(equations: Sequence[MPoly], unknowns: Sequence[s
     Quadratic parameter terms of the matched systems leave residual
     equations a*u^2 + b*u + c with rational coefficients; when the
     discriminant is a rational square the finitely many roots are tried in
-    deterministic order and the first branch that completes wins.
+    deterministic order and the first branch that completes wins.  A branch
+    resumes the stuck elimination with u - r appended, under the tag a
+    from-scratch solve of the equations plus u - r would give it; the
+    solve_triangular docstring says why that gives the same solution.
     """
-    import math
+    return _branch_on_squares(lambda: solve_triangular(equations, unknowns),
+                              unknowns, len(equations), depth)
 
-    def rational_sqrt(q: Fraction) -> Fraction | None:
-        if q < 0:
-            return None
-        rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
-        if rn * rn == q.numerator and rd * rd == q.denominator:
-            return Fraction(rn, rd)
-        return None
 
-    eqs = list(equations)
+def _branch_on_squares(run: Callable[[], TriangularSolution], unknowns: Sequence[str],
+                       n: int, depth: int) -> TriangularSolution:
+    """``run()``, or where it gets stuck, the first of its branches that
+    completes; ``run`` solves ``n`` equations, so a branch's is eq{n}."""
     try:
-        return solve_triangular(eqs, unknowns)
+        return run()
     except StuckSystem as exc:
         if depth <= 0:
             raise
-        for p in exc.remaining:
-            live = [u for u in unknowns if p.involves([u])]
-            if len(live) != 1 or p.degree_in(live[0]) != 2:
-                continue
-            u = live[0]
-            a, b, c = (p.coefficient(u, k) for k in (2, 1, 0))
-            if any(q.involves(unknowns) for q in (a, b, c)):
-                continue
-            disc = b * b - p.ctx.poly(4) * a * c
-            if not disc.is_constant():
-                continue
-            root_disc = rational_sqrt(disc.constant_value())
-            if root_disc is None or not (a.is_constant() and b.is_constant()):
-                continue
-            roots = sorted({(-b.constant_value() + s * root_disc) / (2 * a.constant_value())
-                            for s in (1, -1)})
-            last_exc = exc
-            for r in roots:
-                branch = eqs + [p.ctx.poly_var(u) - p.ctx.poly(r)]
-                try:
-                    return _solve_with_square_fallback(branch, unknowns, depth - 1)
-                except (StuckSystem, InconsistentSystem) as branch_exc:
-                    last_exc = branch_exc
-            raise last_exc
-        raise
+        roots = next(filter(None, (_root_equations(p, unknowns) for p in exc.remaining)), [])
+        last_exc = exc
+        for root in roots:
+            try:
+                return _branch_on_squares(lambda: exc.state.branch(f"eq{n}", root),
+                                          unknowns, n + 1, depth - 1)
+            except (StuckSystem, InconsistentSystem) as branch_exc:
+                last_exc = branch_exc
+        raise last_exc
+
+
+def _root_equations(p: MPoly, unknowns: Sequence[str]) -> list[MPoly]:
+    """u - r for each rational root r of p, in increasing order, when p is
+    a*u^2 + b*u + c in a single unknown u with rational a, b and a rational
+    square discriminant; else []."""
+    live = [u for u in unknowns if p.involves([u])]
+    if len(live) != 1 or p.degree_in(live[0]) != 2:
+        return []
+    u = live[0]
+    a, b, c = (p.coefficient(u, k) for k in (2, 1, 0))
+    if any(q.involves(unknowns) for q in (a, b, c)):
+        return []
+    disc = b * b - p.ctx.poly(4) * a * c
+    if not disc.is_constant():
+        return []
+    root_disc = rational_sqrt(disc.constant_value())
+    if root_disc is None or not (a.is_constant() and b.is_constant()):
+        return []
+    roots = {(-b.constant_value() + s * root_disc) / (2 * a.constant_value()) for s in (1, -1)}
+    return [p.ctx.poly_var(u) - p.ctx.poly(r) for r in sorted(roots)]
+
+
+def rational_sqrt(q: Fraction) -> Fraction | None:
+    """The nonnegative rational square root of q, or None if q has none."""
+    if q < 0:
+        return None
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
 
 
 def _reference_in(big: Context, rcomp: MRat, param_values: Mapping[str, MRat]) -> tuple[MPoly, MPoly]:

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from grs.algebra import MRat, union_context
-from grs.catalog import (get_scheme, get_system, match_pair, pvi_system,
+from grs import recovery
+from grs.algebra import (Context, InconsistentSystem, MRat, StuckSystem, solve_triangular,
+                         union_context)
+from grs.catalog import (MATCH_PAIRS, get_scheme, get_system, match_pair, pvi_system,
                          scheme_gen_pv, scheme_pvi)
 from grs.recovery import (DegeneratePoints, GRScheme, NoRelation, RelationViolated,
                           SchemeError, SingularSpec, construct_existence_system,
@@ -351,3 +353,159 @@ def test_no_correspondence_is_reported():
     rep = match_specialization(a.vf, b.vf, list(b.params))
     assert not rep.found
     assert rep.residual
+
+
+# -- square-root branches resume the stuck elimination ----------------------
+
+
+def _reference_square_fallback(equations, unknowns, depth=6):
+    """The square fallback as a recursion that solves every equation again
+    for each root."""
+    import math
+
+    def rational_sqrt(q: Fraction) -> Fraction | None:
+        if q < 0:
+            return None
+        rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+        if rn * rn == q.numerator and rd * rd == q.denominator:
+            return Fraction(rn, rd)
+        return None
+
+    eqs = list(equations)
+    try:
+        return solve_triangular(eqs, unknowns)
+    except StuckSystem as exc:
+        if depth <= 0:
+            raise
+        for p in exc.remaining:
+            live = [u for u in unknowns if p.involves([u])]
+            if len(live) != 1 or p.degree_in(live[0]) != 2:
+                continue
+            u = live[0]
+            a, b, c = (p.coefficient(u, k) for k in (2, 1, 0))
+            if any(q.involves(unknowns) for q in (a, b, c)):
+                continue
+            disc = b * b - p.ctx.poly(4) * a * c
+            if not disc.is_constant():
+                continue
+            root_disc = rational_sqrt(disc.constant_value())
+            if root_disc is None or not (a.is_constant() and b.is_constant()):
+                continue
+            roots = sorted({(-b.constant_value() + s * root_disc) / (2 * a.constant_value())
+                            for s in (1, -1)})
+            last_exc = exc
+            for r in roots:
+                branch = eqs + [p.ctx.poly_var(u) - p.ctx.poly(r)]
+                try:
+                    return _reference_square_fallback(branch, unknowns, depth - 1)
+                except (StuckSystem, InconsistentSystem) as branch_exc:
+                    last_exc = branch_exc
+            raise last_exc
+        raise
+
+
+def _as_strings(sol):
+    return ({k: str(v) for k, v in sol.assignments.items()},
+            [str(r) for r in sol.relations], sol.free, [str(step) for step in sol.trace])
+
+
+def _match_equations(monkeypatch, pair):
+    """The equations and unknowns match_specialization solves for a pair."""
+    seen = []
+    solve = recovery._solve_with_square_fallback
+
+    def spy(equations, unknowns):
+        seen.append((list(equations), list(unknowns)))
+        return solve(equations, unknowns)
+
+    monkeypatch.setattr(recovery, "_solve_with_square_fallback", spy)
+    match_specialization(*match_pair(pair)[:3])
+    monkeypatch.undo()
+    return seen[0]
+
+
+@pytest.mark.parametrize("pair", MATCH_PAIRS)
+def test_resumed_branches_match_the_reference_re_solve(monkeypatch, pair):
+    equations, unknowns = _match_equations(monkeypatch, pair)
+    assert _as_strings(recovery._solve_with_square_fallback(equations, unknowns)) \
+        == _as_strings(_reference_square_fallback(equations, unknowns))
+
+
+def _square_system(texts):
+    ctx = Context.make(fiber=(), time=None, parameters=["a"], unknowns=["x", "y", "z"])
+    return [ctx.parse(text).num for text in texts], ["x", "y", "z"]
+
+
+# each system is stuck at first, and x^2 - 1 is its first remaining
+# quadratic, so the branch x = -1 runs before x = 1
+FIRST_ROOT_FAILS = {
+    # x = -1 gives y = -1 and then -2 = 0
+    "inconsistent": ["x^2 - 1", "x*y - 1", "x*y^2 - 1", "z - a"],
+    # x = -1 gives y = -1, the relation a + 1 and then z^2 - 2, which has
+    # no rational root
+    "stuck": ["x^2 - 1", "x*y - 1", "x*y^2 - 1 + (x - 1)*a",
+              "(1 - x)*(z^2 - 2) + (1 + x)*(z - a)"],
+}
+EVERY_ROOT_FAILS = {
+    # 1 = 0 at x = -1, then -1 = 0 at x = 1
+    "inconsistent": ["x^2 - 1", "x*y - 1", "x*y^2 - 2*x", "z - a"],
+    # inconsistent at x = -1, then stuck at z^2 - 2 at x = 1
+    "stuck": ["x^2 - 1", "x*y - 1", "x*y^2 - 1 + (x + 1)*a", "(1 - x)*(z - a) + (1 + x)*(z^2 - 2)"],
+}
+
+
+def _stuck(equations, unknowns):
+    with pytest.raises(StuckSystem) as err:
+        solve_triangular(equations, unknowns)
+    return err.value
+
+
+def _snapshot(stuck):
+    """Everything a StuckSystem and its elimination state hold, as strings."""
+    state = stuck.state
+    return ([str(p) for p in stuck.remaining], list(stuck.sources), str(stuck),
+            [(eq.tag, eq.version, str(eq.reduced), list(eq.unsolved)) for eq in state.pending],
+            {k: str(v) for k, v in state.assignments.items()},
+            [str(r) for r in state.relations], [str(step) for step in state.trace],
+            sorted(state.solved), state.version)
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_ROOT_FAILS))
+def test_second_root_resumes_without_the_first_branchs_reductions(case):
+    equations, unknowns = _square_system(FIRST_ROOT_FAILS[case])
+    expected = _as_strings(_reference_square_fallback(equations, unknowns))
+    assert _as_strings(recovery._solve_with_square_fallback(equations, unknowns)) == expected
+    assert expected[0] == {"x": "1", "y": "1", "z": "a"}
+    # the same two branches by hand: the first one fails and must leave the
+    # reductions it cached out of the state the second one starts from
+    stuck = _stuck(equations, unknowns)
+    before = _snapshot(stuck)
+    ctx = equations[0].ctx
+    with pytest.raises((StuckSystem, InconsistentSystem)):
+        stuck.state.branch(f"eq{len(equations)}", ctx.parse("x + 1").num)
+    assert _snapshot(stuck) == before
+    assert _as_strings(stuck.state.branch(f"eq{len(equations)}", ctx.parse("x - 1").num)) \
+        == expected
+    assert _snapshot(stuck) == before
+
+
+@pytest.mark.parametrize("case", sorted(EVERY_ROOT_FAILS))
+def test_every_root_failing_raises_the_reference_exception(case):
+    equations, unknowns = _square_system(EVERY_ROOT_FAILS[case])
+    with pytest.raises((StuckSystem, InconsistentSystem)) as expected:
+        _reference_square_fallback(equations, unknowns)
+    with pytest.raises(expected.type) as got:
+        recovery._solve_with_square_fallback(equations, unknowns)
+    assert str(got.value) == str(expected.value)
+    assert expected.type is (StuckSystem if case == "stuck" else InconsistentSystem)
+
+
+def test_branching_twice_from_one_stuck_state_leaves_it_unchanged():
+    equations, unknowns = _square_system(FIRST_ROOT_FAILS["inconsistent"])
+    stuck = _stuck(equations, unknowns)
+    before = _snapshot(stuck)
+    root = equations[0].ctx.parse("x - 1").num
+    first = _as_strings(stuck.state.branch("eq4", root))
+    assert _as_strings(stuck.state.branch("eq4", root)) == first
+    assert _snapshot(stuck) == before
+    assert "x -> 1   [eq4]" in first[3]
