@@ -5,11 +5,15 @@ triangular eliminator used by scheme recovery.
 Representation
 --------------
 A polynomial lives in a :class:`Context`, an ordered tuple of named symbols.
-It is stored sparsely as a dict mapping exponent tuples (one entry per
-context symbol) to ``Fraction`` coefficients; zero coefficients are never
-stored.  The canonical term order is graded lexicographic on the exponent
-tuple, which fixes printing, leading terms and golden-file output once and
-for all.
+It is stored sparsely as integer numerators over one positive denominator:
+a dict ``nums`` mapping exponent tuples (one entry per context symbol) to
+nonzero ints, and an int ``den`` with gcd(den, *nums) = 1.  That pair is
+unique, so equality is structural.  Products, sums, exact division and
+modular images then run on ints, and each result is reduced once, by one
+gcd of its denominator and numerators; ``terms`` shows the coefficients as
+reduced ``Fraction``s.  The canonical term order is graded lexicographic on
+the exponent tuple, which fixes printing, leading terms and golden-file
+output once and for all.
 
 Rational functions (:class:`MRat`) keep a numerator/denominator pair in
 canonical form: gcd(num, den) = 1, denominator with coprime integer
@@ -28,7 +32,10 @@ constant.  :func:`exact_divide` runs one pass over a remainder kept in a
 dict and a heap of its exponents in graded-lex order (Monagan & Pearce,
 J. Symb. Comp. 2011), and it rejects a non-divisor early from per-variable
 degree bounds, which also makes the divisibility shortcuts in the gcd cheap
-when they fail.  Most gcds the pipeline asks for are constant, and a
+when they fail.  It divides integer numerators by the integer-primitive part
+of the divisor; by Gauss's lemma that divides them over Z exactly when the
+divisor divides over Q, so a coefficient division that leaves a remainder
+rejects as well.  Most gcds the pipeline asks for are constant, and a
 coprimality certificate settles those before any division or PRS step, at
 every level of the recursion (Brown, J. ACM 1971): every symbol but one is
 set to a fixed residue modulo the prime 2^61 - 1, and Euclid runs on the two
@@ -54,8 +61,9 @@ canonical; ``MRat(num, den)`` normalizes an arbitrary pair.
 
 Substitution finds the symbols a polynomial involves in one pass over its
 terms, and puts the constant values (numeric draws, parameter values) in with
-one more: each distinct monomial in those symbols is evaluated once, over
-integers, and each new coefficient is reduced once.  A Horner scheme in one
+one more: each distinct monomial in those symbols is weighed once, as an
+integer over the common denominator of all their values, the numerators are
+summed as ints, and the result is reduced once.  A Horner scheme in one
 substituted symbol at a time then takes the values left.  When each of them
 has denominator 1 (polynomial assignments), the scheme runs on MPoly and
 wraps the result once: on such operands the MRat operators run no gcd and
@@ -140,7 +148,7 @@ class Context:
     enforce this; builders below do).
     """
 
-    __slots__ = ("syms", "names", "_index")
+    __slots__ = ("syms", "names", "_index", "_zero")
 
     def __init__(self, syms: Sequence[Sym]):
         names = [s.name for s in syms]
@@ -149,6 +157,7 @@ class Context:
         self.syms = tuple(syms)
         self.names = tuple(names)
         self._index = {n: i for i, n in enumerate(names)}
+        self._zero = (0,) * len(names)
 
     @staticmethod
     def make(fiber: Sequence[str] = ("x", "y"), time: str | None = "t",
@@ -173,7 +182,7 @@ class Context:
         return len(self.syms)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Context) and self.syms == other.syms
+        return self is other or isinstance(other, Context) and self.syms == other.syms
 
     def __hash__(self):
         return hash(self.syms)
@@ -187,16 +196,17 @@ class Context:
     # -- element builders ---------------------------------------------------
 
     def zero_exp(self) -> Exponent:
-        return (0,) * len(self.syms)
+        return self._zero
 
     def poly(self, value: int | Fraction) -> "MPoly":
-        c = Fraction(value)
-        return MPoly(self, {} if c == 0 else {self.zero_exp(): c})
+        if not value:
+            return _canonical(self, {}, 1)
+        return _canonical(self, {self._zero: value.numerator}, value.denominator)
 
     def poly_var(self, name: str) -> "MPoly":
         e = [0] * len(self.syms)
         e[self.index(name)] = 1
-        return MPoly(self, {tuple(e): Fraction(1)})
+        return _canonical(self, {tuple(e): 1}, 1)
 
     def rat(self, value: int | Fraction) -> "MRat":
         return MRat.from_poly(self.poly(value))
@@ -228,12 +238,12 @@ def coefficients_in(p: MPoly, names: Sequence[str]) -> list[MPoly]:
     order in which their monomials in ``names`` first occur among p's terms.
     """
     idx = [p.ctx.index(n) for n in names]
-    groups: dict[Exponent, dict[Exponent, Fraction]] = {}
-    for e, c in p.terms.items():
+    groups: dict[Exponent, dict[Exponent, int]] = {}
+    for e, c in p.nums.items():
         key = tuple(e[i] if i in idx else 0 for i in range(len(e)))
         rest = tuple(0 if i in idx else e[i] for i in range(len(e)))
         groups.setdefault(key, {})[rest] = c
-    return [MPoly(p.ctx, terms) for terms in groups.values()]
+    return [_make(p.ctx, nums, p.den) for nums in groups.values()]
 
 
 def union_context(a: Context, b: Context) -> Context:
@@ -247,45 +257,62 @@ def _grlex_key(e: Exponent):
 
 
 class MPoly:
-    """Sparse multivariate polynomial over Q in a fixed context."""
+    """Sparse multivariate polynomial over Q in a fixed context.
 
-    __slots__ = ("ctx", "terms")
+    Stored as integer numerators over one denominator: the coefficient of
+    the exponent tuple e is ``nums[e] / den``.  ``nums`` holds no zeros,
+    ``den`` is positive and gcd(den, *nums) = 1, so the pair is unique and
+    equality is structural.  ``nums`` is never mutated once the polynomial
+    exists; ``terms`` gives the coefficients as a fresh dict of Fractions.
+    """
 
-    def __init__(self, ctx: Context, terms: Mapping[Exponent, Fraction]):
+    __slots__ = ("ctx", "nums", "den")
+
+    def __init__(self, ctx: Context, terms: Mapping[Exponent, Fraction | int]):
+        ratios = [(e, c.as_integer_ratio()) for e, c in terms.items()]
+        # over the lcm of the reduced denominators no common factor is left
+        den = math.lcm(*(d for _, (_, d) in ratios))
         self.ctx = ctx
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        self.nums = {e: n * (den // d) for e, (n, d) in ratios if n}
+        self.den = den
+
+    @property
+    def terms(self) -> dict[Exponent, Fraction]:
+        """The coefficients as reduced Fractions, in storage order (a copy)."""
+        den = self.den
+        return {e: Fraction(c, den) for e, c in self.nums.items()}
 
     # -- basic queries ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return len(self.nums) <= 1 and all(sum(e) == 0 for e in self.nums)
 
     def constant_value(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.nums.values())), self.den)
 
     def degree_in(self, name: str) -> int:
         i = self.ctx.index(name)
-        return max((e[i] for e in self.terms), default=0)
+        return max((e[i] for e in self.nums), default=0)
 
     def variables(self) -> tuple[str, ...]:
-        return tuple(n for n, powers in zip(self.ctx.names, zip(*self.terms)) if any(powers))
+        return tuple(n for n, powers in zip(self.ctx.names, zip(*self.nums)) if any(powers))
 
     def involves(self, names: Iterable[str]) -> bool:
         idx = [self.ctx.index(n) for n in names]
-        return any(any(e[i] for i in idx) for e in self.terms)
+        return any(any(e[i] for i in idx) for e in self.nums)
 
     def leading(self) -> tuple[Exponent, Fraction]:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+        e = max(self.nums, key=_grlex_key)
+        return e, Fraction(self.nums[e], self.den)
 
     # -- ring operations ----------------------------------------------------
 
@@ -295,36 +322,47 @@ class MPoly:
 
     def __add__(self, other: "MPoly") -> "MPoly":
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other
+        da, db = self.den, other.den
+        den = da if da == db else math.lcm(da, db)
+        fa, fb = den // da, den // db
+        out = dict(self.nums) if fa == 1 else {e: c * fa for e, c in self.nums.items()}
+        for e, c in other.nums.items():
+            s = out.get(e, 0) + c * fb
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return MPoly(self.ctx, out)
+        return _make(self.ctx, out, den)
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.ctx, {e: -c for e, c in self.terms.items()})
+        return _canonical(self.ctx, {e: -c for e, c in self.nums.items()}, self.den)
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._check(other)
-        if not self.terms or not other.terms:
-            return MPoly(self.ctx, {})
-        out: dict[Exponent, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
+        if not self.nums or not other.nums:
+            return _canonical(self.ctx, {}, 1)
+        out: dict[Exponent, int] = {}
+        get = out.get
+        right = other.nums.items()
+        for ea, ca in self.nums.items():
+            for eb, cb in right:
                 e = tuple(map(add, ea, eb))
-                old = out.get(e)
-                out[e] = ca * cb if old is None else old + ca * cb
-        return MPoly(self.ctx, out)  # drops the terms that cancelled
+                out[e] = get(e, 0) + ca * cb
+        # drop the terms that cancelled
+        return _make(self.ctx, {e: c for e, c in out.items() if c}, self.den * other.den)
 
     def scale(self, c: Fraction | int) -> "MPoly":
-        c = Fraction(c)
-        return MPoly(self.ctx, {e: k * c for e, k in self.terms.items()})
+        if not c:
+            return _canonical(self.ctx, {}, 1)
+        n = c.numerator
+        return _make(self.ctx, {e: k * n for e, k in self.nums.items()}, self.den * c.denominator)
 
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
@@ -339,35 +377,30 @@ class MPoly:
         return result
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MPoly) and self.ctx == other.ctx and self.terms == other.terms
+        return (isinstance(other, MPoly) and self.den == other.den and self.nums == other.nums
+                and self.ctx == other.ctx)
 
     def __hash__(self):
-        return hash((self.ctx, frozenset(self.terms.items())))
+        return hash((self.ctx, self.den, frozenset(self.nums.items())))
 
     # -- calculus and substitution -------------------------------------------
 
     def derivative(self, name: str) -> "MPoly":
         i = self.ctx.index(name)
-        out: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            ne = tuple(ne)
-            out[ne] = out.get(ne, Fraction(0)) + c * e[i]
-        return MPoly(self.ctx, out)
+        out: dict[Exponent, int] = {}
+        for e, c in self.nums.items():
+            k = e[i]
+            if k:
+                out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+        return _make(self.ctx, out, self.den)
 
     def as_univariate(self, name: str) -> dict[int, "MPoly"]:
         """View as a polynomial in ``name`` with MPoly coefficients."""
         i = self.ctx.index(name)
-        out: dict[int, dict[Exponent, Fraction]] = {}
-        for e, c in self.terms.items():
-            d = e[i]
-            ne = list(e)
-            ne[i] = 0
-            out.setdefault(d, {})[tuple(ne)] = c
-        return {d: MPoly(self.ctx, t) for d, t in sorted(out.items())}
+        out: dict[int, dict[Exponent, int]] = {}
+        for e, c in self.nums.items():
+            out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+        return {d: _make(self.ctx, nums, self.den) for d, nums in sorted(out.items())}
 
     def coefficient(self, name: str, power: int) -> "MPoly":
         return self.as_univariate(name).get(power, self.ctx.poly(0))
@@ -383,48 +416,47 @@ class MPoly:
         if missing:
             raise KeyError(f"target context lacks symbols {missing}")
         mapping = {i: ctx.index(n) for i, n in enumerate(self.ctx.names) if n in ctx}
-        out: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
+        out: dict[Exponent, int] = {}
+        for e, c in self.nums.items():
             ne = [0] * len(ctx)
             for src, p in enumerate(e):
                 if p:
                     ne[mapping[src]] = p
             out[tuple(ne)] = c
-        return MPoly(ctx, out)
+        return _canonical(ctx, out, self.den)
 
     def rename(self, names: Mapping[str, str]) -> "MPoly":
         """Rename symbols (kinds preserved), producing a parallel context."""
         syms = tuple(Sym(names.get(s.name, s.name), s.kind) for s in self.ctx.syms)
-        return MPoly(Context(syms), dict(self.terms))
+        return _canonical(Context(syms), self.nums, self.den)
 
     # -- normal forms ---------------------------------------------------------
-
-    def fraction_content(self) -> Fraction:
-        """Positive rational c such that self/c has coprime integer coefficients."""
-        return _rational_content(self.terms.values())
 
     def sign(self) -> int:
         if self.is_zero():
             return 0
-        return 1 if self.leading()[1] > 0 else -1
+        return 1 if self.nums[max(self.nums, key=_grlex_key)] > 0 else -1
 
     def primitive(self) -> "MPoly":
         """Integer-primitive representative with positive leading coefficient."""
         if self.is_zero():
             return self
-        unit = self.fraction_content() * self.sign()
-        return self.scale(1 / unit)
+        unit = math.gcd(*self.nums.values()) * self.sign()
+        if unit == 1 and self.den == 1:
+            return self
+        return _canonical(self.ctx, {e: c // unit for e, c in self.nums.items()}, 1)
 
     def monomial_gcd(self) -> Exponent:
         if self.is_zero():
             return self.ctx.zero_exp()
-        return tuple(map(min, zip(*self.terms)))
+        return tuple(map(min, zip(*self.nums)))
 
     def shift_down(self, mono: Exponent) -> "MPoly":
         """Divide by the monomial ``mono`` (must divide every term)."""
         if not any(mono):
             return self
-        return MPoly(self.ctx, {tuple(map(sub, e, mono)): c for e, c in self.terms.items()})
+        return _canonical(self.ctx, {tuple(map(sub, e, mono)): c for e, c in self.nums.items()},
+                          self.den)
 
     # -- printing --------------------------------------------------------------
 
@@ -434,22 +466,35 @@ class MPoly:
     __repr__ = __str__
 
 
-def _rational_content(coeffs: Iterable[Fraction]) -> Fraction:
-    """Positive rational c such that the coeffs over c are coprime integers (1 if none)."""
-    coeffs = list(coeffs)
-    if not coeffs:
-        return Fraction(1)
-    return Fraction(math.gcd(*(c.numerator for c in coeffs)),
-                    math.lcm(*(c.denominator for c in coeffs)))
+_new_poly = object.__new__
+
+
+def _canonical(ctx: Context, nums: dict[Exponent, int], den: int) -> MPoly:
+    """The MPoly nums/den of a pair already in canonical form (see MPoly)."""
+    p = _new_poly(MPoly)
+    p.ctx, p.nums, p.den = ctx, nums, den
+    return p
+
+
+def _make(ctx: Context, nums: dict[Exponent, int], den: int) -> MPoly:
+    """The MPoly nums/den for nonzero numerators and a positive denominator,
+    reduced by their common factor."""
+    if den != 1:
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            nums = {e: c // g for e, c in nums.items()}
+            den //= g
+    return _canonical(ctx, nums, den)
 
 
 def render_poly(p: MPoly) -> str:
     """Canonical text form: graded-lex sorted terms, explicit ``*`` and ``^``."""
     if p.is_zero():
         return "0"
+    terms = p.terms
     pieces = []
-    for e in sorted(p.terms, key=_grlex_key, reverse=True):
-        c = p.terms[e]
+    for e in sorted(terms, key=_grlex_key, reverse=True):
+        c = terms[e]
         factors = []
         for name, power in zip(p.ctx.names, e):
             if power == 1:
@@ -483,6 +528,15 @@ def _frac_str(q: Fraction) -> str:
 def exact_divide(a: MPoly, b: MPoly) -> MPoly | None:
     """Return a/b when b divides a exactly, else None.
 
+    The division runs on integers: a's numerators A are divided by B, the
+    primitive integer part of b's numerators.  B is primitive, so by Gauss's
+    lemma B divides A over Q exactly when it divides it over Z: a quotient
+    A/B in Q[x] is its content times a primitive Q', and A = cont * B * Q'
+    with B * Q' primitive makes cont the content of A, an integer.  Each
+    quotient coefficient the loop computes is then an integer, and a nonzero
+    remainder of any coefficient division proves that b does not divide a.
+    The quotient a/b is A/B scaled by b.den / (a.den * content(b.nums)).
+
     Exponents are handled as keys ``(-deg e, -e_1, ..., -e_n)``: keys add
     like exponents, and the smallest key is the graded-lex largest exponent,
     so the remainder's heap of keys pops its leading term.  A key whose term
@@ -499,8 +553,9 @@ def exact_divide(a: MPoly, b: MPoly) -> MPoly | None:
     if b.is_constant():
         return a.scale(1 / b.constant_value())
     a._check(b)
-    rem = {_div_key(e): c for e, c in a.terms.items()}
-    divisor = sorted((_div_key(e), c) for e, c in b.terms.items())
+    rem = {_div_key(e): c for e, c in a.nums.items()}
+    content = math.gcd(*b.nums.values())
+    divisor = sorted((_div_key(e), c // content) for e, c in b.nums.items())
     lo_a, hi_a = _key_bounds(rem)
     lo_b, hi_b = _key_bounds([k for k, _ in divisor])
     lo = tuple(map(sub, lo_a, lo_b))
@@ -510,7 +565,7 @@ def exact_divide(a: MPoly, b: MPoly) -> MPoly | None:
     (lead, lead_c), rest = divisor[0], divisor[1:]
     heap = list(rem)
     heapify(heap)
-    quotient: dict[Exponent, Fraction] = {}
+    quotient: dict[Exponent, int] = {}
     while heap:
         k = heappop(heap)
         c = rem.pop(k, None)
@@ -519,7 +574,9 @@ def exact_divide(a: MPoly, b: MPoly) -> MPoly | None:
         kq = tuple(map(sub, k, lead))
         if not (all(map(le, lo, kq)) and all(map(le, kq, hi))):
             return None
-        qc = c / lead_c
+        qc, r = divmod(c, lead_c)
+        if r:
+            return None
         quotient[kq] = qc
         for kb, cb in rest:
             kr = tuple(map(add, kq, kb))
@@ -533,7 +590,8 @@ def exact_divide(a: MPoly, b: MPoly) -> MPoly | None:
                     rem[kr] = s
                 else:
                     del rem[kr]
-    return MPoly(a.ctx, {tuple(map(neg, kq[1:])): c for kq, c in quotient.items()})
+    return _make(a.ctx, {tuple(map(neg, kq[1:])): c * b.den for kq, c in quotient.items()},
+                 a.den * content)
 
 
 def _div_key(e: Exponent) -> tuple[int, ...]:
@@ -557,7 +615,7 @@ def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
     b0 = b.shift_down(mb)
     core = _gcd_core(a0, b0)
     if any(mono):
-        core = core * MPoly(a.ctx, {mono: Fraction(1)})
+        core = core * _canonical(a.ctx, {mono: 1}, 1)
     return core.primitive()
 
 
@@ -607,13 +665,13 @@ def _residues(n: int) -> tuple[list[int], list[int]]:
 
 
 def _term_images(p: MPoly, residues: list[int]) -> list[tuple[Exponent, int]] | None:
-    """Each term's value mod _PRIME at the fixed residues; None if _PRIME divides a denominator."""
+    """Each term's value mod _PRIME at the fixed residues; None if _PRIME divides p.den."""
+    if p.den % _PRIME == 0:
+        return None
+    inverse = pow(p.den, -1, _PRIME)
     images = []
-    for e, c in p.terms.items():
-        d = c.denominator
-        if d % _PRIME == 0:
-            return None
-        m = c.numerator % _PRIME if d == 1 else c.numerator * pow(d, -1, _PRIME) % _PRIME
+    for e, c in p.nums.items():
+        m = c * inverse % _PRIME
         for r, k in zip(residues, e):
             if k:
                 m = m * pow(r, k, _PRIME) % _PRIME
@@ -728,7 +786,8 @@ def _drop_rational_content(u: dict[int, MPoly]) -> dict[int, MPoly]:
     polynomial content alone would let the integers of the sequence grow
     exponentially (univariate coefficients have polynomial content 1).
     """
-    unit = _rational_content(c for p in u.values() for c in p.terms.values())
+    unit = Fraction(math.gcd(*(c for p in u.values() for c in p.nums.values())),
+                    math.lcm(*(p.den for p in u.values())))
     if unit == 1:
         return u
     return {d: p.scale(1 / unit) for d, p in u.items()}
@@ -918,37 +977,32 @@ def _poly_subs(p: MPoly, values: Mapping[str, "MRat"]) -> MRat:
 def _subs_constants(p: MPoly, values: Mapping[str, Fraction]) -> MPoly:
     """p with the named symbols set to constants, in one pass over its terms.
 
-    The value of each distinct monomial in those symbols is computed once, as
-    an integer numerator and denominator, and each new coefficient is summed
-    over integers and reduced once.
+    The sums run over integers, on the common denominator p.den * prod d^top
+    of the values n/d, where top is the highest power of the symbol in p: a
+    monomial of powers k weighs prod n^k * d^(top - k) over it.  Each
+    distinct monomial in the symbols is weighed once, and the result is
+    reduced once.
     """
     at = [p.ctx.index(n) for n in values]
     pick = itemgetter(*at)
-    nums = [v.numerator for v in values.values()]
-    dens = [v.denominator for v in values.values()]
+    vals = list(values.values())
+    tops = [max(e[i] for e in p.nums) for i in at]
     keep = tuple(int(i not in at) for i in range(len(p.ctx)))
     weights: dict = {}
-    sums: dict[Exponent, list[int]] = {}
-    for e, c in p.terms.items():
+    sums: dict[Exponent, int] = {}
+    for e, c in p.nums.items():
         powers = pick(e)
         w = weights.get(powers)
         if w is None:
             ks = powers if len(at) > 1 else (powers,)
-            w = weights[powers] = (math.prod(map(pow, nums, ks)), math.prod(map(pow, dens, ks)))
-        if not w[0]:
-            continue
-        n, d = c.numerator * w[0], c.denominator * w[1]
-        e = tuple(map(mul, e, keep))
-        acc = sums.get(e)
-        if acc is None:
-            sums[e] = [n, d]
-        elif acc[1] == d:
-            acc[0] += n
-        else:
-            acc[0] = acc[0] * d + n * acc[1]
-            acc[1] *= d
-    # MPoly drops the coefficients that cancelled
-    return MPoly(p.ctx, {e: Fraction(n, d) for e, (n, d) in sums.items()})
+            w = weights[powers] = math.prod(v.numerator ** k * v.denominator ** (top - k)
+                                            for v, k, top in zip(vals, ks, tops))
+        if w:
+            e = tuple(map(mul, e, keep))
+            sums[e] = sums.get(e, 0) + c * w
+    den = p.den * math.prod(v.denominator ** top for v, top in zip(vals, tops))
+    # drop the coefficients that cancelled
+    return _make(p.ctx, {e: c for e, c in sums.items() if c}, den)
 
 
 def _active(p: MPoly, names: Iterable[str]) -> list[str]:
@@ -958,9 +1012,9 @@ def _active(p: MPoly, names: Iterable[str]) -> list[str]:
     p is free of it.
     """
     index = [(n, p.ctx.index(n)) for n in names]
-    if not p.terms:
+    if not p.nums:
         return []
-    support = [any(col) for col in zip(*p.terms)]
+    support = [any(col) for col in zip(*p.nums)]
     return [n for n, i in index if support[i]]
 
 
@@ -988,7 +1042,7 @@ def _horner(p: MPoly, values: Mapping[str, MPoly | MRat], wrap: Callable[[MPoly]
 
 
 def _is_one(p: MPoly) -> bool:
-    return len(p.terms) == 1 and p.terms.get(p.ctx.zero_exp()) == 1
+    return p.den == 1 and len(p.nums) == 1 and p.nums.get(p.ctx.zero_exp()) == 1
 
 
 def _normalize_pair(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
@@ -1009,11 +1063,10 @@ def _cancel(p: MPoly, q: MPoly) -> tuple[MPoly, MPoly]:
 
 def _unit_normalize(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
     """Scale both so den has coprime integer coefficients, leading one positive."""
-    unit = den.fraction_content() * den.sign()
-    if unit != 1:
-        num = num.scale(1 / unit)
-        den = den.scale(1 / unit)
-    return num, den
+    unit = math.gcd(*den.nums.values()) * den.sign()
+    if unit == 1 and den.den == 1:
+        return num, den
+    return num.scale(Fraction(den.den, unit)), den.primitive()
 
 
 # ---------------------------------------------------------------------------

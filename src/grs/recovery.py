@@ -570,13 +570,19 @@ def _branch_on_squares(run: Callable[[], TriangularSolution], unknowns: Sequence
             raise
         roots = next(filter(None, (_root_equations(p, unknowns) for p in exc.remaining)), [])
         last_exc = exc
-        for root in roots:
-            try:
-                return _branch_on_squares(lambda: exc.state.branch(f"eq{n}", root),
-                                          unknowns, n + 1, depth - 1)
-            except (StuckSystem, InconsistentSystem) as branch_exc:
-                last_exc = branch_exc
-        raise last_exc
+        try:
+            for root in roots:
+                try:
+                    return _branch_on_squares(lambda: exc.state.branch(f"eq{n}", root),
+                                              unknowns, n + 1, depth - 1)
+                except (StuckSystem, InconsistentSystem) as branch_exc:
+                    last_exc = branch_exc
+            raise last_exc
+        finally:
+            # this frame is in the traceback of the exception last_exc names;
+            # the name would keep that cycle, and the elimination states it
+            # holds, alive until a full garbage collection
+            del last_exc
 
 
 def _root_equations(p: MPoly, unknowns: Sequence[str]) -> list[MPoly]:

@@ -376,6 +376,113 @@ def test_exact_divide_rejects_a_non_divisor(p, q):
     assert not _sympy_divides(b, a)
 
 
+def _sympy_quotient(a, d):
+    """a/d as a term dict when d divides a, by sympy.cancel; else None."""
+    sp, _ = _sympy()
+    num, den = sp.fraction(sp.cancel(_to_sympy(a) / _to_sympy(d)))
+    return _from_sympy(num / den) if den.is_number else None
+
+
+def _assert_divides_as_sympy(a, d):
+    ours = exact_divide(a, d)
+    assert (None if ours is None else ours.terms) == _sympy_quotient(a, d)
+
+
+def test_exact_divide_with_a_non_unit_leading_coefficient_matches_sympy():
+    ctx = ORACLE_CTX
+    x, q = ctx.poly_var("x"), ctx.parse("t*x - 2*a + 1").num
+    # 2x + 3 into x^2 + x: the first quotient coefficient 1/2 is not an integer
+    _assert_divides_as_sympy(x * x + x, x.scale(2) + ctx.poly(3))
+    # 2x + 3 into 3x^2 + 3x: the degree bounds pass, the division by 2 fails
+    _assert_divides_as_sympy((x * x + x).scale(3), x.scale(2) + ctx.poly(3))
+    d = x.scale(Fraction(1, 2)) + ctx.poly(Fraction(1, 3))  # 3x + 2 over 6
+    _assert_divides_as_sympy(d * q, d)
+    _assert_divides_as_sympy(d * q + ctx.poly(1), d)
+    assert exact_divide(d * q, d) == q and exact_divide(d * q + ctx.poly(1), d) is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(_factor, _cofactor, _cofactor, st.sampled_from([2, 3, Fraction(2, 3), Fraction(3, 4)]))
+def test_exact_divide_by_rational_divisors_matches_sympy(f, q, r, lead):
+    """Divisors whose integer-primitive part has a leading coefficient other
+    than 1: the integer division must neither miss a quotient nor pass a
+    non-divisor."""
+    big = ORACLE_CTX.parse("x^2*t^2*a^2").num
+    d = big.scale(lead) + f
+    assume(abs(d.primitive().leading()[1]) != 1)
+    _assert_divides_as_sympy(d * q, d)
+    _assert_divides_as_sympy(d * q + r, d)
+    # the same support as d * q, so that only the division steps can reject
+    _assert_divides_as_sympy((big.scale(lead) + f.scale(Fraction(3, 2))) * q, d)
+    _assert_divides_as_sympy((d * q).scale(Fraction(5, 7)), d.scale(Fraction(-3, 2)))
+
+
+def _assert_canonical_storage(p):
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c for c in p.nums.values())
+    assert math.gcd(p.den, *p.nums.values()) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polys(), _polys(), _nonzero, st.fractions(-3, 3, max_denominator=4),
+       st.integers(0, 3), st.fractions(-3, 3, max_denominator=3))
+def test_storage_stays_canonical(a, b, c, k, n, value):
+    """Numerators with no zero among them over a positive denominator with
+    no factor common to all: structural equality depends on it."""
+    one = ORACLE_CTX.poly(1)
+    results = [a + b, a - b, a * b, -a, a.scale(k), a ** n, a.primitive(),
+               a.shift_down(a.monomial_gcd()), a.lift(PLANT_CTX), exact_divide(a * c, c),
+               *split_content(c, ["x"]), *split_content(c * (b * b + one), ["t", "a"]),
+               a.subs({"t": ORACLE_CTX.rat(value)}).num,
+               a.subs({"x": ORACLE_CTX.rat(value), "a": ORACLE_CTX.rat(k)}).num]
+    for name in ORACLE_CTX.names:
+        results.append(a.derivative(name))
+        results += a.as_univariate(name).values()
+        results += algebra.coefficients_in(a, [name])
+    for p in results:
+        _assert_canonical_storage(p)
+
+
+_monomials = st.tuples(*[st.integers(0, 2)] * 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(_monomials, st.fractions(-3, 3, max_denominator=4) | st.integers(-3, 3),
+                       max_size=6),
+       st.sampled_from([["x"], ["t"], ["x", "a"], ["t", "a"]]))
+def test_terms_view_contract(raw, names):
+    p = MPoly(ORACLE_CTX, raw)
+    view = p.terms
+    # reduced Fractions, in the order the constructor was given them
+    assert list(view.items()) == [(e, Fraction(c)) for e, c in raw.items() if c]
+    assert all(type(c) is Fraction for c in view.values())
+    # coefficients_in groups in order of first occurrence, each in term order
+    idx = [ORACLE_CTX.index(n) for n in names]
+    groups = {}
+    for e, c in view.items():
+        key = tuple(k if i in idx else 0 for i, k in enumerate(e))
+        rest = tuple(0 if i in idx else k for i, k in enumerate(e))
+        groups.setdefault(key, []).append((rest, c))
+    got = [list(g.terms.items()) for g in algebra.coefficients_in(p, names)]
+    assert got == list(groups.values())
+    # the view is a copy
+    view.clear()
+    view[ORACLE_CTX.zero_exp()] = Fraction(7)
+    assert list(p.terms.items()) == [(e, Fraction(c)) for e, c in raw.items() if c]
+    rebuilt = MPoly(ORACLE_CTX, p.terms)
+    assert rebuilt == p and hash(rebuilt) == hash(p)
+
+
+def test_constructor_drops_zeros_and_accepts_ints():
+    e, f = (1, 0, 0), (0, 1, 0)
+    p = MPoly(ORACLE_CTX, {e: 0, f: 3})
+    assert p.terms == {f: Fraction(3)} and (p.nums, p.den) == ({f: 3}, 1)
+    q = MPoly(ORACLE_CTX, {e: Fraction(1, 2), f: Fraction(-2, 3)})
+    assert (q.nums, q.den) == ({e: 3, f: -4}, 6)
+    assert q == MPoly(ORACLE_CTX, {f: Fraction(-4, 6), e: Fraction(3, 6)})
+    assert MPoly(ORACLE_CTX, {e: 0}) == ORACLE_CTX.poly(0)
+
+
 # pairs (a, b) that drive each branch of the MRat operators
 MRAT_PAIRS = {
     "constant_den": st.tuples(_polys(), st.fractions(1, 3, max_denominator=3), _polys(),

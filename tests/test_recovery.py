@@ -1,13 +1,14 @@
 """Scheme recovery tests: constraint generation, the five golden recoveries,
 eigenvalue relations, the existence construction, and correspondences."""
 
+import gc
 from fractions import Fraction
 
 import pytest
 
 from grs import recovery
-from grs.algebra import (Context, InconsistentSystem, MRat, StuckSystem, solve_triangular,
-                         union_context)
+from grs.algebra import (Context, Elimination, InconsistentSystem, MRat, StuckSystem,
+                         solve_triangular, union_context)
 from grs.catalog import (MATCH_PAIRS, get_scheme, get_system, match_pair, pvi_system,
                          scheme_gen_pv, scheme_pvi)
 from grs.recovery import (DegeneratePoints, GRScheme, NoRelation, RelationViolated,
@@ -487,6 +488,22 @@ def test_second_root_resumes_without_the_first_branchs_reductions(case):
     assert _as_strings(stuck.state.branch(f"eq{len(equations)}", ctx.parse("x - 1").num)) \
         == expected
     assert _snapshot(stuck) == before
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_ROOT_FAILS))
+def test_a_solved_branch_leaves_no_elimination_state_to_the_cycle_collector(case):
+    """The branches catch StuckSystem, which carries its elimination state;
+    once the solve returns, reference counting alone must free every state."""
+    equations, unknowns = _square_system(FIRST_ROOT_FAILS[case])
+    gc.collect()
+    gc.disable()
+    try:
+        before = {id(o) for o in gc.get_objects() if isinstance(o, Elimination)}
+        recovery._solve_with_square_fallback(equations, unknowns)
+        left = [o for o in gc.get_objects() if isinstance(o, Elimination) and id(o) not in before]
+    finally:
+        gc.enable()
+    assert left == []
 
 
 @pytest.mark.parametrize("case", sorted(EVERY_ROOT_FAILS))
