@@ -1411,87 +1411,97 @@ def _tokenize(text: str) -> list[str]:
 
 def parse_rat(ctx: Context, text: str) -> MRat:
     """Parse +,-,*,/,^ expressions over declared symbols and integers."""
-    tokens = _tokenize(text)
-    pos = 0
-    depth = 0
-    # the largest power inside each open parenthesis, outermost first
-    powers = [1]
+    parser = _Parser(ctx, text)
+    node = parser.parse_expr()
+    if parser.pos != len(parser.tokens):
+        raise ParseError(f"trailing input in {text!r}")
+    return node
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
 
-    def take(expected=None):
-        nonlocal pos
-        tok = peek()
+class _Parser:
+    """The recursive descent of parse_rat over the tokens of one text.
+
+    The state lives on an object so that reference counting frees each parse
+    when parse_rat returns; nested closures that call one another would form
+    a reference cycle that only the cycle collector frees.
+    """
+
+    __slots__ = ("ctx", "text", "tokens", "pos", "depth", "powers")
+
+    def __init__(self, ctx: Context, text: str):
+        self.ctx, self.text, self.tokens = ctx, text, _tokenize(text)
+        self.pos = self.depth = 0
+        # the largest power inside each open parenthesis, outermost first
+        self.powers = [1]
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self, expected=None):
+        tok = self.peek()
         if tok is None:
-            raise ParseError(f"unexpected end of input in {text!r}")
+            raise ParseError(f"unexpected end of input in {self.text!r}")
         if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected!r}, found {tok!r} in {text!r}")
-        pos += 1
+            raise ParseError(f"expected {expected!r}, found {tok!r} in {self.text!r}")
+        self.pos += 1
         return tok
 
-    def parse_expr() -> MRat:
-        node = parse_term()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = parse_term()
+    def parse_expr(self) -> MRat:
+        node = self.parse_term()
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            rhs = self.parse_term()
             node = node + rhs if op == "+" else node - rhs
         return node
 
-    def parse_term() -> MRat:
-        node = parse_factor()
-        while peek() in ("*", "/"):
-            op = take()
-            rhs = parse_factor()
+    def parse_term(self) -> MRat:
+        node = self.parse_factor()
+        while self.peek() in ("*", "/"):
+            op = self.take()
+            rhs = self.parse_factor()
             node = node * rhs if op == "*" else node / rhs
         return node
 
-    def parse_factor() -> MRat:
+    def parse_factor(self) -> MRat:
         sign = 1
-        while peek() in ("+", "-"):
-            if take() == "-":
+        while self.peek() in ("+", "-"):
+            if self.take() == "-":
                 sign = -sign
-        node, inner = parse_atom()
-        if peek() in ("^", "**"):
-            take()
+        node, inner = self.parse_atom()
+        if self.peek() in ("^", "**"):
+            self.take()
             neg = False
-            if peek() == "-":
-                take()
+            if self.peek() == "-":
+                self.take()
                 neg = True
-            exp_tok = take()
+            exp_tok = self.take()
             if not exp_tok.isdigit():
-                raise ParseError(f"expected integer exponent in {text!r}")
+                raise ParseError(f"expected integer exponent in {self.text!r}")
             if len(exp_tok) > len(str(MAX_EXPONENT)) or int(exp_tok) * inner > MAX_EXPONENT:
-                raise ParseError(f"power above MAX_EXPONENT = {MAX_EXPONENT} in {text!r}")
+                raise ParseError(f"power above MAX_EXPONENT = {MAX_EXPONENT} in {self.text!r}")
             e = int(exp_tok)
-            powers[-1] = max(powers[-1], e * inner)
+            self.powers[-1] = max(self.powers[-1], e * inner)
             node = node ** (-e if neg else e)
         if sign < 0:
             node = -node
         return node
 
-    def parse_atom() -> tuple[MRat, int]:
+    def parse_atom(self) -> tuple[MRat, int]:
         """The atom, and the largest power computed inside it."""
-        nonlocal depth
-        tok = take()
+        tok, ctx = self.take(), self.ctx
         if tok == "(":
-            depth += 1
-            if depth > MAX_NESTING:
+            self.depth += 1
+            if self.depth > MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}")
-            powers.append(1)
-            node = parse_expr()
-            take(")")
-            depth -= 1
-            return node, powers.pop()
+            self.powers.append(1)
+            node = self.parse_expr()
+            self.take(")")
+            self.depth -= 1
+            return node, self.powers.pop()
         if tok.isdigit():
             return ctx.rat(int(tok)), 1
         if tok in ctx:
             return ctx.var(tok), 1
         if not tok.isidentifier():
-            raise ParseError(f"unexpected {tok!r} in {text!r}")
+            raise ParseError(f"unexpected {tok!r} in {self.text!r}")
         raise ParseError(f"unknown symbol {tok!r} (context: {ctx.names})")
-
-    node = parse_expr()
-    if pos != len(tokens):
-        raise ParseError(f"trailing input in {text!r}")
-    return node

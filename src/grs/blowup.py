@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .algebra import MPoly, MRat, assign, solve_linear
-from .singularities import (AccessiblePoint, LocalField, divisor_chart_local,
-                            find_divisor_roots, linearization_matrix,
-                            local_index_from_matrix, restricted_numerator,
-                            root_multiplicity, _eval_coeffs, _trim, _deflate,
-                            default_candidates)
+from .singularities import (AccessiblePoint, LocalField, SingularityError, default_candidates,
+                            deflate, divisor_chart_local, find_divisor_roots,
+                            linearization_matrix, local_index_from_matrix,
+                            restricted_numerator, root_multiplicity)
 from .surface import PlaneVectorField, CoefficientFamily, chart_from_u0
 
 
@@ -173,8 +172,8 @@ def resolve_multiplicity(vf: PlaneVectorField, point: AccessiblePoint,
     if k not in (2, 3):
         raise ResolutionError(f"X={point.label} has multiplicity {k}; resolution is "
                               "implemented for multiplicities 2 and 3")
-    order, _ = root_multiplicity(restricted_numerator(divisor_chart_local(vf, point.chart)),
-                                 point.location)
+    local = divisor_chart_local(vf, point.chart)
+    order, _ = root_multiplicity(restricted_numerator(local), local.along, point.location)
     if order != k:
         raise NotResolvable(
             f"numerator vanishes to order {order} at {point.label}, expected {k}")
@@ -186,13 +185,11 @@ def resolve_multiplicity(vf: PlaneVectorField, point: AccessiblePoint,
 
     chart, steps = _blow_up_sequence(vf, point.chart, point.location, k, inaccessible)
     final = LocalField(chart.fx, chart.fy, divisor="x")
-    coeffs = restricted_numerator(final)
-    candidates = []
-    if expected_location is not None:
-        candidates.append(expected_location)
-    candidates += default_candidates(vf.ctx)
-    candidates += [-c for c in default_candidates(vf.ctx)]
-    roots = [(r, m) for r, m in find_divisor_roots(coeffs, candidates)
+    candidates = [] if expected_location is None else [expected_location]
+    defaults = default_candidates(vf.ctx)
+    candidates += defaults + [-c for c in defaults]
+    roots = [(r, m) for r, m in find_divisor_roots(restricted_numerator(final), final.along,
+                                                   candidates)
              if not r.is_zero()]
     if len(roots) != 1:
         raise NotResolvable(f"expected one accessible point off the corner, found {roots}")
@@ -230,34 +227,38 @@ def resolve_family(vf: PlaneVectorField, location: MRat, multiplicity: int,
     conditions: list[tuple[str, MPoly]] = []
     assignments: dict[str, MRat] = {}
 
-    def emit(tag: str, value: MPoly):
+    def emit(tag: str, value: MPoly) -> bool:
+        """Impose value = 0 unless it holds already; whether it was imposed."""
         sub = value.subs(assignments).num if assignments else value
         if sub.is_zero():
-            return
+            return False
         conditions.append((tag, sub.primitive()))
         # keep the working field consistent with the emitted condition
         solved = solve_linear(sub, [u for u in unknowns if u not in assignments], unknowns)
         if solved is None:
             raise ResolutionError(f"cannot impose condition {sub} = 0 on the family")
         assign(assignments, *solved)
+        return True
 
     local = divisor_chart_local(vf, chart)
-    coeffs = restricted_numerator(local)
+    along = local.along
+    f = restricted_numerator(local)
     # vanishing of the divisor numerator to the requested order
-    work = list(coeffs)
     for j in range(multiplicity):
-        value = _eval_coeffs([c.subs(assignments) for c in work], location)
-        emit(f"X={location} multiplicity order {j}", value.num)
-        work = _trim(_deflate([c.subs(assignments) for c in work], location))
+        if j:
+            f = deflate(f, along, location)
+            if f is None:
+                raise SingularityError("deflation by a non-root")
+        if emit(f"X={location} multiplicity order {j}", f.subs({along: location}).num):
+            f = f.subs(assignments)
     chart_obj, steps = _blow_up_sequence(
         vf, chart, location, multiplicity,
         lambda j, name, value: emit(f"blow-up step {j}: exceptional origin accessibility",
                                     value),
         assignments)
     final = LocalField(chart_obj.fx, chart_obj.fy, divisor="x")
-    access = _eval_coeffs(restricted_numerator(final),
-                          resolved_location.subs(assignments) if assignments else resolved_location)
-    emit("resolved-point accessibility", access.num)
+    at = resolved_location.subs(assignments) if assignments else resolved_location
+    emit("resolved-point accessibility", restricted_numerator(final).subs({final.along: at}).num)
     chart_obj = _with(chart_obj, assignments)
     return FamilyResolution(ResolutionTrace(steps, chart_obj, resolved_location), conditions)
 

@@ -89,6 +89,14 @@ class SingularSpec:
             raise SchemeError("multiple points require resolved-point data")
         if self.multiplicity == 1 and self.resolved is not None:
             raise SchemeError("simple points carry no resolved-point data")
+        # divisor points are functions of t and the parameters; the patching
+        # map, a map of the fiber, does involve x and y
+        resolved = () if self.resolved is None else self.resolved.point
+        for what, values in (("location", [self.location]), ("resolved point", resolved)):
+            if any(v is not None and {"x", "y"} & {*v.num.variables(), *v.den.variables()}
+                   for v in values):
+                raise SchemeError(f"scheme column X={self.label}: the {what} may not "
+                                  "involve x or y")
 
     @property
     def label(self) -> str:

@@ -24,6 +24,17 @@ when D(p) != 0 the canonical value equals that of the reduced derivative
 substituted at p.  A row with D(p) = 0 (a field not regular at the point)
 takes the derivative path, substituting the reduced derivative, which
 raises DivisionByZero unless the pole cancels in it.
+
+Roots and their multiplicities come from exact division.  F1(s, 0) is one
+rational function whose denominator is free of s.  For r = n/d in lowest
+terms over Q(t, params), d*s - n is primitive in s, so by Gauss's lemma
+(Geddes, Czapor & Labahn 1992, ch. 2) s - r divides F1 over Q(t, params)
+exactly when d*s - n divides F1's numerator over Q: :func:`deflate` makes
+that one division, and the vanishing order counts the divisions that
+succeed.  A value that involves x or y is never a root: the roots of F1 are
+algebraic over Q(t, params), and no rational function involving x or y is.
+Candidates that involve them are refused without dividing, and scheme
+locations may not involve them (``recovery.SingularSpec``).
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .algebra import Context, MRat, Mat2, Sym
+from .algebra import Context, MRat, Mat2, Sym, exact_divide
 from .surface import PlaneVectorField, chart_transform
 
 
@@ -93,96 +104,63 @@ def divisor_chart_local(vf: PlaneVectorField, chart: str) -> LocalField:
     return LocalField(w.dxdt, w.dydt, divisor="y")
 
 
-def restricted_numerator(local: LocalField) -> list[MRat]:
-    """Coefficients of F1(s, 0), the pole numerator restricted to the divisor.
+def restricted_numerator(local: LocalField) -> MRat:
+    """F1(s, 0), the pole numerator restricted to the divisor.
 
-    Returned as a univariate coefficient list in the along-divisor variable
-    with coefficients in Q(t, params).
+    A rational function of the along-divisor variable s over Q(t, params);
+    its denominator is free of s.
     """
-    ctx = local.ctx
-    d = ctx.var(local.divisor)
-    cleared = local.component(local.along) * d
+    cleared = local.component(local.along) * local.ctx.var(local.divisor)
     if not cleared.is_polynomial_in(("x", "y")):
         raise SingularityError(
             f"{local.along}-component has a pole of order > 1 along the divisor: {cleared}")
-    num = cleared.num
-    den = MRat.from_poly(cleared.den)
-    base = num.coefficient(local.divisor, 0)
-    univ = base.as_univariate(local.along)
-    top = max(univ, default=0)
-    return [MRat.from_poly(univ.get(k, ctx.poly(0))) / den for k in range(top + 1)]
+    return MRat(cleared.num.coefficient(local.divisor, 0), cleared.den)
 
 
 # ---------------------------------------------------------------------------
-# Root finding over Q(t, params) by candidate trial and deflation
+# Root finding over Q(t, params) by candidate trial and exact division
 # ---------------------------------------------------------------------------
 
 
-def _eval_coeffs(coeffs: list[MRat], value: MRat) -> MRat:
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * value + c
-    return acc
+def deflate(f: MRat, s: str, root: MRat) -> MRat | None:
+    """f / (s - root) when s - root divides f, else None (see the module
+    docstring); f's denominator is free of s."""
+    if root.involves(("x", "y")):
+        return None
+    quotient = exact_divide(f.num, root.den * f.ctx.poly_var(s) - root.num)
+    return None if quotient is None else MRat(quotient * root.den, f.den)
 
 
-def _deflate(coeffs: list[MRat], root: MRat) -> list[MRat]:
-    """Synthetic division by (var - root); the division must be exact."""
-    out: list[MRat] = [None] * (len(coeffs) - 1)
-    carry = coeffs[-1]
-    for k in range(len(coeffs) - 2, -1, -1):
-        out[k] = carry
-        carry = coeffs[k] + carry * root
-    if not carry.is_zero():
-        raise SingularityError("deflation by a non-root")
-    return out
-
-
-def _trim(coeffs: list[MRat]) -> list[MRat]:
-    while len(coeffs) > 1 and coeffs[-1].is_zero():
-        coeffs = coeffs[:-1]
-    return coeffs
-
-
-def root_multiplicity(coeffs: Sequence[MRat], root: MRat) -> tuple[int, list[MRat]]:
-    """Vanishing order of the coefficient list at root, and the trimmed
-    quotient by (var - root)^order."""
-    coeffs = _trim(list(coeffs))
+def root_multiplicity(f: MRat, s: str, root: MRat) -> tuple[int, MRat]:
+    """Vanishing order of f at s = root, and f / (s - root)^order."""
     mult = 0
-    while len(coeffs) > 1 and _eval_coeffs(coeffs, root).is_zero():
-        coeffs = _trim(_deflate(coeffs, root))
-        mult += 1
-    return mult, coeffs
+    while f.num.degree_in(s) and (quotient := deflate(f, s, root)) is not None:
+        f, mult = quotient, mult + 1
+    return mult, f
 
 
-def find_divisor_roots(coefficients: Sequence[MRat],
+def find_divisor_roots(f: MRat, s: str,
                        candidates: Sequence[MRat]) -> list[tuple[MRat, int]]:
-    """All roots of a univariate polynomial over Q(t, params), with multiplicity.
+    """All roots in s of f over Q(t, params), with multiplicity.
 
-    Tries the candidate set, then deflates; a linear residual factor is
-    solved directly, a residual of degree >= 2 raises UnresolvedFactor.
+    Tries the candidate set, deflating each root found; a linear residual
+    factor is solved directly, a residual of degree >= 2 raises
+    UnresolvedFactor.
     """
-    coeffs = _trim(list(coefficients))
-    if len(coeffs) == 1:
-        if coeffs[0].is_zero():
-            raise SingularityError("numerator vanishes identically on the divisor")
-        return []
+    if f.is_zero():
+        raise SingularityError("numerator vanishes identically on the divisor")
     roots: list[tuple[MRat, int]] = []
     for cand in candidates:
-        mult, coeffs = root_multiplicity(coeffs, cand)
+        mult, f = root_multiplicity(f, s, cand)
         if mult:
             roots.append((cand, mult))
-    while len(coeffs) == 2:
-        root = -(coeffs[0] / coeffs[1])
-        coeffs = [coeffs[1]]
-        for i, (r, m) in enumerate(roots):
-            if r == root:
-                roots[i] = (r, m + 1)
-                break
-        else:
-            roots.append((root, 1))
-    if len(coeffs) > 2:
-        residual = " + ".join(f"({c})*X^{k}" for k, c in enumerate(coeffs) if not c.is_zero())
-        raise UnresolvedFactor(residual)
+    coeffs = f.num.as_univariate(s)
+    top = max(coeffs)
+    if top == 1:
+        roots.append((MRat(-coeffs.get(0, f.ctx.poly(0)), coeffs[1]), 1))
+    elif top > 1:
+        raise UnresolvedFactor(" + ".join(f"({MRat(c, f.den)})*X^{k}"
+                                          for k, c in coeffs.items()))
     return roots
 
 
@@ -231,11 +209,12 @@ def accessible_points(vf: PlaneVectorField,
     ctx = vf.ctx
     candidates = default_candidates(ctx) + list(extra_candidates)
     u2 = divisor_chart_local(vf, "U2")
-    f1 = restricted_numerator(u2)
     points = [AccessiblePoint("U2", root, mult)
-              for root, mult in find_divisor_roots(f1, candidates)]
+              for root, mult in find_divisor_roots(restricted_numerator(u2), u2.along,
+                                                   candidates)]
     zero = ctx.rat(0)
-    mult, _ = root_multiplicity(restricted_numerator(divisor_chart_local(vf, "U3")), zero)
+    u3 = divisor_chart_local(vf, "U3")
+    mult, _ = root_multiplicity(restricted_numerator(u3), u3.along, zero)
     if mult:
         points.append(AccessiblePoint("U3", zero, mult, at_infinity=True))
     return points
@@ -243,12 +222,9 @@ def accessible_points(vf: PlaneVectorField,
 
 def is_accessible(vf: PlaneVectorField, location: MRat | None) -> bool:
     """Whether the divisor point X=location (None for infinity) is accessible."""
-    if location is None:
-        local = divisor_chart_local(vf, "U3")
-        location = vf.ctx.rat(0)
-    else:
-        local = divisor_chart_local(vf, "U2")
-    return _eval_coeffs(restricted_numerator(local), location).is_zero()
+    local = divisor_chart_local(vf, "U3" if location is None else "U2")
+    at = vf.ctx.rat(0) if location is None else location
+    return deflate(restricted_numerator(local), local.along, at) is not None
 
 
 # ---------------------------------------------------------------------------

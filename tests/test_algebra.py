@@ -1,5 +1,6 @@
 """Exact arithmetic kernel tests: canonical forms, gcd, triangular solve."""
 
+import gc
 import json
 import math
 from fractions import Fraction
@@ -236,6 +237,25 @@ def test_parser_exponent_budget(ctx):
                  "((2^4)^4)^5", "(t*(x^2)^17)^2", "x^" + "9" * 5000):
         with pytest.raises(ParseError, match=f"power above MAX_EXPONENT = {MAX_EXPONENT}"):
             parse_rat(ctx, text)
+
+
+def test_parser_leaves_nothing_for_the_cycle_collector(ctx):
+    """Reference counting frees every parse, and every caught ParseError:
+    with the collector off, nothing is left for gc.collect() to find."""
+    texts = ["x*(y+alpha4)^2 - t/3", "x*(y+", "(t", "t^x", "zeta", "t t"]
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            for text in texts:
+                try:
+                    parse_rat(ctx, text)
+                except ParseError:
+                    pass
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left == 0
 
 
 def test_grlex_rendering_deterministic():

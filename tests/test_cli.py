@@ -198,6 +198,56 @@ def test_cli_recover_point_at_a_high_power_of_t(capsys):
             " - n2*n3*n4 = 0") in out.splitlines()
 
 
+FIXTURES = Path(__file__).parent / "fixtures"
+# dx/dt = (x^2 + 1)*(t*x - 1)*y, dy/dt = 0: F1(s, 0) = (s^2 + 1)*(t*s - 1)
+QUADRATIC_FACTOR = FIXTURES / "quadratic_factor.json"
+_CUBIC = "error: unresolved factor: (-1)*X^0 + (t)*X^1 + (-1)*X^2 + (t)*X^3\n"
+
+
+@pytest.mark.parametrize("candidates, err", [
+    (None, _CUBIC),
+    # the root 1/t deflates, and s^2 + 1 stays
+    ("1/t", "error: unresolved factor: (t)*X^0 + (t)*X^2\n"),
+])
+def test_cli_singular_unresolved_factor(capsys, monkeypatch, candidates, err):
+    if candidates is None:
+        monkeypatch.delenv("GRS_CANDIDATE_ROOTS", raising=False)
+    else:
+        monkeypatch.setenv("GRS_CANDIDATE_ROOTS", candidates)
+    assert _run(capsys, "singular", "--system", str(QUADRATIC_FACTOR)) == (1, "", err)
+
+
+@pytest.mark.parametrize("candidate", ["x+1", "x"])
+def test_cli_singular_candidate_involving_x_is_never_a_root(candidate):
+    """x + 1 would formally deflate s^2 + 1 for ever (its d*s - n is -1), and
+    x would divide by zero; both are refused, in seconds."""
+    env = dict(os.environ, GRS_CANDIDATE_ROOTS=candidate,
+               PYTHONPATH=os.pathsep.join([str(Path(__file__).parents[1] / "src"),
+                                           os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "grs.cli", "singular", "--system",
+                           str(QUADRATIC_FACTOR)], capture_output=True, text=True,
+                          env=env, timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", _CUBIC)
+
+
+@pytest.mark.parametrize("name", ["gen-pv_point0_x1", "pvi_point1_x1"])
+@pytest.mark.parametrize("command", ["recover", "relation"])
+def test_cli_scheme_location_involving_x_exits_one(capsys, name, command):
+    """A double point (gen-pv) and a simple point (pvi) moved to x + 1."""
+    scheme = FIXTURES / f"{name}.json"
+    assert _run(capsys, command, "--scheme", str(scheme)) == (
+        1, "", "error: scheme column X=x + 1: the location may not involve x or y\n")
+
+
+def test_cli_scheme_resolved_point_involving_y_exits_one(tmp_path, capsys):
+    data = gio.scheme_to_json(get_scheme("gen-pv").scheme)
+    data["specs"][0]["resolved"]["point"][1] = "t*y"
+    path = tmp_path / "resolved_y.json"
+    path.write_text(gio.dumps(data))
+    assert _run(capsys, "recover", "--scheme", str(path)) == (
+        1, "", "error: scheme column X=0: the resolved point may not involve x or y\n")
+
+
 def test_cli_match(capsys):
     code, out, _ = _run(capsys, "match", "--pair", "gen-piv:piv")
     assert code == 0

@@ -5,15 +5,17 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from grs.algebra import Context, DivisionByZero, Mat2
+from grs.algebra import Context, DivisionByZero, MRat, Mat2
 from grs.blowup import resolve_family, resolve_multiplicity
 from grs.catalog import get_system, pvi_system, system_names
 from grs.recovery import relation_substitution
 from grs.singularities import (LocalField, UnresolvedFactor, accessible_points, alpha_test,
-                               branch_point_screen, is_accessible, linearization,
-                               linearization_matrix, screen_vector_field,
-                               divisor_chart_local)
+                               branch_point_screen, default_candidates, deflate,
+                               divisor_chart_local, find_divisor_roots, is_accessible,
+                               linearization, linearization_matrix, restricted_numerator,
+                               root_multiplicity, screen_vector_field)
 from grs.surface import (PlaneVectorField, SIGMA2_UNKNOWNS, generic_family,
                          sigma2_model)
 
@@ -327,3 +329,240 @@ def test_linearization_matches_quotient_rule_where_denominators_involve_the_char
         with pytest.raises(DivisionByZero) as want:
             _quotient_rule_matrix(local, three)
         assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# The one deflation step against the coefficient-list reference
+# ---------------------------------------------------------------------------
+
+
+def _ref_restricted_numerator(local):
+    """F1(s, 0) as a list of per-coefficient MRats, lowest degree first."""
+    ctx = local.ctx
+    cleared = local.component(local.along) * ctx.var(local.divisor)
+    den = MRat.from_poly(cleared.den)
+    univ = cleared.num.coefficient(local.divisor, 0).as_univariate(local.along)
+    return [MRat.from_poly(univ.get(k, ctx.poly(0))) / den for k in range(max(univ) + 1)]
+
+
+def _ref_coefficients(f, s):
+    """The coefficient list of an MRat whose denominator is free of s."""
+    ctx = f.ctx
+    den = MRat.from_poly(f.den)
+    univ = f.num.as_univariate(s)
+    return _ref_trim([MRat.from_poly(univ.get(k, ctx.poly(0))) / den
+                      for k in range(max(univ, default=0) + 1)])
+
+
+def _ref_eval(coeffs, value):
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * value + c
+    return acc
+
+
+def _ref_deflate(coeffs, root):
+    """Synthetic division by (s - root); the division must be exact."""
+    out = [None] * (len(coeffs) - 1)
+    carry = coeffs[-1]
+    for k in range(len(coeffs) - 2, -1, -1):
+        out[k] = carry
+        carry = coeffs[k] + carry * root
+    assert carry.is_zero()
+    return out
+
+
+def _ref_trim(coeffs):
+    while len(coeffs) > 1 and coeffs[-1].is_zero():
+        coeffs = coeffs[:-1]
+    return coeffs
+
+
+def _ref_root_multiplicity(coeffs, root):
+    coeffs = _ref_trim(list(coeffs))
+    mult = 0
+    while len(coeffs) > 1 and _ref_eval(coeffs, root).is_zero():
+        coeffs = _ref_trim(_ref_deflate(coeffs, root))
+        mult += 1
+    return mult, coeffs
+
+
+def _ref_find_divisor_roots(coeffs, candidates):
+    coeffs = _ref_trim(list(coeffs))
+    if len(coeffs) == 1:
+        return []
+    roots = []
+    for cand in candidates:
+        mult, coeffs = _ref_root_multiplicity(coeffs, cand)
+        if mult:
+            roots.append((cand, mult))
+    while len(coeffs) == 2:
+        root = -(coeffs[0] / coeffs[1])
+        coeffs = [coeffs[1]]
+        for i, (r, m) in enumerate(roots):
+            if r == root:
+                roots[i] = (r, m + 1)
+                break
+        else:
+            roots.append((root, 1))
+    if len(coeffs) > 2:
+        residual = " + ".join(f"({c})*X^{k}" for k, c in enumerate(coeffs) if not c.is_zero())
+        raise UnresolvedFactor(residual)
+    return roots
+
+
+def _outcome(find, *args):
+    """(roots as text with multiplicities, None) or (None, UnresolvedFactor text)."""
+    try:
+        return [(str(r), m) for r, m in find(*args)], None
+    except UnresolvedFactor as exc:
+        return None, str(exc)
+
+
+PLANT = Context.make(parameters=["a"])
+# values that are never roots: they involve x or y, which F1's coefficients do not
+FIBER_VALUES = ["x", "x + 1", "t*y"]
+
+_small = st.integers(-2, 2)
+# c0 + c1*t + c2*a, of degree at most 1 in t and in a
+_linear = st.tuples(_small, _small, _small)
+
+
+def _planted_poly(cs):
+    c0, c1, c2 = (PLANT.rat(c) for c in cs)
+    return c0 + c1 * PLANT.var("t") + c2 * PLANT.var("a")
+
+
+@st.composite
+def _planted(draw):
+    """F1 = g * prod (d_i*s - n_i)^m_i / D, and a candidate list holding the
+    roots n_i/d_i that ``draw`` marks as candidates."""
+    s = PLANT.var("x")
+    factors = []
+    count = draw(st.integers(1, 3))
+    for _ in range(count):
+        d = _planted_poly(draw(_linear))
+        assume(not d.is_zero())
+        n = _planted_poly(draw(_linear))
+        # at most six linear factors in all, so that SymPy factors quickly
+        factors.append((d, n, draw(st.integers(1, 3 if count == 1 else 2)),
+                        draw(st.booleans())))
+    # the cofactor: a constant, a polynomial in t and a, or an irreducible quadratic
+    g = draw(st.sampled_from(["3", "t + a", "-1/2*t", "x^2 + t", "x^2 + a^2 + 1"]))
+    den = _planted_poly(draw(_linear))
+    assume(not den.is_zero())
+    f = PLANT.parse(g) / den
+    candidates = [PLANT.parse(v) for v in FIBER_VALUES]
+    for d, n, m, known in factors:
+        f = f * (d * s - n) ** m
+        if known:
+            candidates.append(n / d)
+    return f, candidates
+
+
+def _assert_deflation_matches_reference(f, candidates):
+    coeffs = _ref_coefficients(f, "x")
+    for cand in candidates + default_candidates(PLANT):
+        mult, quotient = root_multiplicity(f, "x", cand)
+        want_mult, want_quotient = _ref_root_multiplicity(coeffs, cand)
+        assert mult == want_mult
+        got_quotient = _ref_coefficients(quotient, "x")
+        assert got_quotient == want_quotient
+        assert [str(c) for c in got_quotient] == [str(c) for c in want_quotient]
+        assert (deflate(f, "x", cand) is not None) == _ref_eval(coeffs, cand).is_zero()
+        # the value at a candidate is f.subs, the same canonical MRat
+        assert f.subs({"x": cand}) == _ref_eval(coeffs, cand)
+    outcome = _outcome(find_divisor_roots, f, "x", candidates)
+    assert outcome == _outcome(_ref_find_divisor_roots, coeffs, candidates)
+    return outcome
+
+
+@settings(max_examples=60, deadline=None)
+@given(_planted())
+def test_deflation_matches_the_coefficient_list_reference(planted):
+    """Roots, multiplicities, deflated values and the UnresolvedFactor text of
+    a planted F1 equal those of the coefficient-list loop."""
+    _assert_deflation_matches_reference(*planted)
+
+
+@pytest.mark.parametrize("f, candidates, want", [
+    # a repeated root and a simple one, both candidates
+    ("(2*x - t)^2*(x - a)/(t + 1)", ["t/2", "a"], ([("1/2*t", 2), ("a", 1)], None)),
+    # a root left as the linear residual
+    ("(x - a)*(x*t - 1)*3", ["a"], ([("a", 1), ("(1)/(t)", 1)], None)),
+    # a repeated root that is no candidate, and an irreducible quadratic:
+    # residuals of degree 2
+    ("(x*t - 1)^2*(x - 1)/a", ["1"],
+     (None, "unresolved factor: ((1)/(a))*X^0 + ((-2*t)/(a))*X^1 + ((t^2)/(a))*X^2")),
+    ("(x^2 + t)*(x - 1)", ["1"], (None, "unresolved factor: (t)*X^0 + (1)*X^2")),
+])
+def test_deflation_cases_match_reference(f, candidates, want):
+    cands = [PLANT.parse(c) for c in candidates + FIBER_VALUES]
+    assert _assert_deflation_matches_reference(PLANT.parse(f), cands) == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(_planted())
+def test_deflation_multiplicities_match_sympy(planted):
+    """The multiplicity of every root found equals the exponent that
+    sympy.factor_list gives the linear factors with that root."""
+    sp = pytest.importorskip("sympy")
+    f, candidates = planted
+    x, t, a = sp.symbols("x t a")
+    num = sp.sympify(str(f.num).replace("^", "**"), locals={"x": x, "t": t, "a": a})
+    exponents = {}
+    for factor, power in sp.factor_list(num, x, t, a)[1]:
+        if sp.degree(factor, x) == 1:
+            root = sp.cancel(-factor.coeff(x, 0) / factor.coeff(x, 1))
+            exponents[root] = exponents.get(root, 0) + power
+    try:
+        roots = find_divisor_roots(f, "x", candidates)
+    except UnresolvedFactor:
+        roots = [(c, m) for c in candidates if (m := root_multiplicity(f, "x", c)[0])]
+    for root, mult in roots:
+        key = sp.cancel(sp.sympify(str(root).replace("^", "**"),
+                                   locals={"x": x, "t": t, "a": a}))
+        assert exponents.get(key, 0) == mult, (str(root), exponents)
+
+
+def test_values_involving_x_or_y_are_never_roots():
+    """x, x + 1 and t*y are refused without dividing, so neither a factor
+    x^2 + 1 (which x + 1 would formally deflate for ever) nor a root at 0
+    (which x would divide by zero) is touched."""
+    for f in (PLANT.parse("x^2 + 1"), PLANT.parse("x^2 + 1") * PLANT.parse("x*t - 1"),
+              PLANT.parse("x^3 - x")):
+        for text in FIBER_VALUES:
+            value = PLANT.parse(text)
+            assert deflate(f, "x", value) is None
+            assert root_multiplicity(f, "x", value) == (0, f)
+    ctx = Context.make(parameters=["alpha2"])
+    x, y = ctx.var("x"), ctx.var("y")
+    vf = PlaneVectorField((x * x + ctx.rat(1)) * y, ctx.rat(0), "U0", sigma2_model(ctx))
+    for text in FIBER_VALUES:
+        assert not is_accessible(vf, ctx.parse(text))
+        with pytest.raises(UnresolvedFactor) as exc:
+            accessible_points(vf, [ctx.parse(text)])
+        assert str(exc.value) == "unresolved factor: (1)*X^0 + (1)*X^2"
+
+
+@pytest.mark.parametrize("name", system_names())
+def test_accessible_points_match_the_coefficient_list_reference(name):
+    """Every builtin system: the U2 roots, the multiplicity at infinity and
+    is_accessible, at None and at every root, agree with the reference."""
+    vf = _cli_system(name)
+    ctx = vf.ctx
+    u2, u3 = divisor_chart_local(vf, "U2"), divisor_chart_local(vf, "U3")
+    candidates = default_candidates(ctx)
+    want = _ref_find_divisor_roots(_ref_restricted_numerator(u2), candidates)
+    got = find_divisor_roots(restricted_numerator(u2), u2.along, candidates)
+    assert [(str(r), m) for r, m in got] == [(str(r), m) for r, m in want]
+    coeffs3 = _ref_restricted_numerator(u3)
+    at_inf = _ref_root_multiplicity(coeffs3, ctx.rat(0))[0]
+    assert root_multiplicity(restricted_numerator(u3), u3.along, ctx.rat(0))[0] == at_inf
+    assert is_accessible(vf, None) == _ref_eval(coeffs3, ctx.rat(0)).is_zero() == bool(at_inf)
+    for root, _ in want:
+        assert is_accessible(vf, root)
+    for text in FIBER_VALUES + ["2", "-t"]:
+        value = ctx.parse(text)
+        assert is_accessible(vf, value) == _ref_eval(_ref_restricted_numerator(u2),
+                                                      value).is_zero()
