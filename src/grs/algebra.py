@@ -6,14 +6,29 @@ Representation
 --------------
 A polynomial lives in a :class:`Context`, an ordered tuple of named symbols.
 It is stored sparsely as integer numerators over one positive denominator:
-a dict ``nums`` mapping exponent tuples (one entry per context symbol) to
-nonzero ints, and an int ``den`` with gcd(den, *nums) = 1.  That pair is
-unique, so equality is structural.  Products, sums, exact division and
-modular images then run on ints, and each result is reduced once, by one
-gcd of its denominator and numerators; ``terms`` shows the coefficients as
-reduced ``Fraction``s.  The canonical term order is graded lexicographic on
-the exponent tuple, which fixes printing, leading terms and golden-file
-output once and for all.
+a dict ``packed`` mapping the packed key of each exponent to a nonzero int,
+and an int ``den`` with gcd(den, *numerators) = 1.  That pair is unique, so
+equality is structural.  Products, sums, exact division and modular images
+run on ints, and each result is reduced once, by one gcd of its denominator
+and numerators; the views ``nums`` and ``terms`` show the numerators and the
+reduced ``Fraction`` coefficients by exponent tuple.
+
+A packed key is one int (Monagan & Pearce, CASC 2007).  In a context of n
+symbols it has n + 1 fields of ``FIELD_BITS`` = 32 bits: the total degree in
+the top field, and below it the exponent of symbol i in field n - 1 - i.
+Integer order of the keys is therefore graded lexicographic order of the
+exponents, the canonical term order, which fixes printing, leading terms and
+golden-file output once and for all.  The product of two monomials is the
+sum of their keys.  The top bit of every field is a guard bit, clear in
+every key, so no exponent or total degree exceeds ``MAX_DEGREE`` = 2^31 - 1.
+For keys k and m, the difference k - m is the key of k/m when its guard
+bits are clear; when m does not divide k, the lowest field in which m
+exceeds k borrows and sets its guard bit (the degree field's, if the
+difference is negative).  Every field of a key is at most its total degree,
+so a product whose total degree would pass ``MAX_DEGREE`` is refused with
+:class:`DegreeOverflow` before it is formed: no key ever wraps into another.
+Operations that lower or clear a field (derivative, coefficient views,
+substitution of constants) lower the degree field with it.
 
 Rational functions (:class:`MRat`) keep a numerator/denominator pair in
 canonical form: gcd(num, den) = 1, denominator with coprime integer
@@ -22,52 +37,54 @@ no floating point is used anywhere.
 
 GCDs are computed by content/primitive-part recursion on a chosen main
 variable with a primitive pseudo-remainder sequence.  They dominate the cost
-of every pipeline, so the field operations run as few and as small gcds as
-the canonical form allows.  The operators rely on canonical operands and
-cancel crosswise (Henrici; Knuth, TAOCP vol. 2, 4.5.1): a sum gcds only the
-two denominators, and then the new numerator against their common factor; a
-product gcds each numerator against the other denominator; inverses and
-powers need no gcd at all.  A gcd is skipped outright when one side is
-constant.  :func:`exact_divide` runs one pass over a remainder kept in a
-dict and a heap of its exponents in graded-lex order (Monagan & Pearce,
-J. Symb. Comp. 2011), and it rejects a non-divisor early from per-variable
-degree bounds, which also makes the divisibility shortcuts in the gcd cheap
-when they fail.  It divides integer numerators by the integer-primitive part
+of every pipeline, so the field operations run as few and as small gcds as the
+canonical form allows.  The operators rely on canonical operands and cancel
+crosswise (Henrici; Knuth, TAOCP vol. 2, 4.5.1): a sum gcds only the two
+denominators, and then the new numerator against their common factor; a
+product gcds each numerator against the other denominator; inverses and powers
+need no gcd at all.  A gcd is skipped outright when one side is constant.
+:func:`exact_divide` runs one pass over a remainder kept in a dict and a heap
+of its negated packed keys (Monagan & Pearce, J. Symb. Comp. 2011).  It
+rejects a non-divisor early, by the guard bits of each quotient key and from
+bounds on the quotient's total degree and, once the division has run as many
+steps as the dividend has terms, on its exponent of each symbol; that also
+makes the divisibility shortcuts in the gcd cheap when they fail.  It divides integer numerators by the integer-primitive part
 of the divisor; by Gauss's lemma that divides them over Z exactly when the
 divisor divides over Q, so a coefficient division that leaves a remainder
 rejects as well.  Most gcds the pipeline asks for are constant, and a
 coprimality certificate settles those before any division or PRS step, at
-every level of the recursion (Brown, J. ACM 1971): every symbol but one is
-set to a fixed residue modulo the prime 2^61 - 1, and Euclid runs on the two
-univariate images in each symbol both operands involve.  By Gauss's lemma
-lc_v(gcd) divides lc_v(a), so while both leading coefficients survive the
-evaluation no image gcd has a lower degree in v than the true gcd; images
-coprime in every shared symbol therefore prove the gcd constant.  Any other
-outcome (a vanished leading coefficient, the prime in a denominator, an image
-gcd of positive degree) falls through to the exact path, the only one that
-computes a nontrivial gcd.  There the divisibility shortcuts come first:
-when a small operand divides a large one they return it at once, where the
-content below would cost one gcd per coefficient.  Then the path takes out
-the symbols that occur in one operand only (Geddes, Czapor & Labahn 1992,
-ch. 7): if a involves symbols that b lacks, gcd(a, b) involves none of them,
-so it divides the content of a in them (the gcd of a's coefficients as a
-polynomial in those symbols), and gcd(a, b) = gcd(content, b).  A PRS in a
-shared symbol would otherwise carry the one-sided symbols through every
-pseudo-remainder, whose coefficients then grow with each step.  The result
-is the same: a gcd made primitive with a positive leading coefficient is
-unique.  Because the operators trust their operands, every
-``MRat(num, den, _normalized=True)`` must receive a pair that is already
+every level of the recursion (Brown, J. ACM 1971): every symbol but one is set
+to a fixed residue modulo the prime 2^61 - 1, and Euclid runs on the two
+univariate images in each symbol both operands involve.  The images of the
+terms are read from one table of powers per residue, extended up to the
+largest degree seen.  By Gauss's lemma lc_v(gcd) divides lc_v(a), so while
+both leading coefficients survive the evaluation no image gcd has a lower
+degree in v than the true gcd; images coprime in every shared symbol therefore
+prove the gcd constant.  Any other outcome (a vanished leading coefficient,
+the prime in a denominator, an image gcd of positive degree) falls through to
+the exact path, the only one that computes a nontrivial gcd.  There the
+divisibility shortcuts come first: when a small operand divides a large one
+they return it at once, where the content below would cost one gcd per
+coefficient.  Then the path takes out the symbols that occur in one operand
+only (Geddes, Czapor & Labahn 1992, ch. 7): if a involves symbols that b
+lacks, gcd(a, b) involves none of them, so it divides the content of a in them
+(the gcd of a's coefficients as a polynomial in those symbols), and
+gcd(a, b) = gcd(content, b).  A PRS in a shared symbol would otherwise carry
+the one-sided symbols through every pseudo-remainder, whose coefficients then
+grow with each step.  The result is the same: a gcd made primitive with a positive
+leading coefficient is unique.  Because the operators trust their operands,
+every ``MRat(num, den, _normalized=True)`` must receive a pair that is already
 canonical; ``MRat(num, den)`` normalizes an arbitrary pair.
 
-Substitution finds the symbols a polynomial involves in one pass over its
-terms, and puts the constant values (numeric draws, parameter values) in with
-one more: each distinct monomial in those symbols is weighed once, as an
-integer over the common denominator of all their values, the numerators are
-summed as ints, and the result is reduced once.  A Horner scheme in one
-substituted symbol at a time then takes the values left.  When each of them
-has denominator 1 (polynomial assignments), the scheme runs on MPoly and
-wraps the result once: on such operands the MRat operators run no gcd and
-form the same products and sums, so the result is the same polynomial.
+Substitution finds the symbols a polynomial involves from the bitwise or of
+its keys, and puts the constant values (numeric draws, parameter values) in
+with one pass over its terms: each distinct monomial in those symbols is
+weighed once, as an integer over the common denominator of all their values,
+the numerators are summed as ints, and the result is reduced once.  A Horner
+scheme in one substituted symbol at a time then takes the values left.  When
+each of them has denominator 1 (polynomial assignments), the scheme runs on
+MPoly and wraps the result once: on such operands the MRat operators run no
+gcd and form the same products and sums, so the result is the same polynomial.
 :func:`solve_triangular` reduces each pending equation and each nonzero form
 once per change of its assignments, never once per scan.
 """
@@ -77,15 +94,24 @@ from __future__ import annotations
 import math
 import random
 import re
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from heapq import heapify, heappop, heappush
-from operator import add, itemgetter, le, mul, neg, sub
+from operator import gt, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
 SYM_KINDS = ("fiber", "time", "parameter", "unknown")
+
+# bits per field of a packed exponent key (module docstring); the top bit of
+# every field is a guard bit, so an exponent or total degree is at most
+# MAX_DEGREE
+FIELD_BITS = 32
+MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1
+_FIELD = (1 << FIELD_BITS) - 1
 
 
 class AlgebraError(Exception):
@@ -94,6 +120,14 @@ class AlgebraError(Exception):
 
 class DivisionByZero(AlgebraError):
     """Division of an MRat by zero."""
+
+
+class DegreeOverflow(AlgebraError):
+    """A monomial whose total degree a packed exponent key cannot hold."""
+
+    def __init__(self, degree: int):
+        super().__init__(f"total degree {degree} exceeds the largest degree {MAX_DEGREE} "
+                         "a polynomial may have")
 
 
 class StuckSystem(AlgebraError):
@@ -145,10 +179,12 @@ class Context:
 
     Symbol order is the canonical variable order: fiber variables first,
     then time, then parameters, then unknowns (the constructor does not
-    enforce this; builders below do).
+    enforce this; builders below do).  The context also fixes the layout of
+    the packed exponent keys of its polynomials (module docstring).
     """
 
-    __slots__ = ("syms", "names", "_index", "_zero")
+    __slots__ = ("syms", "names", "_index", "_zero", "_shifts", "_top", "_guards", "_units",
+                 "_packer", "_unpacker", "_nbytes")
 
     def __init__(self, syms: Sequence[Sym]):
         names = [s.name for s in syms]
@@ -157,7 +193,18 @@ class Context:
         self.syms = tuple(syms)
         self.names = tuple(names)
         self._index = {n: i for i, n in enumerate(names)}
-        self._zero = (0,) * len(names)
+        n = len(names)
+        self._zero = (0,) * n
+        # symbol i in field n - 1 - i, so that symbol 0 is the most
+        # significant field below the total degree
+        self._shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
+        self._top = FIELD_BITS * n
+        self._guards = sum(1 << (FIELD_BITS * j + FIELD_BITS - 1) for j in range(n + 1))
+        self._units = tuple((1 << s) | (1 << self._top) for s in self._shifts)
+        # the exponent fields as bytes, without and with the degree field
+        self._packer = struct.Struct(f">{n}I")
+        self._unpacker = struct.Struct(f">{FIELD_BITS // 8}x{n}I")
+        self._nbytes = self._unpacker.size
 
     @staticmethod
     def make(fiber: Sequence[str] = ("x", "y"), time: str | None = "t",
@@ -193,6 +240,20 @@ class Context:
     def extend(self, extra: Sequence[Sym]) -> "Context":
         return Context(self.syms + tuple(extra))
 
+    # -- packed exponent keys ---------------------------------------------
+
+    def _unpack(self, key: int) -> Exponent:
+        """The exponent tuple of a packed key."""
+        return self._unpacker.unpack(key.to_bytes(self._nbytes, "big"))
+
+    def _key(self, fields: int) -> int:
+        """The packed key of the exponent fields ``fields`` (degree field clear)."""
+        return fields | sum(self._unpack(fields)) << self._top
+
+    def _mask(self, indices: Iterable[int]) -> int:
+        """The bits of the fields of the given symbols."""
+        return sum(_FIELD << self._shifts[i] for i in indices)
+
     # -- element builders ---------------------------------------------------
 
     def zero_exp(self) -> Exponent:
@@ -201,12 +262,10 @@ class Context:
     def poly(self, value: int | Fraction) -> "MPoly":
         if not value:
             return _canonical(self, {}, 1)
-        return _canonical(self, {self._zero: value.numerator}, value.denominator)
+        return _canonical(self, {0: value.numerator}, value.denominator)
 
     def poly_var(self, name: str) -> "MPoly":
-        e = [0] * len(self.syms)
-        e[self.index(name)] = 1
-        return _canonical(self, {tuple(e): 1}, 1)
+        return _canonical(self, {self._units[self.index(name)]: 1}, 1)
 
     def rat(self, value: int | Fraction) -> "MRat":
         return MRat.from_poly(self.poly(value))
@@ -237,13 +296,17 @@ def coefficients_in(p: MPoly, names: Sequence[str]) -> list[MPoly]:
     Each coefficient is a polynomial in the other symbols; they come in the
     order in which their monomials in ``names`` first occur among p's terms.
     """
-    idx = [p.ctx.index(n) for n in names]
-    groups: dict[Exponent, dict[Exponent, int]] = {}
-    for e, c in p.nums.items():
-        key = tuple(e[i] if i in idx else 0 for i in range(len(e)))
-        rest = tuple(0 if i in idx else e[i] for i in range(len(e)))
-        groups.setdefault(key, {})[rest] = c
-    return [_make(p.ctx, nums, p.den) for nums in groups.values()]
+    ctx = p.ctx
+    mask = ctx._mask({ctx.index(n) for n in names})
+    drops: dict[int, int] = {}
+    groups: dict[int, dict[int, int]] = {}
+    for k, c in p.packed.items():
+        part = k & mask
+        drop = drops.get(part)
+        if drop is None:
+            drop = drops[part] = ctx._key(part)
+        groups.setdefault(part, {})[k - drop] = c
+    return [_make(ctx, packed, p.den) for packed in groups.values()]
 
 
 def union_context(a: Context, b: Context) -> Context:
@@ -252,67 +315,83 @@ def union_context(a: Context, b: Context) -> Context:
     return a.extend(extra)
 
 
-def _grlex_key(e: Exponent):
-    return (sum(e), e)
-
-
 class MPoly:
     """Sparse multivariate polynomial over Q in a fixed context.
 
-    Stored as integer numerators over one denominator: the coefficient of
-    the exponent tuple e is ``nums[e] / den``.  ``nums`` holds no zeros,
-    ``den`` is positive and gcd(den, *nums) = 1, so the pair is unique and
-    equality is structural.  ``nums`` is never mutated once the polynomial
-    exists; ``terms`` gives the coefficients as a fresh dict of Fractions.
+    Stored as integer numerators over one denominator: ``packed`` maps the
+    packed key of each exponent (module docstring) to an int, and the
+    coefficient of that exponent is ``packed[key] / den``.  ``packed`` holds
+    no zeros, ``den`` is positive and gcd(den, *numerators) = 1, so the pair
+    is unique and equality is structural.  ``packed`` is never mutated once
+    the polynomial exists.  The views ``nums`` (ints) and ``terms`` (reduced
+    Fractions) key the coefficients by exponent tuples, in storage order,
+    as fresh dicts; code outside this module reads only those.
     """
 
-    __slots__ = ("ctx", "nums", "den")
+    __slots__ = ("ctx", "packed", "den")
 
     def __init__(self, ctx: Context, terms: Mapping[Exponent, Fraction | int]):
         ratios = [(e, c.as_integer_ratio()) for e, c in terms.items()]
         # over the lcm of the reduced denominators no common factor is left
         den = math.lcm(*(d for _, (_, d) in ratios))
+        pack, top = ctx._packer.pack, ctx._top
+        try:
+            packed = {int.from_bytes(pack(*e), "big") | sum(e) << top: n * (den // d)
+                      for e, (n, d) in ratios if n}
+        except struct.error:
+            raise ValueError(f"an exponent is not a tuple of {len(ctx)} nonnegative ints "
+                             f"below 2^{FIELD_BITS}") from None
+        # the largest key has the largest degree
+        if packed and max(packed) >> top > MAX_DEGREE:
+            raise DegreeOverflow(max(packed) >> top)
         self.ctx = ctx
-        self.nums = {e: n * (den // d) for e, (n, d) in ratios if n}
+        self.packed = packed
         self.den = den
+
+    @property
+    def nums(self) -> dict[Exponent, int]:
+        """The integer numerators by exponent tuple, in storage order (a copy)."""
+        unpack = self.ctx._unpack
+        return {unpack(k): c for k, c in self.packed.items()}
 
     @property
     def terms(self) -> dict[Exponent, Fraction]:
         """The coefficients as reduced Fractions, in storage order (a copy)."""
-        den = self.den
-        return {e: Fraction(c, den) for e, c in self.nums.items()}
+        unpack, den = self.ctx._unpack, self.den
+        return {unpack(k): Fraction(c, den) for k, c in self.packed.items()}
 
     # -- basic queries ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.nums
+        return not self.packed
 
     def is_constant(self) -> bool:
-        return len(self.nums) <= 1 and all(sum(e) == 0 for e in self.nums)
+        return len(self.packed) <= 1 and not any(self.packed)
 
     def constant_value(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return Fraction(next(iter(self.nums.values())), self.den)
+        return Fraction(self.packed[0], self.den)
 
     def degree_in(self, name: str) -> int:
-        i = self.ctx.index(name)
-        return max((e[i] for e in self.nums), default=0)
+        s = self.ctx._shifts[self.ctx.index(name)]
+        return max((k >> s & _FIELD for k in self.packed), default=0)
 
     def variables(self) -> tuple[str, ...]:
-        return tuple(n for n, powers in zip(self.ctx.names, zip(*self.nums)) if any(powers))
+        support = reduce(or_, self.packed, 0)
+        return tuple(n for n, s in zip(self.ctx.names, self.ctx._shifts) if support >> s & _FIELD)
 
     def involves(self, names: Iterable[str]) -> bool:
-        idx = [self.ctx.index(n) for n in names]
-        return any(any(e[i] for i in idx) for e in self.nums)
+        mask = self.ctx._mask({self.ctx.index(n) for n in names})
+        return bool(reduce(or_, self.packed, 0) & mask)
 
     def leading(self) -> tuple[Exponent, Fraction]:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
-        e = max(self.nums, key=_grlex_key)
-        return e, Fraction(self.nums[e], self.den)
+        k = max(self.packed)
+        return self.ctx._unpack(k), Fraction(self.packed[k], self.den)
 
     # -- ring operations ----------------------------------------------------
 
@@ -322,47 +401,53 @@ class MPoly:
 
     def __add__(self, other: "MPoly") -> "MPoly":
         self._check(other)
-        if not other.nums:
+        if not other.packed:
             return self
-        if not self.nums:
+        if not self.packed:
             return other
         da, db = self.den, other.den
         den = da if da == db else math.lcm(da, db)
         fa, fb = den // da, den // db
-        out = dict(self.nums) if fa == 1 else {e: c * fa for e, c in self.nums.items()}
-        for e, c in other.nums.items():
-            s = out.get(e, 0) + c * fb
+        out = dict(self.packed) if fa == 1 else {k: c * fa for k, c in self.packed.items()}
+        for k, c in other.packed.items():
+            s = out.get(k, 0) + c * fb
             if s:
-                out[e] = s
+                out[k] = s
             else:
-                out.pop(e, None)
+                out.pop(k, None)
         return _make(self.ctx, out, den)
 
     def __neg__(self) -> "MPoly":
-        return _canonical(self.ctx, {e: -c for e, c in self.nums.items()}, self.den)
+        return _canonical(self.ctx, {k: -c for k, c in self.packed.items()}, self.den)
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
 
     def __mul__(self, other: "MPoly") -> "MPoly":
         self._check(other)
-        if not self.nums or not other.nums:
+        if not self.packed or not other.packed:
             return _canonical(self.ctx, {}, 1)
-        out: dict[Exponent, int] = {}
+        top = self.ctx._top
+        # every field of a product key is at most its total degree
+        degree = (max(self.packed) >> top) + (max(other.packed) >> top)
+        if degree > MAX_DEGREE:
+            raise DegreeOverflow(degree)
+        out: dict[int, int] = {}
         get = out.get
-        right = other.nums.items()
-        for ea, ca in self.nums.items():
-            for eb, cb in right:
-                e = tuple(map(add, ea, eb))
-                out[e] = get(e, 0) + ca * cb
+        right = other.packed.items()
+        for ka, ca in self.packed.items():
+            for kb, cb in right:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
         # drop the terms that cancelled
-        return _make(self.ctx, {e: c for e, c in out.items() if c}, self.den * other.den)
+        return _make(self.ctx, {k: c for k, c in out.items() if c}, self.den * other.den)
 
     def scale(self, c: Fraction | int) -> "MPoly":
         if not c:
             return _canonical(self.ctx, {}, 1)
         n = c.numerator
-        return _make(self.ctx, {e: k * n for e, k in self.nums.items()}, self.den * c.denominator)
+        return _make(self.ctx, {k: v * n for k, v in self.packed.items()},
+                     self.den * c.denominator)
 
     def __pow__(self, n: int) -> "MPoly":
         if n < 0:
@@ -377,30 +462,33 @@ class MPoly:
         return result
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, MPoly) and self.den == other.den and self.nums == other.nums
-                and self.ctx == other.ctx)
+        return (isinstance(other, MPoly) and self.den == other.den
+                and self.packed == other.packed and self.ctx == other.ctx)
 
     def __hash__(self):
-        return hash((self.ctx, self.den, frozenset(self.nums.items())))
+        return hash((self.ctx, self.den, frozenset(self.packed.items())))
 
     # -- calculus and substitution -------------------------------------------
 
     def derivative(self, name: str) -> "MPoly":
         i = self.ctx.index(name)
-        out: dict[Exponent, int] = {}
-        for e, c in self.nums.items():
-            k = e[i]
-            if k:
-                out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+        s, unit = self.ctx._shifts[i], self.ctx._units[i]
+        out: dict[int, int] = {}
+        for k, c in self.packed.items():
+            d = k >> s & _FIELD
+            if d:
+                out[k - unit] = c * d
         return _make(self.ctx, out, self.den)
 
     def as_univariate(self, name: str) -> dict[int, "MPoly"]:
         """View as a polynomial in ``name`` with MPoly coefficients."""
         i = self.ctx.index(name)
-        out: dict[int, dict[Exponent, int]] = {}
-        for e, c in self.nums.items():
-            out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
-        return {d: _make(self.ctx, nums, self.den) for d, nums in sorted(out.items())}
+        s, unit = self.ctx._shifts[i], self.ctx._units[i]
+        out: dict[int, dict[int, int]] = {}
+        for k, c in self.packed.items():
+            d = k >> s & _FIELD
+            out.setdefault(d, {})[k - d * unit] = c
+        return {d: _make(self.ctx, packed, self.den) for d, packed in sorted(out.items())}
 
     def coefficient(self, name: str, power: int) -> "MPoly":
         return self.as_univariate(name).get(power, self.ctx.poly(0))
@@ -415,48 +503,50 @@ class MPoly:
         missing = [n for n in used if n not in ctx]
         if missing:
             raise KeyError(f"target context lacks symbols {missing}")
-        mapping = {i: ctx.index(n) for i, n in enumerate(self.ctx.names) if n in ctx}
-        out: dict[Exponent, int] = {}
-        for e, c in self.nums.items():
-            ne = [0] * len(ctx)
-            for src, p in enumerate(e):
-                if p:
-                    ne[mapping[src]] = p
-            out[tuple(ne)] = c
+        moves = [(self.ctx._shifts[self.ctx.index(n)], ctx._shifts[ctx.index(n)]) for n in used]
+        src, dst = self.ctx._top, ctx._top
+        out: dict[int, int] = {}
+        for k, c in self.packed.items():
+            key = k >> src << dst
+            for s, t in moves:
+                key |= (k >> s & _FIELD) << t
+            out[key] = c
         return _canonical(ctx, out, self.den)
 
     def rename(self, names: Mapping[str, str]) -> "MPoly":
         """Rename symbols (kinds preserved), producing a parallel context."""
         syms = tuple(Sym(names.get(s.name, s.name), s.kind) for s in self.ctx.syms)
-        return _canonical(Context(syms), self.nums, self.den)
+        return _canonical(Context(syms), self.packed, self.den)
 
     # -- normal forms ---------------------------------------------------------
 
     def sign(self) -> int:
         if self.is_zero():
             return 0
-        return 1 if self.nums[max(self.nums, key=_grlex_key)] > 0 else -1
+        return 1 if self.packed[max(self.packed)] > 0 else -1
 
     def primitive(self) -> "MPoly":
         """Integer-primitive representative with positive leading coefficient."""
         if self.is_zero():
             return self
-        unit = math.gcd(*self.nums.values()) * self.sign()
+        unit = math.gcd(*self.packed.values()) * self.sign()
         if unit == 1 and self.den == 1:
             return self
-        return _canonical(self.ctx, {e: c // unit for e, c in self.nums.items()}, 1)
+        return _canonical(self.ctx, {k: c // unit for k, c in self.packed.items()}, 1)
 
-    def monomial_gcd(self) -> Exponent:
-        if self.is_zero():
-            return self.ctx.zero_exp()
-        return tuple(map(min, zip(*self.nums)))
+    def monomial_gcd(self) -> int:
+        """The packed key of the largest monomial dividing every term."""
+        if len(self.packed) == 1:
+            return next(iter(self.packed))
+        if 0 in self.packed or not self.packed:
+            return 0
+        return _key_gcd(self.ctx, self.packed)
 
-    def shift_down(self, mono: Exponent) -> "MPoly":
-        """Divide by the monomial ``mono`` (must divide every term)."""
-        if not any(mono):
+    def shift_down(self, mono: int) -> "MPoly":
+        """Divide by the monomial of packed key ``mono`` (must divide every term)."""
+        if not mono:
             return self
-        return _canonical(self.ctx, {tuple(map(sub, e, mono)): c for e, c in self.nums.items()},
-                          self.den)
+        return _canonical(self.ctx, {k - mono: c for k, c in self.packed.items()}, self.den)
 
     # -- printing --------------------------------------------------------------
 
@@ -469,34 +559,52 @@ class MPoly:
 _new_poly = object.__new__
 
 
-def _canonical(ctx: Context, nums: dict[Exponent, int], den: int) -> MPoly:
-    """The MPoly nums/den of a pair already in canonical form (see MPoly)."""
+def _canonical(ctx: Context, packed: dict[int, int], den: int) -> MPoly:
+    """The MPoly packed/den of a pair already in canonical form (see MPoly)."""
     p = _new_poly(MPoly)
-    p.ctx, p.nums, p.den = ctx, nums, den
+    p.ctx, p.packed, p.den = ctx, packed, den
     return p
 
 
-def _make(ctx: Context, nums: dict[Exponent, int], den: int) -> MPoly:
-    """The MPoly nums/den for nonzero numerators and a positive denominator,
+def _make(ctx: Context, packed: dict[int, int], den: int) -> MPoly:
+    """The MPoly packed/den for nonzero numerators and a positive denominator,
     reduced by their common factor."""
     if den != 1:
-        g = math.gcd(den, *nums.values())
+        g = math.gcd(den, *packed.values())
         if g != 1:
-            nums = {e: c // g for e, c in nums.items()}
+            packed = {k: c // g for k, c in packed.items()}
             den //= g
-    return _canonical(ctx, nums, den)
+    return _canonical(ctx, packed, den)
+
+
+def _key_gcd(ctx: Context, keys: Iterable[int]) -> int:
+    """The packed key of the gcd of the monomials of some packed keys: the
+    fieldwise minimum, with its total degree."""
+    guards, top = ctx._guards, ctx._top
+    fields = (1 << top) - 1
+    keys = iter(keys)
+    mono = next(keys) & fields
+    for k in keys:
+        # a guard bit survives where mono's field is at least k's, and no
+        # field borrows from the next; take k's value in those fields
+        ge = ((mono | guards) - k) & guards
+        take = ge - (ge >> (FIELD_BITS - 1))
+        mono = (mono & ~take | k & take) & fields
+        if not mono:
+            return 0
+    return ctx._key(mono)
 
 
 def render_poly(p: MPoly) -> str:
     """Canonical text form: graded-lex sorted terms, explicit ``*`` and ``^``."""
     if p.is_zero():
         return "0"
-    terms = p.terms
+    unpack = p.ctx._unpack
     pieces = []
-    for e in sorted(terms, key=_grlex_key, reverse=True):
-        c = terms[e]
+    for k in sorted(p.packed, reverse=True):
+        c = Fraction(p.packed[k], p.den)
         factors = []
-        for name, power in zip(p.ctx.names, e):
+        for name, power in zip(p.ctx.names, unpack(k)):
             if power == 1:
                 factors.append(name)
             elif power > 1:
@@ -537,14 +645,19 @@ def exact_divide(a: MPoly, b: MPoly) -> MPoly | None:
     remainder of any coefficient division proves that b does not divide a.
     The quotient a/b is A/B scaled by b.den / (a.den * content(b.nums)).
 
-    Exponents are handled as keys ``(-deg e, -e_1, ..., -e_n)``: keys add
-    like exponents, and the smallest key is the graded-lex largest exponent,
-    so the remainder's heap of keys pops its leading term.  A key whose term
-    has cancelled stays in the heap and is skipped when it comes up; the
-    leading exponent only decreases, so a cancelled key never returns.  If b
-    divides a, the quotient's degree and low degree in every variable (and
-    in total) are those of a less those of b, which bounds every quotient
-    key before and during the loop.
+    The loop runs on packed keys, whose integer order is graded-lex order,
+    so the remainder's heap of negated keys pops its leading term.  A key
+    whose term has cancelled stays in the heap and is skipped when it comes
+    up; the leading key only decreases, so a cancelled key never returns.
+    The quotient key of a leading term k is k - lead(b): a guard bit set in
+    it means some exponent of lead(b) exceeds k's, so b does not divide a.
+    If b divides a, the quotient's highest and lowest total degree, and its
+    highest and lowest exponent of each symbol, are those of a less those
+    of b.  The degree bounds are checked first.  Every quotient key must lie
+    fieldwise between two packed bounds: their exponent fields are at first
+    0 and the highest degree, and once the quotient has as many terms as a,
+    the exponent bounds of each symbol.  Those take one pass over the terms
+    of a and b, which a division that ends sooner never pays for.
     """
     if b.is_zero():
         raise DivisionByZero("polynomial division by zero")
@@ -553,54 +666,65 @@ def exact_divide(a: MPoly, b: MPoly) -> MPoly | None:
     if b.is_constant():
         return a.scale(1 / b.constant_value())
     a._check(b)
-    rem = {_div_key(e): c for e, c in a.nums.items()}
-    content = math.gcd(*b.nums.values())
-    divisor = sorted((_div_key(e), c // content) for e, c in b.nums.items())
-    lo_a, hi_a = _key_bounds(rem)
-    lo_b, hi_b = _key_bounds([k for k, _ in divisor])
-    lo = tuple(map(sub, lo_a, lo_b))
-    hi = tuple(map(sub, hi_a, hi_b))
-    if any(h > 0 for h in hi) or not all(map(le, lo, hi)):
-        return None
+    top, guards = a.ctx._top, a.ctx._guards
+    content = math.gcd(*b.packed.values())
+    divisor = sorted(((k, c // content) for k, c in b.packed.items()), reverse=True)
     (lead, lead_c), rest = divisor[0], divisor[1:]
-    heap = list(rem)
+    low = (min(a.packed) >> top) - (min(b.packed) >> top)
+    high = (max(a.packed) >> top) - (lead >> top)
+    if not 0 <= low <= high:
+        return None
+    low_key, high_key = low << top, high * (guards >> (FIELD_BITS - 1))
+    rem = dict(a.packed)
+    heap = [-k for k in rem]
     heapify(heap)
-    quotient: dict[Exponent, int] = {}
+    quotient: dict[int, int] = {}
     while heap:
-        k = heappop(heap)
+        k = -heappop(heap)
         c = rem.pop(k, None)
         if c is None:
             continue
-        kq = tuple(map(sub, k, lead))
-        if not (all(map(le, lo, kq)) and all(map(le, kq, hi))):
+        kq = k - lead
+        if len(quotient) == len(a.packed):
+            bounds = _quotient_bounds(a, b, low, high)
+            if bounds is None:
+                return None
+            low_key, high_key = bounds
+        # kq is a key, and no field of kq - low_key or high_key - kq borrows
+        if (kq | (kq - low_key) | (high_key - kq)) & guards:
             return None
         qc, r = divmod(c, lead_c)
         if r:
             return None
         quotient[kq] = qc
         for kb, cb in rest:
-            kr = tuple(map(add, kq, kb))
+            kr = kq + kb
             old = rem.get(kr)
             if old is None:
                 rem[kr] = -qc * cb
-                heappush(heap, kr)
+                heappush(heap, -kr)
             else:
                 s = old - qc * cb
                 if s:
                     rem[kr] = s
                 else:
                     del rem[kr]
-    return _make(a.ctx, {tuple(map(neg, kq[1:])): c * b.den for kq, c in quotient.items()},
-                 a.den * content)
+    return _make(a.ctx, {kq: c * b.den for kq, c in quotient.items()}, a.den * content)
 
 
-def _div_key(e: Exponent) -> tuple[int, ...]:
-    return (-sum(e), *map(neg, e))
-
-
-def _key_bounds(keys) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    cols = list(zip(*keys))
-    return tuple(map(min, cols)), tuple(map(max, cols))
+def _quotient_bounds(a: MPoly, b: MPoly, low: int, high: int) -> tuple[int, int] | None:
+    """Packed keys that bound a/b fieldwise: the lowest and the highest
+    exponent of each symbol in a less those in b, and the degrees low and
+    high; None if some lower bound is negative or above its upper bound."""
+    ctx = a.ctx
+    ea, eb = (list(zip(*map(ctx._unpack, p.packed))) for p in (a, b))
+    lows = [min(x) - min(y) for x, y in zip(ea, eb)]
+    highs = [max(x) - max(y) for x, y in zip(ea, eb)]
+    if min(lows) < 0 or any(map(gt, lows, highs)):
+        return None
+    pack = ctx._packer.pack
+    return (int.from_bytes(pack(*lows), "big") | low << ctx._top,
+            int.from_bytes(pack(*highs), "big") | high << ctx._top)
 
 
 def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
@@ -610,11 +734,11 @@ def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
     if b.is_zero():
         return a.primitive()
     ma, mb = a.monomial_gcd(), b.monomial_gcd()
-    mono = tuple(min(i, j) for i, j in zip(ma, mb))
+    mono = _key_gcd(a.ctx, (ma, mb)) if ma and mb else 0
     a0 = a.shift_down(ma)
     b0 = b.shift_down(mb)
     core = _gcd_core(a0, b0)
-    if any(mono):
+    if mono:
         core = core * _canonical(a.ctx, {mono: 1}, 1)
     return core.primitive()
 
@@ -653,6 +777,8 @@ def _gcd_core(a: MPoly, b: MPoly) -> MPoly:
 _PRIME = (1 << 61) - 1
 _RESIDUES: list[int] = []
 _INVERSES: list[int] = []
+# _POWERS[i][k] = _RESIDUES[i]^k mod _PRIME, for k up to the largest degree seen
+_POWERS: list[list[int]] = []
 
 
 def _residues(n: int) -> tuple[list[int], list[int]]:
@@ -661,33 +787,48 @@ def _residues(n: int) -> tuple[list[int], list[int]]:
         r = random.Random(len(_RESIDUES)).randrange(2, _PRIME)
         _RESIDUES.append(r)
         _INVERSES.append(pow(r, -1, _PRIME))
+        _POWERS.append([1])
     return _RESIDUES, _INVERSES
 
 
-def _term_images(p: MPoly, residues: list[int]) -> list[tuple[Exponent, int]] | None:
-    """Each term's value mod _PRIME at the fixed residues; None if _PRIME divides p.den."""
+def _powers(i: int, degree: int) -> list[int]:
+    """The table of powers of residue i, extended up to ``degree``."""
+    table = _POWERS[i]
+    r = _RESIDUES[i]
+    while len(table) <= degree:
+        table.append(table[-1] * r % _PRIME)
+    return table
+
+
+def _term_images(p: MPoly) -> list[tuple[int, int]] | None:
+    """Each term's value mod _PRIME at the fixed residues (set up by _residues),
+    by packed key; None if _PRIME divides p.den."""
     if p.den % _PRIME == 0:
         return None
     inverse = pow(p.den, -1, _PRIME)
+    ctx = p.ctx
+    support = reduce(or_, p.packed)
+    degree = max(p.packed) >> ctx._top
+    fields = [(s, _powers(i, degree)) for i, s in enumerate(ctx._shifts) if support >> s & _FIELD]
     images = []
-    for e, c in p.nums.items():
+    for k, c in p.packed.items():
         m = c * inverse % _PRIME
-        for r, k in zip(residues, e):
-            if k:
-                m = m * pow(r, k, _PRIME) % _PRIME
-        images.append((e, m))
+        for s, table in fields:
+            m = m * table[k >> s & _FIELD] % _PRIME
+        images.append((k, m))
     return images
 
 
-def _image_in(images: list[tuple[Exponent, int]], i: int, inverse: int) -> list[int] | None:
-    """Univariate image in symbol i (coefficients from degree 0 up), every other
-    symbol at its residue; None if the leading coefficient vanishes."""
-    coeffs = [0] * (max(e[i] for e, _ in images) + 1)
+def _image_in(images: list[tuple[int, int]], shift: int, inverse: int) -> list[int] | None:
+    """Univariate image in the symbol of the field at ``shift`` (coefficients
+    from degree 0 up), every other symbol at its residue; None if the leading
+    coefficient vanishes."""
+    exponents = [k >> shift & _FIELD for k, _ in images]
+    coeffs = [0] * (max(exponents) + 1)
     powers = [1]
     for _ in range(len(coeffs) - 1):
         powers.append(powers[-1] * inverse % _PRIME)
-    for e, m in images:
-        k = e[i]
+    for k, (_, m) in zip(exponents, images):
         coeffs[k] += m * powers[k]
     coeffs = [c % _PRIME for c in coeffs]
     return coeffs if coeffs[-1] else None
@@ -717,12 +858,12 @@ def _coprime_mod_p(f: list[int], g: list[int]) -> bool:
 
 def _coprime_certified(a: MPoly, b: MPoly, shared: Iterable[str]) -> bool:
     """True only if gcd(a, b) is constant, proved by modular images (module docstring)."""
-    residues, inverses = _residues(len(a.ctx))
-    images = (_term_images(a, residues), _term_images(b, residues))
+    inverses = _residues(len(a.ctx))[1]
+    images = (_term_images(a), _term_images(b))
     if None in images:
         return False
     for i in sorted(map(a.ctx.index, shared)):
-        fa, fb = (_image_in(terms, i, inverses[i]) for terms in images)
+        fa, fb = (_image_in(terms, a.ctx._shifts[i], inverses[i]) for terms in images)
         if fa is None or fb is None or not _coprime_mod_p(fa, fb):
             return False
     return True
@@ -786,7 +927,7 @@ def _drop_rational_content(u: dict[int, MPoly]) -> dict[int, MPoly]:
     polynomial content alone would let the integers of the sequence grow
     exponentially (univariate coefficients have polynomial content 1).
     """
-    unit = Fraction(math.gcd(*(c for p in u.values() for c in p.nums.values())),
+    unit = Fraction(math.gcd(*(c for p in u.values() for c in p.packed.values())),
                     math.lcm(*(p.den for p in u.values())))
     if unit == 1:
         return u
@@ -928,6 +1069,9 @@ class MRat:
 
     def subs(self, values: Mapping[str, "MRat"]) -> "MRat":
         """Simultaneously substitute symbols by rational functions (exact)."""
+        # a value free of every key is its own (canonical) result
+        if not (_active(self.num, values) or _active(self.den, values)):
+            return self
         num = _poly_subs(self.num, values)
         den = _poly_subs(self.den, values)
         if den.is_zero():
@@ -983,26 +1127,30 @@ def _subs_constants(p: MPoly, values: Mapping[str, Fraction]) -> MPoly:
     distinct monomial in the symbols is weighed once, and the result is
     reduced once.
     """
-    at = [p.ctx.index(n) for n in values]
-    pick = itemgetter(*at)
-    vals = list(values.values())
-    tops = [max(e[i] for e in p.nums) for i in at]
-    keep = tuple(int(i not in at) for i in range(len(p.ctx)))
-    weights: dict = {}
-    sums: dict[Exponent, int] = {}
-    for e, c in p.nums.items():
-        powers = pick(e)
-        w = weights.get(powers)
-        if w is None:
-            ks = powers if len(at) > 1 else (powers,)
-            w = weights[powers] = math.prod(v.numerator ** k * v.denominator ** (top - k)
-                                            for v, k, top in zip(vals, ks, tops))
+    ctx = p.ctx
+    at = [ctx.index(n) for n in values]
+    mask = ctx._mask(at)
+    # the powers of the distinct monomials in the symbols, by their bits of the key
+    powers = {}
+    for part in {k & mask for k in p.packed}:
+        e = ctx._unpack(part)
+        powers[part] = [e[i] for i in at]
+    tops = list(map(max, zip(*powers.values())))
+    weights: dict[int, tuple[int, int]] = {}
+    for part, ks in powers.items():
+        w = math.prod(v.numerator ** k * v.denominator ** (top - k)
+                      for v, k, top in zip(values.values(), ks, tops))
+        # the monomial's key comes off each term it divides
+        weights[part] = w, ctx._key(part)
+    sums: dict[int, int] = {}
+    for k, c in p.packed.items():
+        w, drop = weights[k & mask]
         if w:
-            e = tuple(map(mul, e, keep))
-            sums[e] = sums.get(e, 0) + c * w
-    den = p.den * math.prod(v.denominator ** top for v, top in zip(vals, tops))
+            k -= drop
+            sums[k] = sums.get(k, 0) + c * w
+    den = p.den * math.prod(v.denominator ** top for v, top in zip(values.values(), tops))
     # drop the coefficients that cancelled
-    return _make(p.ctx, {e: c for e, c in sums.items() if c}, den)
+    return _make(ctx, {k: c for k, c in sums.items() if c}, den)
 
 
 def _active(p: MPoly, names: Iterable[str]) -> list[str]:
@@ -1011,11 +1159,10 @@ def _active(p: MPoly, names: Iterable[str]) -> list[str]:
     Every name is looked up, so an undeclared one raises KeyError even when
     p is free of it.
     """
-    index = [(n, p.ctx.index(n)) for n in names]
-    if not p.nums:
-        return []
-    support = [any(col) for col in zip(*p.nums)]
-    return [n for n, i in index if support[i]]
+    shifts = p.ctx._shifts
+    index = [(n, shifts[p.ctx.index(n)]) for n in names]
+    support = reduce(or_, p.packed, 0)
+    return [n for n, s in index if support >> s & _FIELD]
 
 
 def _horner(p: MPoly, values: Mapping[str, MPoly | MRat], wrap: Callable[[MPoly], MPoly | MRat]):
@@ -1042,7 +1189,7 @@ def _horner(p: MPoly, values: Mapping[str, MPoly | MRat], wrap: Callable[[MPoly]
 
 
 def _is_one(p: MPoly) -> bool:
-    return p.den == 1 and len(p.nums) == 1 and p.nums.get(p.ctx.zero_exp()) == 1
+    return p.den == 1 and len(p.packed) == 1 and p.packed.get(0) == 1
 
 
 def _normalize_pair(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
@@ -1063,7 +1210,7 @@ def _cancel(p: MPoly, q: MPoly) -> tuple[MPoly, MPoly]:
 
 def _unit_normalize(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
     """Scale both so den has coprime integer coefficients, leading one positive."""
-    unit = math.gcd(*den.nums.values()) * den.sign()
+    unit = math.gcd(*den.packed.values()) * den.sign()
     if unit == 1 and den.den == 1:
         return num, den
     return num.scale(Fraction(den.den, unit)), den.primitive()

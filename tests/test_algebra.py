@@ -618,6 +618,22 @@ def test_subs_errors():
         (one / (MRat.from_poly(x) - one)).subs({"x": one})
 
 
+def test_mrat_subs_of_uninvolved_symbols_returns_the_operand():
+    t, a, one = ORACLE_CTX.var("t"), ORACLE_CTX.var("a"), ORACLE_CTX.rat(1)
+    r = (t * t + a) / (t - one)
+    assert r.subs({"x": t + a}) is r
+    assert r.subs({}) is r
+    assert r.subs({"x": t, "a": one + one}) == (t * t + one + one) / (t - one)
+
+
+def test_mrat_subs_of_an_undeclared_symbol_raises():
+    t = ORACLE_CTX.var("t")
+    r = t / (t + ORACLE_CTX.rat(1))
+    for values in ({"z": t}, {"t": t, "z": t}, {"x": t, "z": t}):
+        with pytest.raises(KeyError, match="'z' not declared"):
+            r.subs(values)
+
+
 # -- the coprimality certificate in front of the exact gcd -------------------
 
 
@@ -805,3 +821,167 @@ def test_planted_gcd_with_one_sided_symbols_matches_sympy(g, f1, f2):
     ours = poly_gcd(a, b)
     assert ours.terms == _sympy_gcd(a, b)
     assert exact_divide(ours, g.primitive()) is not None
+
+
+# -- packed exponent keys against a tuple-keyed reference ---------------------
+#
+# The reference keeps a polynomial as {exponent tuple: Fraction}, as the
+# kernel once stored it, and computes every operation from the tuples.
+
+WIDE_CTX = Context.make(parameters=[f"p{i}" for i in range(20)],
+                        unknowns=[f"u{i}" for i in range(20)])  # 43 symbols
+# small exponents, and some at and around 2^7 and 2^8
+_EXPONENTS = st.integers(1, 3) | st.sampled_from([127, 128, 255, 256, 257])
+
+
+def _ref_polys(ctx, max_terms=4):
+    """Pairs (MPoly, reference dict) with up to three symbols per term."""
+    n = len(ctx)
+    monomial = st.dictionaries(st.integers(0, n - 1), _EXPONENTS, max_size=3).map(
+        lambda sparse: tuple(sparse.get(i, 0) for i in range(n)))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    return st.dictionaries(monomial, coeffs, max_size=max_terms).map(
+        lambda terms: (MPoly(ctx, terms), dict(terms)))
+
+
+def _grlex(e):
+    return (sum(e), e)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_divide(a, b, budget=200):
+    """a/b by leading terms in graded-lex order, or None if b does not divide
+    a; ``...`` if that takes more than ``budget`` steps."""
+    rem, quotient = dict(a), {}
+    lead = max(b, key=_grlex)
+    while rem:
+        if len(quotient) == budget:
+            return ...
+        e = max(rem, key=_grlex)
+        q = tuple(i - j for i, j in zip(e, lead))
+        if min(q) < 0:
+            return None
+        quotient[q] = rem[e] / b[lead]
+        rem = _ref_add(rem, _ref_mul({q: -quotient[q]}, b))
+    return quotient
+
+
+def _ref_render(ctx, a):
+    if not a:
+        return "0"
+    text = ""
+    for e in sorted(a, key=_grlex, reverse=True):
+        c = a[e]
+        factors = [name if k == 1 else f"{name}^{k}" for name, k in zip(ctx.names, e) if k]
+        size = str(abs(c))
+        body = "*".join(factors) if factors and abs(c) == 1 else "*".join([size] + factors)
+        text += ("-" if c < 0 else "") if not text else (" - " if c < 0 else " + ")
+        text += body
+    return text
+
+
+def _ref_variables(ctx, a):
+    return tuple(n for i, n in enumerate(ctx.names) if any(e[i] for e in a))
+
+
+@pytest.mark.parametrize("ctx", [ORACLE_CTX, WIDE_CTX], ids=["3 symbols", "43 symbols"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_packed_keys_match_the_tuple_reference(ctx, data):
+    (a, ra), (b, rb), (c, rc) = (data.draw(_ref_polys(ctx)) for _ in range(3))
+    names = data.draw(st.lists(st.sampled_from(ctx.names), min_size=1, max_size=3, unique=True))
+    idx = [ctx.index(n) for n in names]
+    n = len(ctx)
+    assert (a * b).terms == _ref_mul(ra, rb)
+    assert (a + b).terms == _ref_add(ra, rb)
+    assert str(a) == _ref_render(ctx, ra) and str(a * b) == _ref_render(ctx, _ref_mul(ra, rb))
+    # exact division: a divisor, a likely non-divisor and an arbitrary pair;
+    # the kernel takes the reference's steps or fewer, so a pair on which the
+    # reference runs long (a chain of monomials of high degree) is left out
+    if c.is_zero():
+        with pytest.raises(DivisionByZero):
+            exact_divide(a, c)
+    else:
+        for num in (_ref_mul(ra, rc), _ref_add(_ref_mul(ra, rc), rb), ra):
+            want = _ref_divide(num, rc)
+            if want is not ...:
+                got = exact_divide(MPoly(ctx, num), c)
+                assert (None if got is None else got.terms) == want
+    # the monomial content, taken out and put back
+    mono = tuple(map(min, zip(*ra))) if ra else (0,) * n
+    assert MPoly(ctx, {mono: 1}).terms == {mono: 1} == _canonical_mono(ctx, a.monomial_gcd())
+    assert a.shift_down(a.monomial_gcd()).terms == {
+        tuple(i - j for i, j in zip(e, mono)): c for e, c in ra.items()}
+    assert a.is_constant() == (len(ra) <= 1 and not any(map(any, ra)))
+    assert a.variables() == _ref_variables(ctx, ra)
+    assert algebra._active(a, names) == [m for m in names if m in _ref_variables(ctx, ra)]
+    assert a.involves(names) == any(e[i] for e in ra for i in idx)
+    i = idx[0]
+    univariate = {}
+    for e, coeff in ra.items():
+        univariate.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = coeff
+    assert {d: p.terms for d, p in a.as_univariate(names[0]).items()} == dict(
+        sorted(univariate.items()))
+    assert a.derivative(names[0]).terms == {
+        e[:i] + (e[i] - 1,) + e[i + 1:]: coeff * e[i] for e, coeff in ra.items() if e[i]}
+    groups = {}
+    for e, coeff in ra.items():
+        key = tuple(k if j in idx else 0 for j, k in enumerate(e))
+        groups.setdefault(key, {})[tuple(0 if j in idx else k for j, k in enumerate(e))] = coeff
+    assert [g.terms for g in algebra.coefficients_in(a, names)] == list(groups.values())
+    # constants put in by _subs_constants
+    values = dict(zip(names, data.draw(st.lists(
+        st.fractions(-2, 2, max_denominator=3), min_size=len(names), max_size=len(names)))))
+    substituted = {}
+    for e, coeff in ra.items():
+        weight = math.prod(values[ctx.names[j]] ** e[j] for j in idx)
+        key = tuple(0 if j in idx else k for j, k in enumerate(e))
+        substituted[key] = substituted.get(key, 0) + coeff * weight
+    if not ra:
+        return
+    assert algebra._subs_constants(a, values).terms == {e: v for e, v in substituted.items() if v}
+    # images modulo the prime at the fixed residues, in storage order
+    residues = algebra._residues(n)[0]
+    p = algebra._PRIME
+    assert [m for _, m in algebra._term_images(a)] == [
+        coeff.numerator * pow(coeff.denominator, -1, p)
+        * math.prod(pow(r, k, p) for r, k in zip(residues, e)) % p for e, coeff in ra.items()]
+
+
+def _canonical_mono(ctx, key):
+    return algebra._canonical(ctx, {key: 1}, 1).terms
+
+
+def test_degree_limit_of_packed_keys():
+    """A product at the largest degree is formed; one past it raises, with a
+    one-line message, and is never wrapped into another monomial."""
+    ctx = ORACLE_CTX
+    top = MPoly(ctx, {(algebra.MAX_DEGREE - 1, 0, 0): 1})
+    t = ctx.poly_var("t")
+    at_limit = top * t
+    assert at_limit.terms == {(algebra.MAX_DEGREE - 1, 1, 0): 1}
+    assert exact_divide(at_limit, t) == top
+    assert at_limit.shift_down(at_limit.monomial_gcd()) == ctx.poly(1)
+    for past in (lambda: at_limit * t, lambda: top * top,
+                 lambda: MPoly(ctx, {(algebra.MAX_DEGREE, 0, 1): 1})):
+        with pytest.raises(algebra.DegreeOverflow) as exc:
+            past()
+        assert isinstance(exc.value, algebra.AlgebraError)
+        assert "\n" not in str(exc.value) and str(algebra.MAX_DEGREE) in str(exc.value)
+    with pytest.raises(ValueError):
+        MPoly(ctx, {(1, -1, 0): 1})

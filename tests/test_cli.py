@@ -202,6 +202,15 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # dx/dt = (x^2 + 1)*(t*x - 1)*y, dy/dt = 0: F1(s, 0) = (s^2 + 1)*(t*s - 1)
 QUADRATIC_FACTOR = FIXTURES / "quadratic_factor.json"
 _CUBIC = "error: unresolved factor: (-1)*X^0 + (t)*X^1 + (-1)*X^2 + (t)*X^3\n"
+# x^320*y and y^256*t: exponents and degrees past every byte boundary
+HIGH_DEGREE = FIXTURES / "high_degree.json"
+
+
+@pytest.mark.parametrize("fmt, golden", [("pretty", "show_high_degree.txt"),
+                                         ("json", "show_high_degree.json")])
+def test_cli_show_high_degree_matches_golden(capsys, fmt, golden):
+    assert _run(capsys, "show", "--system", str(HIGH_DEGREE), "--format", fmt) == (
+        0, (GOLDEN_CLI / golden).read_text(), "")
 
 
 @pytest.mark.parametrize("candidates, err", [
