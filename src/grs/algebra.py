@@ -819,6 +819,76 @@ def _term_images(p: MPoly) -> list[tuple[int, int]] | None:
     return images
 
 
+def residue(q: Fraction | int | MRat) -> int | None:
+    """q mod _PRIME, for a rational number or a constant MRat; None if _PRIME
+    divides its denominator."""
+    if isinstance(q, MRat):
+        if not q.is_constant():
+            raise ValueError(f"{q} is not constant")
+        num, den = q.num.packed.get(0, 0) * q.den.den, q.num.den * q.den.packed[0]
+    else:
+        num, den = q.numerator, q.denominator
+    if den % _PRIME == 0:
+        return None
+    return num * pow(den, -1, _PRIME) % _PRIME
+
+
+# a polynomial mod _PRIME: its terms, as (residue coefficient, (context index,
+# exponent) of each symbol in the monomial), and the context indices of the
+# symbols they involve
+ResiduePoly = tuple[list[tuple[int, tuple[tuple[int, int], ...]]], list[int]]
+
+
+def residue_poly(p: MPoly, at: Mapping[str, int]) -> ResiduePoly | None:
+    """p mod _PRIME with the symbols of ``at`` set to their residues; None if
+    _PRIME divides p.den."""
+    if p.den % _PRIME == 0:
+        return None
+    inverse = pow(p.den, -1, _PRIME)
+    ctx = p.ctx
+    support = reduce(or_, p.packed, 0)
+    fixed, free = [], []
+    for n, i in ctx._index.items():
+        s = ctx._shifts[i]
+        if support >> s & _FIELD:
+            if n in at:
+                fixed.append((s, at[n]))
+            else:
+                free.append((i, s))
+    terms: dict[tuple[tuple[int, int], ...], int] = {}
+    for k, c in p.packed.items():
+        m = c * inverse
+        for s, r in fixed:
+            m = m * pow(r, k >> s & _FIELD, _PRIME) % _PRIME
+        mono = tuple((i, k >> s & _FIELD) for i, s in free if k >> s & _FIELD)
+        terms[mono] = (terms.get(mono, 0) + m) % _PRIME
+    return [(c, mono) for mono, c in terms.items() if c], [i for i, _ in free]
+
+
+def residue_value(image: ResiduePoly, residues: Sequence[int | None]) -> int | None:
+    """The value mod _PRIME of a :func:`residue_poly` image with symbol i at
+    ``residues[i]``; None if a symbol it involves has no residue."""
+    terms, free = image
+    if any(residues[i] is None for i in free):
+        return None
+    total = 0
+    for c, mono in terms:
+        for i, e in mono:
+            c *= residues[i] if e == 1 else pow(residues[i], e, _PRIME)
+        total += c % _PRIME
+    return total % _PRIME
+
+
+def residue_ratio(num: ResiduePoly, den: ResiduePoly, residues: Sequence[int | None]) -> int | None:
+    """The value mod _PRIME of the quotient of two :func:`residue_poly`
+    images, as :func:`residue_value` evaluates them; None if either value is
+    undefined or the denominator's is zero."""
+    n, d = residue_value(num, residues), residue_value(den, residues)
+    if n is None or not d:
+        return None
+    return n * pow(d, -1, _PRIME) % _PRIME
+
+
 def _image_in(images: list[tuple[int, int]], shift: int, inverse: int) -> list[int] | None:
     """Univariate image in the symbol of the field at ``shift`` (coefficients
     from degree 0 up), every other symbol at its residue; None if the leading

@@ -33,9 +33,13 @@ residual does, and the probe's residual is its image under the
 homomorphism.  The draw satisfies the relation, so that image is also the
 image of the residual after the relation substitution; a residual that
 vanishes there gives zero.  ``_admissible`` certifies those denominators
-nonzero by their values at one fixed point; where it cannot, the draw is
-probed in full, so the excluded draws, and the error after too many of
-them, are the same as when every draw is probed.
+nonzero by their images modulo the prime 2^61 - 1, with x, y and t at one
+fixed point.  Reduction modulo a prime p is a ring homomorphism on the
+rationals whose denominators are prime to p, so a nonzero image is the image
+of a nonzero value, and a function with a nonzero value is not the zero
+function.  A zero image, or a denominator that the prime divides, proves
+nothing: the draw is then probed in full, so the excluded draws, and the
+error after too many of them, are the same as when every draw is probed.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Context, DivisionByZero, MPoly, MRat
+from .algebra import (Context, DivisionByZero, MPoly, MRat, residue, residue_poly, residue_ratio,
+                      residue_value)
 from .recovery import relation_substitution, zero_modulo
 from .surface import PlaneVectorField, chain_rule
 
@@ -119,8 +124,12 @@ class SymmetryReport:
     note: str = ""
 
 
+# the numerators of a random draw
+_NUMERATORS = [n for n in range(-9, 10) if n != 0]
+
+
 def _random_fraction(rng: random.Random) -> Fraction:
-    num = rng.choice([n for n in range(-9, 10) if n != 0])
+    num = rng.choice(_NUMERATORS)
     den = rng.randint(1, 4)
     return Fraction(num, den)
 
@@ -165,35 +174,73 @@ def _probe_residual(f: tuple[MRat, MRat], bmap: BirationalMap, values: dict[str,
                                   f[1].subs(mapped).subs(image)))
 
 
-# the point at which ``_admissible`` evaluates; any point will do, since a
-# zero there only sends the draw to the full probe
+# the point at which ``_admissible`` evaluates x, y and t; any point will do,
+# since a zero there only sends the draw to the full probe
 _POINT = {"x": Fraction(101, 103), "y": Fraction(107, 109), "t": Fraction(113, 127)}
 
 
-def _admissible(dens: Sequence[MPoly], bmap: BirationalMap, values: dict[str, MRat],
-                params: Sequence[str]) -> bool:
+@dataclass(frozen=True)
+class _Reduced:
+    """What ``_admissible`` evaluates at a draw, modulo the prime 2^61 - 1.
+
+    ``at_point`` are the denominators of F with x, y and t at ``_POINT``, and
+    ``full`` the same denominators in every symbol.  ``maps`` holds, for x,
+    y, t and each mapped parameter, its context index and the numerator and
+    denominator of its image with x, y and t at ``_POINT``.  A parameter
+    image free of x, y and t, as every builtin one is, does not change; one
+    that involves them is then tested at ``_POINT`` as well.
+    """
+
+    ctx: Context
+    at_point: list
+    full: list
+    maps: list
+
+
+def _reduced(dens: Sequence[MPoly], bmap: BirationalMap) -> _Reduced | None:
+    """The data ``_admissible`` evaluates, reduced once per probe run; None
+    where the prime divides the denominator of a coefficient."""
+    ctx = bmap.ctx
+    point = {n: residue(v) for n, v in _POINT.items()}
+    at_point = [residue_poly(d, point) for d in dens]
+    full = [residue_poly(d, {}) for d in dens]
+    images = [("x", bmap.x_image), ("y", bmap.y_image), ("t", bmap.t_image)]
+    maps = [(ctx.index(n), residue_poly(img.num, point), residue_poly(img.den, point))
+            for n, img in images + list(bmap.param_map.items())]
+    if None in at_point or None in full or any(None in m for m in maps):
+        return None
+    return _Reduced(ctx, at_point, full, maps)
+
+
+def _admissible(reduced: _Reduced | None, values: dict[str, MRat]) -> bool:
     """Cheap sufficient test that ``_probe_residual`` is defined at a draw.
 
-    ``dens`` are the denominators of F.  True where they are nonzero at the
-    draw and ``_POINT``, the images are defined there, the mapped parameters
-    are defined at the draw, and ``dens`` at the mapped parameters and those
-    image values are nonzero.  Each value then certifies that a denominator
-    the probe divides by is a nonzero function.  False where this test
-    cannot tell.
+    True where, mod the prime, the denominators of F are nonzero at the draw
+    and ``_POINT``, the images have nonzero denominators there, the mapped
+    parameters have nonzero denominators at the draw and ``_POINT``, and the
+    denominators of F at the mapped parameters and those image values are
+    nonzero.  A nonzero image is the image of a nonzero value, and each
+    value then certifies that a denominator the probe divides by is a
+    nonzero function.  False where this test cannot tell, including where
+    the prime divides the denominator of a drawn value; never raises.
     """
-    ctx = bmap.ctx
-    point = dict(values)
-    point.update((n, ctx.rat(v)) for n, v in _POINT.items())
-    try:
-        if any(d.subs(point).is_zero() for d in dens):
-            return False
-        at = {n: img.subs(point)
-              for n, img in zip(("x", "y", "t"), (bmap.x_image, bmap.y_image, bmap.t_image))}
-        at.update((p, bmap.param_map[p].subs(values) if p in bmap.param_map else values[p])
-                  for p in params)
-    except DivisionByZero:
+    if reduced is None:
         return False
-    return not any(d.subs(at).is_zero() for d in dens)
+    drawn = [None] * len(reduced.ctx)
+    for p, v in values.items():
+        r = residue(v)
+        if r is None:
+            return False
+        drawn[reduced.ctx.index(p)] = r
+    if not all(residue_value(d, drawn) for d in reduced.at_point):
+        return False
+    # the parameters the map leaves alone keep their draws
+    at = list(drawn)
+    for i, num, den in reduced.maps:
+        at[i] = residue_ratio(num, den, drawn)
+        if at[i] is None:
+            return False
+    return all(residue_value(d, at) for d in reduced.full)
 
 
 def verify_symmetry(vf: PlaneVectorField, bmap: BirationalMap, mode: str = "numeric-probe",
@@ -233,6 +280,7 @@ def verify_symmetry(vf: PlaneVectorField, bmap: BirationalMap, mode: str = "nume
     rng = random.Random(seed)
     relsub = {} if relation is None else relation_substitution([relation], eigenvalue_syms)
     proved = None  # whether the exact residual vanishes, decided after one passing draw
+    reduced = None  # what _admissible evaluates, set up once the residual is proved zero
     done = 0
     attempts = 0
     while done < draws:
@@ -240,7 +288,7 @@ def verify_symmetry(vf: PlaneVectorField, bmap: BirationalMap, mode: str = "nume
         if attempts > 50 * draws:
             raise SymmetryError("parameter draws kept hitting excluded loci")
         values = draw_parameters(ctx, rng, relsub)
-        if proved and _admissible(dens, bmap, values, params):
+        if proved and _admissible(reduced, values):
             done += 1
             continue
         try:
@@ -254,6 +302,8 @@ def verify_symmetry(vf: PlaneVectorField, bmap: BirationalMap, mode: str = "nume
         done += 1
         if proved is None and done < draws:
             proved = _proved(vf, bmap, params, relsub)
+            if proved:
+                reduced = _reduced(dens, bmap)
     return SymmetryReport(True, mode, draws=done)
 
 

@@ -1,10 +1,11 @@
 """Birational symmetry tests: exact probes, involutions, push-forwards."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from grs import symmetry
+from grs import algebra, symmetry
 from grs.algebra import Context, DivisionByZero
 from grs.catalog import get_maps, get_system
 from grs.recovery import relation_substitution
@@ -296,6 +297,97 @@ def test_probe_after_the_proof_excludes_draws_and_falls_back(monkeypatch):
     assert ("_admissible", False) in after
     assert ("_probe_residual", "passed") in after
     assert ("_probe_residual", "excluded") in after
+
+
+def _exact_admissible(dens, bmap, values, params):
+    """The admissibility test on exact values by MRat.subs, with the same
+    conditions as ``symmetry._admissible``: the denominators of F nonzero at
+    the draw and ``_POINT``, the images defined there, the mapped parameters
+    defined at the draw, and the denominators of F at the mapped parameters
+    and those image values nonzero."""
+    ctx = bmap.ctx
+    point = dict(values)
+    point.update((n, ctx.rat(v)) for n, v in symmetry._POINT.items())
+    try:
+        if any(d.subs(point).is_zero() for d in dens):
+            return False
+        at = {n: img.subs(point)
+              for n, img in zip(("x", "y", "t"), (bmap.x_image, bmap.y_image, bmap.t_image))}
+        at.update((p, bmap.param_map[p].subs(values) if p in bmap.param_map else values[p])
+                  for p in params)
+    except DivisionByZero:
+        return False
+    return not any(d.subs(at).is_zero() for d in dens)
+
+
+@pytest.mark.parametrize("sys_name, map_name", CASES + [("gen-pvi", "pi3-verbatim")])
+def test_modular_admissibility_agrees_with_the_exact_test(monkeypatch, sys_name, map_name):
+    """On every draw of the builtin probe runs, the modular test certifies a
+    draw only where the exact one does, and the two agree."""
+    entry, bmap = _get(sys_name, map_name)
+    dens = {c.den for c in entry.vf.components()}
+    params = [s.name for s in entry.vf.ctx.syms if s.kind == "parameter"]
+    calls = []
+    modular_test = symmetry._admissible
+
+    def both(reduced, values):
+        modular = modular_test(reduced, values)
+        calls.append((modular, _exact_admissible(dens, bmap, values, params)))
+        return modular
+    monkeypatch.setattr(symmetry, "_admissible", both)
+    report = verify_symmetry(entry.vf, bmap, "numeric-probe", relation=entry.relation,
+                             eigenvalue_syms=entry.eigenvalue_syms, draws=20)
+    assert all(exact for modular, exact in calls if modular)
+    assert all(modular == exact for modular, exact in calls)
+    # every invariant map is proved at its first draw and certifies the others
+    assert len(calls) >= 19 if report.invariant else not calls
+
+
+def test_a_zero_image_of_a_nonzero_denominator_sends_draws_to_the_full_probe(monkeypatch):
+    """dx/dt = x/(103 x - 101 - 103 p), dy/dt = a y under y -> -y, where p is
+    the prime of the modular test.  The denominator is -103 p at ``_POINT``,
+    nonzero, but its image mod p is zero, so no draw is certified and each
+    is probed in full, with the report of the per-draw loop."""
+    p = algebra._PRIME
+    ctx = Context.make(parameters=["a"])
+    x, y, t, a = (ctx.var(n) for n in ("x", "y", "t", "a"))
+    vf = PlaneVectorField(x / (ctx.rat(103) * x - ctx.rat(101 + 103 * p)), a * y,
+                          "U0", SurfaceModel(1, ()))
+    bmap = BirationalMap("flip", x, -y, t, {})
+    dens = {c.den for c in vf.components()}
+    values = {"a": ctx.rat(3)}
+    assert _exact_admissible(dens, bmap, values, ["a"])
+    assert not symmetry._admissible(symmetry._reduced(dens, bmap), values)
+    events = []
+    _spy(monkeypatch, events, "_admissible", bool)
+    _spy(monkeypatch, events, "_probe_residual", lambda r: "passed")
+    for seed in (1, 2, 3):
+        start = len(events)
+        assert verify_symmetry(vf, bmap, draws=20, seed=seed) \
+            == _reference_probe(vf, bmap, draws=20, seed=seed)
+        assert events[start:].count(("_admissible", False)) == 19
+        assert events[start:].count(("_probe_residual", "passed")) == 20
+    assert ("_admissible", True) not in events
+
+
+def test_admissibility_is_false_where_the_prime_divides_a_denominator():
+    """A draw value, or a coefficient of an image, whose denominator the
+    prime divides gives False, not an error."""
+    p = algebra._PRIME
+    vf, bmap = _scaling_case()
+    ctx = vf.ctx
+    dens = {c.den for c in vf.components()}
+    reduced = symmetry._reduced(dens, bmap)
+    assert symmetry._admissible(reduced, {"a": ctx.rat(3), "b": ctx.rat(5)})
+    for values in ({"a": ctx.rat(Fraction(1, p)), "b": ctx.rat(5)},
+                   {"a": ctx.rat(3), "b": ctx.rat(Fraction(7, 2 * p))}):
+        assert _exact_admissible(dens, bmap, values, ["a", "b"])
+        assert not symmetry._admissible(reduced, values)
+    x = ctx.var("x")
+    tiny = BirationalMap("tiny", x * ctx.rat(Fraction(1, p)), bmap.y_image, bmap.t_image,
+                         bmap.param_map)
+    assert symmetry._reduced(dens, tiny) is None
+    assert not symmetry._admissible(None, {"a": ctx.rat(3), "b": ctx.rat(5)})
 
 
 def test_probe_continues_when_the_exact_residual_does_not_vanish():
