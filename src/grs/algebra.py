@@ -42,39 +42,46 @@ canonical form allows.  The operators rely on canonical operands and cancel
 crosswise (Henrici; Knuth, TAOCP vol. 2, 4.5.1): a sum gcds only the two
 denominators, and then the new numerator against their common factor; a
 product gcds each numerator against the other denominator; inverses and powers
-need no gcd at all.  A gcd is skipped outright when one side is constant.
-:func:`exact_divide` runs one pass over a remainder kept in a dict and a heap
-of its negated packed keys (Monagan & Pearce, J. Symb. Comp. 2011).  It
-rejects a non-divisor early, by the guard bits of each quotient key and from
-bounds on the quotient's total degree and, once the division has run as many
-steps as the dividend has terms, on its exponent of each symbol; that also
-makes the divisibility shortcuts in the gcd cheap when they fail.  It divides integer numerators by the integer-primitive part
-of the divisor; by Gauss's lemma that divides them over Z exactly when the
-divisor divides over Q, so a coefficient division that leaves a remainder
-rejects as well.  Most gcds the pipeline asks for are constant, and a
-coprimality certificate settles those before any division or PRS step, at
-every level of the recursion (Brown, J. ACM 1971): every symbol but one is set
-to a fixed residue modulo the prime 2^61 - 1, and Euclid runs on the two
+need no gcd at all.  A gcd is skipped outright when one side is constant, and
+the others come with their cofactors: :func:`gcd_cofactors` returns (g, a/g,
+b/g) for g the result of :func:`poly_gcd`, so no operator divides by g again.
+The monomial content comes off first: a = x^ma * a0 and b = x^mb * b0, the
+core gcd of a0 and b0 has cofactors (a0 = core * q), and x^mono * core =
+u * g for the monomial gcd x^mono and a rational unit u, so a/g = u *
+x^(ma - mono) * q, a key shift and a scale.  The core tries, in order: a
+constant operand or no shared symbol (gcd 1); divisibility, b by a and then a
+by b, where the quotient :func:`exact_divide` finds is the other cofactor; a
+coprimality certificate; the content in one-sided symbols; the PRS.  Only the
+last two compute a nontrivial gcd from scratch, and only after them are
+cofactors found by division.  :func:`exact_divide` runs one pass over a
+remainder kept in a dict and a heap of its negated packed keys (Monagan &
+Pearce, J. Symb. Comp. 2011).  It rejects a non-divisor early, by the guard
+bits of each quotient key and from bounds on the quotient's total degree and,
+once the division has run as many steps as the dividend has terms, on its
+exponent of each symbol, so a failed divisibility test is cheap.  It divides
+integer numerators by the integer-primitive part of the divisor; by Gauss's
+lemma that divides them over Z exactly when the divisor divides over Q, so a
+coefficient division that leaves a remainder rejects as well.  Most gcds are
+constant, and the certificate settles those without a PRS step, at every
+level of the recursion (Brown, J. ACM 1971): every symbol but one is set to a
+fixed residue modulo the prime 2^61 - 1, and Euclid runs on the two
 univariate images in each symbol both operands involve.  The images of the
 terms are read from one table of powers per residue, extended up to the
 largest degree seen.  By Gauss's lemma lc_v(gcd) divides lc_v(a), so while
 both leading coefficients survive the evaluation no image gcd has a lower
 degree in v than the true gcd; images coprime in every shared symbol therefore
 prove the gcd constant.  Any other outcome (a vanished leading coefficient,
-the prime in a denominator, an image gcd of positive degree) falls through to
-the exact path, the only one that computes a nontrivial gcd.  There the
-divisibility shortcuts come first: when a small operand divides a large one
-they return it at once, where the content below would cost one gcd per
-coefficient.  Then the path takes out the symbols that occur in one operand
-only (Geddes, Czapor & Labahn 1992, ch. 7): if a involves symbols that b
-lacks, gcd(a, b) involves none of them, so it divides the content of a in them
-(the gcd of a's coefficients as a polynomial in those symbols), and
-gcd(a, b) = gcd(content, b).  A PRS in a shared symbol would otherwise carry
-the one-sided symbols through every pseudo-remainder, whose coefficients then
-grow with each step.  The result is the same: a gcd made primitive with a positive
-leading coefficient is unique.  Because the operators trust their operands,
-every ``MRat(num, den, _normalized=True)`` must receive a pair that is already
-canonical; ``MRat(num, den)`` normalizes an arbitrary pair.
+the prime in a denominator, an image gcd of positive degree) falls through.
+The one-sided step takes out the symbols that occur in one operand only
+(Geddes, Czapor & Labahn 1992, ch. 7): if a involves symbols that b lacks,
+gcd(a, b) involves none of them, so it divides the content of a in them (the
+gcd of a's coefficients as a polynomial in those symbols), and gcd(a, b) =
+gcd(content, b).  A PRS in a shared symbol would otherwise carry the
+one-sided symbols through every pseudo-remainder, whose coefficients then grow
+with each step.  The result is the same on every path: a gcd made primitive
+with a positive leading coefficient is unique.  Because the operators trust
+their operands, every ``MRat(num, den, _normalized=True)`` must receive a pair
+that is already canonical; ``MRat(num, den)`` normalizes an arbitrary pair.
 
 Substitution finds the symbols a polynomial involves from the bitwise or of
 its keys, and puts the constant values (numeric draws, parameter values) in
@@ -729,38 +736,67 @@ def _quotient_bounds(a: MPoly, b: MPoly, low: int, high: int) -> tuple[int, int]
 
 def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
     """gcd over Q, normalized integer-primitive with positive leading coeff."""
-    if a.is_zero():
-        return b.primitive()
-    if b.is_zero():
-        return a.primitive()
-    ma, mb = a.monomial_gcd(), b.monomial_gcd()
-    mono = _key_gcd(a.ctx, (ma, mb)) if ma and mb else 0
-    a0 = a.shift_down(ma)
-    b0 = b.shift_down(mb)
-    core = _gcd_core(a0, b0)
-    if mono:
-        core = core * _canonical(a.ctx, {mono: 1}, 1)
-    return core.primitive()
+    return _gcd(a, b, False)[0]
 
 
-def _gcd_core(a: MPoly, b: MPoly) -> MPoly:
+def gcd_cofactors(a: MPoly, b: MPoly) -> tuple[MPoly, MPoly, MPoly]:
+    """(g, a/g, b/g) for g = poly_gcd(a, b); (0, 0, 0) when a and b are zero."""
+    return _gcd(a, b, True)
+
+
+def _gcd(a: MPoly, b: MPoly, cofactors: bool) -> tuple[MPoly, MPoly | None, MPoly | None]:
+    """poly_gcd(a, b) with a/g and b/g; a cofactor that is not free (the
+    exact path's) is None unless ``cofactors`` is set."""
+    a._check(b)
+    qa = None
+    if a.is_zero() or b.is_zero():
+        g = (b if a.is_zero() else a).primitive()
+    else:
+        ma, mb = a.monomial_gcd(), b.monomial_gcd()
+        mono = _key_gcd(a.ctx, (ma, mb)) if ma and mb else 0
+        core, qa, qb = _gcd_core(a.shift_down(ma), b.shift_down(mb))
+        core = _shift_scale(core, mono, 1)
+        g = core.primitive()
+    if g.is_constant():
+        return g, a, b
+    if qa is None:
+        return (g, exact_divide(a, g), exact_divide(b, g)) if cofactors else (g, None, None)
+    # x^mono * core = u * g, so a = x^ma * core * qa = g * u * x^(ma - mono) * qa
+    k = max(g.packed)
+    u = Fraction(core.packed[k], core.den * g.packed[k])
+    return g, _shift_scale(qa, ma - mono, u), _shift_scale(qb, mb - mono, u)
+
+
+def _shift_scale(p: MPoly, shift: int, u: Fraction | int) -> MPoly:
+    """u * p times the monomial of packed key ``shift``."""
+    if not shift and u == 1:
+        return p
+    n = u.numerator
+    return _make(p.ctx, {k + shift: c * n for k, c in p.packed.items()}, p.den * u.denominator)
+
+
+def _gcd_core(a: MPoly, b: MPoly) -> tuple[MPoly, MPoly | None, MPoly | None]:
+    """gcd(a, b) up to a unit, and a/gcd and b/gcd where they come free (else None)."""
+    one = a.ctx.poly(1)
     if a.is_constant() or b.is_constant():
-        return a.ctx.poly(1)
+        return one, a, b
     shared = set(a.variables()) & set(b.variables())
     if not shared:
-        return a.ctx.poly(1)
+        return one, a, b
+    # divisibility: the quotient the shortcut finds is the other cofactor
+    q = exact_divide(b, a)
+    if q is not None:
+        return a, one, q
+    q = exact_divide(a, b)
+    if q is not None:
+        return b, q, one
     if _coprime_certified(a, b, shared):
-        return a.ctx.poly(1)
-    # quick divisibility shortcuts
-    if exact_divide(b, a) is not None:
-        return a
-    if exact_divide(a, b) is not None:
-        return b
+        return one, a, b
     # symbols in one operand only: the gcd divides that operand's content in them
     for p, q in ((a, b), (b, a)):
         only = [n for n in p.variables() if n not in shared]
         if only:
-            return poly_gcd(_list_gcd(coefficients_in(p, only)), q)
+            return poly_gcd(_list_gcd(coefficients_in(p, only)), q), None, None
     # main variable: smallest combined degree keeps the PRS short
     v = min(shared, key=lambda n: (a.degree_in(n) + b.degree_in(n), a.ctx.index(n)))
     ua = a.as_univariate(v)
@@ -771,7 +807,7 @@ def _gcd_core(a: MPoly, b: MPoly) -> MPoly:
     pa = _divide_coeffs(ua, cont_a)
     pb = _divide_coeffs(ub, cont_b)
     prim = _prs_gcd(pa, pb, a.ctx, v)
-    return cont * prim
+    return cont * prim, None, None
 
 
 _PRIME = (1 << 61) - 1
@@ -1079,11 +1115,10 @@ class MRat:
             return MRat(an * bd + bn, bd, _normalized=True)
         if bd.is_constant():
             return MRat(an + bn * ad, ad, _normalized=True)
-        g = poly_gcd(ad, bd)
-        if g.is_constant():
-            return MRat(an * bd + bn * ad, ad * bd, _normalized=True)
-        ad, bd = exact_divide(ad, g), exact_divide(bd, g)
+        g, ad, bd = gcd_cofactors(ad, bd)
         num = an * bd + bn * ad
+        if g.is_constant():
+            return MRat(num, ad * bd, _normalized=True)
         if num.is_zero():
             return MRat.from_poly(num)
         # num is coprime to ad and bd, so only the common factor g can cancel
@@ -1272,10 +1307,7 @@ def _cancel(p: MPoly, q: MPoly) -> tuple[MPoly, MPoly]:
     """(p/g, q/g) for g = gcd(p, q); no gcd is run when p or q is constant."""
     if p.is_constant() or q.is_constant():
         return p, q
-    g = poly_gcd(p, q)
-    if g.is_constant():
-        return p, q
-    return exact_divide(p, g), exact_divide(q, g)
+    return gcd_cofactors(p, q)[1:]
 
 
 def _unit_normalize(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:

@@ -49,8 +49,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import (Context, DivisionByZero, MPoly, MRat, residue, residue_poly, residue_ratio,
-                      residue_value)
+from .algebra import (Context, DivisionByZero, MPoly, MRat, _subs_constants, residue, residue_poly,
+                      residue_ratio, residue_value)
 from .recovery import relation_substitution, zero_modulo
 from .surface import PlaneVectorField, chain_rule
 
@@ -137,19 +137,20 @@ def _random_fraction(rng: random.Random) -> Fraction:
 def draw_parameters(ctx: Context, rng: random.Random,
                     relsub: dict[str, MRat]) -> dict[str, MRat]:
     """One exact rational parameter draw consistent with the eigenvalue
-    relation, given as its solved substitution ``relsub``."""
+    relation, given as its solved substitution ``relsub`` (whose values
+    involve only the parameters it does not solve for)."""
     params = [s.name for s in ctx.syms if s.kind == "parameter"]
     for _ in range(200):
-        values = {p: ctx.rat(_random_fraction(rng)) for p in params if p not in relsub}
-        try:
-            full = dict(values)
-            for sym, expr in relsub.items():
-                full[sym] = expr.subs(values)
-            if any(v.is_zero() for v in full.values()):
-                continue
-            return full
-        except DivisionByZero:
-            continue
+        values = {p: _random_fraction(rng) for p in params if p not in relsub}
+        full = dict(values)
+        for sym, expr in relsub.items():
+            den = _subs_constants(expr.den, values).constant_value()
+            if not den:
+                break
+            full[sym] = _subs_constants(expr.num, values).constant_value() / den
+        else:
+            if all(full.values()):
+                return {p: ctx.rat(v) for p, v in full.items()}
     raise SymmetryError("could not draw consistent parameters")
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis import assume
 
 from grs.algebra import (MAX_EXPONENT, MAX_NESTING, Context, DivisionByZero, InconsistentSystem, MPoly,
-                         MRat, Mat2, ParseError, StuckSystem, parse_rat, poly_gcd,
+                         MRat, Mat2, ParseError, StuckSystem, gcd_cofactors, parse_rat, poly_gcd,
                          solve_triangular, split_content, exact_divide)
 from grs import algebra
 
@@ -821,6 +821,97 @@ def test_planted_gcd_with_one_sided_symbols_matches_sympy(g, f1, f2):
     ours = poly_gcd(a, b)
     assert ours.terms == _sympy_gcd(a, b)
     assert exact_divide(ours, g.primitive()) is not None
+
+
+# -- the gcd with its cofactors ------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(_polys(), _polys())
+def test_gcd_cofactors_match_sympy(a, b):
+    sp, syms = _sympy()
+    assume(not (a.is_zero() and b.is_zero()))
+    g, ca, cb = gcd_cofactors(a, b)
+    h, cfa, cfb = (f.as_expr() for f in sp.Poly(_to_sympy(a), *syms, domain="QQ").cofactors(
+        sp.Poly(_to_sympy(b), *syms, domain="QQ")))
+    assert g.terms == _unit_free(_from_sympy(h))[0]
+    # h = unit * g, so a/g = unit * cfa
+    unit = sp.cancel(h / _to_sympy(g))
+    assert unit.is_number
+    assert (ca.terms, cb.terms) == (_from_sympy(sp.expand(unit * cfa)),
+                                    _from_sympy(sp.expand(unit * cfb)))
+
+
+_monomial = st.tuples(*[st.integers(0, 2)] * 3).map(lambda e: MPoly(ORACLE_CTX, {e: 1}))
+_scaling = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_factor, _cofactor, _cofactor, _monomial, _monomial, _scaling, _scaling)
+def test_gcd_cofactors_multiply_back(g, p, q, ma, mb, ra, rb):
+    """a = g*p*ma*ra and b = g*q*mb*rb: a constant p or q sends the pair
+    down the divisibility shortcut, the monomials give it a monomial content,
+    and the scalings a unit between the core gcd and its primitive form."""
+    a, b = (g * p * ma).scale(ra), (g * q * mb).scale(rb)
+    gcd, ca, cb = gcd_cofactors(a, b)
+    assert gcd == poly_gcd(a, b) == gcd.primitive()
+    assert gcd * ca == a and gcd * cb == b
+    assert exact_divide(gcd, g.primitive()) is not None
+
+
+def test_gcd_cofactors_of_zero_operands():
+    x, one = ORACLE_CTX.poly_var("x"), ORACLE_CTX.poly(1)
+    zero = ORACLE_CTX.poly(0)
+    b = (x + one).scale(Fraction(-3, 2))
+    assert gcd_cofactors(zero, b) == (x + one, zero, ORACLE_CTX.poly(Fraction(-3, 2)))
+    assert gcd_cofactors(b, zero) == (x + one, ORACLE_CTX.poly(Fraction(-3, 2)), zero)
+    assert gcd_cofactors(zero, zero) == (zero, zero, zero)
+
+
+def test_gcd_across_contexts_raises():
+    """x*t in (x, t) and x in (t, x) share the factor x by name, and x + 1
+    and t + 1 live in two contexts; neither has a gcd to return."""
+    xt = Context([algebra.Sym("x", "fiber"), algebra.Sym("t", "time")])
+    tx = Context([algebra.Sym("t", "time"), algebra.Sym("x", "fiber")])
+    one = ORACLE_CTX.poly(1)
+    pairs = [(xt.poly_var("x") * xt.poly_var("t"), tx.poly_var("x")),
+             (xt.poly_var("x") + xt.poly(1), ORACLE_CTX.poly_var("t") + one),
+             (xt.poly(0), tx.poly_var("x")), (xt.poly(2), tx.poly_var("x"))]
+    for a, b in pairs:
+        for fn in (poly_gcd, gcd_cofactors):
+            with pytest.raises(ValueError, match="context mismatch"):
+                fn(a, b)
+
+
+def _dividing_pair():
+    """(f, f*h) with f and h sharing symbols, coprime images and no monomial content."""
+    x, t, a = (ORACLE_CTX.poly_var(n) for n in ("x", "t", "a"))
+    one = ORACLE_CTX.poly(1)
+    f = x * t + a + one
+    return f, f * (t * a - x + one)
+
+
+def test_a_dividing_pair_never_reaches_the_certificate(monkeypatch):
+    f, fh = _dividing_pair()
+    monkeypatch.setattr(algebra, "_coprime_certified", lambda a, b, shared: pytest.fail(
+        "the certificate ran on a pair where one operand divides the other"))
+    for a, b in ((f, fh), (fh, f), (f.scale(Fraction(-2, 3)), fh.scale(5))):
+        g, ca, cb = gcd_cofactors(a, b)
+        assert g == f and g * ca == a and g * cb == b
+
+
+def test_cancel_of_a_dividing_pair_divides_once(monkeypatch):
+    f, fh = _dividing_pair()
+    divide = algebra.exact_divide
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return divide(a, b)
+
+    monkeypatch.setattr(algebra, "exact_divide", counting)
+    assert algebra._cancel(f, fh) == (ORACLE_CTX.poly(1), divide(fh, f))
+    assert calls == [(fh, f)]
 
 
 # -- packed exponent keys against a tuple-keyed reference ---------------------

@@ -327,6 +327,22 @@ def test_cli_recover_json_matches_golden(capsys, scheme):
     assert (code, out, err) == (0, golden, "")
 
 
+@pytest.mark.parametrize("scheme", ["gen-pvi", "gen-pv", "gen-piv", "gen-piii"])
+def test_cli_relation_json_matches_golden(capsys, scheme):
+    code, out, err = _run(capsys, "relation", "--scheme", scheme, "--format", "json")
+    golden = (GOLDEN_CLI / f"relation_{scheme}.json").read_text()
+    assert (code, out, err) == (0, golden, "")
+
+
+@pytest.mark.parametrize("n, points, ratios", [("2", "0,1", "2,2,2,2"),
+                                               ("3", "0,1,2", "1,2,2,2,2")])
+def test_cli_construct_json_matches_golden(capsys, n, points, ratios):
+    code, out, err = _run(capsys, "construct", "--n", n, "--points", points,
+                          "--ratios", ratios, "--format", "json")
+    golden = (GOLDEN_CLI / f"construct_n{n}.json").read_text()
+    assert (code, out, err) == (0, golden, "")
+
+
 @pytest.mark.parametrize("system, message", [
     ("nope", "unknown builtin system 'nope'; available: "),
     ("piv", "no builtin maps for 'piv'; available: "),

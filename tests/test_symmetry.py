@@ -243,6 +243,37 @@ def test_probe_matches_the_per_draw_loop(sys_name, map_name):
                 == _reference_probe(*args), (seed, draws)
 
 
+def _reference_draw(ctx, rng, relsub):
+    """draw_parameters as an MRat per value and MRat.subs for the relation."""
+    params = [s.name for s in ctx.syms if s.kind == "parameter"]
+    for _ in range(200):
+        values = {p: ctx.rat(symmetry._random_fraction(rng)) for p in params if p not in relsub}
+        try:
+            full = dict(values)
+            for sym, expr in relsub.items():
+                full[sym] = expr.subs(values)
+            if any(v.is_zero() for v in full.values()):
+                continue
+            return full
+        except DivisionByZero:
+            continue
+    raise SymmetryError("could not draw consistent parameters")
+
+
+@pytest.mark.parametrize("sys_name, map_name", CASES + [("gen-pvi", "pi3-verbatim")])
+def test_draws_match_the_mrat_reference(sys_name, map_name):
+    """The ten builtin probe runs draw the same values, and leave their
+    generator in the same state, as a draw built from MRat substitutions."""
+    entry, _ = _get(sys_name, map_name)
+    ctx = entry.vf.ctx
+    relsub = ({} if entry.relation is None
+              else relation_substitution([entry.relation], entry.eigenvalue_syms))
+    ours, theirs = random.Random(20200828), random.Random(20200828)
+    for _ in range(100):
+        assert symmetry.draw_parameters(ctx, ours, relsub) == _reference_draw(ctx, theirs, relsub)
+    assert ours.getstate() == theirs.getstate()
+
+
 def _scaling_case():
     """dx/dt = x^2/((103 x - 101 b)(a - 2)), dy/dt = y under x -> x/(a-1),
     b -> b/(a-1).
