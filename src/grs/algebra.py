@@ -190,7 +190,7 @@ class Context:
     the packed exponent keys of its polynomials (module docstring).
     """
 
-    __slots__ = ("syms", "names", "_index", "_zero", "_shifts", "_top", "_guards", "_units",
+    __slots__ = ("syms", "names", "_index", "_shifts", "_top", "_guards", "_units",
                  "_packer", "_unpacker", "_nbytes")
 
     def __init__(self, syms: Sequence[Sym]):
@@ -201,7 +201,6 @@ class Context:
         self.names = tuple(names)
         self._index = {n: i for i, n in enumerate(names)}
         n = len(names)
-        self._zero = (0,) * n
         # symbol i in field n - 1 - i, so that symbol 0 is the most
         # significant field below the total degree
         self._shifts = tuple(FIELD_BITS * (n - 1 - i) for i in range(n))
@@ -262,9 +261,6 @@ class Context:
         return sum(_FIELD << self._shifts[i] for i in indices)
 
     # -- element builders ---------------------------------------------------
-
-    def zero_exp(self) -> Exponent:
-        return self._zero
 
     def poly(self, value: int | Fraction) -> "MPoly":
         if not value:
@@ -519,11 +515,6 @@ class MPoly:
                 key |= (k >> s & _FIELD) << t
             out[key] = c
         return _canonical(ctx, out, self.den)
-
-    def rename(self, names: Mapping[str, str]) -> "MPoly":
-        """Rename symbols (kinds preserved), producing a parallel context."""
-        syms = tuple(Sym(names.get(s.name, s.name), s.kind) for s in self.ctx.syms)
-        return _canonical(Context(syms), self.packed, self.den)
 
     # -- normal forms ---------------------------------------------------------
 
@@ -855,76 +846,6 @@ def _term_images(p: MPoly) -> list[tuple[int, int]] | None:
     return images
 
 
-def residue(q: Fraction | int | MRat) -> int | None:
-    """q mod _PRIME, for a rational number or a constant MRat; None if _PRIME
-    divides its denominator."""
-    if isinstance(q, MRat):
-        if not q.is_constant():
-            raise ValueError(f"{q} is not constant")
-        num, den = q.num.packed.get(0, 0) * q.den.den, q.num.den * q.den.packed[0]
-    else:
-        num, den = q.numerator, q.denominator
-    if den % _PRIME == 0:
-        return None
-    return num * pow(den, -1, _PRIME) % _PRIME
-
-
-# a polynomial mod _PRIME: its terms, as (residue coefficient, (context index,
-# exponent) of each symbol in the monomial), and the context indices of the
-# symbols they involve
-ResiduePoly = tuple[list[tuple[int, tuple[tuple[int, int], ...]]], list[int]]
-
-
-def residue_poly(p: MPoly, at: Mapping[str, int]) -> ResiduePoly | None:
-    """p mod _PRIME with the symbols of ``at`` set to their residues; None if
-    _PRIME divides p.den."""
-    if p.den % _PRIME == 0:
-        return None
-    inverse = pow(p.den, -1, _PRIME)
-    ctx = p.ctx
-    support = reduce(or_, p.packed, 0)
-    fixed, free = [], []
-    for n, i in ctx._index.items():
-        s = ctx._shifts[i]
-        if support >> s & _FIELD:
-            if n in at:
-                fixed.append((s, at[n]))
-            else:
-                free.append((i, s))
-    terms: dict[tuple[tuple[int, int], ...], int] = {}
-    for k, c in p.packed.items():
-        m = c * inverse
-        for s, r in fixed:
-            m = m * pow(r, k >> s & _FIELD, _PRIME) % _PRIME
-        mono = tuple((i, k >> s & _FIELD) for i, s in free if k >> s & _FIELD)
-        terms[mono] = (terms.get(mono, 0) + m) % _PRIME
-    return [(c, mono) for mono, c in terms.items() if c], [i for i, _ in free]
-
-
-def residue_value(image: ResiduePoly, residues: Sequence[int | None]) -> int | None:
-    """The value mod _PRIME of a :func:`residue_poly` image with symbol i at
-    ``residues[i]``; None if a symbol it involves has no residue."""
-    terms, free = image
-    if any(residues[i] is None for i in free):
-        return None
-    total = 0
-    for c, mono in terms:
-        for i, e in mono:
-            c *= residues[i] if e == 1 else pow(residues[i], e, _PRIME)
-        total += c % _PRIME
-    return total % _PRIME
-
-
-def residue_ratio(num: ResiduePoly, den: ResiduePoly, residues: Sequence[int | None]) -> int | None:
-    """The value mod _PRIME of the quotient of two :func:`residue_poly`
-    images, as :func:`residue_value` evaluates them; None if either value is
-    undefined or the denominator's is zero."""
-    n, d = residue_value(num, residues), residue_value(den, residues)
-    if n is None or not d:
-        return None
-    return n * pow(d, -1, _PRIME) % _PRIME
-
-
 def _image_in(images: list[tuple[int, int]], shift: int, inverse: int) -> list[int] | None:
     """Univariate image in the symbol of the field at ``shift`` (coefficients
     from degree 0 up), every other symbol at its residue; None if the leading
@@ -1186,9 +1107,6 @@ class MRat:
     def lift(self, ctx: Context) -> "MRat":
         return MRat(self.num.lift(ctx), self.den.lift(ctx), _normalized=True)
 
-    def rename(self, names: Mapping[str, str]) -> "MRat":
-        return MRat(self.num.rename(names), self.den.rename(names), _normalized=True)
-
     def __str__(self) -> str:
         if _is_one(self.den):
             return render_poly(self.num)
@@ -1324,22 +1242,14 @@ def _unit_normalize(num: MPoly, den: MPoly) -> tuple[MPoly, MPoly]:
 
 
 class Mat2:
-    """2x2 matrix of rational functions.
-
-    For a triangular matrix the eigenvalues are the diagonal entries; the
-    constructor checks that claim when triangularity is asserted.
-    """
+    """2x2 matrix of rational functions."""
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: Sequence[Sequence[MRat]], *, triangular: str | None = None):
+    def __init__(self, entries: Sequence[Sequence[MRat]]):
         rows = tuple(tuple(row) for row in entries)
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValueError("Mat2 requires a 2x2 array")
-        if triangular == "upper" and not rows[1][0].is_zero():
-            raise ValueError("matrix claimed upper-triangular but entry (1,0) is nonzero")
-        if triangular == "lower" and not rows[0][1].is_zero():
-            raise ValueError("matrix claimed lower-triangular but entry (0,1) is nonzero")
         self.entries = rows
 
     def __getitem__(self, ij: tuple[int, int]) -> MRat:
@@ -1356,14 +1266,6 @@ class Mat2:
         if lower:
             return "lower"
         return None
-
-    def diagonal(self) -> tuple[MRat, MRat]:
-        return self.entries[0][0], self.entries[1][1]
-
-    def eigenvalues(self) -> tuple[MRat, MRat]:
-        if self.triangular_kind() is None:
-            raise ValueError("eigenvalues only read off triangular matrices here")
-        return self.diagonal()
 
     def map(self, fn: Callable[[MRat], MRat]) -> "Mat2":
         """The matrix with fn applied to every entry."""

@@ -18,28 +18,18 @@ residual vanishes outright or modulo the relation.
 A probe run draws and checks in full until one draw passes.  That draw is a
 random-point identity test (Schwartz, J. ACM 1980; Zippel, EUROSAM 1979),
 so a map that is not a symmetry almost always fails at once, with the same
-draw, note and residual text as a run of per-draw checks.  After it, the
-exact residual is reduced once.  Where it vanishes, every later draw is only
-tested for admissibility, because then the probe of an admissible draw
-passes.  The argument: let v be the draw and R_v the rational functions in
-the parameters, x, y and t whose reduced denominator does not vanish
-identically in x, y, t when the parameters are set to v.  Setting the
-parameters to v is a ring homomorphism from R_v onto the rational functions
-in x, y, t, and it commutes with d/dx, d/dy and d/dt.  The probe's
-conditions put F, the images and the mapped parameters in R_v.  Where also
-den(F) at the mapped parameters and the images specializes to a nonzero
-function, F at the mapped parameters and the images lies in R_v, so the
-residual does, and the probe's residual is its image under the
-homomorphism.  The draw satisfies the relation, so that image is also the
-image of the residual after the relation substitution; a residual that
-vanishes there gives zero.  ``_admissible`` certifies those denominators
-nonzero by their images modulo the prime 2^61 - 1, with x, y and t at one
-fixed point.  Reduction modulo a prime p is a ring homomorphism on the
-rationals whose denominators are prime to p, so a nonzero image is the image
-of a nonzero value, and a function with a nonzero value is not the zero
-function.  A zero image, or a denominator that the prime divides, proves
-nothing: the draw is then probed in full, so the excluded draws, and the
-error after too many of them, are the same as when every draw is probed.
+draw, note and residual text as a run of per-draw checks.  When more draws
+were asked for, the exact residual is then reduced once (``_proved``).
+Where it vanishes, outright or modulo the relation, the map is invariant,
+and the run ends there and reports all the draws asked for: a later draw
+would only check the image of that identity under setting the parameters to
+the draw, a ring homomorphism that commutes with d/dx, d/dy and d/dt and
+respects the relation the draw satisfies.  This is the one way a probe run
+differs from a loop that checks every draw in full: such a loop can still
+raise on a later draw, where too many draws hit excluded loci or no
+consistent parameters are found, and a proved run returns the proven
+verdict instead.  Where the residual does not vanish, or its reduction
+divides by zero, every draw is probed in full.
 """
 
 from __future__ import annotations
@@ -49,13 +39,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import (Context, DivisionByZero, MPoly, MRat, _subs_constants, residue, residue_poly,
-                      residue_ratio, residue_value)
+from .algebra import Context, DivisionByZero, MPoly, MRat, _subs_constants
 from .recovery import relation_substitution, zero_modulo
 from .surface import PlaneVectorField, chain_rule
 
 
-# a probe run is linear in its draws; more than this many is refused
+# a probe run that is not proved is linear in its draws (a proved one ends at
+# its proof); more than this many is refused
 MAX_DRAWS = 1000
 
 
@@ -175,75 +165,6 @@ def _probe_residual(f: tuple[MRat, MRat], bmap: BirationalMap, values: dict[str,
                                   f[1].subs(mapped).subs(image)))
 
 
-# the point at which ``_admissible`` evaluates x, y and t; any point will do,
-# since a zero there only sends the draw to the full probe
-_POINT = {"x": Fraction(101, 103), "y": Fraction(107, 109), "t": Fraction(113, 127)}
-
-
-@dataclass(frozen=True)
-class _Reduced:
-    """What ``_admissible`` evaluates at a draw, modulo the prime 2^61 - 1.
-
-    ``at_point`` are the denominators of F with x, y and t at ``_POINT``, and
-    ``full`` the same denominators in every symbol.  ``maps`` holds, for x,
-    y, t and each mapped parameter, its context index and the numerator and
-    denominator of its image with x, y and t at ``_POINT``.  A parameter
-    image free of x, y and t, as every builtin one is, does not change; one
-    that involves them is then tested at ``_POINT`` as well.
-    """
-
-    ctx: Context
-    at_point: list
-    full: list
-    maps: list
-
-
-def _reduced(dens: Sequence[MPoly], bmap: BirationalMap) -> _Reduced | None:
-    """The data ``_admissible`` evaluates, reduced once per probe run; None
-    where the prime divides the denominator of a coefficient."""
-    ctx = bmap.ctx
-    point = {n: residue(v) for n, v in _POINT.items()}
-    at_point = [residue_poly(d, point) for d in dens]
-    full = [residue_poly(d, {}) for d in dens]
-    images = [("x", bmap.x_image), ("y", bmap.y_image), ("t", bmap.t_image)]
-    maps = [(ctx.index(n), residue_poly(img.num, point), residue_poly(img.den, point))
-            for n, img in images + list(bmap.param_map.items())]
-    if None in at_point or None in full or any(None in m for m in maps):
-        return None
-    return _Reduced(ctx, at_point, full, maps)
-
-
-def _admissible(reduced: _Reduced | None, values: dict[str, MRat]) -> bool:
-    """Cheap sufficient test that ``_probe_residual`` is defined at a draw.
-
-    True where, mod the prime, the denominators of F are nonzero at the draw
-    and ``_POINT``, the images have nonzero denominators there, the mapped
-    parameters have nonzero denominators at the draw and ``_POINT``, and the
-    denominators of F at the mapped parameters and those image values are
-    nonzero.  A nonzero image is the image of a nonzero value, and each
-    value then certifies that a denominator the probe divides by is a
-    nonzero function.  False where this test cannot tell, including where
-    the prime divides the denominator of a drawn value; never raises.
-    """
-    if reduced is None:
-        return False
-    drawn = [None] * len(reduced.ctx)
-    for p, v in values.items():
-        r = residue(v)
-        if r is None:
-            return False
-        drawn[reduced.ctx.index(p)] = r
-    if not all(residue_value(d, drawn) for d in reduced.at_point):
-        return False
-    # the parameters the map leaves alone keep their draws
-    at = list(drawn)
-    for i, num, den in reduced.maps:
-        at[i] = residue_ratio(num, den, drawn)
-        if at[i] is None:
-            return False
-    return all(residue_value(d, at) for d in reduced.full)
-
-
 def verify_symmetry(vf: PlaneVectorField, bmap: BirationalMap, mode: str = "numeric-probe",
                     relation: MPoly | None = None, eigenvalue_syms: Sequence[str] = (),
                     draws: int = 20, seed: int = 20200828) -> SymmetryReport:
@@ -252,12 +173,13 @@ def verify_symmetry(vf: PlaneVectorField, bmap: BirationalMap, mode: str = "nume
     In numeric-probe mode all parameters and eigenvalues are instantiated at
     random rationals consistent with the eigenvalue relation and the
     residual is compared with zero exactly, draw by draw; ``draws`` must be
-    at least 1 and at most MAX_DRAWS.  After the first passing draw the
-    exact residual is reduced once; where it vanishes, the later draws are
-    only tested for admissibility (see the module docstring).  In symbolic
-    mode ``draws`` is ignored and the residual is reduced modulo the
-    relation; a residual that vanishes only modulo the relation is reported,
-    not failed.
+    at least 1 and at most MAX_DRAWS.  After the first passing draw, when
+    ``draws`` is more than 1, the exact residual is reduced once; where it
+    vanishes, the run ends with an invariant report of ``draws`` draws, even
+    where a per-draw loop would go on to raise (see the module docstring).
+    In symbolic mode ``draws`` is ignored and the residual is reduced modulo
+    the relation; a residual that vanishes only modulo the relation is
+    reported, not failed.
     """
     if mode == "symbolic":
         residual = invariance_residual(vf, bmap)
@@ -277,11 +199,8 @@ def verify_symmetry(vf: PlaneVectorField, bmap: BirationalMap, mode: str = "nume
     ctx = vf.ctx
     params = [s.name for s in ctx.syms if s.kind == "parameter"]
     f = vf.components()
-    dens = {c.den for c in f}
     rng = random.Random(seed)
     relsub = {} if relation is None else relation_substitution([relation], eigenvalue_syms)
-    proved = None  # whether the exact residual vanishes, decided after one passing draw
-    reduced = None  # what _admissible evaluates, set up once the residual is proved zero
     done = 0
     attempts = 0
     while done < draws:
@@ -289,9 +208,6 @@ def verify_symmetry(vf: PlaneVectorField, bmap: BirationalMap, mode: str = "nume
         if attempts > 50 * draws:
             raise SymmetryError("parameter draws kept hitting excluded loci")
         values = draw_parameters(ctx, rng, relsub)
-        if proved and _admissible(reduced, values):
-            done += 1
-            continue
         try:
             r1, r2 = _probe_residual(f, bmap, values, params)
         except DivisionByZero:
@@ -301,10 +217,8 @@ def verify_symmetry(vf: PlaneVectorField, bmap: BirationalMap, mode: str = "nume
                                   note=f"failed at draw {done + 1} with "
                                        + ", ".join(f"{k}={v}" for k, v in values.items()))
         done += 1
-        if proved is None and done < draws:
-            proved = _proved(vf, bmap, params, relsub)
-            if proved:
-                reduced = _reduced(dens, bmap)
+        if done == 1 and draws > 1 and _proved(vf, bmap, params, relsub):
+            return SymmetryReport(True, mode, draws=draws)
     return SymmetryReport(True, mode, draws=done)
 
 

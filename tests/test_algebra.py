@@ -265,20 +265,10 @@ def test_grlex_rendering_deterministic():
     assert str(p) == "x^2 + x*y + t*alpha + x + 1/2"
 
 
-def test_mat2_triangular_assertion(ctx):
-    one, zero = ctx.rat(1), ctx.rat(0)
-    with pytest.raises(ValueError):
-        Mat2([[one, one], [one, one]], triangular="upper")
-    m = Mat2([[one, one], [zero, one]], triangular="upper")
-    assert m.eigenvalues() == (one, one)
-
-
 def test_rename_and_lift(ctx):
     t = ctx.var("t")
     a = ctx.var("alpha4")
     r = (t + a) / t
-    renamed = r.rename({"alpha4": "beta"})
-    assert "beta" in renamed.ctx
     bigger = ctx.extend(tuple())
     assert r.lift(bigger) == r
 
@@ -487,7 +477,7 @@ def test_terms_view_contract(raw, names):
     assert got == list(groups.values())
     # the view is a copy
     view.clear()
-    view[ORACLE_CTX.zero_exp()] = Fraction(7)
+    view[(0,) * len(ORACLE_CTX)] = Fraction(7)
     assert list(p.terms.items()) == [(e, Fraction(c)) for e, c in raw.items() if c]
     rebuilt = MPoly(ORACLE_CTX, p.terms)
     assert rebuilt == p and hash(rebuilt) == hash(p)
@@ -1053,42 +1043,6 @@ def test_packed_keys_match_the_tuple_reference(ctx, data):
         coeff.numerator * pow(coeff.denominator, -1, p)
         * math.prod(pow(r, k, p) for r, k in zip(residues, e)) % p for e, coeff in ra.items()]
 
-
-
-@pytest.mark.parametrize("ctx", [ORACLE_CTX, WIDE_CTX], ids=["3 symbols", "43 symbols"])
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_residue_images_match_the_exact_value(ctx, data):
-    """residue_poly sets some symbols to their residues and residue_value the
-    others; together they give the residue of the exact value."""
-    a, ra = data.draw(_ref_polys(ctx))
-    values = data.draw(st.lists(st.fractions(-5, 5, max_denominator=7),
-                                min_size=len(ctx), max_size=len(ctx)))
-    fixed = data.draw(st.lists(st.sampled_from(ctx.names), max_size=3, unique=True))
-    residues = [algebra.residue(v) for v in values]
-    image = algebra.residue_poly(a, {n: residues[ctx.index(n)] for n in fixed})
-    exact = sum((c * math.prod(v ** k for v, k in zip(values, e)) for e, c in ra.items()),
-                Fraction(0))
-    assert algebra.residue_value(image, residues) == algebra.residue(exact)
-    assert algebra.residue(ctx.rat(exact)) == algebra.residue(exact)
-
-
-def test_residues_where_the_prime_divides_a_denominator():
-    """A residue that does not exist is None, never an error."""
-    p = algebra._PRIME
-    ctx = ORACLE_CTX
-    x, one = ctx.var("x"), ctx.rat(1)
-    assert algebra.residue(Fraction(1, p)) is None
-    assert algebra.residue(ctx.rat(Fraction(3, 2 * p))) is None
-    assert algebra.residue_poly((x * ctx.rat(Fraction(1, p))).num, {}) is None
-    image = algebra.residue_poly((x + one).num, {})
-    assert algebra.residue_value(image, [None, 0, 0]) is None
-    # 1/(x + 1) at x = -1
-    assert algebra.residue_ratio(algebra.residue_poly(one.num, {}), image, [p - 1, 0, 0]) is None
-    assert algebra.residue_ratio(algebra.residue_poly(one.num, {}), image, [1, 0, 0]) \
-        == algebra.residue(Fraction(1, 2))
-    with pytest.raises(ValueError):
-        algebra.residue(x)
 
 def _canonical_mono(ctx, key):
     return algebra._canonical(ctx, {key: 1}, 1).terms

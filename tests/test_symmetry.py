@@ -1,16 +1,15 @@
 """Birational symmetry tests: exact probes, involutions, push-forwards."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
-from grs import algebra, symmetry
+from grs import symmetry
 from grs.algebra import Context, DivisionByZero
 from grs.catalog import get_maps, get_system
 from grs.recovery import relation_substitution
 from grs.surface import PlaneVectorField, SurfaceModel, chain_rule
-from grs.symmetry import (BirationalMap, SymmetryError, SymmetryReport, _residual,
+from grs.symmetry import (MAX_DRAWS, BirationalMap, SymmetryError, SymmetryReport, _residual,
                           verify_involution, verify_symmetry)
 
 
@@ -279,9 +278,7 @@ def _scaling_case():
     b -> b/(a-1).
 
     Invariant, since F1(c x, c b) = c F1(x, b).  The draws with a = 1 (the
-    x image undefined) or a = 2 (F undefined) are excluded, and at the draws
-    with b = 1 the denominator of F vanishes at the point where the probe
-    tests it first, so they are probed in full."""
+    x image undefined) or a = 2 (F undefined) are excluded."""
     ctx = Context.make(parameters=["a", "b"])
     x, y, t, a, b = (ctx.var(n) for n in ("x", "y", "t", "a", "b"))
     one, two = ctx.rat(1), ctx.rat(2)
@@ -289,6 +286,26 @@ def _scaling_case():
                           "U0", SurfaceModel(1, ()))
     bmap = BirationalMap("scale", x / (a - one), y, t, {"b": b / (a - one)})
     return vf, bmap
+
+
+def _flip_case():
+    """dx/dt = x/(103 x - 101 - 103 p), dy/dt = a y under y -> -y, where p is
+    the prime 2^61 - 1: invariant, with a constant term that p divides."""
+    ctx = Context.make(parameters=["a"])
+    x, y, t, a = (ctx.var(n) for n in ("x", "y", "t", "a"))
+    vf = PlaneVectorField(x / (ctx.rat(103) * x - ctx.rat(101 + 103 * ((1 << 61) - 1))), a * y,
+                          "U0", SurfaceModel(1, ()))
+    return vf, BirationalMap("flip", x, -y, t, {})
+
+
+@pytest.mark.parametrize("case, seeds", [(_scaling_case, range(1, 9)), (_flip_case, (1, 2, 3))],
+                         ids=["scaling", "flip"])
+def test_probe_matches_the_per_draw_loop_on_invariant_fields(case, seeds):
+    vf, bmap = case()
+    assert verify_symmetry(vf, bmap, "symbolic").invariant
+    for seed in seeds:
+        report = verify_symmetry(vf, bmap, draws=20, seed=seed)
+        assert report == _reference_probe(vf, bmap, draws=20, seed=seed), seed
 
 
 def _spy(monkeypatch, events, name, outcome):
@@ -306,119 +323,33 @@ def _spy(monkeypatch, events, name, outcome):
     monkeypatch.setattr(symmetry, name, wrapper)
 
 
-def test_probe_after_the_proof_excludes_draws_and_falls_back(monkeypatch):
-    vf, bmap = _scaling_case()
-    assert verify_symmetry(vf, bmap, "symbolic").invariant
-    events = []
-    _spy(monkeypatch, events, "_proved", bool)
-    _spy(monkeypatch, events, "_admissible", bool)
-    _spy(monkeypatch, events, "_probe_residual", lambda r: "passed")
-    _spy(monkeypatch, events, "draw_parameters", lambda r: "drawn")
-    for seed in range(1, 9):
-        start = len(events)
-        report = verify_symmetry(vf, bmap, draws=20, seed=seed)
-        attempts = events[start:].count(("draw_parameters", "drawn"))
-        start = len(events)
-        assert report == _reference_probe(vf, bmap, draws=20, seed=seed)
-        assert attempts == events[start:].count(("draw_parameters", "drawn"))
-    after = events[events.index(("_proved", True)) + 1:]
-    # the cheap test certified most draws and could not tell at some; the
-    # full probe then passed some of those and excluded the others
-    assert ("_admissible", True) in after
-    assert ("_admissible", False) in after
-    assert ("_probe_residual", "passed") in after
-    assert ("_probe_residual", "excluded") in after
-
-
-def _exact_admissible(dens, bmap, values, params):
-    """The admissibility test on exact values by MRat.subs, with the same
-    conditions as ``symmetry._admissible``: the denominators of F nonzero at
-    the draw and ``_POINT``, the images defined there, the mapped parameters
-    defined at the draw, and the denominators of F at the mapped parameters
-    and those image values nonzero."""
-    ctx = bmap.ctx
-    point = dict(values)
-    point.update((n, ctx.rat(v)) for n, v in symmetry._POINT.items())
-    try:
-        if any(d.subs(point).is_zero() for d in dens):
-            return False
-        at = {n: img.subs(point)
-              for n, img in zip(("x", "y", "t"), (bmap.x_image, bmap.y_image, bmap.t_image))}
-        at.update((p, bmap.param_map[p].subs(values) if p in bmap.param_map else values[p])
-                  for p in params)
-    except DivisionByZero:
-        return False
-    return not any(d.subs(at).is_zero() for d in dens)
-
-
-@pytest.mark.parametrize("sys_name, map_name", CASES + [("gen-pvi", "pi3-verbatim")])
-def test_modular_admissibility_agrees_with_the_exact_test(monkeypatch, sys_name, map_name):
-    """On every draw of the builtin probe runs, the modular test certifies a
-    draw only where the exact one does, and the two agree."""
+@pytest.mark.parametrize("sys_name, map_name", CASES)
+def test_a_proved_probe_run_ends_at_its_first_passing_draw(monkeypatch, sys_name, map_name):
+    """An invariant map makes the draws the per-draw loop needs for its first
+    pass, probes each, proves the residual zero once and reports all its
+    draws; a run of one draw proves nothing."""
     entry, bmap = _get(sys_name, map_name)
-    dens = {c.den for c in entry.vf.components()}
-    params = [s.name for s in entry.vf.ctx.syms if s.kind == "parameter"]
-    calls = []
-    modular_test = symmetry._admissible
-
-    def both(reduced, values):
-        modular = modular_test(reduced, values)
-        calls.append((modular, _exact_admissible(dens, bmap, values, params)))
-        return modular
-    monkeypatch.setattr(symmetry, "_admissible", both)
-    report = verify_symmetry(entry.vf, bmap, "numeric-probe", relation=entry.relation,
-                             eigenvalue_syms=entry.eigenvalue_syms, draws=20)
-    assert all(exact for modular, exact in calls if modular)
-    assert all(modular == exact for modular, exact in calls)
-    # every invariant map is proved at its first draw and certifies the others
-    assert len(calls) >= 19 if report.invariant else not calls
-
-
-def test_a_zero_image_of_a_nonzero_denominator_sends_draws_to_the_full_probe(monkeypatch):
-    """dx/dt = x/(103 x - 101 - 103 p), dy/dt = a y under y -> -y, where p is
-    the prime of the modular test.  The denominator is -103 p at ``_POINT``,
-    nonzero, but its image mod p is zero, so no draw is certified and each
-    is probed in full, with the report of the per-draw loop."""
-    p = algebra._PRIME
-    ctx = Context.make(parameters=["a"])
-    x, y, t, a = (ctx.var(n) for n in ("x", "y", "t", "a"))
-    vf = PlaneVectorField(x / (ctx.rat(103) * x - ctx.rat(101 + 103 * p)), a * y,
-                          "U0", SurfaceModel(1, ()))
-    bmap = BirationalMap("flip", x, -y, t, {})
-    dens = {c.den for c in vf.components()}
-    values = {"a": ctx.rat(3)}
-    assert _exact_admissible(dens, bmap, values, ["a"])
-    assert not symmetry._admissible(symmetry._reduced(dens, bmap), values)
+    vf, relation, syms = entry.vf, entry.relation, entry.eigenvalue_syms
     events = []
-    _spy(monkeypatch, events, "_admissible", bool)
+    _spy(monkeypatch, events, "draw_parameters", lambda r: "drawn")
+    _reference_probe(vf, bmap, relation, syms, draws=1)
+    first_pass = len(events)
     _spy(monkeypatch, events, "_probe_residual", lambda r: "passed")
-    for seed in (1, 2, 3):
-        start = len(events)
-        assert verify_symmetry(vf, bmap, draws=20, seed=seed) \
-            == _reference_probe(vf, bmap, draws=20, seed=seed)
-        assert events[start:].count(("_admissible", False)) == 19
-        assert events[start:].count(("_probe_residual", "passed")) == 20
-    assert ("_admissible", True) not in events
-
-
-def test_admissibility_is_false_where_the_prime_divides_a_denominator():
-    """A draw value, or a coefficient of an image, whose denominator the
-    prime divides gives False, not an error."""
-    p = algebra._PRIME
-    vf, bmap = _scaling_case()
-    ctx = vf.ctx
-    dens = {c.den for c in vf.components()}
-    reduced = symmetry._reduced(dens, bmap)
-    assert symmetry._admissible(reduced, {"a": ctx.rat(3), "b": ctx.rat(5)})
-    for values in ({"a": ctx.rat(Fraction(1, p)), "b": ctx.rat(5)},
-                   {"a": ctx.rat(3), "b": ctx.rat(Fraction(7, 2 * p))}):
-        assert _exact_admissible(dens, bmap, values, ["a", "b"])
-        assert not symmetry._admissible(reduced, values)
-    x = ctx.var("x")
-    tiny = BirationalMap("tiny", x * ctx.rat(Fraction(1, p)), bmap.y_image, bmap.t_image,
-                         bmap.param_map)
-    assert symmetry._reduced(dens, tiny) is None
-    assert not symmetry._admissible(None, {"a": ctx.rat(3), "b": ctx.rat(5)})
+    _spy(monkeypatch, events, "_proved", bool)
+    for draws in (20, MAX_DRAWS):
+        del events[:]
+        report = verify_symmetry(vf, bmap, "numeric-probe", relation, syms, draws=draws)
+        assert report == SymmetryReport(True, "numeric-probe", draws=draws)
+        assert events.count(("draw_parameters", "drawn")) == first_pass
+        assert events.count(("_probe_residual", "passed")) == 1
+        assert sum(e[0] == "_probe_residual" for e in events) == first_pass
+        assert [e for e in events if e[0] == "_proved"] == [("_proved", True)]
+        assert events[-1] == ("_proved", True)
+    del events[:]
+    assert verify_symmetry(vf, bmap, "numeric-probe", relation, syms, draws=1) \
+        == SymmetryReport(True, "numeric-probe", draws=1)
+    assert events.count(("draw_parameters", "drawn")) == first_pass
+    assert not [e for e in events if e[0] == "_proved"]
 
 
 def test_probe_continues_when_the_exact_residual_does_not_vanish():
