@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .algebra import MPoly, MRat, assign, solve_linear
-from .singularities import (AccessiblePoint, LocalField, SingularityError, default_candidates,
-                            deflate, divisor_chart_local, find_divisor_roots,
-                            linearization_matrix, local_index_from_matrix,
+from .singularities import (AccessiblePoint, LocalField, LocalIndex, SingularityError,
+                            default_candidates, deflate, divisor_chart_local,
+                            find_divisor_roots, linearization, linearization_matrix,
                             restricted_numerator, root_multiplicity)
 from .surface import PlaneVectorField, CoefficientFamily, chart_from_u0
 
@@ -105,11 +105,15 @@ def _origin_pole_values(c: LocalChart) -> list[tuple[str, MPoly]]:
 
 @dataclass
 class ResolutionTrace:
-    """Record of the coordinate changes resolving a multiple point."""
+    """Record of the coordinate changes resolving a multiple point.
+
+    ``index`` is the local index at the resolved point; ``resolve_family``,
+    whose point is accessible only under its conditions, leaves it None."""
 
     steps: list[str]
     final_chart: LocalChart
     final_location: MRat      # along-divisor coordinate of the resolved point
+    index: LocalIndex | None = None
 
     @property
     def final_chart_map(self) -> tuple[MRat, MRat]:
@@ -117,12 +121,6 @@ class ResolutionTrace:
 
     def final_local_field(self) -> LocalField:
         return LocalField(self.final_chart.fx, self.final_chart.fy, divisor="x")
-
-    def final_index(self):
-        matrix, access = linearization_matrix(self.final_local_field(), self.final_location)
-        if not access.is_zero():
-            raise NotResolvable(f"resolved point not accessible: {access} != 0")
-        return local_index_from_matrix(matrix, "x")
 
 
 def _with(c: LocalChart, assignments: Mapping[str, MRat] | None) -> LocalChart:
@@ -196,9 +194,7 @@ def resolve_multiplicity(vf: PlaneVectorField, point: AccessiblePoint,
     location, mult = roots[0]
     if mult != 1:
         raise NotResolvable(f"resolved point at {location} is not simple (order {mult})")
-    trace = ResolutionTrace(steps, chart, location)
-    trace.final_index()  # validates accessibility of the resolved point
-    return trace
+    return ResolutionTrace(steps, chart, location, linearization(final, location))
 
 
 # ---------------------------------------------------------------------------

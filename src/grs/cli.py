@@ -24,8 +24,8 @@ from .recovery import (NoRelation, SchemeError, VerificationMismatch, eigenvalue
                        construct_existence_system, match_specialization, recover,
                        relation_substitution)
 from .singularities import (SingularityError, UnresolvedFactor, accessible_points,
-                            alpha_test, divisor_chart_local, linearization_matrix,
-                            local_index_from_matrix)
+                            alpha_test, divisor_chart_local, linearization,
+                            linearization_matrix)
 from .surface import SurfaceError
 from .symmetry import verify_involution, verify_symmetry
 
@@ -133,27 +133,23 @@ def cmd_singular(args) -> int:
     rows = []
     for p in points:
         local = divisor_chart_local(vf, p.chart)
-        try:
-            matrix, _ = linearization_matrix(local, p.location)
-            entries = [[str(matrix[i, j]) for j in range(2)] for i in range(2)]
-        except DivisionByZero:
-            # a pole of the field's derivatives at the point: a simple point
-            # needs its matrix, a multiple point's is only informational, so
-            # report it undefined and go on
-            if p.multiplicity == 1:
-                raise
-            entries = None
         row = {"point": p.label, "multiplicity": p.multiplicity,
-               "chart": p.chart, "divisor": local.divisor, "matrix": entries}
+               "chart": p.chart, "divisor": local.divisor}
         if p.multiplicity == 1:
-            # accessible_points returns roots of F1(s, 0), so the
-            # accessibility value of a simple point is zero
-            li = local_index_from_matrix(matrix, local.divisor)
+            li = linearization(local, p.location)
+            matrix = li.matrix
             row["eigenvalues"] = [str(e) for e in li.eigenvalues]
             row["ratio"] = str(li.ratio)
         else:
+            try:
+                matrix, _ = linearization_matrix(local, p.location)
+            except DivisionByZero:
+                # a pole of the field's derivatives at the point: a multiple
+                # point's matrix is only informational, so report it undefined
+                matrix = None
             row["eigenvalues"] = ["degenerate (multiple point)"] * 2
             row["ratio"] = "resolve the point first"
+        row["matrix"] = None if matrix is None else [[str(e) for e in r] for r in matrix.entries]
         rows.append(row)
     if args.format == "json":
         print(gio.dumps(rows))

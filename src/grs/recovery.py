@@ -97,6 +97,9 @@ class SingularSpec:
                    for v in values):
                 raise SchemeError(f"scheme column X={self.label}: the {what} may not "
                                   "involve x or y")
+        if resolved and not resolved[0].is_zero():
+            raise SchemeError(f"scheme column X={self.label}: the resolved point "
+                              f"({resolved[0]}, {resolved[1]}) is off the exceptional line")
 
     @property
     def label(self) -> str:
@@ -330,10 +333,7 @@ def verify_recovered(rec: RecoveredSystem) -> None:
                 f"X={label}: multiplicity {point.multiplicity} != {spec.multiplicity}")
         target = spec.matrix
         if spec.multiplicity == 1:
-            local = divisor_chart_local(vf, point.chart)
-            matrix, access = linearization_matrix(local, point.location)
-            if not zero_modulo(access, relsub):
-                raise VerificationMismatch(f"X={label} lost accessibility")
+            matrix, _ = linearization_matrix(divisor_chart_local(vf, point.chart), point.location)
         else:
             trace = resolve_multiplicity(vf, point,
                                          expected_location=spec.resolved.point[1].lift(ctx))
@@ -344,8 +344,7 @@ def verify_recovered(rec: RecoveredSystem) -> None:
             if trace.final_location != spec.resolved.point[1].lift(ctx):
                 raise VerificationMismatch(
                     f"X={label}: resolved point {trace.final_location}")
-            matrix, _ = linearization_matrix(trace.final_local_field(),
-                                             trace.final_location)
+            matrix = trace.index.matrix
         ri, rj = _matrix_reference(target)
         f = matrix[ri, rj] / target[ri, rj].lift(ctx)
         if f.is_zero():
@@ -472,7 +471,7 @@ def construct_existence_system(n: int, c: Sequence, m: Sequence,
     order["t"] = n
     order["inf"] = n + 1
     for p in points:
-        index = linearization(final, p)
+        index = linearization(divisor_chart_local(final, p.chart), p.location)
         ratios[p.label] = index.ratio
         expected = ms[order[p.label]]
         if index.ratio != expected:

@@ -12,7 +12,9 @@ The linear-approximation matrix is the Jacobian of (d * ds/dt, d * dd/dt)
 at the point, with the chain-rule correction -s0'(t) entering the entry
 (along-divisor row, divisor column) whenever the location moves with t.
 That correction is what pins the overall normalization of recovered
-systems with a singular point at X = t.
+systems with a singular point at X = t.  :func:`linearization` is the one
+path from that matrix to a local index, for divisor points (charts U2/U3)
+and resolved points (the last chart of a blow-up sequence) alike.
 
 The matrix is computed at the point, never as a rational function.  For
 each row N/D = d * component, the partials N_c and D_c are polynomial
@@ -293,27 +295,23 @@ def _partial_at(row: MRat, name: str, point: Mapping[str, MRat],
     return (num_c * den_p - num_p * den_c.subs(point)) / (den_p * den_p)
 
 
-def local_index_from_matrix(matrix: Mat2, divisor: str) -> LocalIndex:
-    kind = matrix.triangular_kind()
-    if kind is None:
+def linearization(local: LocalField, location: MRat) -> LocalIndex:
+    """Local index at the accessible point (location, 0) of a local field.
+
+    The one path from a linearization matrix to a LocalIndex, for divisor
+    charts (``divisor_chart_local``) and resolved charts alike.
+    """
+    matrix, access = linearization_matrix(local, location)
+    if not access.is_zero():
+        raise NotAccessible(f"numerator {access} does not vanish at "
+                            f"{local.along} = {location} on {local.divisor} = 0")
+    if matrix.triangular_kind() is None:
         raise SingularityError(f"linearization matrix is not triangular: {matrix}")
-    order = ("x", "y")
-    di = order.index(divisor)
-    si = 1 - di
-    a11 = matrix[di, di]
-    a22 = matrix[si, si]
+    di = ("x", "y").index(local.divisor)
+    a11, a22 = matrix[di, di], matrix[1 - di, 1 - di]
     if a11.is_zero():
         raise ZeroLeadingEigenvalue(f"divisor eigenvalue vanishes in {matrix}")
-    return LocalIndex(matrix, divisor, (a11, a22), a22 / a11)
-
-
-def linearization(vf: PlaneVectorField, point: AccessiblePoint) -> LocalIndex:
-    """Local index of vf at an accessible point (charts U2/U3)."""
-    local = divisor_chart_local(vf, point.chart)
-    matrix, access = linearization_matrix(local, point.location)
-    if not access.is_zero():
-        raise NotAccessible(f"numerator {access} does not vanish at {point}")
-    return local_index_from_matrix(matrix, local.divisor)
+    return LocalIndex(matrix, local.divisor, (a11, a22), a22 / a11)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +341,7 @@ class AlphaTestResult:
 def alpha_test(vf: PlaneVectorField, point: AccessiblePoint) -> AlphaTestResult:
     if point.multiplicity != 1:
         raise SingularityError("alpha test applies to simple points")
-    index = linearization(vf, point)
+    index = linearization(divisor_chart_local(vf, point.chart), point.location)
     ctx = index.matrix[0, 0].ctx
     if "t0" not in ctx:
         ctx = ctx.extend([Sym("t0", "parameter")])
@@ -407,8 +405,6 @@ def branch_point_screen(ratios: Sequence[MRat]) -> ScreenReport:
 
 def screen_vector_field(vf: PlaneVectorField,
                         extra_candidates: Sequence[MRat] = ()) -> ScreenReport:
-    ratios = []
-    for p in accessible_points(vf, extra_candidates):
-        if p.multiplicity == 1:
-            ratios.append(linearization(vf, p).ratio)
-    return branch_point_screen(ratios)
+    return branch_point_screen([linearization(divisor_chart_local(vf, p.chart), p.location).ratio
+                                for p in accessible_points(vf, extra_candidates)
+                                if p.multiplicity == 1])

@@ -16,8 +16,8 @@ from grs.catalog import (get_maps, get_scheme, get_system, match_pair, pvi_syste
 from grs.diophantine import brute_force_box, enumerate_natural
 from grs.recovery import (construct_existence_system, eigenvalue_relation,
                           match_specialization, recover, relation_substitution)
-from grs.singularities import (accessible_points, alpha_test, linearization,
-                               screen_vector_field)
+from grs.singularities import (accessible_points, alpha_test, divisor_chart_local,
+                               linearization, screen_vector_field)
 from grs.surface import SIGMA2_UNKNOWNS, generic_family, sigma2_model
 from grs.symmetry import verify_involution, verify_symmetry
 
@@ -57,7 +57,7 @@ def test_acceptance_2_pvi_points_and_matrices():
         scale, upper = displays[p.label]
         s = ctx.parse(scale)
         expected = Mat2([[ctx.rat(2) * s, ctx.parse(upper) * s], [ctx.rat(0), s]])
-        assert linearization(vf, p).matrix == expected
+        assert linearization(divisor_chart_local(vf, p.chart), p.location).matrix == expected
     report(2, "accessible points {0, 1, t, inf}, all simple; four matrices "
               "match the displays exactly, scales 1/(t-1), -1/t, 1, 1/(t(t-1)) "
               "(equality modulo the parameter normalization)")

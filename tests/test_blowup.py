@@ -78,7 +78,7 @@ def test_resolution_traces_match_scheme_displays(name, label, patch, point):
     trace = resolve_multiplicity(vf, pts[label])
     assert tuple(str(m) for m in trace.final_chart_map) == patch
     assert str(trace.final_location) == point
-    index = trace.final_index()
+    index = trace.index
     assert index.divisor == "x"
 
 

@@ -257,6 +257,16 @@ def test_cli_scheme_resolved_point_involving_y_exits_one(tmp_path, capsys):
         1, "", "error: scheme column X=0: the resolved point may not involve x or y\n")
 
 
+def test_cli_scheme_resolved_point_off_the_exceptional_line_exits_one(tmp_path, capsys):
+    data = gio.scheme_to_json(get_scheme("gen-pv").scheme)
+    data["specs"][0]["resolved"]["point"][0] = "5"
+    path = tmp_path / "resolved_off_line.json"
+    path.write_text(gio.dumps(data))
+    assert _run(capsys, "recover", "--scheme", str(path)) == (
+        1, "", "error: scheme column X=0: the resolved point (5, -t) is off the "
+               "exceptional line\n")
+
+
 def test_cli_match(capsys):
     code, out, _ = _run(capsys, "match", "--pair", "gen-piv:piv")
     assert code == 0
@@ -277,6 +287,12 @@ def test_cli_singular_json_matches_golden(capsys, system):
     assert (code, out, err) == (0, golden, "")
 
 
+@pytest.mark.parametrize("system", system_names())
+def test_cli_singular_pretty_matches_golden(capsys, system):
+    golden = (GOLDEN_CLI / f"singular_{system}.txt").read_text()
+    assert _run(capsys, "singular", "--system", system) == (0, golden, "")
+
+
 @pytest.mark.parametrize("system", ["pvi", "gen-pvi"])
 @pytest.mark.parametrize("point", ["0", "1", "t", "inf"])
 def test_cli_alpha_test_json_matches_golden(capsys, system, point):
@@ -293,6 +309,13 @@ def test_cli_resolve_json_matches_golden(capsys, system, point):
                           "--format", "json")
     golden = (GOLDEN_CLI / f"resolve_{system}_{point}.json").read_text()
     assert (code, out, err) == (0, golden, "")
+
+
+@pytest.mark.parametrize("system, point", [("gen-pv", "0"), ("gen-piv", "0"),
+                                           ("gen-piii", "inf")])
+def test_cli_resolve_pretty_matches_golden(capsys, system, point):
+    golden = (GOLDEN_CLI / f"resolve_{system}_{point}.txt").read_text()
+    assert _run(capsys, "resolve", "--system", system, "--point", point) == (0, golden, "")
 
 
 _SHIPPED_MAPS = [("gen-piii", "s"), ("gen-piii", "pi"), ("gen-piv", "s"), ("gen-pv", "s"),

@@ -2,20 +2,21 @@
 eigenvalue relations, the existence construction, and correspondences."""
 
 import gc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from grs import recovery
+from grs import blowup, recovery, singularities
 from grs.algebra import (Context, Elimination, InconsistentSystem, MRat, StuckSystem,
                          solve_triangular, union_context)
 from grs.catalog import (MATCH_PAIRS, get_scheme, get_system, match_pair, pvi_system,
                          scheme_gen_pv, scheme_pvi)
 from grs.recovery import (DegeneratePoints, GRScheme, NoRelation, RelationViolated,
-                          SchemeError, SingularSpec, construct_existence_system,
-                          eigenvalue_relation, generate_constraints,
-                          lift_scheme, match_specialization, recover,
-                          relation_substitution, specialize_scheme)
+                          ResolvedData, SchemeError, SingularSpec,
+                          construct_existence_system, eigenvalue_relation,
+                          generate_constraints, lift_scheme, match_specialization, recover,
+                          relation_substitution, specialize_scheme, verify_recovered)
 from grs.surface import SIGMA2_UNKNOWNS, family_context, generic_family
 
 
@@ -221,6 +222,38 @@ def test_specialize_scheme_commutes_with_recovery():
     big = union_context(direct.vf.ctx, specialized.ctx)
     assert direct.vf.dxdt.lift(big) == specialized.dxdt.lift(big)
     assert direct.vf.dydt.lift(big) == specialized.dydt.lift(big)
+
+
+def test_resolved_point_off_the_exceptional_line_is_refused():
+    """The resolved point lies on the last exceptional line X = 0; a scheme
+    that puts it elsewhere is refused instead of read at its Y alone."""
+    spec = scheme_gen_pv().scheme.specs[0]
+    assert spec.multiplicity == 2
+    five = spec.location.ctx.rat(5)
+    off_line = ResolvedData(spec.resolved.patch_map, (five, spec.resolved.point[1]))
+    with pytest.raises(SchemeError) as exc:
+        replace(spec, resolved=off_line)
+    assert str(exc.value) == ("scheme column X=0: the resolved point (5, -t) is off "
+                              "the exceptional line")
+
+
+def test_verify_recovered_linearizes_each_resolved_point_once(monkeypatch):
+    """verify_recovered reads the resolved point's matrix from the index that
+    resolve_multiplicity keeps on its trace, and does not compute it again."""
+    rec = recover(get_scheme("gen-pv").scheme, verify=False)
+    real = singularities.linearization_matrix
+    divisors = []
+
+    def spy(local, location):
+        divisors.append(local.divisor)
+        return real(local, location)
+
+    for module in (singularities, blowup, recovery):
+        monkeypatch.setattr(module, "linearization_matrix", spy)
+    verify_recovered(rec)
+    # the resolved chart of the double point at 0 has divisor x; the divisor
+    # charts of the simple points 1 and inf have divisor y
+    assert sorted(divisors) == ["x", "y", "y"]
 
 
 # ---------------------------------------------------------------------------

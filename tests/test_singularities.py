@@ -11,7 +11,8 @@ from grs.algebra import Context, DivisionByZero, MRat, Mat2
 from grs.blowup import resolve_family, resolve_multiplicity
 from grs.catalog import get_system, pvi_system, system_names
 from grs.recovery import relation_substitution
-from grs.singularities import (LocalField, UnresolvedFactor, accessible_points, alpha_test,
+from grs.singularities import (LocalField, NotAccessible, UnresolvedFactor, accessible_points,
+                               alpha_test,
                                branch_point_screen, default_candidates, deflate,
                                divisor_chart_local, find_divisor_roots, is_accessible,
                                linearization, linearization_matrix, restricted_numerator,
@@ -52,7 +53,7 @@ def test_pvi_matrices_match_displays(pvi):
         "inf": ("1/(t*(t - 1))", "-alpha1"),
     }
     for p in accessible_points(pvi):
-        li = linearization(pvi, p)
+        li = linearization(divisor_chart_local(pvi, p.chart), p.location)
         scale, upper = displays[p.label]
         assert li.matrix == _expect(ctx, scale, upper), p.label
         assert str(li.ratio) == "2"
@@ -69,7 +70,8 @@ def test_pvi_finite_matrices_verbatim_on_raw_transcription():
     points = {p.label: p for p in accessible_points(raw)}
     assert set(points) >= set(displays)
     for label, (scale, upper) in displays.items():
-        li = linearization(raw, points[label])
+        li = linearization(divisor_chart_local(raw, points[label].chart),
+                           points[label].location)
         assert li.matrix == _expect(ctx, scale, upper), label
         assert str(li.ratio) == "2"
 
@@ -81,7 +83,7 @@ def test_trivial_linear_system_reads_off_matrix():
     vf = PlaneVectorField(ctx.rat(2) * x * y - a, -y * y, "U0", sigma2_model(ctx, "alpha"))
     pts = accessible_points(vf)
     assert pts[0].label == "0"
-    li = linearization(vf, pts[0])
+    li = linearization(divisor_chart_local(vf, pts[0].chart), pts[0].location)
     assert li.matrix == Mat2([[ctx.rat(2), -a], [ctx.rat(0), ctx.rat(1)]])
     assert str(li.ratio) == "2"
 
@@ -215,7 +217,8 @@ def test_four_point_family_ratios_equal_the_eigenvalues():
     vf = entry.vf.subs_params(values)
     expected = {"0": "1", "1": "3", "t": "4", "inf": "12/5"}
     for p in accessible_points(vf):
-        assert str(linearization(vf, p).ratio) == expected[p.label]
+        local = divisor_chart_local(vf, p.chart)
+        assert str(linearization(local, p.location).ratio) == expected[p.label]
 
 
 def test_branch_point_screen():
@@ -302,6 +305,26 @@ def test_linearization_matches_quotient_rule_on_generic_family():
         _assert_same_linearization(divisor_chart_local(fam.vf, chart), location)
     res = resolve_family(fam.vf, ctx.rat(0), 2, -ctx.var("t"), fam.unknowns)
     _assert_same_linearization(res.trace.final_local_field(), res.trace.final_location)
+
+
+def test_linearization_refuses_a_divisor_point_that_is_not_accessible():
+    vf = pvi_system().vf
+    with pytest.raises(NotAccessible) as exc:
+        linearization(divisor_chart_local(vf, "U2"), vf.ctx.rat(5))
+    assert "x = 5 on y = 0" in str(exc.value)
+
+
+def test_linearization_refuses_a_resolved_chart_point_off_the_resolved_point():
+    """The resolved point of gen-pv's double point is Y = -t; Y = t is not."""
+    entry = get_system("gen-pv")
+    vf = entry.vf.subs_params(relation_substitution([entry.relation],
+                                                    entry.eigenvalue_syms))
+    trace = resolve_multiplicity(vf, {p.label: p for p in accessible_points(vf)}["0"])
+    local = trace.final_local_field()
+    assert linearization(local, trace.final_location) == trace.index
+    with pytest.raises(NotAccessible) as exc:
+        linearization(local, vf.ctx.var("t"))
+    assert "y = t on x = 0" in str(exc.value)
 
 
 @pytest.mark.parametrize("divisor", ["x", "y"])
