@@ -78,7 +78,7 @@ def _print_vf(vf, fmt: str):
 
 def cmd_show(args) -> int:
     if args.system.removeprefix("builtin:") == "hvi":
-        print(HVI_TEXT)
+        print(gio.dumps({"hamiltonian": HVI_TEXT}) if args.format == "json" else HVI_TEXT)
         return 0
     vf, entry = _load_system(args.system, normalized=False)
     _print_vf(vf, args.format)

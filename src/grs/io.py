@@ -46,7 +46,7 @@ def vf_to_json(vf: PlaneVectorField) -> dict[str, Any]:
     return {
         "chart": vf.chart,
         "model": {"n": vf.model.n,
-                  "twist": [str(g) for g in vf.model.twist_in(vf.ctx)]},
+                  "twist": [str(g) for g in vf.model.twist]},
         "symbols": context_to_json(vf.ctx),
         "dxdt": str(vf.dxdt),
         "dydt": str(vf.dydt),

@@ -157,35 +157,24 @@ def _matrix_reference(target: Mat2) -> tuple[int, int]:
     return one
 
 
-def matrix_match_equations(computed: Mat2, target: Mat2, label: str) -> tuple[list[MPoly], list[str], list[MPoly]]:
-    """Entry-wise match of computed against scale * target, scale eliminated.
-
-    The reference entry is the one whose target value is 1 (present in all
-    schemes used here); both diagonal entries are registered as nonzero
-    forms since scheme eigenvalues never vanish.
-    """
-    ri, rj = _matrix_reference(target)
-    m_ref = computed[ri, rj]
-    s_ref = target[ri, rj]
-    eqs: list[MPoly] = []
-    tags: list[str] = []
-    for i in range(2):
-        for j in range(2):
-            if (i, j) == (ri, rj):
-                continue
-            eq = computed[i, j] * s_ref - target[i, j] * m_ref
-            if eq.is_zero():
-                continue
-            eqs.append(eq.num)
-            tags.append(f"{label} matrix entry ({i},{j})")
-    forms = [computed[0, 0].num, computed[1, 1].num]
-    return eqs, tags, forms
+def matrix_residuals(computed: Mat2,
+                     target: Mat2) -> tuple[tuple[int, int], list[tuple[int, int, MRat]]]:
+    """The reference entry ref of target (value 1 where present) and, for each
+    other entry, (i, j, computed[i,j]*target[ref] - target[i,j]*computed[ref]):
+    computed is a multiple of target exactly when every residual vanishes."""
+    ref = _matrix_reference(target)
+    return ref, [(i, j, computed[i, j] * target[ref] - target[i, j] * computed[ref])
+                 for i in range(2) for j in range(2) if (i, j) != ref]
 
 
 def generate_constraints(family: CoefficientFamily, scheme: GRScheme) -> ConstraintSet:
-    """All polynomial constraints the scheme imposes on the family unknowns."""
+    """All polynomial constraints the scheme imposes on the family unknowns.
+
+    The scheme must already live in the family's context (``lift_scheme``).
+    Both diagonal entries of each computed matrix are registered as nonzero
+    forms, since scheme eigenvalues never vanish.
+    """
     vf = family.vf
-    ctx = vf.ctx
     out = ConstraintSet([], [], [])
 
     def emit(tag: str, poly: MPoly):
@@ -195,32 +184,29 @@ def generate_constraints(family: CoefficientFamily, scheme: GRScheme) -> Constra
 
     for spec in scheme.specs:
         chart = "U3" if spec.location is None else "U2"
-        loc = ctx.rat(0) if spec.location is None else spec.location.lift(ctx)
+        loc = vf.ctx.rat(0) if spec.location is None else spec.location
         label = f"X={spec.label}"
-        target = spec.matrix.map(lambda r: r.lift(ctx))
         if spec.multiplicity == 1:
             local = divisor_chart_local(vf, chart)
             matrix, access = linearization_matrix(local, loc)
             emit(f"{label} accessibility", access.num)
-            eqs, tags, forms = matrix_match_equations(matrix, target, label)
         else:
-            resolved_y = spec.resolved.point[1].lift(ctx)
-            fam = resolve_family(vf, loc, spec.multiplicity, resolved_y,
+            fam = resolve_family(vf, loc, spec.multiplicity, spec.resolved.point[1],
                                  family.unknowns, chart=chart)
             for tag, poly in fam.conditions:
                 emit(f"{label} {tag}", poly)
-            expect = tuple(m.lift(ctx) for m in spec.resolved.patch_map)
-            got = fam.trace.final_chart_map
-            if got[0] != expect[0] or got[1] != expect[1]:
+            got, expect = fam.trace.final_chart_map, spec.resolved.patch_map
+            if got != expect:
                 raise SchemeError(
                     f"{label}: computed patching map {got} != scheme map {expect}")
-            matrix, access = linearization_matrix(fam.trace.final_local_field(),
-                                                  fam.trace.final_location)
             # accessibility at the resolved point was already emitted
-            eqs, tags, forms = matrix_match_equations(matrix, target, label)
-        for eq, tag in zip(eqs, tags):
-            emit(tag, eq)
-        out.nonzero_forms.extend(f for f in forms if not f.is_zero())
+            matrix, _ = linearization_matrix(fam.trace.final_local_field(),
+                                             fam.trace.final_location)
+        _, residuals = matrix_residuals(matrix, spec.matrix)
+        for i, j, residual in residuals:
+            emit(f"{label} matrix entry ({i},{j})", residual.num)
+        out.nonzero_forms.extend(f for f in (matrix[0, 0].num, matrix[1, 1].num)
+                                 if not f.is_zero())
     return out
 
 
@@ -252,8 +238,7 @@ def recover(scheme: GRScheme, verify: bool = True) -> RecoveredSystem:
     # parameters (the residual scale freedom of the scheme)
     tidy = family_context(model, scheme.params, []).extend(
         tuple(Sym(u, "parameter") for u in sol.free))
-    tidy_model = SurfaceModel(model.n, tuple(g.lift(tidy) for g in model.twist))
-    vf = PlaneVectorField(dxdt.lift(tidy), dydt.lift(tidy), "U0", tidy_model)
+    vf = PlaneVectorField(dxdt.lift(tidy), dydt.lift(tidy), "U0", model.lift(tidy))
     relations = tuple(_relation_normal_form(r, scheme.eigenvalue_syms).lift(tidy)
                       for r in sol.relations)
     rec = RecoveredSystem(vf, tuple(sol.free), relations, sol, scheme)
@@ -278,8 +263,7 @@ def map_scheme(scheme: GRScheme, fn: Callable[[MRat], MRat], **changes) -> GRSch
 
 def lift_scheme(scheme: GRScheme, ctx: Context) -> GRScheme:
     """The scheme with its surface twist and every column entry lifted into ctx."""
-    model = SurfaceModel(scheme.model.n, tuple(g.lift(ctx) for g in scheme.model.twist))
-    return map_scheme(scheme, lambda r: r.lift(ctx), model=model)
+    return map_scheme(scheme, lambda r: r.lift(ctx), model=scheme.model.lift(ctx))
 
 
 def specialize_scheme(scheme: GRScheme, values: Mapping[str, MRat],
@@ -311,16 +295,16 @@ def zero_modulo(value: MRat, relsub: Mapping[str, MRat]) -> bool:
 def verify_recovered(rec: RecoveredSystem) -> None:
     """Check the recovered field reproduces its scheme exactly.
 
-    Locations and multiplicities must come out verbatim from the singular
-    point search; matrices must be proportional to the scheme matrices, with
-    equality taken modulo the scheme's eigenvalue relations; resolved points
-    are re-derived by running the actual resolution.
+    The scheme is lifted into the field's context once, here.  Locations and
+    multiplicities must come out verbatim from the singular point search;
+    matrices must pass ``matrix_residuals``, modulo the scheme's eigenvalue
+    relations; resolved points are re-derived by running the actual resolution.
     """
     vf = rec.vf
-    ctx = vf.ctx
-    relsub = relation_substitution(rec.relations, rec.scheme.eigenvalue_syms)
-    wanted = {s.label: s for s in rec.scheme.specs}
-    extra = [s.location.lift(ctx) for s in rec.scheme.specs if s.location is not None]
+    scheme = lift_scheme(rec.scheme, vf.ctx)
+    relsub = relation_substitution(rec.relations, scheme.eigenvalue_syms)
+    wanted = {s.label: s for s in scheme.specs}
+    extra = [s.location for s in scheme.specs if s.location is not None]
     points = accessible_points(vf, extra_candidates=extra)
     got = {p.label: p for p in points}
     if set(got) != set(wanted):
@@ -331,30 +315,23 @@ def verify_recovered(rec: RecoveredSystem) -> None:
         if point.multiplicity != spec.multiplicity:
             raise VerificationMismatch(
                 f"X={label}: multiplicity {point.multiplicity} != {spec.multiplicity}")
-        target = spec.matrix
         if spec.multiplicity == 1:
             matrix, _ = linearization_matrix(divisor_chart_local(vf, point.chart), point.location)
         else:
-            trace = resolve_multiplicity(vf, point,
-                                         expected_location=spec.resolved.point[1].lift(ctx))
-            for a, b in zip(trace.final_chart_map, spec.resolved.patch_map):
-                if a != b.lift(ctx):
-                    raise VerificationMismatch(
-                        f"X={label}: patching map {trace.final_chart_map}")
-            if trace.final_location != spec.resolved.point[1].lift(ctx):
-                raise VerificationMismatch(
-                    f"X={label}: resolved point {trace.final_location}")
+            trace = resolve_multiplicity(vf, point, expected_location=spec.resolved.point[1])
+            if trace.final_chart_map != spec.resolved.patch_map:
+                raise VerificationMismatch(f"X={label}: patching map {trace.final_chart_map}")
+            if trace.final_location != spec.resolved.point[1]:
+                raise VerificationMismatch(f"X={label}: resolved point {trace.final_location}")
             matrix = trace.index.matrix
-        ri, rj = _matrix_reference(target)
-        f = matrix[ri, rj] / target[ri, rj].lift(ctx)
-        if f.is_zero():
+        ref, residuals = matrix_residuals(matrix, spec.matrix)
+        if matrix[ref].is_zero():
             raise VerificationMismatch(f"X={label}: zero matrix scale")
-        for i in range(2):
-            for j in range(2):
-                diff = matrix[i, j] - target[i, j].lift(ctx) * f
-                if not zero_modulo(diff, relsub):
-                    raise VerificationMismatch(
-                        f"X={label}: matrix entry ({i},{j}) mismatch: {diff}")
+        for i, j, residual in residuals:
+            diff = residual / spec.matrix[ref]
+            if not zero_modulo(diff, relsub):
+                raise VerificationMismatch(
+                    f"X={label}: matrix entry ({i},{j}) mismatch: {diff}")
 
 
 def eigenvalue_relation(scheme: GRScheme) -> MPoly:
@@ -493,8 +470,7 @@ class CorrespondenceReport:
 
 
 def match_specialization(general: PlaneVectorField, reference: PlaneVectorField,
-                         reference_params: Sequence[str],
-                         reference_relation: Mapping[str, MRat] | None = None) -> CorrespondenceReport:
+                         reference_params: Sequence[str]) -> CorrespondenceReport:
     """Search for an affine parameter correspondence making the fields equal.
 
     The reference parameters are written as affine combinations of the
@@ -504,11 +480,7 @@ def match_specialization(general: PlaneVectorField, reference: PlaneVectorField,
     always definitive: either the verified correspondence or the exact
     residual.
     """
-    gctx = general.ctx
-    if reference_relation:
-        reference = reference.subs_params(reference_relation)
-        reference_params = [p for p in reference_params if p not in reference_relation]
-    gparams = [s.name for s in gctx.syms if s.kind == "parameter"]
+    gparams = [s.name for s in general.ctx.syms if s.kind == "parameter"]
     coeff_names = []
     for rp in reference_params:
         coeff_names += [f"C_{rp}_{gp}" for gp in gparams] + [f"C_{rp}_1"]
@@ -519,35 +491,29 @@ def match_specialization(general: PlaneVectorField, reference: PlaneVectorField,
         for gp in gparams:
             acc = acc + big.var(f"C_{rp}_{gp}") * big.var(gp)
         ansatz[rp] = acc
-    equations: list[MPoly] = []
-    for gcomp, rcomp in zip(general.components(), reference.components()):
-        gnum, gden = gcomp.num.lift(big), gcomp.den.lift(big)
-        rnum, rden = _reference_in(big, rcomp, ansatz)
-        eq = gnum * rden - rnum * gden
-        equations.extend(coefficients_in(eq, [n for n in big.names if n not in coeff_names]))
+    gparts = [(g.num.lift(big), g.den.lift(big)) for g in general.components()]
+
+    def mismatch(values: Mapping[str, MRat]) -> list[MPoly]:
+        """general - reference, cross-multiplied, per component at the values."""
+        out = []
+        for (gnum, gden), rcomp in zip(gparts, reference.components()):
+            rnum, rden = _reference_in(big, rcomp, values)
+            out.append(gnum * rden - rnum * gden)
+        return out
+
+    symbols = [n for n in big.names if n not in coeff_names]
+    equations = [c for eq in mismatch(ansatz) for c in coefficients_in(eq, symbols)]
     try:
         sol = _solve_with_square_fallback(equations, coeff_names)
     except (StuckSystem, InconsistentSystem) as exc:
         return CorrespondenceReport(False, {}, (str(exc),))
     if sol.relations:
-        return CorrespondenceReport(False, {},
-                                    tuple(str(r) for r in sol.relations))
-    assignments = dict(sol.assignments)
-    for name in sol.free:
-        assignments[name] = big.rat(0)
-    param_map: dict[str, MRat] = {}
-    for rp in reference_params:
-        param_map[rp] = ansatz[rp].subs(assignments)
+        return CorrespondenceReport(False, {}, tuple(str(r) for r in sol.relations))
+    assignments = {**sol.assignments, **{name: big.rat(0) for name in sol.free}}
+    param_map = {rp: ansatz[rp].subs(assignments) for rp in reference_params}
     # full verification of the found correspondence
-    residual = []
-    for gcomp, rcomp in zip(general.components(), reference.components()):
-        rnum, rden = _reference_in(big, rcomp, param_map)
-        diff = gcomp.num.lift(big) * rden - rnum * gcomp.den.lift(big)
-        if not diff.is_zero():
-            residual.append(str(diff))
-    if residual:
-        return CorrespondenceReport(False, param_map, tuple(residual))
-    return CorrespondenceReport(True, param_map, ())
+    residual = tuple(str(d) for d in mismatch(param_map) if not d.is_zero())
+    return CorrespondenceReport(not residual, param_map, residual)
 
 
 def _solve_with_square_fallback(equations: Sequence[MPoly], unknowns: Sequence[str],

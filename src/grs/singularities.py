@@ -190,7 +190,10 @@ class AccessiblePoint:
     chart: str
     location: MRat
     multiplicity: int
-    at_infinity: bool = False
+
+    @property
+    def at_infinity(self) -> bool:
+        return self.chart == "U3"
 
     @property
     def label(self) -> str:
@@ -218,7 +221,7 @@ def accessible_points(vf: PlaneVectorField,
     u3 = divisor_chart_local(vf, "U3")
     mult, _ = root_multiplicity(restricted_numerator(u3), u3.along, zero)
     if mult:
-        points.append(AccessiblePoint("U3", zero, mult, at_infinity=True))
+        points.append(AccessiblePoint("U3", zero, mult))
     return points
 
 

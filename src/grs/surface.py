@@ -53,8 +53,9 @@ class SurfaceModel:
             raise SurfaceError(
                 f"S_{self.n} needs {self.n - 1} twist coefficients, got {len(self.twist)}")
 
-    def twist_in(self, ctx: Context) -> tuple[MRat, ...]:
-        return tuple(g.lift(ctx) if g.ctx != ctx else g for g in self.twist)
+    def lift(self, ctx: Context) -> "SurfaceModel":
+        """The model with each twist entry lifted into ctx."""
+        return SurfaceModel(self.n, tuple(g.lift(ctx) for g in self.twist))
 
 
 def sigma2_model(ctx: Context, twist_name: str = "alpha2") -> SurfaceModel:
@@ -76,7 +77,9 @@ def sigma_n_model(ctx: Context, n: int, twist: Sequence[MRat | str | int]) -> Su
 
 @dataclass(frozen=True)
 class PlaneVectorField:
-    """Pair (dx/dt, dy/dt) of rational functions plus the chart it lives in."""
+    """Pair (dx/dt, dy/dt) of rational functions plus the chart it lives in;
+    the model's twist entries live in the field's context, as the components
+    do (``SurfaceModel.lift`` moves a model into a new context)."""
 
     dxdt: MRat
     dydt: MRat
@@ -100,8 +103,7 @@ class PlaneVectorField:
     def subs_params(self, values: Mapping[str, MRat]) -> "PlaneVectorField":
         vals = {k: (v if v.ctx == self.ctx else v.lift(self.ctx))
                 for k, v in values.items()}
-        model = SurfaceModel(self.model.n,
-                             tuple(g.subs(vals) for g in self.model.twist_in(self.ctx)))
+        model = SurfaceModel(self.model.n, tuple(g.subs(vals) for g in self.model.twist))
         return PlaneVectorField(self.dxdt.subs(vals), self.dydt.subs(vals),
                                 self.chart, model)
 
@@ -114,10 +116,10 @@ class PlaneVectorField:
 # ---------------------------------------------------------------------------
 
 
-def _u1_w(ctx: Context, model: SurfaceModel, xv: MRat, yv: MRat) -> MRat:
+def _u1_w(model: SurfaceModel, xv: MRat, yv: MRat) -> MRat:
     """w1 = -x^n*y - g_{n-1}x^{n-1} - ... - g_1*x evaluated at (xv, yv)."""
     acc = -(xv ** model.n) * yv
-    for i, g in enumerate(model.twist_in(ctx), start=1):
+    for i, g in enumerate(model.twist, start=1):
         acc = acc - g * xv ** i
     return acc
 
@@ -132,7 +134,7 @@ def chart_to_u0(ctx: Context, model: SurfaceModel, chart: str) -> tuple[MRat, MR
     # U1 / U3: x = 1/u and y = -w1*u^n - sum g_i u^{n-i} with w1 = v (U1) or 1/v (U3)
     w1 = v if chart == "U1" else v.inverse()
     y = -w1 * u ** model.n
-    for i, g in enumerate(model.twist_in(ctx), start=1):
+    for i, g in enumerate(model.twist, start=1):
         y = y - g * u ** (model.n - i)
     return u.inverse(), y
 
@@ -144,7 +146,7 @@ def chart_from_u0(ctx: Context, model: SurfaceModel, chart: str) -> tuple[MRat, 
         return x, y
     if chart == "U2":
         return x, y.inverse()
-    w1 = _u1_w(ctx, model, x, y)
+    w1 = _u1_w(model, x, y)
     if chart == "U1":
         return x.inverse(), w1
     return x.inverse(), w1.inverse()
@@ -263,7 +265,7 @@ def sigma2_family(ctx: Context, model: SurfaceModel) -> CoefficientFamily:
     """The 10-coefficient family on S_2 (the most general admissible field)."""
     x, y = ctx.var("x"), ctx.var("y")
     a = {i: ctx.var(f"a{i}") for i in range(1, 11)}
-    al = model.twist_in(ctx)[0]
+    al = model.twist[0]
     half = ctx.rat(Fraction(1, 2))
     two, three = ctx.rat(2), ctx.rat(3)
     dxdt = (a[1] * x ** 3 * y + a[2] * x ** 2 * y
@@ -325,7 +327,7 @@ def generic_family(model: SurfaceModel, ctx: Context | None = None) -> Coefficie
     names = SIGMA2_UNKNOWNS if model.n == 2 else _ansatz_unknown_names(model.n)
     if ctx is None:
         ctx = family_context(model, [], names)
-    model = SurfaceModel(model.n, tuple(g.lift(ctx) for g in model.twist))
+    model = model.lift(ctx)
     if model.n == 2:
         return sigma2_family(ctx, model)
     y = ctx.var("y")

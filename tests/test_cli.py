@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from grs import io as gio
-from grs.catalog import MATCH_PAIRS, get_scheme, get_system, scheme_names, system_names
+from grs.catalog import (HVI_TEXT, MATCH_PAIRS, get_scheme, get_system, scheme_names,
+                         system_names)
 from grs.cli import main
 
 GOLDEN_CLI = Path(__file__).parent / "golden_cli"
@@ -541,6 +542,13 @@ def test_cli_show_hvi(capsys):
     code, out, _ = _run(capsys, "show", "--system", "hvi")
     assert code == 0
     assert "alpha0 + alpha1 + 2*alpha2 + alpha3 + alpha4 = 1" in out
+
+
+def test_cli_show_hvi_json_is_one_json_object(capsys):
+    code, out, _ = _run(capsys, "show", "--system", "hvi", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"hamiltonian": HVI_TEXT}
+    assert _run(capsys, "show", "--system", "hvi") == (0, HVI_TEXT + "\n", "")
 
 
 def test_cli_truncated_expression_names_the_end_of_input(tmp_path, capsys):

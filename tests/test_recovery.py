@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from grs import blowup, recovery, singularities
-from grs.algebra import (Context, Elimination, InconsistentSystem, MRat, StuckSystem,
+from grs.algebra import (Context, Elimination, InconsistentSystem, MRat, Mat2, StuckSystem,
                          solve_triangular, union_context)
 from grs.catalog import (MATCH_PAIRS, get_scheme, get_system, match_pair, pvi_system,
                          scheme_gen_pv, scheme_pvi)
@@ -254,6 +254,69 @@ def test_verify_recovered_linearizes_each_resolved_point_once(monkeypatch):
     # the resolved chart of the double point at 0 has divisor x; the divisor
     # charts of the simple points 1 and inf have divisor y
     assert sorted(divisors) == ["x", "y", "y"]
+
+
+def _with_column(scheme, index, **changes):
+    """The scheme with its column ``index`` replaced field by field."""
+    specs = list(scheme.specs)
+    specs[index] = replace(specs[index], **changes)
+    return replace(scheme, specs=tuple(specs))
+
+
+def _verify_message(rec, **changes):
+    """Class and message of verify_recovered on rec with its column 0 changed."""
+    with pytest.raises(SchemeError) as exc:
+        verify_recovered(replace(rec, scheme=_with_column(rec.scheme, 0, **changes)))
+    return type(exc.value).__name__, str(exc.value)
+
+
+def _matrix(ctx, rows):
+    return Mat2([[ctx.parse(e) for e in row] for row in rows])
+
+
+def test_verify_recovered_refuses_a_matrix_that_is_not_proportional():
+    rec = recover(get_scheme("pvi").scheme)
+    ctx = rec.scheme.specs[0].matrix[0, 0].ctx
+    assert _verify_message(rec, matrix=_matrix(ctx, [["3", "-alpha4"], ["0", "1"]])) == (
+        "VerificationMismatch",
+        "X=0: matrix entry (0,0) mismatch: (-1)/(t*alpha0 + t*alpha1 + 2*t*alpha2 "
+        "+ t*alpha3 + t*alpha4 - alpha0 - alpha1 - 2*alpha2 - alpha3 - alpha4)")
+
+
+def test_verify_recovered_refuses_a_zero_matrix_scale():
+    rec = recover(get_scheme("pvi").scheme)
+    ctx = rec.scheme.specs[0].matrix[0, 0].ctx
+    assert _verify_message(rec, matrix=_matrix(ctx, [["2", "-alpha4"], ["1", "5"]])) == (
+        "VerificationMismatch", "X=0: zero matrix scale")
+
+
+def test_verify_recovered_refuses_another_patching_map():
+    rec = recover(get_scheme("gen-pv").scheme)
+    spec = rec.scheme.specs[0]
+    x, y = spec.location.ctx.var("x"), spec.location.ctx.var("y")
+    resolved = ResolvedData((x, x ** 3 * y), spec.resolved.point)
+    assert _verify_message(rec, resolved=resolved) == (
+        "VerificationMismatch", "X=0: patching map (x, x^2*y)")
+
+
+def test_verify_recovered_refuses_another_resolved_point():
+    rec = recover(get_scheme("gen-pv").scheme)
+    spec = rec.scheme.specs[0]
+    ctx = spec.location.ctx
+    resolved = ResolvedData(spec.resolved.patch_map, (ctx.rat(0), ctx.var("t")))
+    assert _verify_message(rec, resolved=resolved) == (
+        "VerificationMismatch", "X=0: resolved point -t")
+
+
+def test_recover_refuses_a_patching_map_the_resolution_does_not_give():
+    scheme = get_scheme("gen-pv").scheme
+    spec = scheme.specs[0]
+    x = spec.location.ctx.var("x")
+    bad = _with_column(scheme, 0, resolved=ResolvedData((x, x), spec.resolved.point))
+    with pytest.raises(SchemeError) as exc:
+        recover(bad)
+    assert (type(exc.value).__name__, str(exc.value)) == (
+        "SchemeError", "X=0: computed patching map (x, x^2*y) != scheme map (x, x)")
 
 
 # ---------------------------------------------------------------------------

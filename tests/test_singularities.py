@@ -11,8 +11,8 @@ from grs.algebra import Context, DivisionByZero, MRat, Mat2
 from grs.blowup import resolve_family, resolve_multiplicity
 from grs.catalog import get_system, pvi_system, system_names
 from grs.recovery import relation_substitution
-from grs.singularities import (LocalField, NotAccessible, UnresolvedFactor, accessible_points,
-                               alpha_test,
+from grs.singularities import (AccessiblePoint, LocalField, NotAccessible, UnresolvedFactor,
+                               accessible_points, alpha_test,
                                branch_point_screen, default_candidates, deflate,
                                divisor_chart_local, find_divisor_roots, is_accessible,
                                linearization, linearization_matrix, restricted_numerator,
@@ -86,6 +86,15 @@ def test_trivial_linear_system_reads_off_matrix():
     li = linearization(divisor_chart_local(vf, pts[0].chart), pts[0].location)
     assert li.matrix == Mat2([[ctx.rat(2), -a], [ctx.rat(0), ctx.rat(1)]])
     assert str(li.ratio) == "2"
+
+
+def test_point_at_infinity_is_the_point_of_chart_u3():
+    """A point is at infinity exactly when it lives in chart U3, so its label
+    cannot disagree with its chart."""
+    zero = Context.make(parameters=[]).rat(0)
+    u2, u3 = AccessiblePoint("U2", zero, 1), AccessiblePoint("U3", zero, 1)
+    assert (u2.at_infinity, u2.label) == (False, "0")
+    assert (u3.at_infinity, u3.label) == (True, "inf")
 
 
 def test_symbolic_family_origin_not_accessible_when_a7_nonzero():
