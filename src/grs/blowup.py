@@ -159,12 +159,12 @@ def _blow_up_sequence(vf: PlaneVectorField, chart: str, location: MRat, k: int,
 
 
 def resolve_multiplicity(vf: PlaneVectorField, point: AccessiblePoint,
-                         expected_location: MRat | None = None) -> ResolutionTrace:
+                         candidates: Sequence[MRat] = ()) -> ResolutionTrace:
     """Resolve a multiplicity-2 or 3 accessible point into a simple one.
 
-    Blows up at the origin multiplicity-many times (each intermediate origin
-    must stay accessible), inverts the fiber coordinate, and locates the
-    simple accessible point on the last exceptional line.
+    Blows up at the origin k = multiplicity times (each intermediate origin must
+    stay accessible), inverts the fiber, and finds the simple point on the last
+    exceptional line, trying ``candidates`` before the defaults and their negatives.
     """
     k = point.multiplicity
     if k not in (2, 3):
@@ -183,9 +183,8 @@ def resolve_multiplicity(vf: PlaneVectorField, point: AccessiblePoint,
 
     chart, steps = _blow_up_sequence(vf, point.chart, point.location, k, inaccessible)
     final = LocalField(chart.fx, chart.fy, divisor="x")
-    candidates = [] if expected_location is None else [expected_location]
     defaults = default_candidates(vf.ctx)
-    candidates += defaults + [-c for c in defaults]
+    candidates = [*candidates, *defaults, *(-c for c in defaults)]
     roots = [(r, m) for r, m in find_divisor_roots(restricted_numerator(final), final.along,
                                                    candidates)
              if not r.is_zero()]

@@ -248,8 +248,9 @@ def recover(scheme: GRScheme, verify: bool = True) -> RecoveredSystem:
 
 
 def map_scheme(scheme: GRScheme, fn: Callable[[MRat], MRat], **changes) -> GRScheme:
-    """The scheme with fn applied to every entry of its columns (matrix,
-    resolved-point data, location); ``changes`` replace other GRScheme fields."""
+    """The scheme with fn applied to every entry: the surface twist and each
+    column's location, matrix and resolved-point data.  This is the one way to
+    map a scheme; ``changes`` replace other GRScheme fields."""
     specs = []
     for s in scheme.specs:
         resolved = None
@@ -258,12 +259,13 @@ def map_scheme(scheme: GRScheme, fn: Callable[[MRat], MRat], **changes) -> GRSch
                                     tuple(map(fn, s.resolved.point)))
         loc = None if s.location is None else fn(s.location)
         specs.append(SingularSpec(loc, s.multiplicity, s.matrix.map(fn), resolved))
-    return replace(scheme, specs=tuple(specs), **changes)
+    model = replace(scheme.model, twist=tuple(map(fn, scheme.model.twist)))
+    return replace(scheme, model=model, specs=tuple(specs), **changes)
 
 
 def lift_scheme(scheme: GRScheme, ctx: Context) -> GRScheme:
     """The scheme with its surface twist and every column entry lifted into ctx."""
-    return map_scheme(scheme, lambda r: r.lift(ctx), model=scheme.model.lift(ctx))
+    return map_scheme(scheme, lambda r: r.lift(ctx))
 
 
 def specialize_scheme(scheme: GRScheme, values: Mapping[str, MRat],
@@ -292,40 +294,54 @@ def zero_modulo(value: MRat, relsub: Mapping[str, MRat]) -> bool:
     return value.is_zero() or (bool(relsub) and value.subs(relsub).is_zero())
 
 
-def verify_recovered(rec: RecoveredSystem) -> None:
-    """Check the recovered field reproduces its scheme exactly.
+def scheme_of(vf: PlaneVectorField, candidates: Sequence[MRat] = ()) -> tuple[SingularSpec, ...]:
+    """The geometric Riemann scheme of vf, the inverse of ``recover``: one column
+    per accessible point, in ``accessible_points`` order, infinity as location
+    None.  A simple point's column holds its divisor chart's matrix; a multiple
+    point's, the matrix, patching map and point (0, Y) of its resolution, which
+    raises ResolutionError unless the multiplicity is 2 or 3.  The candidates are
+    tried as divisor points after the defaults, as resolved points before them."""
+    specs = []
+    for point in accessible_points(vf, extra_candidates=candidates):
+        location = None if point.at_infinity else point.location
+        if point.multiplicity == 1:
+            matrix, _ = linearization_matrix(divisor_chart_local(vf, point.chart), point.location)
+            specs.append(SingularSpec(location, 1, matrix))
+        else:
+            trace = resolve_multiplicity(vf, point, candidates)
+            resolved = ResolvedData(trace.final_chart_map, (vf.ctx.rat(0), trace.final_location))
+            specs.append(SingularSpec(location, point.multiplicity, trace.index.matrix, resolved))
+    return tuple(specs)
 
-    The scheme is lifted into the field's context once, here.  Locations and
-    multiplicities must come out verbatim from the singular point search;
-    matrices must pass ``matrix_residuals``, modulo the scheme's eigenvalue
-    relations; resolved points are re-derived by running the actual resolution.
-    """
-    vf = rec.vf
-    scheme = lift_scheme(rec.scheme, vf.ctx)
+
+def verify_recovered(rec: RecoveredSystem) -> None:
+    """Check the recovered field reproduces its scheme exactly.  The scheme is
+    lifted into the field's context once and compared with ``scheme_of``, given
+    the scheme's locations and resolved points as candidates: labels,
+    multiplicities, patching maps and resolved points must agree verbatim, and
+    each matrix must pass ``matrix_residuals`` with a nonzero scale, modulo the
+    scheme's eigenvalue relations."""
+    scheme = lift_scheme(rec.scheme, rec.vf.ctx)
     relsub = relation_substitution(rec.relations, scheme.eigenvalue_syms)
     wanted = {s.label: s for s in scheme.specs}
-    extra = [s.location for s in scheme.specs if s.location is not None]
-    points = accessible_points(vf, extra_candidates=extra)
-    got = {p.label: p for p in points}
+    candidates = [s.location for s in scheme.specs if s.location is not None]
+    candidates += [s.resolved.point[1] for s in scheme.specs if s.resolved is not None]
+    got = {s.label: s for s in scheme_of(rec.vf, candidates)}
     if set(got) != set(wanted):
         raise VerificationMismatch(
             f"accessible points {sorted(got)} != scheme locations {sorted(wanted)}")
     for label, spec in wanted.items():
-        point = got[label]
-        if point.multiplicity != spec.multiplicity:
+        derived = got[label]
+        if derived.multiplicity != spec.multiplicity:
             raise VerificationMismatch(
-                f"X={label}: multiplicity {point.multiplicity} != {spec.multiplicity}")
-        if spec.multiplicity == 1:
-            matrix, _ = linearization_matrix(divisor_chart_local(vf, point.chart), point.location)
-        else:
-            trace = resolve_multiplicity(vf, point, expected_location=spec.resolved.point[1])
-            if trace.final_chart_map != spec.resolved.patch_map:
-                raise VerificationMismatch(f"X={label}: patching map {trace.final_chart_map}")
-            if trace.final_location != spec.resolved.point[1]:
-                raise VerificationMismatch(f"X={label}: resolved point {trace.final_location}")
-            matrix = trace.index.matrix
-        ref, residuals = matrix_residuals(matrix, spec.matrix)
-        if matrix[ref].is_zero():
+                f"X={label}: multiplicity {derived.multiplicity} != {spec.multiplicity}")
+        if spec.resolved is not None:
+            if derived.resolved.patch_map != spec.resolved.patch_map:
+                raise VerificationMismatch(f"X={label}: patching map {derived.resolved.patch_map}")
+            if derived.resolved.point != spec.resolved.point:
+                raise VerificationMismatch(f"X={label}: resolved point {derived.resolved.point[1]}")
+        ref, residuals = matrix_residuals(derived.matrix, spec.matrix)
+        if derived.matrix[ref].is_zero():
             raise VerificationMismatch(f"X={label}: zero matrix scale")
         for i, j, residual in residuals:
             diff = residual / spec.matrix[ref]

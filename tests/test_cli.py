@@ -227,6 +227,24 @@ def test_cli_singular_unresolved_factor(capsys, monkeypatch, candidates, err):
     assert _run(capsys, "singular", "--system", str(QUADRATIC_FACTOR)) == (1, "", err)
 
 
+def test_cli_construct_scheme_recovers_the_constructed_system(capsys, monkeypatch):
+    """construct_n2_scheme.json is scheme_of of construct --n 2 --points 3,-1/2
+    --ratios 1,3,3,3, written by scheme_to_json.  No candidate roots come from
+    the environment, so verification finds the points 3 and -1/2 only because
+    it tries the scheme's own locations."""
+    monkeypatch.delenv("GRS_CANDIDATE_ROOTS", raising=False)
+    code, out, _ = _run(capsys, "construct", "--n", "2", "--points", "3,-1/2",
+                        "--ratios", "1,3,3,3", "--format", "json")
+    assert code == 0
+    built = json.loads(out)
+    code, out, err = _run(capsys, "recover", "--scheme",
+                          str(FIXTURES / "construct_n2_scheme.json"), "--format", "json")
+    assert (code, err) == (0, "")
+    rec = json.loads(out)
+    assert (rec["dxdt"], rec["dydt"]) == (built["dxdt"], built["dydt"])
+    assert (rec["free"], rec["relations"]) == ([], [])
+
+
 @pytest.mark.parametrize("candidate", ["x+1", "x"])
 def test_cli_singular_candidate_involving_x_is_never_a_root(candidate):
     """x + 1 would formally deflate s^2 + 1 for ever (its d*s - n is -1), and

@@ -6,8 +6,9 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from grs import blowup, recovery, singularities
+from grs import blowup, io as gio, recovery, singularities
 from grs.algebra import (Context, Elimination, InconsistentSystem, MRat, Mat2, StuckSystem,
                          solve_triangular, union_context)
 from grs.catalog import (MATCH_PAIRS, get_scheme, get_system, match_pair, pvi_system,
@@ -16,7 +17,7 @@ from grs.recovery import (DegeneratePoints, GRScheme, NoRelation, RelationViolat
                           ResolvedData, SchemeError, SingularSpec,
                           construct_existence_system, eigenvalue_relation,
                           generate_constraints, lift_scheme, match_specialization, recover,
-                          relation_substitution, specialize_scheme, verify_recovered)
+                          relation_substitution, scheme_of, specialize_scheme, verify_recovered)
 from grs.surface import SIGMA2_UNKNOWNS, family_context, generic_family
 
 
@@ -224,6 +225,21 @@ def test_specialize_scheme_commutes_with_recovery():
     assert direct.vf.dydt.lift(big) == specialized.dydt.lift(big)
 
 
+@pytest.mark.parametrize("value", [1, 0, -3])
+def test_specialize_scheme_substitutes_into_the_twist(value):
+    """A value for pvi's twist symbol alpha2 reaches the surface model as well,
+    so recovery commutes with the specialization and alpha2 is gone."""
+    scheme = scheme_pvi().scheme
+    ctx = scheme.specs[0].matrix[0, 0].ctx
+    direct = recover(specialize_scheme(scheme, {"alpha2": ctx.rat(value)})).vf
+    assert "alpha2" not in direct.ctx
+    general = recover(scheme).vf
+    general = general.subs_params({"alpha2": general.ctx.rat(value)})
+    big = union_context(direct.ctx, general.ctx)
+    assert direct.dxdt.lift(big) == general.dxdt.lift(big)
+    assert direct.dydt.lift(big) == general.dydt.lift(big)
+
+
 def test_resolved_point_off_the_exceptional_line_is_refused():
     """The resolved point lies on the last exceptional line X = 0; a scheme
     that puts it elsewhere is refused instead of read at its Y alone."""
@@ -254,6 +270,22 @@ def test_verify_recovered_linearizes_each_resolved_point_once(monkeypatch):
     # the resolved chart of the double point at 0 has divisor x; the divisor
     # charts of the simple points 1 and inf have divisor y
     assert sorted(divisors) == ["x", "y", "y"]
+
+
+@pytest.mark.parametrize("name", ["pvi", "gen-pvi", "gen-pv", "gen-piv", "gen-piii"])
+def test_scheme_of_a_builtin_recovery_gives_back_its_columns(name):
+    """scheme_of inverts recover: the derived scheme has the builtin scheme's
+    points, multiplicities, patching maps and resolved points, and survives
+    the JSON round trip."""
+    rec = recover(get_scheme(name).scheme)
+    builtin = lift_scheme(rec.scheme, rec.vf.ctx)
+    derived = GRScheme(rec.vf.model, scheme_of(rec.vf), builtin.params, name=name)
+
+    def columns(scheme):
+        return {s.label: (s.multiplicity, s.resolved) for s in scheme.specs}
+
+    assert columns(derived) == columns(builtin)
+    assert gio.scheme_from_json(gio.loads(gio.dumps(gio.scheme_to_json(derived)))) == derived
 
 
 def _with_column(scheme, index, **changes):
@@ -369,6 +401,38 @@ def test_existence_violations():
         construct_existence_system(2, [1, 1], [2, 2, 2, 2])
     with pytest.raises(RelationViolated):
         construct_existence_system(2, [0, 1], [2, 2, 0, 2])
+
+
+_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+_nonzero = _fractions.filter(bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(_fractions, min_size=2, max_size=2, unique=True),
+       ratios=st.lists(_nonzero, min_size=3, max_size=3),
+       at=st.integers(0, 3),
+       scales=st.lists(st.tuples(_nonzero, st.booleans()), min_size=4, max_size=4))
+def test_existence_system_round_trips_through_its_scheme(points, ratios, at, scales):
+    """The existence theorem as a round trip: two points and four ratios with
+    reciprocals summing to 2 give a system; its scheme, each matrix rescaled
+    by c or c*t (a scheme matrix is fixed only up to scale), recovers the
+    same field with no freedom and no relation."""
+    rest = 2 - sum(1 / m for m in ratios)
+    assume(rest != 0)
+    ratios.insert(at, 1 / rest)
+    vf = construct_existence_system(2, points, ratios).vf
+    ctx = vf.ctx
+    specs = scheme_of(vf, [ctx.rat(c) for c in points])
+    assert len(specs) == 4
+    scaled = []
+    for spec, (c, by_t) in zip(specs, scales):
+        scale = ctx.rat(c) * (ctx.var("t") if by_t else ctx.rat(1))
+        scaled.append(replace(spec, matrix=spec.matrix.map(lambda e: e * scale)))
+    rec = recover(GRScheme(vf.model, tuple(scaled), ("alpha", "a1t")))
+    big = union_context(rec.vf.ctx, ctx)
+    assert rec.vf.dxdt.lift(big) == vf.dxdt.lift(big)
+    assert rec.vf.dydt.lift(big) == vf.dydt.lift(big)
+    assert (rec.free, rec.relations) == ((), ())
 
 
 # ---------------------------------------------------------------------------
