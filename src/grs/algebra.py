@@ -93,7 +93,10 @@ each of them has denominator 1 (polynomial assignments), the scheme runs on
 MPoly and wraps the result once: on such operands the MRat operators run no
 gcd and form the same products and sums, so the result is the same polynomial.
 :func:`solve_triangular` reduces each pending equation and each nonzero form
-once per change of its assignments, never once per scan.
+once per change of its assignments, never once per scan.  Equations linear
+in the unknowns with rational coefficients need no substitution at all:
+:func:`solve_rational_linear` solves them as sparse rows of Fractions, with
+the same pivots as :func:`solve_triangular`.
 """
 
 from __future__ import annotations
@@ -389,6 +392,10 @@ class MPoly:
     def involves(self, names: Iterable[str]) -> bool:
         mask = self.ctx._mask({self.ctx.index(n) for n in names})
         return bool(reduce(or_, self.packed, 0) & mask)
+
+    def total_degree(self) -> int:
+        # the largest key has the largest degree
+        return max(self.packed, default=0) >> self.ctx._top
 
     def leading(self) -> tuple[Exponent, Fraction]:
         if self.is_zero():
@@ -1302,7 +1309,7 @@ class TraceStep:
 
 @dataclass
 class TriangularSolution:
-    """Result of solve_triangular.
+    """Result of solve_triangular (solve_rational_linear keeps no trace).
 
     assignments map solved unknowns to expressions in parameters and any
     still-free unknowns; relations are parameter-only consistency conditions
@@ -1523,6 +1530,81 @@ def solve_triangular(equations: Sequence[MPoly | MRat],
     forms = [split_content(f, _active(f, unknowns))[1]
              for f in nonzero_forms if not f.is_zero()]
     return Elimination(pending, unknowns, forms).run()
+
+
+def distinct_up_to_scale(equations: Iterable[MPoly]) -> list[MPoly]:
+    """The nonzero equations, each at its first copy up to a rational factor
+    (primitive() is the same for p and every c*p); all share one context."""
+    first: dict[frozenset, MPoly] = {}
+    for p in equations:
+        if not p.is_zero():
+            first.setdefault(frozenset(p.primitive().packed.items()), p)
+    return list(first.values())
+
+
+def _subtract_multiple(row: dict[int, Fraction], f: Fraction, pivot: dict[int, Fraction]) -> None:
+    """row -= f * pivot in place, dropping the entries that cancel."""
+    for col, v in pivot.items():
+        s = row.get(col, 0) - f * v
+        if s:
+            row[col] = s
+        else:
+            del row[col]
+
+
+def solve_rational_linear(equations: Sequence[MPoly],
+                          unknowns: Sequence[str]) -> TriangularSolution:
+    """Solve equations of total degree at most 1 in ``unknowns``, with
+    rational coefficients, as one sparse reduced echelon form over Q.
+
+    Rows are added in list order.  Each is reduced by the pivot rows so far,
+    which are monic and free of each other's pivots.  A row left without an
+    unknown is dropped if it is zero and raises InconsistentSystem if not;
+    any other row pivots on its lowest column in ``unknowns`` order and is
+    cleared from the earlier pivot rows.  That is the elimination
+    solve_triangular runs on such equations: it takes each one in list
+    order, substitutes the assignments so far and solves for the first
+    unsolved unknown left.  So the assignments (in the free unknowns), the
+    free unknowns and a raised equation are the same as solve_triangular's;
+    there are no relations, and no trace is kept.
+    """
+    unknowns = list(unknowns)
+    if not equations:
+        return TriangularSolution({}, [], unknowns)
+    ctx = equations[0].ctx
+    units = [ctx._units[ctx.index(u)] for u in unknowns]
+    column = {key: j for j, key in enumerate(units)}
+    const = len(unknowns)
+    column[0] = const
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for p in equations:
+        try:
+            row = {column[k]: Fraction(c, p.den) for k, c in p.packed.items()}
+        except KeyError:
+            raise ValueError(f"{p} is not linear in {unknowns} with rational coefficients") \
+                from None
+        for j in [j for j in row if j in pivots]:
+            _subtract_multiple(row, row[j], pivots[j])
+        lead = min((j for j in row if j != const), default=None)
+        if lead is None:
+            if row:
+                raise InconsistentSystem(ctx.poly(row[const]))
+            continue
+        inv = 1 / row[lead]
+        row = {col: v * inv for col, v in row.items()}
+        for other in pivots.values():
+            if lead in other:
+                _subtract_multiple(other, other[lead], row)
+        pivots[lead] = row
+    keys = units + [0]
+    assignments = {}
+    for lead, row in pivots.items():
+        rest = {col: -v for col, v in row.items() if col != lead}
+        den = math.lcm(*(v.denominator for v in rest.values()))
+        packed = {keys[col]: v.numerator * (den // v.denominator) for col, v in rest.items()}
+        assignments[unknowns[lead]] = MRat.from_poly(_make(ctx, packed, den))
+    free = [u for j, u in enumerate(unknowns) if j not in pivots]
+    return TriangularSolution(assignments, [], free)
 
 
 # ---------------------------------------------------------------------------

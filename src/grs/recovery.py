@@ -28,8 +28,8 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .algebra import (Context, InconsistentSystem, MPoly, MRat, Mat2, StuckSystem, Sym,
-                      TriangularSolution, coefficients_in, solve_linear, solve_triangular,
-                      _relation_normal_form)
+                      TriangularSolution, coefficients_in, distinct_up_to_scale, solve_linear,
+                      solve_rational_linear, solve_triangular, _relation_normal_form)
 from .blowup import resolve_family, resolve_multiplicity
 from .singularities import (AccessiblePoint, accessible_points, divisor_chart_local,
                             linearization, linearization_matrix)
@@ -492,9 +492,9 @@ def match_specialization(general: PlaneVectorField, reference: PlaneVectorField,
     The reference parameters are written as affine combinations of the
     general system's parameters with unknown rational coefficients; matching
     like monomials of both components gives a polynomial system in those
-    coefficients which the triangular eliminator solves.  The verdict is
-    always definitive: either the verified correspondence or the exact
-    residual.
+    coefficients, with rational coefficients, which _solve_matched solves.
+    The verdict is always definitive: either the verified correspondence or
+    the exact residual.
     """
     gparams = [s.name for s in general.ctx.syms if s.kind == "parameter"]
     coeff_names = []
@@ -520,7 +520,7 @@ def match_specialization(general: PlaneVectorField, reference: PlaneVectorField,
     symbols = [n for n in big.names if n not in coeff_names]
     equations = [c for eq in mismatch(ansatz) for c in coefficients_in(eq, symbols)]
     try:
-        sol = _solve_with_square_fallback(equations, coeff_names)
+        sol = _solve_matched(equations, coeff_names)
     except (StuckSystem, InconsistentSystem) as exc:
         return CorrespondenceReport(False, {}, (str(exc),))
     if sol.relations:
@@ -530,6 +530,28 @@ def match_specialization(general: PlaneVectorField, reference: PlaneVectorField,
     # full verification of the found correspondence
     residual = tuple(str(d) for d in mismatch(param_map) if not d.is_zero())
     return CorrespondenceReport(not residual, param_map, residual)
+
+
+def _solve_matched(equations: Sequence[MPoly], unknowns: Sequence[str]) -> TriangularSolution:
+    """Solve polynomial equations in ``unknowns`` alone, with rational
+    coefficients, solving each distinct equation once.
+
+    Repeats up to a rational factor are dropped, the first copy kept: a
+    later copy would only reduce to zero, or to the same relation.  The
+    equations of total degree at most 1 are solved as one reduced echelon
+    form over Q, the result is substituted into the others, and what is
+    left, once more without repeats, goes to the square fallback with the
+    unknowns still free.  The returned solution has no trace.
+    """
+    linear, rest = [], []
+    for p in distinct_up_to_scale(equations):
+        (linear if p.total_degree() <= 1 else rest).append(p)
+    lin = solve_rational_linear(linear, unknowns)
+    rest = distinct_up_to_scale([p.subs(lin.assignments).num for p in rest])
+    sol = _solve_with_square_fallback(rest, lin.free)
+    assignments = {u: v.subs(sol.assignments) for u, v in lin.assignments.items()}
+    assignments.update(sol.assignments)
+    return TriangularSolution(assignments, sol.relations, sol.free)
 
 
 def _solve_with_square_fallback(equations: Sequence[MPoly], unknowns: Sequence[str],

@@ -12,7 +12,8 @@ from hypothesis import assume
 
 from grs.algebra import (MAX_EXPONENT, MAX_NESTING, Context, DivisionByZero, InconsistentSystem, MPoly,
                          MRat, Mat2, ParseError, StuckSystem, gcd_cofactors, parse_rat, poly_gcd,
-                         solve_triangular, split_content, exact_divide)
+                         distinct_up_to_scale, solve_rational_linear, solve_triangular,
+                         split_content, exact_divide)
 from grs import algebra
 
 
@@ -168,6 +169,58 @@ def test_solve_triangular_rereads_equations_and_forms_after_a_pivot(ctx):
     assert {k: str(v) for k, v in sol.assignments.items()} == {"a8": "a5"}
     assert [str(r) for r in sol.relations] == ["n1 - 2"]
     assert sol.free == ["a5", "a7", "a10"]
+
+
+LINEAR_UNKNOWNS = [f"u{j}" for j in range(6)]
+_small_rationals = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
+
+
+@st.composite
+def _rational_linear_systems(draw):
+    """Up to eight rows in six unknowns: random rows, and rows combined from
+    earlier ones (a repeat, a multiple, a sum) with the constant kept or
+    shifted, so dependent and inconsistent systems come up often."""
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            ca, cb = draw(_small_rationals), draw(_small_rationals)
+            row = [ca * x + cb * y for x, y in zip(a, b)]
+            row[-1] += draw(st.sampled_from([0, 0, 1]))
+        else:
+            row = [draw(_small_rationals) for _ in range(len(LINEAR_UNKNOWNS) + 1)]
+        rows.append(row)
+    return rows
+
+
+def _solved(solve, equations):
+    try:
+        sol = solve(equations, LINEAR_UNKNOWNS)
+    except InconsistentSystem as exc:
+        return "inconsistent", str(exc)
+    return sol.assignments, sol.relations, sol.free
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_linear_systems())
+def test_rational_linear_solve_matches_the_triangular_solver(rows):
+    ctx = Context.make(fiber=(), time=None, unknowns=LINEAR_UNKNOWNS)
+    equations = [sum((ctx.poly_var(u).scale(c) for u, c in zip(LINEAR_UNKNOWNS, row)),
+                     ctx.poly(row[-1])) for row in rows]
+    assert _solved(solve_rational_linear, equations) == _solved(solve_triangular, equations)
+
+
+def test_distinct_up_to_scale_keeps_the_first_copy(ctx):
+    eqs = [ctx.parse(text).num for text in
+           ["2*a5 - 2", "1 - a5", "a5/2 - 1/2", "0", "a5 + 1", "a5^2 - 1", "-3*a5^2 + 3"]]
+    assert [str(p) for p in distinct_up_to_scale(eqs)] == ["2*a5 - 2", "a5 + 1", "a5^2 - 1"]
+    assert [p.total_degree() for p in eqs] == [1, 1, 1, 0, 1, 2, 2]
+
+
+def test_rational_linear_solve_refuses_a_quadratic(ctx):
+    a5 = ctx.poly_var("a5")
+    with pytest.raises(ValueError, match="not linear"):
+        solve_rational_linear([a5 * a5 - ctx.poly(1)], ["a5"])
 
 
 def test_relation_extraction_via_nonzero_form(ctx):

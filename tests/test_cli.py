@@ -299,6 +299,13 @@ def test_cli_match_json_matches_golden(capsys, pair):
     assert (code, out, err) == (0, golden, "")
 
 
+@pytest.mark.parametrize("pair", MATCH_PAIRS)
+def test_cli_match_pretty_matches_golden(capsys, pair):
+    code, out, err = _run(capsys, "match", "--pair", pair)
+    golden = (GOLDEN_CLI / f"match_{pair.replace(':', '_')}.txt").read_text()
+    assert (code, out, err) == (0, golden, "")
+
+
 @pytest.mark.parametrize("system", system_names())
 def test_cli_singular_json_matches_golden(capsys, system):
     code, out, err = _run(capsys, "singular", "--system", system, "--format", "json")

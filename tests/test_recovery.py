@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from grs import blowup, io as gio, recovery, singularities
 from grs.algebra import (Context, Elimination, InconsistentSystem, MRat, Mat2, StuckSystem,
-                         solve_triangular, union_context)
+                         distinct_up_to_scale, solve_triangular, union_context)
 from grs.catalog import (MATCH_PAIRS, get_scheme, get_system, match_pair, pvi_system,
                          scheme_gen_pv, scheme_pvi)
 from grs.recovery import (DegeneratePoints, GRScheme, NoRelation, RelationViolated,
@@ -570,26 +570,47 @@ def _as_strings(sol):
             [str(r) for r in sol.relations], sol.free, [str(step) for step in sol.trace])
 
 
-def _match_equations(monkeypatch, pair):
-    """The equations and unknowns match_specialization solves for a pair."""
-    seen = []
-    solve = recovery._solve_with_square_fallback
+def _first_calls(monkeypatch, pair, *names):
+    """The arguments of the first call to each named recovery function while
+    match_specialization runs on a pair."""
+    seen = {}
 
-    def spy(equations, unknowns):
-        seen.append((list(equations), list(unknowns)))
-        return solve(equations, unknowns)
+    def spy(name, solve):
+        def wrapped(equations, unknowns, *rest):
+            seen.setdefault(name, (list(equations), list(unknowns)))
+            return solve(equations, unknowns, *rest)
+        return wrapped
 
-    monkeypatch.setattr(recovery, "_solve_with_square_fallback", spy)
+    for name in names:
+        monkeypatch.setattr(recovery, name, spy(name, getattr(recovery, name)))
     match_specialization(*match_pair(pair)[:3])
     monkeypatch.undo()
-    return seen[0]
+    return [seen.get(name) for name in names]
 
 
 @pytest.mark.parametrize("pair", MATCH_PAIRS)
 def test_resumed_branches_match_the_reference_re_solve(monkeypatch, pair):
-    equations, unknowns = _match_equations(monkeypatch, pair)
-    assert _as_strings(recovery._solve_with_square_fallback(equations, unknowns)) \
-        == _as_strings(_reference_square_fallback(equations, unknowns))
+    """The matcher's solve (repeats dropped, the linear block as one matrix,
+    square branches resumed) against a triangular re-solve of the full
+    equation list for each root; it keeps no trace to compare."""
+    [(equations, unknowns)] = _first_calls(monkeypatch, pair, "_solve_matched")
+    assert _as_strings(recovery._solve_matched(equations, unknowns))[:3] \
+        == _as_strings(_reference_square_fallback(equations, unknowns))[:3]
+
+
+# equations matched, distinct up to scale, and the quadratic remainder left
+# for the square branches once the linear block is substituted
+MATCH_SIZES = {"gen-pvi:pvi": (320, 67, 21), "gen-pv:pv": (125, 60, 31),
+               "gen-piii:piii": (47, 20, 0), "gen-piv:piv": (14, 14, 0)}
+
+
+@pytest.mark.parametrize("pair", MATCH_PAIRS)
+def test_the_matcher_solves_each_distinct_equation_once(monkeypatch, pair):
+    matched, branched = _first_calls(monkeypatch, pair, "_solve_matched",
+                                     "_solve_with_square_fallback")
+    distinct = distinct_up_to_scale(matched[0])
+    assert (len(matched[0]), len(distinct), len(branched[0])) == MATCH_SIZES[pair]
+    assert len(distinct_up_to_scale(branched[0])) == len(branched[0])
 
 
 def _square_system(texts):
