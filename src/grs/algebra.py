@@ -143,19 +143,13 @@ class DegreeOverflow(AlgebraError):
 class StuckSystem(AlgebraError):
     """Triangular elimination found no equation linear in a single unknown.
 
-    Carries the unsolved equations so the caller can report them, and in
-    ``sources`` the source tag of each.  When solve_triangular raises it,
-    ``state`` is the :class:`Elimination` at the stuck point: the pending
-    equations with their reductions under the current assignments, the
-    assignments, relations and trace so far, the solved unknowns and the
-    version of the assignments.  ``state.branch(tag, equation)`` resumes a
-    copy of it with one more equation and leaves the state itself as it is.
+    Carries the unsolved equations, reduced under the assignments so far,
+    so the caller can report them, and in ``sources`` the source tag of each.
     """
 
-    def __init__(self, remaining, sources, state=None):
+    def __init__(self, remaining, sources):
         self.remaining = list(remaining)
         self.sources = list(sources)
-        self.state = state
         super().__init__(
             "no equation is linear in a single unsolved unknown; remaining: "
             + "; ".join(str(e) for e in self.remaining)
@@ -1377,11 +1371,6 @@ class _Pending:
         self.reduced = raw
         self.unsolved: list[str] = []
 
-    def copy(self) -> _Pending:
-        twin = _Pending(self.tag, self.raw)
-        twin.version, twin.reduced, twin.unsolved = self.version, self.reduced, self.unsolved
-        return twin
-
 
 class Elimination:
     """The state of one run of solve_triangular.
@@ -1407,16 +1396,6 @@ class Elimination:
         self.solved: set[str] = set()
         self.version = 0
         self.reduced_forms: tuple[int, list[MPoly]] = (-1, [])
-
-    def branch(self, tag: str, equation: MPoly) -> TriangularSolution:
-        """Run a copy of this state with ``equation`` appended as ``tag``;
-        this state is left as it was."""
-        twin = Elimination([eq.copy() for eq in self.pending] + [_Pending(tag, equation)],
-                           self.unknowns, self.forms)
-        twin.assignments, twin.relations, twin.trace, twin.solved = (
-            dict(self.assignments), list(self.relations), list(self.trace), set(self.solved))
-        twin.version, twin.reduced_forms = self.version, self.reduced_forms
-        return twin.run()
 
     def apply_current(self, p: MPoly) -> MPoly:
         if not self.assignments or not p.involves(self.assignments.keys()):
@@ -1484,7 +1463,7 @@ class Elimination:
         if self.pending:
             # the last scan reduced every equation left and found none zero
             raise StuckSystem([eq.reduced for eq in self.pending],
-                              [eq.tag for eq in self.pending], self)
+                              [eq.tag for eq in self.pending])
         free = [u for u in self.unknowns if u not in self.solved]
         return TriangularSolution(self.assignments, self.relations, free, self.trace)
 
@@ -1510,13 +1489,7 @@ def solve_triangular(equations: Sequence[MPoly | MRat],
 
     Pivot order: every step acts on the first equation, in list order, that
     it can act on (drop it as zero, record it as a relation, or solve it for
-    an unknown), and then scans again from the front.  So a run with one
-    more equation appended last takes the same steps as the run without it
-    for as long as the latter can act at all, and reaches the new equation
-    only where the latter got stuck.  Resuming the stuck run's state (the
-    ``Elimination`` a StuckSystem carries) with the equation appended is
-    therefore exact: it gives the same assignments, relations, free
-    unknowns, trace and source tags as solving everything again.
+    an unknown), and then scans again from the front.
     """
     unknowns = list(unknowns)
     pending: list[_Pending] = []

@@ -513,8 +513,8 @@ def match_specialization(general: PlaneVectorField, reference: PlaneVectorField,
         """general - reference, cross-multiplied, per component at the values."""
         out = []
         for (gnum, gden), rcomp in zip(gparts, reference.components()):
-            rnum, rden = _reference_in(big, rcomp, values)
-            out.append(gnum * rden - rnum * gden)
+            rref = _reference_in(big, rcomp, values)
+            out.append(gnum * rref.den - rref.num * gden)
         return out
 
     symbols = [n for n in big.names if n not in coeff_names]
@@ -523,8 +523,6 @@ def match_specialization(general: PlaneVectorField, reference: PlaneVectorField,
         sol = _solve_matched(equations, coeff_names)
     except (StuckSystem, InconsistentSystem) as exc:
         return CorrespondenceReport(False, {}, (str(exc),))
-    if sol.relations:
-        return CorrespondenceReport(False, {}, tuple(str(r) for r in sol.relations))
     assignments = {**sol.assignments, **{name: big.rat(0) for name in sol.free}}
     param_map = {rp: ansatz[rp].subs(assignments) for rp in reference_params}
     # full verification of the found correspondence
@@ -532,68 +530,57 @@ def match_specialization(general: PlaneVectorField, reference: PlaneVectorField,
     return CorrespondenceReport(not residual, param_map, residual)
 
 
-def _solve_matched(equations: Sequence[MPoly], unknowns: Sequence[str]) -> TriangularSolution:
+def _solve_matched(equations: Sequence[MPoly], unknowns: Sequence[str],
+                   depth: int = 6) -> TriangularSolution:
     """Solve polynomial equations in ``unknowns`` alone, with rational
     coefficients, solving each distinct equation once.
 
     Repeats up to a rational factor are dropped, the first copy kept: a
-    later copy would only reduce to zero, or to the same relation.  The
-    equations of total degree at most 1 are solved as one reduced echelon
-    form over Q, the result is substituted into the others, and what is
-    left, once more without repeats, goes to the square fallback with the
-    unknowns still free.  The returned solution has no trace.
+    later copy would only reduce to zero.  The equations of total degree at
+    most 1 are solved as one reduced echelon form over Q, the result is
+    substituted into the others, and what is left, once more without
+    repeats, is solved triangularly in the unknowns still free.  An equation
+    with no unknown left is a rational constant, so it is dropped or raises
+    InconsistentSystem: the solution has no relations, and no nonzero forms
+    are needed.  It has no trace either.
+
+    Quadratic parameter terms of the matched systems can leave the
+    triangular solve stuck at equations a*u^2 + b*u + c with rational
+    coefficients.  The first one whose discriminant is a rational square is
+    branched on, one root r at a time in increasing order: each branch
+    solves what was left with u - r appended, ``depth`` bounding the
+    nesting, and the first branch that completes wins.  If none does, the
+    last failure is raised.
     """
     linear, rest = [], []
     for p in distinct_up_to_scale(equations):
         (linear if p.total_degree() <= 1 else rest).append(p)
     lin = solve_rational_linear(linear, unknowns)
     rest = distinct_up_to_scale([p.subs(lin.assignments).num for p in rest])
-    sol = _solve_with_square_fallback(rest, lin.free)
-    assignments = {u: v.subs(sol.assignments) for u, v in lin.assignments.items()}
-    assignments.update(sol.assignments)
-    return TriangularSolution(assignments, sol.relations, sol.free)
-
-
-def _solve_with_square_fallback(equations: Sequence[MPoly], unknowns: Sequence[str],
-                                depth: int = 6) -> TriangularSolution:
-    """Triangular solve plus bounded branching over single-unknown quadratics.
-
-    Quadratic parameter terms of the matched systems leave residual
-    equations a*u^2 + b*u + c with rational coefficients; when the
-    discriminant is a rational square the finitely many roots are tried in
-    deterministic order and the first branch that completes wins.  A branch
-    resumes the stuck elimination with u - r appended, under the tag a
-    from-scratch solve of the equations plus u - r would give it; the
-    solve_triangular docstring says why that gives the same solution.
-    """
-    return _branch_on_squares(lambda: solve_triangular(equations, unknowns),
-                              unknowns, len(equations), depth)
-
-
-def _branch_on_squares(run: Callable[[], TriangularSolution], unknowns: Sequence[str],
-                       n: int, depth: int) -> TriangularSolution:
-    """``run()``, or where it gets stuck, the first of its branches that
-    completes; ``run`` solves ``n`` equations, so a branch's is eq{n}."""
     try:
-        return run()
-    except StuckSystem as exc:
+        sol = solve_triangular(rest, lin.free)
+    except StuckSystem as stuck:
         if depth <= 0:
             raise
-        roots = next(filter(None, (_root_equations(p, unknowns) for p in exc.remaining)), [])
-        last_exc = exc
+        roots = next(filter(None, (_root_equations(p, lin.free) for p in stuck.remaining)), [])
+        failure = stuck
         try:
             for root in roots:
                 try:
-                    return _branch_on_squares(lambda: exc.state.branch(f"eq{n}", root),
-                                              unknowns, n + 1, depth - 1)
-                except (StuckSystem, InconsistentSystem) as branch_exc:
-                    last_exc = branch_exc
-            raise last_exc
+                    sol = _solve_matched(rest + [root], lin.free, depth - 1)
+                    break
+                except (StuckSystem, InconsistentSystem) as exc:
+                    failure = exc
+            else:
+                raise failure
         finally:
-            # this frame is in the traceback of the exception last_exc names;
-            # the name would keep that cycle, and the elimination states it
-            # holds, alive until a full garbage collection
-            del last_exc
+            # this frame is in the traceback of the exception failure names;
+            # the name would keep that cycle, and every frame and elimination
+            # below it, alive until a full garbage collection
+            del failure
+    assignments = {u: v.subs(sol.assignments) for u, v in lin.assignments.items()}
+    assignments.update(sol.assignments)
+    return TriangularSolution(assignments, [], sol.free)
 
 
 def _root_equations(p: MPoly, unknowns: Sequence[str]) -> list[MPoly]:
@@ -627,18 +614,12 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-def _reference_in(big: Context, rcomp: MRat, param_values: Mapping[str, MRat]) -> tuple[MPoly, MPoly]:
-    """Numerator/denominator of the reference component with parameters substituted."""
-    src = rcomp.ctx
-    target = big.extend(tuple(Sym(n, "parameter") for n in src.names if n not in big))
-    num = rcomp.num.lift(target)
-    den = rcomp.den.lift(target)
-    values = {k: v.lift(target) for k, v in param_values.items()}
-    num_r = num.subs(values)
-    den_r = den.subs(values)
-    combined = num_r / den_r
+def _reference_in(big: Context, rcomp: MRat, param_values: Mapping[str, MRat]) -> MRat:
+    """The reference component with parameters substituted, in lowest terms."""
+    target = big.extend(tuple(Sym(n, "parameter") for n in rcomp.ctx.names if n not in big))
+    combined = rcomp.lift(target).subs({k: v.lift(target) for k, v in param_values.items()})
     try:
-        return combined.num.lift(big), combined.den.lift(big)
+        return combined.lift(big)
     except KeyError:
         name = next(n for n in combined.num.variables() + combined.den.variables()
                     if n not in big)
