@@ -92,9 +92,10 @@ scheme in one substituted symbol at a time then takes the values left.  When
 each of them has denominator 1 (polynomial assignments), the scheme runs on
 MPoly and wraps the result once: on such operands the MRat operators run no
 gcd and form the same products and sums, so the result is the same polynomial.
-:func:`solve_triangular` reduces each pending equation and each nonzero form
-once per change of its assignments, never once per scan.  Equations linear
-in the unknowns with rational coefficients need no substitution at all:
+:func:`solve_triangular` caches the reductions of the pending equations and
+of the nonzero forms under the assignments, so each is reduced once per
+change of the assignments, never once per scan.  Equations linear in the
+unknowns with rational coefficients need no substitution at all:
 :func:`solve_rational_linear` solves them as sparse rows of Fractions, with
 the same pivots as :func:`solve_triangular`.
 """
@@ -1272,10 +1273,6 @@ class Mat2:
         """The matrix with fn applied to every entry."""
         return Mat2([[fn(e) for e in row] for row in self.entries])
 
-    def __sub__(self, other: "Mat2") -> "Mat2":
-        return Mat2([[self.entries[i][j] - other.entries[i][j] for j in range(2)]
-                     for i in range(2)])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Mat2) and self.entries == other.entries
 
@@ -1372,100 +1369,11 @@ class _Pending:
         self.unsolved: list[str] = []
 
 
-class Elimination:
-    """The state of one run of solve_triangular.
-
-    ``pending`` holds the equations not yet used, in list order, each with
-    its cached reduction; ``assignments``, ``relations``, ``trace`` and
-    ``solved`` hold what the run has found so far.  ``version`` counts the
-    changes of the assignments, and everything derived from them (the
-    reductions of ``pending`` and ``reduced_forms``) is cached under it.
-    """
-
-    __slots__ = ("pending", "unknowns", "unknown_set", "forms", "assignments",
-                 "relations", "trace", "solved", "version", "reduced_forms")
-
-    def __init__(self, pending: list[_Pending], unknowns: list[str], forms: list[MPoly]):
-        self.pending = pending
-        self.unknowns = unknowns
-        self.unknown_set = set(unknowns)
-        self.forms = forms
-        self.assignments: dict[str, MRat] = {}
-        self.relations: list[MPoly] = []
-        self.trace: list[TraceStep] = []
-        self.solved: set[str] = set()
-        self.version = 0
-        self.reduced_forms: tuple[int, list[MPoly]] = (-1, [])
-
-    def apply_current(self, p: MPoly) -> MPoly:
-        if not self.assignments or not p.involves(self.assignments.keys()):
-            return p
-        return p.subs(self.assignments).num
-
-    def reduce(self, eq: _Pending) -> MPoly:
-        if eq.version != self.version:
-            eq.version, eq.reduced = self.version, self.apply_current(eq.raw)
-            eq.unsolved = [u for u in _active(eq.reduced, self.unknowns)
-                           if u not in self.solved]
-        return eq.reduced
-
-    def current_forms(self) -> list[MPoly]:
-        if self.reduced_forms[0] != self.version:
-            now = []
-            for form in self.forms:
-                f = self.apply_current(form)
-                if f.is_zero() or f.is_constant():
-                    continue
-                live = _active(f, self.unknowns)
-                if live:
-                    now.append(split_content(f, live)[1])
-            self.reduced_forms = (self.version, now)
-        return self.reduced_forms[1]
-
-    def step(self) -> bool:
-        """Act on the first pending equation that allows it; False if none does."""
-        for pos, eq in enumerate(self.pending):
-            p = self.reduce(eq)
-            if p.is_zero():
-                del self.pending[pos]
-                return True
-            if not eq.unsolved:
-                if p.is_constant():
-                    raise InconsistentSystem(p)
-                self.relations.append(_relation_normal_form(p))
-                del self.pending[pos]
-                return True
-            # relation extraction: c(params) * L with L a designated nonzero form
-            for f in self.current_forms():
-                q = exact_divide(p, f)
-                if q is not None and not q.involves(self.unknown_set):
-                    if q.is_constant():
-                        # p = (nonzero constant) * (designated nonzero form)
-                        raise InconsistentSystem(p)
-                    self.relations.append(_relation_normal_form(q))
-                    del self.pending[pos]
-                    return True
-            pivot = solve_linear(p, eq.unsolved, self.unknown_set - self.solved)
-            if pivot is None:
-                continue
-            u, value = pivot
-            assign(self.assignments, u, value)
-            self.solved.add(u)
-            self.version += 1
-            self.trace.append(TraceStep(u, value, eq.tag))
-            del self.pending[pos]
-            return True
-        return False
-
-    def run(self) -> TriangularSolution:
-        while self.pending and self.step():
-            pass
-        if self.pending:
-            # the last scan reduced every equation left and found none zero
-            raise StuckSystem([eq.reduced for eq in self.pending],
-                              [eq.tag for eq in self.pending])
-        free = [u for u in self.unknowns if u not in self.solved]
-        return TriangularSolution(self.assignments, self.relations, free, self.trace)
+def _reduce(p: MPoly, assignments: Mapping[str, MRat]) -> MPoly:
+    """The numerator of p under the assignments."""
+    if not assignments or not p.involves(assignments.keys()):
+        return p
+    return p.subs(assignments).num
 
 
 def solve_triangular(equations: Sequence[MPoly | MRat],
@@ -1490,19 +1398,67 @@ def solve_triangular(equations: Sequence[MPoly | MRat],
     Pivot order: every step acts on the first equation, in list order, that
     it can act on (drop it as zero, record it as a relation, or solve it for
     an unknown), and then scans again from the front.
+
+    Each pending equation caches its reduction under the assignments, and
+    the nonzero forms theirs, with the count ``version`` of assignment
+    changes it was made at: each is reduced once per change of the
+    assignments, never once per scan.  A stuck run reports the reductions
+    of its last scan, which reached every equation left.
     """
     unknowns = list(unknowns)
-    pending: list[_Pending] = []
-    for k, eq in enumerate(equations):
-        tag = sources[k] if sources else f"eq{k}"
-        p = eq.num if isinstance(eq, MRat) else eq
-        if not p.is_zero():
-            pending.append(_Pending(tag, p))
+    unknown_set = set(unknowns)
+    polys = [eq.num if isinstance(eq, MRat) else eq for eq in equations]
+    tags = sources or [f"eq{k}" for k in range(len(polys))]
+    pending = [_Pending(tag, p) for tag, p in zip(tags, polys, strict=True) if not p.is_zero()]
     # a nonzero form is only used through its unknown-primitive part; its
     # parameter content is generically nonzero anyway
     forms = [split_content(f, _active(f, unknowns))[1]
              for f in nonzero_forms if not f.is_zero()]
-    return Elimination(pending, unknowns, forms).run()
+    assignments: dict[str, MRat] = {}
+    relations: list[MPoly] = []
+    trace: list[TraceStep] = []
+    solved: set[str] = set()
+    version, forms_version, live_forms = 0, -1, []
+    while pending:
+        for pos, eq in enumerate(pending):
+            if eq.version != version:
+                eq.version, eq.reduced = version, _reduce(eq.raw, assignments)
+                eq.unsolved = [u for u in _active(eq.reduced, unknowns) if u not in solved]
+            p = eq.reduced
+            if p.is_zero():
+                break
+            if eq.unsolved:
+                # relation extraction: c(params) * L with L a designated nonzero form
+                if forms_version != version:
+                    forms_version, live_forms = version, []
+                    for form in forms:
+                        f = _reduce(form, assignments)
+                        live = _active(f, unknowns)
+                        if live:
+                            live_forms.append(split_content(f, live)[1])
+                q = next((q for q in (exact_divide(p, f) for f in live_forms)
+                          if q is not None and not q.involves(unknown_set)), None)
+            else:
+                q = p
+            if q is not None:
+                if q.is_constant():
+                    # p is a nonzero constant, or one times a designated nonzero form
+                    raise InconsistentSystem(p)
+                relations.append(_relation_normal_form(q))
+                break
+            pivot = solve_linear(p, eq.unsolved, unknown_set - solved)
+            if pivot is not None:
+                u, value = pivot
+                assign(assignments, u, value)
+                solved.add(u)
+                version += 1
+                trace.append(TraceStep(u, value, eq.tag))
+                break
+        else:
+            raise StuckSystem([eq.reduced for eq in pending], [eq.tag for eq in pending])
+        del pending[pos]
+    free = [u for u in unknowns if u not in solved]
+    return TriangularSolution(assignments, relations, free, trace)
 
 
 def distinct_up_to_scale(equations: Iterable[MPoly]) -> list[MPoly]:

@@ -575,8 +575,8 @@ def _solve_matched(equations: Sequence[MPoly], unknowns: Sequence[str],
                 raise failure
         finally:
             # this frame is in the traceback of the exception failure names;
-            # the name would keep that cycle, and every frame and elimination
-            # below it, alive until a full garbage collection
+            # the name would keep that cycle, and every frame below it with the
+            # equations it holds, alive until a full garbage collection
             del failure
     assignments = {u: v.subs(sol.assignments) for u, v in lin.assignments.items()}
     assignments.update(sol.assignments)

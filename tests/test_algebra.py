@@ -171,6 +171,27 @@ def test_solve_triangular_rereads_equations_and_forms_after_a_pivot(ctx):
     assert sol.free == ["a5", "a7", "a10"]
 
 
+def test_solve_triangular_keeps_a_reduction_until_the_assignments_change(ctx, monkeypatch):
+    # a5 -> 1 leaves e1 = a7^2*a8 + 1 without a pivot; dropping a5^2 - 1 as
+    # zero rescans e1 under the same assignments, which must not reduce it
+    # again, and a7 -> 2 then does
+    a5, a7, a8 = (ctx.poly_var(n) for n in ("a5", "a7", "a8"))
+    one, two = ctx.poly(1), ctx.poly(2)
+    calls = []
+    real_subs = MPoly.subs
+
+    def subs(self, values):
+        calls.append(str(self))
+        return real_subs(self, values)
+
+    monkeypatch.setattr(MPoly, "subs", subs)
+    sol = solve_triangular([a5 - one, a7 * a7 * a8 + a5, a5 * a5 - one, a7 - two],
+                           ["a5", "a7", "a8"])
+    assert {k: str(v) for k, v in sol.assignments.items()} == \
+        {"a5": "1", "a7": "2", "a8": "-1/4"}
+    assert calls == ["a7^2*a8 + a5", "a5^2 - 1", "a7^2*a8 + a5"]
+
+
 LINEAR_UNKNOWNS = [f"u{j}" for j in range(6)]
 _small_rationals = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)])
 

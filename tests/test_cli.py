@@ -376,6 +376,14 @@ def test_cli_recover_json_matches_golden(capsys, scheme):
     assert (code, out, err) == (0, golden, "")
 
 
+@pytest.mark.parametrize("scheme", scheme_names())
+def test_cli_recover_trace_pretty_matches_golden(capsys, scheme):
+    """The pretty output pins the notes, the relation lines and the solver
+    trace block with its source tags."""
+    golden = (GOLDEN_CLI / f"recover_{scheme}.txt").read_text()
+    assert _run(capsys, "recover", "--scheme", scheme, "--trace") == (0, golden, "")
+
+
 @pytest.mark.parametrize("scheme", ["gen-pvi", "gen-pv", "gen-piv", "gen-piii"])
 def test_cli_relation_json_matches_golden(capsys, scheme):
     code, out, err = _run(capsys, "relation", "--scheme", scheme, "--format", "json")

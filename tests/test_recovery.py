@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from grs import blowup, io as gio, recovery, singularities
-from grs.algebra import (Context, Elimination, InconsistentSystem, MRat, Mat2, StuckSystem,
+from grs.algebra import (Context, InconsistentSystem, MPoly, MRat, Mat2, StuckSystem,
                          distinct_up_to_scale, solve_triangular, union_context)
 from grs.catalog import (MATCH_PAIRS, get_scheme, get_system, match_pair, pvi_system,
                          scheme_gen_pv, scheme_pvi)
@@ -270,6 +270,37 @@ def test_verify_recovered_linearizes_each_resolved_point_once(monkeypatch):
     # the resolved chart of the double point at 0 has divisor x; the divisor
     # charts of the simple points 1 and inf have divisor y
     assert sorted(divisors) == ["x", "y", "y"]
+
+
+# MPoly.subs calls solve_triangular makes while recover solves each builtin
+# scheme; an eliminator that re-reduced the equations and the nonzero forms on
+# every scan would make 52/59/39/14/14 (the equations' cache alone is pinned
+# in test_algebra.py)
+SOLVE_SUBS = {"pvi": 52, "gen-pvi": 52, "gen-pv": 34, "gen-piv": 11, "gen-piii": 14}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_SUBS))
+def test_solve_triangular_reduces_each_equation_once_per_assignment(monkeypatch, name):
+    """The nonzero forms, like each pending equation, are reduced once per
+    change of the assignments, never once per scan."""
+    calls, solving = [0], [False]
+    real_subs, real_solve = MPoly.subs, recovery.solve_triangular
+
+    def subs(self, values):
+        calls[0] += solving[0]
+        return real_subs(self, values)
+
+    def solve(*args, **kwargs):
+        solving[0] = True
+        try:
+            return real_solve(*args, **kwargs)
+        finally:
+            solving[0] = False
+
+    monkeypatch.setattr(MPoly, "subs", subs)
+    monkeypatch.setattr(recovery, "solve_triangular", solve)
+    recover(get_scheme(name).scheme, verify=False)
+    assert calls[0] == SOLVE_SUBS[name]
 
 
 @pytest.mark.parametrize("name", ["pvi", "gen-pvi", "gen-pv", "gen-piv", "gen-piii"])
@@ -646,17 +677,18 @@ def test_second_root_resumes_without_the_first_branchs_reductions(case):
 
 
 @pytest.mark.parametrize("case", sorted(FIRST_ROOT_FAILS))
-def test_a_solved_branch_leaves_no_elimination_state_to_the_cycle_collector(case):
+def test_a_solved_branch_leaves_no_caught_failure_to_the_cycle_collector(case):
     """The branches catch the failures of the branches before them, whose
-    tracebacks hold their eliminations; once the solve returns, reference
-    counting alone must free every elimination."""
+    tracebacks hold the frames that raised them; once the solve returns,
+    reference counting alone must free every caught failure."""
     equations, unknowns = _square_system(FIRST_ROOT_FAILS[case])
+    failures = (StuckSystem, InconsistentSystem)
     gc.collect()
     gc.disable()
     try:
-        before = {id(o) for o in gc.get_objects() if isinstance(o, Elimination)}
+        before = {id(o) for o in gc.get_objects() if isinstance(o, failures)}
         recovery._solve_matched(equations, unknowns)
-        left = [o for o in gc.get_objects() if isinstance(o, Elimination) and id(o) not in before]
+        left = [o for o in gc.get_objects() if isinstance(o, failures) and id(o) not in before]
     finally:
         gc.enable()
     assert left == []
