@@ -502,6 +502,15 @@ class MPoly:
         """Simultaneously substitute symbols by rational functions (exact)."""
         return _poly_subs(self, values)
 
+    def reflect(self, name: str, top: int) -> "MPoly":
+        """name^top * p(1/name) for top >= deg_name(p), by packed-key shifts."""
+        i = self.ctx.index(name)
+        s, unit = self.ctx._shifts[i], self.ctx._units[i]
+        if self.total_degree() + top > MAX_DEGREE:
+            raise DegreeOverflow(self.total_degree() + top)
+        return _canonical(self.ctx, {k + (top - 2 * (k >> s & _FIELD)) * unit: c
+                                     for k, c in self.packed.items()}, self.den)
+
     def lift(self, ctx: Context) -> "MPoly":
         """Re-express in another context containing all symbols actually used."""
         used = self.variables()

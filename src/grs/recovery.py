@@ -525,8 +525,10 @@ def match_specialization(general: PlaneVectorField, reference: PlaneVectorField,
         return CorrespondenceReport(False, {}, (str(exc),))
     assignments = {**sol.assignments, **{name: big.rat(0) for name in sol.free}}
     param_map = {rp: ansatz[rp].subs(assignments) for rp in reference_params}
-    # full verification of the found correspondence
-    residual = tuple(str(d) for d in mismatch(param_map) if not d.is_zero())
+    # full verification; only a nonzero residual is put in lowest terms
+    residual = ()
+    if not all(_agrees(big, g, r, param_map) for g, r in zip(gparts, reference.components())):
+        residual = tuple(str(d) for d in mismatch(param_map) if not d.is_zero())
     return CorrespondenceReport(not residual, param_map, residual)
 
 
@@ -612,6 +614,18 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     if rn * rn == q.numerator and rd * rd == q.denominator:
         return Fraction(rn, rd)
     return None
+
+
+def _agrees(big: Context, gpart: tuple[MPoly, MPoly], rcomp: MRat,
+            param_values: Mapping[str, MRat]) -> bool:
+    """Whether gnum/gden is the reference component at the parameter values,
+    by its uncancelled images (no gcd); False where its denominator's vanishes."""
+    target = big.extend(tuple(Sym(n, "parameter") for n in rcomp.ctx.names if n not in big))
+    values = {k: v.lift(target) for k, v in param_values.items()}
+    (a, b), (c, d) = ((q.num, q.den) for q in (p.lift(target).subs(values)
+                                              for p in (rcomp.num, rcomp.den)))
+    gnum, gden = (p.lift(target) for p in gpart)
+    return not c.is_zero() and (gnum * b * c - a * d * gden).is_zero()
 
 
 def _reference_in(big: Context, rcomp: MRat, param_values: Mapping[str, MRat]) -> MRat:

@@ -9,11 +9,24 @@ field the two chart coordinates are always denoted by the context symbols
   U2: (x, 1/y)          first divisor chart (divisor = second coord = 0)
   U3: (U1 x-coord, 1/U1 y-coord)   second divisor chart
 
-Transforms are exact rational substitutions followed by canonicalization;
-"polynomial" always means denominator 1 after canonicalization.  A field's
-rewrite into a chart is computed once and held on the field, for as long as
-the field lives; the held rewrites take no part in its equality, hash or
-text.
+Transforms are exact; "polynomial" always means denominator 1 after
+canonicalization.  A rewrite out of U0 is in closed form: with psi the map
+from the target's coordinates (u, v) to U0's and w1 = -x^n*y - sum g_i*x^i,
+it is f1 o psi and -v^2 (f2 o psi) into U2, and -u^2 (f1 o psi) with
+dw1/dt o psi into U1 or -v^2 (dw1/dt o psi) into U3.  p o psi is a
+polynomial over a monomial, built by p's groups of equal y-degree: x
+exponents reversed by a key shift (not into U2) and powers of the
+substituted y's numerator and denominator, shared by the whole rewrite.
+psi is an isomorphism of Laurent rings over R = Q[t, parameters]:
+R[x, 1/x, y] to R[u, 1/u, v] (U1), R[x, y, 1/y] to R[u, v, 1/v] (U2) and
+R[x, 1/x, y, 1/w1] to R[u, 1/u, v, 1/v] (U3).  Coprime polynomials stay
+coprime under localization and isomorphism, so their images share only
+units, monomials: only monomial content is cancelled, and no gcd runs.  A
+twist denominator that is a monomial (1/alpha0) only adds units; another
+(1/(alpha0 + 1)) lies outside R, and such a field, like any field outside
+U0, is rewritten by substituting the transition maps, through U0.  A
+rewrite is computed once and held on the field for as long as it lives;
+held rewrites take no part in its equality, hash or text.
 """
 
 from __future__ import annotations
@@ -22,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algebra import Context, MPoly, MRat, solve_triangular
+from .algebra import Context, MPoly, MRat, _key_gcd, _unit_normalize, solve_triangular
 
 CHARTS = ("U0", "U1", "U2", "U3")
 
@@ -116,14 +129,6 @@ class PlaneVectorField:
 # ---------------------------------------------------------------------------
 
 
-def _u1_w(model: SurfaceModel, xv: MRat, yv: MRat) -> MRat:
-    """w1 = -x^n*y - g_{n-1}x^{n-1} - ... - g_1*x evaluated at (xv, yv)."""
-    acc = -(xv ** model.n) * yv
-    for i, g in enumerate(model.twist, start=1):
-        acc = acc - g * xv ** i
-    return acc
-
-
 def chart_to_u0(ctx: Context, model: SurfaceModel, chart: str) -> tuple[MRat, MRat]:
     """U0 coordinates (x, y) expressed in the given chart's coordinates."""
     u, v = ctx.var("x"), ctx.var("y")
@@ -146,54 +151,86 @@ def chart_from_u0(ctx: Context, model: SurfaceModel, chart: str) -> tuple[MRat, 
         return x, y
     if chart == "U2":
         return x, y.inverse()
-    w1 = _u1_w(model, x, y)
+    w1 = -(x ** model.n) * y
+    for i, g in enumerate(model.twist, start=1):
+        w1 = w1 - g * x ** i
     if chart == "U1":
         return x.inverse(), w1
     return x.inverse(), w1.inverse()
 
 
 def chart_transform(vf: PlaneVectorField, target: str) -> PlaneVectorField:
-    """Exact push-forward of a vector field to another chart.
-
-    Chain rule on the rational transition maps; the time direction is
-    untouched because all gluing maps are t-independent.  The result can be
-    non-polynomial, which is informative rather than an error.  Each rewrite
-    is computed once and held on ``vf``.
-    """
+    """Exact push-forward of a vector field to another chart (module
+    docstring), held on ``vf``.  The result can be non-polynomial, which is
+    informative rather than an error."""
     if target == vf.chart:
         return vf
     if target not in vf._rewrites:
-        vf._rewrites[target] = _push_forward(vf, target)
+        if vf.chart == "U0" and all(len(g.den.packed) == 1 for g in vf.model.twist):
+            out = _from_u0(vf, target)
+        elif "U0" in (vf.chart, target):
+            out = _substituted(vf, target)
+        else:
+            out = chart_transform(chart_transform(vf, "U0"), target)
+        vf._rewrites[target] = out
     return vf._rewrites[target]
 
 
 def chain_rule(phi: tuple[MRat, MRat], f: tuple[MRat, MRat],
                time: bool = False) -> tuple[MRat, MRat]:
-    """J_phi . F, plus d(phi)/dt when ``time`` is set (birational maps; the
-    chart gluing maps are t-independent, so chart rewrites leave it off)."""
-    d = [p.derivative("x") * f[0] + p.derivative("y") * f[1] for p in phi]
-    if time:
-        d = [di + p.derivative("t") for di, p in zip(d, phi)]
-    return d[0], d[1]
+    """J_phi . F, plus d(phi)/dt when ``time`` is set (birational maps; chart
+    rewrites leave it off, also where a twist entry depends on t)."""
+    d = tuple(p.derivative("x") * f[0] + p.derivative("y") * f[1] for p in phi)
+    return tuple(di + p.derivative("t") for di, p in zip(d, phi)) if time else d
 
 
-def _push_forward(vf: PlaneVectorField, target: str) -> PlaneVectorField:
-    ctx = vf.ctx
-    model = vf.model
-    x, y = ctx.var("x"), ctx.var("y")
-    # target coordinates as functions of the current chart's coordinates
-    tx, ty = chart_from_u0(ctx, model, target)
-    cx, cy = chart_to_u0(ctx, model, vf.chart)
-    phi = (tx.subs({"x": cx, "y": cy}), ty.subs({"x": cx, "y": cy}))
-    d1, d2 = chain_rule(phi, vf.components())
-    # express in the target coordinates: current coords as functions of target's
-    bx, by = chart_from_u0(ctx, model, vf.chart)
-    ux, uy = chart_to_u0(ctx, model, target)
-    inv1 = bx.subs({"x": ux, "y": uy})
-    inv2 = by.subs({"x": ux, "y": uy})
-    g1 = d1.subs({"x": inv1, "y": inv2})
-    g2 = d2.subs({"x": inv1, "y": inv2})
-    return PlaneVectorField(g1, g2, target, model)
+def _substituted(vf: PlaneVectorField, target: str) -> PlaneVectorField:
+    """The rewrite between U0 and another chart by substitution: the target's
+    coordinates differentiated along vf, then vf's coordinates put in."""
+    other = vf.chart if target == "U0" else target
+    maps = chart_from_u0(vf.ctx, vf.model, other), chart_to_u0(vf.ctx, vf.model, other)
+    phi, back = maps[::-1] if target == "U0" else maps
+    d = chain_rule(phi, vf.components())
+    return PlaneVectorField(*(di.subs(dict(zip("xy", back))) for di in d), target, vf.model)
+
+
+def _from_u0(vf: PlaneVectorField, target: str) -> PlaneVectorField:
+    """The rewrite of a U0 field in closed form (module docstring)."""
+    ctx, model = vf.ctx, vf.model
+    f1, f2 = vf.components()
+    one, neg_x2, neg_y2 = ctx.poly(1), -ctx.poly_var("x") ** 2, -ctx.poly_var("y") ** 2
+    if target == "U2":
+        pushed = ((f1, one), (f2, neg_y2))
+    else:
+        w1 = chart_from_u0(ctx, model, "U1")[1]
+        dw1 = w1.derivative("x") * f1 + w1.derivative("y") * f2
+        pushed = ((f1, neg_x2), (dw1, one if target == "U1" else neg_y2))
+    # psi = (x, 1/y) into U2, else (1/x, y_num/y_den)
+    _, y_image = chart_to_u0(ctx, model, target)
+    nums, dens = [one], [one]
+    for _ in range(max(p.degree_in("y") for r, _ in pushed for p in (r.num, r.den))):
+        nums.append(nums[-1] * y_image.num)
+        dens.append(dens[-1] * y_image.den)
+
+    def image(p: MPoly) -> tuple[MPoly, MPoly]:
+        """(P, Q) with p o psi = P/Q, Q = x^top * y_den^b_top."""
+        top = p.degree_in("x") if target != "U2" else 0
+        groups = p.as_univariate("y")
+        b_top = max(groups, default=0)
+        acc = ctx.poly(0)
+        for b, q in groups.items():
+            acc = acc + (q.reflect("x", top) if top else q) * dens[b_top - b] * nums[b]
+        return acc, ctx.poly_var("x") ** top * dens[b_top]
+
+    def push(r: MRat, factor: MPoly) -> MRat:
+        """factor * (r o psi) in canonical form."""
+        (pn, qn), (pd, qd) = image(r.num), image(r.den)
+        num, den = pn * qd * factor, pd * qn
+        mono = _key_gcd(ctx, (num.monomial_gcd(), den.monomial_gcd()))
+        return MRat(*_unit_normalize(num.shift_down(mono), den.shift_down(mono)),
+                    _normalized=True)
+
+    return PlaneVectorField(*(push(r, factor) for r, factor in pushed), target, model)
 
 
 # ---------------------------------------------------------------------------

@@ -538,6 +538,35 @@ def test_pvi_pair_finds_the_sign_flip():
     assert m["alpha0"] == "alpha1 + 2*alpha2 + alpha3 + alpha4 - 1"
 
 
+def test_failing_verification_reports_the_residual_in_lowest_terms(monkeypatch):
+    """A correspondence that fails the final check reports each nonzero
+    general - reference difference, cross-multiplied on the pair in lowest
+    terms; a map that makes the reference's denominator vanish raises."""
+    from grs.algebra import DivisionByZero, TriangularSolution
+    general, reference, ref_params, _ = match_pair("gen-piii:piii")
+
+    def solve_all_to(value):
+        return lambda eqs, unknowns: TriangularSolution(
+            {u: eqs[0].ctx.rat(value) for u in unknowns}, [], [])
+
+    monkeypatch.setattr(recovery, "_solve_matched", solve_all_to(1))
+    rep = match_specialization(general, reference, ref_params)
+    assert not rep.found
+    assert {k: str(v) for k, v in rep.param_map.items()} == {
+        name: "alpha0 + alpha1 + alpha2 + 1" for name in ("alpha0", "alpha1", "alpha2")}
+    assert rep.residual == (
+        "-2*x^2*y*t*alpha2 - x^2*y*t + x^2*t*alpha2 + x*t*alpha0*alpha1 - x*t*alpha0*alpha2"
+        " + x*t*alpha1^2 - x*t*alpha2^2 + 1/2*x^2*t + x*t*alpha1 - x*t*alpha2"
+        " - t^2*alpha2 - 1/2*t^2",
+        "2*x*y^2*t*alpha2 + x*y^2*t - 2*x*y*t*alpha2 - y*t*alpha0*alpha1 + y*t*alpha0*alpha2"
+        " - y*t*alpha1^2 + y*t*alpha2^2 - x*y*t - y*t*alpha1 + y*t*alpha2 + 1/2*t*alpha0^2"
+        " + t*alpha0*alpha1 - 1/2*t*alpha0*alpha2 + 1/2*t*alpha1^2 - 1/2*t*alpha1*alpha2"
+        " - t*alpha2^2 + 1/2*t*alpha0 + 1/2*t*alpha1 - t*alpha2")
+    monkeypatch.setattr(recovery, "_solve_matched", solve_all_to(0))
+    with pytest.raises(DivisionByZero, match=r"denominator of \(-x\^2\*y .* vanish"):
+        match_specialization(general, reference, ref_params)
+
+
 def test_no_correspondence_is_reported():
     """Mismatched systems terminate with a definitive negative verdict."""
     a = get_system("gen-piii")
