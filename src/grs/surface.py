@@ -5,28 +5,30 @@ field the two chart coordinates are always denoted by the context symbols
 ``x`` and ``y``; the chart id records which geometric chart they mean:
 
   U0: (x, y)            the affine plane carrying polynomial systems
-  U1: (1/x, -x^n*y - g_{n-1}*x^(n-1) - ... - g_1*x)
+  U1: (1/x, w1)         w1 = -x^n*y - g_1*x - ... - g_{n-1}*x^(n-1)
   U2: (x, 1/y)          first divisor chart (divisor = second coord = 0)
-  U3: (U1 x-coord, 1/U1 y-coord)   second divisor chart
+  U3: (1/x, 1/w1)       second divisor chart
 
-Transforms are exact; "polynomial" always means denominator 1 after
-canonicalization.  A rewrite out of U0 is in closed form: with psi the map
-from the target's coordinates (u, v) to U0's and w1 = -x^n*y - sum g_i*x^i,
-it is f1 o psi and -v^2 (f2 o psi) into U2, and -u^2 (f1 o psi) with
-dw1/dt o psi into U1 or -v^2 (dw1/dt o psi) into U3.  p o psi is a
-polynomial over a monomial, built by p's groups of equal y-degree: x
-exponents reversed by a key shift (not into U2) and powers of the
-substituted y's numerator and denominator, shared by the whole rewrite.
-psi is an isomorphism of Laurent rings over R = Q[t, parameters]:
-R[x, 1/x, y] to R[u, 1/u, v] (U1), R[x, y, 1/y] to R[u, v, 1/v] (U2) and
-R[x, 1/x, y, 1/w1] to R[u, 1/u, v, 1/v] (U3).  Coprime polynomials stay
-coprime under localization and isomorphism, so their images share only
-units, monomials: only monomial content is cancelled, and no gcd runs.  A
-twist denominator that is a monomial (1/alpha0) only adds units; another
-(1/(alpha0 + 1)) lies outside R, and such a field, like any field outside
-U0, is rewritten by substituting the transition maps, through U0.  A
-rewrite is computed once and held on the field for as long as it lives;
-held rewrites take no part in its equality, hash or text.
+Transforms are exact; "polynomial" means denominator 1.  A rewrite is a
+walk of moves: U0 -> any chart, U1 <-> U3, U1 -> U0, U2 -> U0, U3 -> U1;
+others go toward U0 first, U3 through U1.  A move maps (a, b) to
+(a^e, h^f): e = -1 and h = w1(a, b) between {U0, U2} and {U1, U3}, with g
+reversed out of U1 (the inverse of (1/x, w1) is (1/u, w1 with g reversed));
+else e = 1, h = b.  f = -1 where U2 or U3 takes part.  With psi the walk
+back, a move gives f1 o psi (times -x^2 if e = -1) and dh/dt o psi (times
+-y^2 if f = -1); p o psi is summed over p's groups of equal y-degree, x
+exponents reversed by a key shift if e = -1, with powers of psi's y
+numerator and denominator shared by the move.  psi is an isomorphism of
+Laurent rings over R = Q[t, parameters]: R[x^+-1, y] (U0, U1), R[x, y^+-1]
+(U0, U2), R[x^+-1, y^+-1] (U3, and U1 or U0 localized at y or w1).  Coprime
+polynomials stay coprime under localization and isomorphism, so images
+share only units, monomials: only monomial content is cancelled, by no gcd.
+A twist denominator D other than a monomial makes psi an isomorphism over
+R[1/D], whose other units divide a power of D and are free of x and y, so a
+move with w1 also cancels the gcd of the images' contents in x and y.
+Moves omit the chart map's t-derivative (t is a parameter of the field), so
+they compose and all paths agree.  A rewrite is computed once and held on
+the field, outside its equality, hash and text.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algebra import Context, MPoly, MRat, _key_gcd, _unit_normalize, solve_triangular
+from .algebra import (Context, MPoly, MRat, _key_gcd, _unit_normalize, exact_divide, poly_gcd,
+                      solve_triangular, split_content)
 
 CHARTS = ("U0", "U1", "U2", "U3")
 
@@ -129,34 +132,42 @@ class PlaneVectorField:
 # ---------------------------------------------------------------------------
 
 
+# (source, target) -> (e, f) of each move (module docstring)
+_MOVES = {("U0", "U1"): (-1, 1), ("U0", "U2"): (1, -1), ("U0", "U3"): (-1, -1),
+          ("U1", "U0"): (-1, 1), ("U1", "U3"): (1, -1), ("U2", "U0"): (1, -1),
+          ("U3", "U1"): (1, -1)}
+
+
+def _hop(source: str, target: str) -> str:
+    """The next chart on the walk from source to target (module docstring)."""
+    return target if (source, target) in _MOVES else "U1" if source == "U3" else "U0"
+
+
+def _walk(ctx: Context, model: SurfaceModel, source: str, target: str) -> tuple[MRat, MRat]:
+    """The target's coordinates in the source's: the walk's moves on (x, y)."""
+    a, b = ctx.var("x"), ctx.var("y")
+    while source != target:
+        hop = _hop(source, target)
+        e, f = _MOVES[source, hop]
+        if e == -1:
+            w1 = -(a ** model.n) * b
+            for i, g in enumerate(model.twist[::-1] if source == "U1" else model.twist, 1):
+                w1 = w1 - g * a ** i
+            a, b = a.inverse(), w1
+        if f == -1:
+            b = b.inverse()
+        source = hop
+    return a, b
+
+
 def chart_to_u0(ctx: Context, model: SurfaceModel, chart: str) -> tuple[MRat, MRat]:
     """U0 coordinates (x, y) expressed in the given chart's coordinates."""
-    u, v = ctx.var("x"), ctx.var("y")
-    if chart == "U0":
-        return u, v
-    if chart == "U2":
-        return u, v.inverse()
-    # U1 / U3: x = 1/u and y = -w1*u^n - sum g_i u^{n-i} with w1 = v (U1) or 1/v (U3)
-    w1 = v if chart == "U1" else v.inverse()
-    y = -w1 * u ** model.n
-    for i, g in enumerate(model.twist, start=1):
-        y = y - g * u ** (model.n - i)
-    return u.inverse(), y
+    return _walk(ctx, model, chart, "U0")
 
 
 def chart_from_u0(ctx: Context, model: SurfaceModel, chart: str) -> tuple[MRat, MRat]:
     """The given chart's coordinates expressed in U0 coordinates (x, y)."""
-    x, y = ctx.var("x"), ctx.var("y")
-    if chart == "U0":
-        return x, y
-    if chart == "U2":
-        return x, y.inverse()
-    w1 = -(x ** model.n) * y
-    for i, g in enumerate(model.twist, start=1):
-        w1 = w1 - g * x ** i
-    if chart == "U1":
-        return x.inverse(), w1
-    return x.inverse(), w1.inverse()
+    return _walk(ctx, model, "U0", chart)
 
 
 def chart_transform(vf: PlaneVectorField, target: str) -> PlaneVectorField:
@@ -166,55 +177,41 @@ def chart_transform(vf: PlaneVectorField, target: str) -> PlaneVectorField:
     if target == vf.chart:
         return vf
     if target not in vf._rewrites:
-        if vf.chart == "U0" and all(len(g.den.packed) == 1 for g in vf.model.twist):
-            out = _from_u0(vf, target)
-        elif "U0" in (vf.chart, target):
-            out = _substituted(vf, target)
-        else:
-            out = chart_transform(chart_transform(vf, "U0"), target)
-        vf._rewrites[target] = out
+        hop = _hop(vf.chart, target)
+        vf._rewrites[target] = (_move(vf, target) if hop == target
+                                else chart_transform(chart_transform(vf, hop), target))
     return vf._rewrites[target]
 
 
-def chain_rule(phi: tuple[MRat, MRat], f: tuple[MRat, MRat],
-               time: bool = False) -> tuple[MRat, MRat]:
-    """J_phi . F, plus d(phi)/dt when ``time`` is set (birational maps; chart
-    rewrites leave it off, also where a twist entry depends on t)."""
-    d = tuple(p.derivative("x") * f[0] + p.derivative("y") * f[1] for p in phi)
-    return tuple(di + p.derivative("t") for di, p in zip(d, phi)) if time else d
+def chain_rule(phi: tuple[MRat, MRat], f: tuple[MRat, MRat]) -> tuple[MRat, MRat]:
+    """J_phi . F + d(phi)/dt, for birational maps that may involve t."""
+    return tuple(p.derivative("x") * f[0] + p.derivative("y") * f[1] + p.derivative("t")
+                 for p in phi)
 
 
-def _substituted(vf: PlaneVectorField, target: str) -> PlaneVectorField:
-    """The rewrite between U0 and another chart by substitution: the target's
-    coordinates differentiated along vf, then vf's coordinates put in."""
-    other = vf.chart if target == "U0" else target
-    maps = chart_from_u0(vf.ctx, vf.model, other), chart_to_u0(vf.ctx, vf.model, other)
-    phi, back = maps[::-1] if target == "U0" else maps
-    d = chain_rule(phi, vf.components())
-    return PlaneVectorField(*(di.subs(dict(zip("xy", back))) for di in d), target, vf.model)
-
-
-def _from_u0(vf: PlaneVectorField, target: str) -> PlaneVectorField:
-    """The rewrite of a U0 field in closed form (module docstring)."""
-    ctx, model = vf.ctx, vf.model
+def _move(vf: PlaneVectorField, target: str) -> PlaneVectorField:
+    """The rewrite of vf by its one move to target (module docstring)."""
+    ctx, model, source = vf.ctx, vf.model, vf.chart
+    e, f = _MOVES[source, target]
     f1, f2 = vf.components()
-    one, neg_x2, neg_y2 = ctx.poly(1), -ctx.poly_var("x") ** 2, -ctx.poly_var("y") ** 2
-    if target == "U2":
-        pushed = ((f1, one), (f2, neg_y2))
-    else:
-        w1 = chart_from_u0(ctx, model, "U1")[1]
-        dw1 = w1.derivative("x") * f1 + w1.derivative("y") * f2
-        pushed = ((f1, neg_x2), (dw1, one if target == "U1" else neg_y2))
-    # psi = (x, 1/y) into U2, else (1/x, y_num/y_den)
-    _, y_image = chart_to_u0(ctx, model, target)
+    one, dh = ctx.poly(1), f2
+    if e == -1:
+        # h = w1, the second coordinate of the move between U0 and U1
+        w1 = _walk(ctx, model, source, "U1" if source == "U0" else "U0")[1]
+        dh = w1.derivative("x") * f1 + w1.derivative("y") * f2
+    pushed = ((f1, -ctx.poly_var("x") ** 2 if e == -1 else one),
+              (dh, -ctx.poly_var("y") ** 2 if f == -1 else one))
+    # psi = (x^e, y_num/y_den), the walk back to the source
+    y_image = _walk(ctx, model, target, source)[1]
     nums, dens = [one], [one]
     for _ in range(max(p.degree_in("y") for r, _ in pushed for p in (r.num, r.den))):
         nums.append(nums[-1] * y_image.num)
         dens.append(dens[-1] * y_image.den)
+    content = e == -1 and any(len(g.den.packed) > 1 for g in model.twist)
 
     def image(p: MPoly) -> tuple[MPoly, MPoly]:
         """(P, Q) with p o psi = P/Q, Q = x^top * y_den^b_top."""
-        top = p.degree_in("x") if target != "U2" else 0
+        top = p.degree_in("x") if e == -1 else 0
         groups = p.as_univariate("y")
         b_top = max(groups, default=0)
         acc = ctx.poly(0)
@@ -227,8 +224,11 @@ def _from_u0(vf: PlaneVectorField, target: str) -> PlaneVectorField:
         (pn, qn), (pd, qd) = image(r.num), image(r.den)
         num, den = pn * qd * factor, pd * qn
         mono = _key_gcd(ctx, (num.monomial_gcd(), den.monomial_gcd()))
-        return MRat(*_unit_normalize(num.shift_down(mono), den.shift_down(mono)),
-                    _normalized=True)
+        num, den = num.shift_down(mono), den.shift_down(mono)
+        if content and not num.is_zero():
+            g = poly_gcd(split_content(num, ("x", "y"))[0], split_content(den, ("x", "y"))[0])
+            num, den = exact_divide(num, g), exact_divide(den, g)
+        return MRat(*_unit_normalize(num, den), _normalized=True)
 
     return PlaneVectorField(*(push(r, factor) for r, factor in pushed), target, model)
 

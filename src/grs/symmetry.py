@@ -87,7 +87,7 @@ class BirationalMap:
 def _residual(f: tuple[MRat, MRat], images: tuple[MRat, MRat, MRat],
               f_at_image: tuple[MRat, MRat]) -> tuple[MRat, MRat]:
     """J_phi . F + d(phi)/dt - tau' . F(phi, tau), given F and F(phi, tau)."""
-    lhs1, lhs2 = chain_rule(images[:2], f, time=True)
+    lhs1, lhs2 = chain_rule(images[:2], f)
     tprime = images[2].derivative("t")
     return lhs1 - tprime * f_at_image[0], lhs2 - tprime * f_at_image[1]
 

@@ -227,6 +227,16 @@ def test_cli_singular_unresolved_factor(capsys, monkeypatch, candidates, err):
     assert _run(capsys, "singular", "--system", str(QUADRATIC_FACTOR)) == (1, "", err)
 
 
+def test_cli_singular_on_a_twisted_u3_field_ends_with_its_pole_error(capsys):
+    """A U3 field with twist (1/(t + 1), p - 1/2): rewriting it by
+    substitution did not end within 30 s; the moves end at once, at the
+    divisor error."""
+    code, out, err = _run(capsys, "singular", "--system", str(FIXTURES / "u3_twisted_field.json"))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: x-component has a pole of order > 1 along the divisor")
+
+
 def test_cli_construct_scheme_recovers_the_constructed_system(capsys, monkeypatch):
     """construct_n2_scheme.json is scheme_of of construct --n 2 --points 3,-1/2
     --ratios 1,3,3,3, written by scheme_to_json.  No candidate roots come from

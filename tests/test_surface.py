@@ -1,5 +1,6 @@
 """Chart calculus tests: transitions, rewrites, log condition, families."""
 
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from grs.algebra import Context, MPoly, MRat
-from grs.surface import (InvalidN, PlaneVectorField, SIGMA2_UNKNOWNS,
+from grs.surface import (CHARTS, InvalidN, PlaneVectorField, SIGMA2_UNKNOWNS,
                          SurfaceModel, chart_from_u0, chart_to_u0, chart_transform,
                          check_log_condition, degree_bounds, generic_family,
                          sigma2_model, sigma_n_model)
@@ -40,6 +41,9 @@ def test_chart_round_trips(ctx):
     ctx3 = Context.make(parameters=["g1", "g2"])
     model3 = sigma_n_model(ctx3, 3, ["g1", "g2"])
     assert all(roundtrip_is_identity(ctx3, model3, c) for c in ("U1", "U2", "U3"))
+    ctx1 = Context.make()
+    model1 = SurfaceModel(1, ())
+    assert all(roundtrip_is_identity(ctx1, model1, c) for c in ("U1", "U2", "U3"))
 
 
 def test_field_round_trip_through_u1(family):
@@ -294,7 +298,7 @@ _component = st.builds(lambda terms, den: _polynomial(terms) / LAURENT_CTX.parse
     st.just(n), st.lists(_twist_entry, min_size=n - 1, max_size=n - 1))),
        _component, _component)
 # on this field one gcd of the closed form's uncancelled U3 images took 10 s
-# on a 2.1 GHz vCPU, where the substitution takes 7 ms
+# on a 2.1 GHz vCPU; the gcd of their contents in x and y takes milliseconds
 @example((2, ["2/(p + 1)"]), LAURENT_CTX.parse("-x^2*y*t - x^3 - 3/2*y^2 + 3/2*t"),
          LAURENT_CTX.parse("-y/(x^2 + y*t)"))
 def test_closed_form_rewrite_equals_general_substitution(model_data, f1, f2):
@@ -309,27 +313,51 @@ def test_closed_form_rewrite_equals_general_substitution(model_data, f1, f2):
             assert got.chart == target and got.model == model
 
 
-@pytest.mark.parametrize("twist, substituted",
-                         [("1/q", False), ("p - 1/2", False), ("2/(p + 1)", True)])
-def test_only_a_twist_denominator_other_than_a_monomial_is_substituted(
-        monkeypatch, twist, substituted):
-    """A twist over a monomial keeps the closed form; another is substituted."""
-    from grs import surface
+@pytest.mark.parametrize("twist", ["1/q", "p - 1/2", "2/(p + 1)"])
+def test_no_rewrite_substitutes(monkeypatch, twist):
+    """Every ordered rewrite is a chain of closed-form moves: none of them
+    substitutes, whatever the twist's denominator."""
+    from grs import algebra
     calls = []
-    original = surface._substituted
-    monkeypatch.setattr(surface, "_substituted",
-                        lambda vf, target: calls.append(target) or original(vf, target))
+    original = algebra._poly_subs
+    monkeypatch.setattr(algebra, "_poly_subs",
+                        lambda p, values: calls.append(1) or original(p, values))
     model = SurfaceModel(2, (LAURENT_CTX.parse(twist),))
     vf = PlaneVectorField(LAURENT_CTX.parse("x*y + t"), LAURENT_CTX.parse("y^2/x"), "U0", model)
-    for target in ("U1", "U2", "U3"):
-        chart_transform(vf, target)
-    assert calls == (["U1", "U2", "U3"] if substituted else [])
+    for source in CHARTS:
+        field = _fresh(chart_transform(vf, source))
+        for target in CHARTS:
+            chart_transform(_fresh(field), target)
+    assert calls == []
+
+
+U3_TWISTED = json.loads((Path(__file__).parent / "fixtures" / "u3_twisted_field.json").read_text())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(CHARTS), st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(_twist_entry, min_size=n - 1, max_size=n - 1))),
+       _component, _component)
+# the fixture field comes back from U3 -> U0 -> U3 unchanged
+@example(U3_TWISTED["chart"], (U3_TWISTED["model"]["n"], U3_TWISTED["model"]["twist"]),
+         LAURENT_CTX.parse(U3_TWISTED["dxdt"]), LAURENT_CTX.parse(U3_TWISTED["dydt"]))
+def test_rewrites_are_path_independent(chart, model_data, f1, f2):
+    """Rewriting through any chart A and then into B equals rewriting into B:
+    so every source's rewrites agree with the ones out of U0, which the test
+    above checks against substitution."""
+    n, twist = model_data
+    model = SurfaceModel(n, tuple(LAURENT_CTX.parse(g) for g in twist))
+    vf = PlaneVectorField(f1, f2, chart, model)
+    for a in CHARTS:
+        through = _fresh(chart_transform(_fresh(vf), a))
+        for b in CHARTS:
+            assert chart_transform(_fresh(through), b) == chart_transform(_fresh(vf), b)
 
 
 @pytest.mark.parametrize("twist", ["t", "1/(t + 1)"])
 def test_a_twist_in_t_rewrites_without_the_time_term(twist):
-    """Chart rewrites leave d(phi)/dt off by either path, so with a twist in
-    t every chart still takes a U0 field back to itself."""
+    """Every move leaves d(phi)/dt off, so with a twist in t every chart
+    still takes a U0 field back to itself."""
     model = SurfaceModel(2, (LAURENT_CTX.parse(twist),))
     f1, f2 = LAURENT_CTX.parse("x*y + t"), LAURENT_CTX.parse("y^2 + x")
     for mid in ("U1", "U2", "U3"):

@@ -36,7 +36,7 @@ def push_forward(vf: PlaneVectorField, bmap: BirationalMap,
     tprime = bmap.t_image.derivative("t")
     if tprime.is_zero():
         raise SymmetryError(f"{bmap.name}: time image does not depend on t")
-    d1, d2 = chain_rule((xi, yi), vf.components(), time=True)
+    d1, d2 = chain_rule((xi, yi), vf.components())
     if inverse is None:
         inv_subs = {"x": xi.subs(bmap.param_map), "y": yi.subs(bmap.param_map),
                     "t": bmap.t_image}
