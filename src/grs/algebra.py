@@ -92,12 +92,12 @@ scheme in one substituted symbol at a time then takes the values left.  When
 each of them has denominator 1 (polynomial assignments), the scheme runs on
 MPoly and wraps the result once: on such operands the MRat operators run no
 gcd and form the same products and sums, so the result is the same polynomial.
-:func:`solve_triangular` caches the reductions of the pending equations and
-of the nonzero forms under the assignments, so each is reduced once per
-change of the assignments, never once per scan.  Equations linear in the
-unknowns with rational coefficients need no substitution at all:
-:func:`solve_rational_linear` solves them as sparse rows of Fractions, with
-the same pivots as :func:`solve_triangular`.
+:func:`solve_triangular` caches the reduction of each pending equation and
+nonzero form, and reduces it again only once a pivot solves an unknown it
+involves; it divides by a form only when both involve the same unknowns.
+Equations linear in the unknowns with rational coefficients need no
+substitution at all: :func:`solve_rational_linear` solves them as sparse rows
+of Fractions, with the same pivots as :func:`solve_triangular`.
 """
 
 from __future__ import annotations
@@ -1361,28 +1361,26 @@ def assign(assignments: dict[str, MRat], u: str, value: MRat) -> None:
     assignments[u] = value
 
 
+@dataclass(slots=True)
 class _Pending:
-    """An equation solve_triangular has not used yet.
+    """An equation or nonzero form of solve_triangular: ``reduced`` is the
+    numerator of ``raw`` under the assignments (a form's, made primitive in
+    its unknowns), None until first read and once a pivot solves one of the
+    unknowns it involves, ``unsolved``."""
 
-    ``reduced`` is the equation under the assignments of ``version``, and
-    ``unsolved`` lists the unsolved unknowns it involves then.
-    """
+    tag: str
+    raw: MPoly
+    form: bool = False
+    reduced: MPoly | None = None
+    unsolved: list[str] = field(default_factory=list)
 
-    __slots__ = ("tag", "raw", "version", "reduced", "unsolved")
-
-    def __init__(self, tag: str, raw: MPoly):
-        self.tag = tag
-        self.raw = raw
-        self.version = -1
-        self.reduced = raw
-        self.unsolved: list[str] = []
-
-
-def _reduce(p: MPoly, assignments: Mapping[str, MRat]) -> MPoly:
-    """The numerator of p under the assignments."""
-    if not assignments or not p.involves(assignments.keys()):
-        return p
-    return p.subs(assignments).num
+    def refresh(self, assignments: Mapping[str, MRat], unknowns: Sequence[str]) -> list[str]:
+        """Bring ``reduced`` up to date; the unsolved unknowns it involves."""
+        if self.reduced is None:
+            p = self.raw.subs(assignments).num if self.raw.involves(assignments) else self.raw
+            self.unsolved = _active(p, unknowns)
+            self.reduced = split_content(p, self.unsolved)[1] if self.form and self.unsolved else p
+        return self.unsolved
 
 
 def solve_triangular(equations: Sequence[MPoly | MRat],
@@ -1402,17 +1400,23 @@ def solve_triangular(equations: Sequence[MPoly | MRat],
     parameter relations (a nonzero rational constant raises
     InconsistentSystem).  An equation of the form c(params) * L with L a
     registered nonzero form is also turned into the relation c = 0 rather
-    than forcing L = 0.
+    than forcing L = 0.  A product involves exactly the unknowns of its
+    factors, so a form is tried as L (one exact division) only when it
+    involves the same unsolved unknowns as the equation.
 
     Pivot order: every step acts on the first equation, in list order, that
     it can act on (drop it as zero, record it as a relation, or solve it for
     an unknown), and then scans again from the front.
 
-    Each pending equation caches its reduction under the assignments, and
-    the nonzero forms theirs, with the count ``version`` of assignment
-    changes it was made at: each is reduced once per change of the
-    assignments, never once per scan.  A stuck run reports the reductions
-    of its last scan, which reached every equation left.
+    Each pending equation and each nonzero form caches its reduction under
+    the assignments and the unsolved unknowns it involves, and is reduced
+    again, from its raw polynomial, only once a pivot solves one of those
+    unknowns.  That is exact.  Every coefficient a pivot divides by is free
+    of unknowns, so every assignment, and hence every reduction, has a
+    denominator free of unknowns; and a pivot u -> v turns the reduction N/D
+    under the assignments into N/D with u replaced by v, which is N/D again
+    when N lacks u.  A stuck run reports the reductions of its last scan,
+    which reached every equation left.
     """
     unknowns = list(unknowns)
     unknown_set = set(unknowns)
@@ -1421,52 +1425,43 @@ def solve_triangular(equations: Sequence[MPoly | MRat],
     pending = [_Pending(tag, p) for tag, p in zip(tags, polys, strict=True) if not p.is_zero()]
     # a nonzero form is only used through its unknown-primitive part; its
     # parameter content is generically nonzero anyway
-    forms = [split_content(f, _active(f, unknowns))[1]
+    forms = [_Pending("", split_content(f, _active(f, unknowns))[1], form=True)
              for f in nonzero_forms if not f.is_zero()]
     assignments: dict[str, MRat] = {}
     relations: list[MPoly] = []
     trace: list[TraceStep] = []
-    solved: set[str] = set()
-    version, forms_version, live_forms = 0, -1, []
     while pending:
         for pos, eq in enumerate(pending):
-            if eq.version != version:
-                eq.version, eq.reduced = version, _reduce(eq.raw, assignments)
-                eq.unsolved = [u for u in _active(eq.reduced, unknowns) if u not in solved]
+            unsolved = eq.refresh(assignments, unknowns)
             p = eq.reduced
             if p.is_zero():
                 break
-            if eq.unsolved:
+            q = p
+            if unsolved:
                 # relation extraction: c(params) * L with L a designated nonzero form
-                if forms_version != version:
-                    forms_version, live_forms = version, []
-                    for form in forms:
-                        f = _reduce(form, assignments)
-                        live = _active(f, unknowns)
-                        if live:
-                            live_forms.append(split_content(f, live)[1])
-                q = next((q for q in (exact_divide(p, f) for f in live_forms)
+                quotients = (exact_divide(p, f.reduced) for f in forms
+                             if f.refresh(assignments, unknowns) == unsolved)
+                q = next((q for q in quotients
                           if q is not None and not q.involves(unknown_set)), None)
-            else:
-                q = p
             if q is not None:
                 if q.is_constant():
                     # p is a nonzero constant, or one times a designated nonzero form
                     raise InconsistentSystem(p)
                 relations.append(_relation_normal_form(q))
                 break
-            pivot = solve_linear(p, eq.unsolved, unknown_set - solved)
+            pivot = solve_linear(p, unsolved, unknown_set - assignments.keys())
             if pivot is not None:
                 u, value = pivot
                 assign(assignments, u, value)
-                solved.add(u)
-                version += 1
                 trace.append(TraceStep(u, value, eq.tag))
+                for entry in pending + forms:
+                    if u in entry.unsolved:
+                        entry.reduced = None
                 break
         else:
             raise StuckSystem([eq.reduced for eq in pending], [eq.tag for eq in pending])
         del pending[pos]
-    free = [u for u in unknowns if u not in solved]
+    free = [u for u in unknowns if u not in assignments]
     return TriangularSolution(assignments, relations, free, trace)
 
 

@@ -215,6 +215,25 @@ def generate_constraints(family: CoefficientFamily, scheme: GRScheme) -> Constra
 # ---------------------------------------------------------------------------
 
 
+def _solve_scheme(scheme: GRScheme):
+    """Lift the scheme into the S_2 family's context and solve its constraints:
+    the lifted scheme, the family, the solution, the tidy context (the
+    parameters, and the free unknowns as parameters) and the relations in it."""
+    if scheme.model.n != 2:
+        raise SchemeError("recovery is implemented over the S_2 model")
+    ctx = family_context(scheme.model, scheme.params, SIGMA2_UNKNOWNS)
+    scheme = lift_scheme(scheme, ctx)
+    family = generic_family(scheme.model, ctx)
+    cons = generate_constraints(family, scheme)
+    sol = solve_triangular(cons.equations, family.unknowns,
+                           nonzero_forms=cons.nonzero_forms, sources=cons.sources)
+    tidy = family_context(scheme.model, scheme.params, []).extend(
+        tuple(Sym(u, "parameter") for u in sol.free))
+    relations = tuple(_relation_normal_form(r, scheme.eigenvalue_syms).lift(tidy)
+                      for r in sol.relations)
+    return scheme, family, sol, tidy, relations
+
+
 def recover(scheme: GRScheme, verify: bool = True) -> RecoveredSystem:
     """Solve the scheme's constraint system on the generic family.
 
@@ -223,24 +242,10 @@ def recover(scheme: GRScheme, verify: bool = True) -> RecoveredSystem:
     forced by the scheme are collected, and the output is re-verified
     against the scheme point by point.
     """
-    if scheme.model.n != 2:
-        raise SchemeError("recovery is implemented over the S_2 model")
-    ctx = family_context(scheme.model, scheme.params, SIGMA2_UNKNOWNS)
-    scheme = lift_scheme(scheme, ctx)
-    model = scheme.model
-    family = generic_family(model, ctx)
-    cons = generate_constraints(family, scheme)
-    sol = solve_triangular(cons.equations, family.unknowns,
-                           nonzero_forms=cons.nonzero_forms, sources=cons.sources)
-    dxdt = family.vf.dxdt.subs(sol.assignments)
-    dydt = family.vf.dydt.subs(sol.assignments)
-    # project out the solved unknowns; surviving free unknowns stay as
-    # parameters (the residual scale freedom of the scheme)
-    tidy = family_context(model, scheme.params, []).extend(
-        tuple(Sym(u, "parameter") for u in sol.free))
-    vf = PlaneVectorField(dxdt.lift(tidy), dydt.lift(tidy), "U0", model.lift(tidy))
-    relations = tuple(_relation_normal_form(r, scheme.eigenvalue_syms).lift(tidy)
-                      for r in sol.relations)
+    scheme, family, sol, tidy, relations = _solve_scheme(scheme)
+    # the solved unknowns projected out, the free ones kept as parameters
+    dxdt, dydt = (c.subs(sol.assignments).lift(tidy) for c in family.vf.components())
+    vf = PlaneVectorField(dxdt, dydt, "U0", scheme.model.lift(tidy))
     rec = RecoveredSystem(vf, tuple(sol.free), relations, sol, scheme)
     if verify:
         verify_recovered(rec)
@@ -351,16 +356,15 @@ def verify_recovered(rec: RecoveredSystem) -> None:
 
 
 def eigenvalue_relation(scheme: GRScheme) -> MPoly:
-    """The consistency condition the scheme forces on its eigenvalues."""
-    rec = recover(scheme, verify=False)
-    if not rec.relations:
+    """The consistency condition the scheme forces on its eigenvalues: the
+    relation ``recover`` reports, in its context, found by the same solve,
+    which is where this stops; no field is built or verified."""
+    *_, relations = _solve_scheme(scheme)
+    if not relations:
         raise NoRelation(f"scheme {scheme.name or '?'} is consistent for all eigenvalues")
-    rels = list(rec.relations)
-    first = rels[0]
-    for other in rels[1:]:
-        if other != first:
-            raise SchemeError(f"multiple independent relations: {rels}")
-    return first
+    if any(other != relations[0] for other in relations[1:]):
+        raise SchemeError(f"multiple independent relations: {list(relations)}")
+    return relations[0]
 
 
 # ---------------------------------------------------------------------------

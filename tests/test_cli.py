@@ -401,6 +401,18 @@ def test_cli_relation_json_matches_golden(capsys, scheme):
     assert (code, out, err) == (0, golden, "")
 
 
+@pytest.mark.parametrize("scheme", ["gen-pvi", "gen-pv", "gen-piv", "gen-piii"])
+def test_cli_relation_pretty_matches_golden(capsys, scheme):
+    golden = (GOLDEN_CLI / f"relation_{scheme}.txt").read_text()
+    assert _run(capsys, "relation", "--scheme", scheme) == (0, golden, "")
+
+
+def test_cli_relation_of_pvi_is_a_solver_failure(capsys):
+    """The two-point scheme forces no relation: exit 2 with one stderr line."""
+    assert _run(capsys, "relation", "--scheme", "pvi") == (
+        2, "", "solver failure: scheme pvi is consistent for all eigenvalues\n")
+
+
 @pytest.mark.parametrize("n, points, ratios", [("2", "0,1", "2,2,2,2"),
                                                ("3", "0,1,2", "1,2,2,2,2")])
 def test_cli_construct_json_matches_golden(capsys, n, points, ratios):

@@ -4,13 +4,16 @@ eigenvalue relations, the existence construction, and correspondences."""
 import gc
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from grs import blowup, io as gio, recovery, singularities
-from grs.algebra import (Context, InconsistentSystem, MPoly, MRat, Mat2, StuckSystem,
-                         distinct_up_to_scale, solve_triangular, union_context)
+from grs import algebra, blowup, io as gio, recovery, singularities
+from grs.algebra import (Context, InconsistentSystem, MPoly, MRat, Mat2, StuckSystem, TraceStep,
+                         TriangularSolution, assign, distinct_up_to_scale, exact_divide,
+                         solve_linear, solve_triangular, split_content, union_context,
+                         _active, _relation_normal_form)
 from grs.catalog import (MATCH_PAIRS, get_scheme, get_system, match_pair, pvi_system,
                          scheme_gen_pv, scheme_pvi)
 from grs.recovery import (DegeneratePoints, GRScheme, NoRelation, RelationViolated,
@@ -159,7 +162,6 @@ def test_recovery_at_nonstandard_location():
 
 def test_recoveries_against_golden_files():
     """Frozen canonical renderings of the transcribed systems."""
-    from pathlib import Path
     golden_dir = Path(__file__).parent / "golden"
 
     rec = recover(scheme_pvi().scheme)
@@ -273,16 +275,16 @@ def test_verify_recovered_linearizes_each_resolved_point_once(monkeypatch):
 
 
 # MPoly.subs calls solve_triangular makes while recover solves each builtin
-# scheme; an eliminator that re-reduced the equations and the nonzero forms on
-# every scan would make 52/59/39/14/14 (the equations' cache alone is pinned
-# in test_algebra.py)
-SOLVE_SUBS = {"pvi": 52, "gen-pvi": 52, "gen-pv": 34, "gen-piv": 11, "gen-piii": 14}
+# scheme; an eliminator that re-reduced the equations and the nonzero forms at
+# every change of the assignments would make 52/52/34/11/14, and on every scan
+# 52/59/39/14/14 (the equations' cache alone is pinned in test_algebra.py)
+SOLVE_SUBS = {"pvi": 33, "gen-pvi": 33, "gen-pv": 20, "gen-piv": 11, "gen-piii": 7}
 
 
 @pytest.mark.parametrize("name", sorted(SOLVE_SUBS))
 def test_solve_triangular_reduces_each_equation_once_per_assignment(monkeypatch, name):
-    """The nonzero forms, like each pending equation, are reduced once per
-    change of the assignments, never once per scan."""
+    """The nonzero forms, like each pending equation, are reduced again only
+    once a pivot solves an unknown they involve, never once per scan."""
     calls, solving = [0], [False]
     real_subs, real_solve = MPoly.subs, recovery.solve_triangular
 
@@ -301,6 +303,158 @@ def test_solve_triangular_reduces_each_equation_once_per_assignment(monkeypatch,
     monkeypatch.setattr(recovery, "solve_triangular", solve)
     recover(get_scheme(name).scheme, verify=False)
     assert calls[0] == SOLVE_SUBS[name]
+
+
+def _refresh_everything_solve(equations, unknowns, nonzero_forms=(), sources=None):
+    """Reference for solve_triangular: the same pivots, but every equation and
+    every form is reduced again from its raw polynomial at each change of the
+    assignments, and every live form is tried as a divisor."""
+    unknown_set = set(unknowns)
+    tags = sources or [f"eq{k}" for k in range(len(equations))]
+    pending = [[tag, p, -1, p] for tag, p in zip(tags, equations) if not p.is_zero()]
+    forms = [split_content(f, _active(f, unknowns))[1] for f in nonzero_forms if not f.is_zero()]
+    assignments, relations, trace = {}, [], []
+    version, forms_version, live_forms = 0, -1, []
+
+    def reduce(p):
+        return p.subs(assignments).num if p.involves(assignments) else p
+
+    while pending:
+        for pos, eq in enumerate(pending):
+            if eq[2] != version:
+                eq[2], eq[3] = version, reduce(eq[1])
+            p = eq[3]
+            if p.is_zero():
+                break
+            q = p
+            unsolved = _active(p, unknowns)
+            if unsolved:
+                if forms_version != version:
+                    forms_version, live_forms = version, []
+                    for f in map(reduce, forms):
+                        live = _active(f, unknowns)
+                        if live:
+                            live_forms.append(split_content(f, live)[1])
+                q = next((q for q in (exact_divide(p, f) for f in live_forms)
+                          if q is not None and not q.involves(unknown_set)), None)
+            if q is not None:
+                if q.is_constant():
+                    raise InconsistentSystem(p)
+                relations.append(_relation_normal_form(q))
+                break
+            pivot = solve_linear(p, unsolved, unknown_set - assignments.keys())
+            if pivot is not None:
+                assign(assignments, *pivot)
+                trace.append(TraceStep(*pivot, eq[0]))
+                version += 1
+                break
+        else:
+            raise StuckSystem([eq[3] for eq in pending], [eq[0] for eq in pending])
+        del pending[pos]
+    return TriangularSolution(assignments, relations,
+                              [u for u in unknowns if u not in assignments], trace)
+
+
+def _solve_calls(monkeypatch, run):
+    """The arguments of each solve_triangular call recovery makes while run()."""
+    calls = []
+
+    def spy(equations, unknowns, **kwargs):
+        calls.append((list(equations), list(unknowns), kwargs))
+        return solve_triangular(equations, unknowns, **kwargs)
+
+    monkeypatch.setattr(recovery, "solve_triangular", spy)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def _both_solves(equations, unknowns, **kwargs):
+    new = solve_triangular(equations, unknowns, **kwargs)
+    assert _as_strings(new) == _as_strings(_refresh_everything_solve(equations, unknowns,
+                                                                     **kwargs))
+    return new
+
+
+@pytest.mark.parametrize("run", [
+    *[pytest.param(lambda name=name: recover(get_scheme(name).scheme, verify=False), id=name)
+      for name in ["pvi", "gen-pvi", "gen-pv", "gen-piv", "gen-piii"]],
+    *[pytest.param(lambda pair=pair: match_pair(pair), id=pair)
+      for pair in ["gen-pv:pv", "gen-piii:piii"]]])
+def test_solve_triangular_matches_the_refresh_everything_solve(monkeypatch, run):
+    """Refreshing only the reductions the last pivot touched, and dividing only
+    by forms with the equation's unknowns, gives the same assignments,
+    relations, free unknowns and trace as refreshing everything; on the five
+    builtin constraint systems and the schemes match_pair specializes.  These
+    act on each equation at its first reading, so only their forms are ever
+    reduced again; the synthetic cases below and test_algebra.py's re-read
+    test cover equations a pivot touches."""
+    calls = _solve_calls(monkeypatch, run)
+    assert calls
+    for equations, unknowns, kwargs in calls:
+        _both_solves(equations, unknowns, **kwargs)
+
+
+def _synthetic_context():
+    return Context.make(parameters=["n1", "n2"], unknowns=["a1", "a2", "a3", "a4"])
+
+
+def test_a_form_no_pivot_touches_still_yields_its_relation():
+    ctx = _synthetic_context()
+    # the form a4^2 + 1 is reduced while e0 has no pivot, then a1, a2 and a3
+    # are solved without touching it, and e0 reduces to (n1 - 2) times it
+    a1, a2, a3, a4 = (ctx.poly_var(n) for n in ("a1", "a2", "a3", "a4"))
+    n1, one, two = ctx.poly_var("n1"), ctx.poly(1), ctx.poly(2)
+    form = a4 * a4 + one
+    equations = [(n1 - two) * (a4 * a4 * a1 + a2 * a2), a1 - one, a2 - a3, a3 - one]
+    sol = _both_solves(equations, ["a1", "a2", "a3", "a4"], nonzero_forms=[form])
+    assert [str(r) for r in sol.relations] == ["n1 - 2"]
+    assert [step.unknown for step in sol.trace] == ["a1", "a2", "a3"]
+    assert sol.free == ["a4"]
+
+
+def test_a_form_dividing_an_equation_with_another_unknown_gives_no_relation(monkeypatch):
+    ctx = _synthetic_context()
+    # e0 = (a1 + n1) * (a4^2 + n2) is divisible by the form, but the quotient
+    # involves a1: the division is not tried, and a1 -> -n1 then clears e0
+    a1, a4 = ctx.poly_var("a1"), ctx.poly_var("a4")
+    n1, n2 = ctx.poly_var("n1"), ctx.poly_var("n2")
+    form = a4 * a4 + n2
+    equations = [(a1 + n1) * form, a1 + n1]
+    divisions = []
+    real = algebra.exact_divide
+
+    def spy(a, b):
+        divisions.append((str(a), str(b)))
+        return real(a, b)
+
+    expected = _as_strings(_refresh_everything_solve(equations, ["a1", "a4"],
+                                                     nonzero_forms=[form]))
+    monkeypatch.setattr(algebra, "exact_divide", spy)
+    sol = solve_triangular(equations, ["a1", "a4"], nonzero_forms=[form])
+    assert _as_strings(sol) == expected
+    assert (sol.relations, sol.free, [str(step) for step in sol.trace]) == \
+        ([], ["a4"], ["a1 -> -n1   [eq1]"])
+    assert divisions == []
+
+
+def test_eigenvalue_relation_builds_no_field(monkeypatch):
+    """eigenvalue_relation stops at the solve: it gives the JSON goldens'
+    relations, and pvi's NoRelation, with PlaneVectorField out of reach."""
+    expected = {name: recover(get_scheme(name).scheme, verify=False).relations[0]
+                for name in ["gen-pvi", "gen-pv", "gen-piv", "gen-piii"]}
+
+    def no_field(*args, **kwargs):
+        raise AssertionError("eigenvalue_relation built a field")
+
+    monkeypatch.setattr(recovery, "PlaneVectorField", no_field)
+    golden_dir = Path(__file__).parent / "golden_cli"
+    for name, rel in expected.items():
+        golden = gio.loads((golden_dir / f"relation_{name}.json").read_text())
+        assert eigenvalue_relation(get_scheme(name).scheme) == rel
+        assert str(rel) == golden["relation"]
+    with pytest.raises(NoRelation, match="^scheme pvi is consistent for all eigenvalues$"):
+        eigenvalue_relation(scheme_pvi().scheme)
 
 
 @pytest.mark.parametrize("name", ["pvi", "gen-pvi", "gen-pv", "gen-piv", "gen-piii"])
