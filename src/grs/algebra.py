@@ -75,8 +75,9 @@ the prime in a denominator, an image gcd of positive degree) falls through.
 The one-sided step takes out the symbols that occur in one operand only
 (Geddes, Czapor & Labahn 1992, ch. 7): if a involves symbols that b lacks,
 gcd(a, b) involves none of them, so it divides the content of a in them (the
-gcd of a's coefficients as a polynomial in those symbols), and gcd(a, b) =
-gcd(content, b).  A PRS in a shared symbol would otherwise carry the
+gcd of a's coefficients as a polynomial in those symbols), and gcd(a, b) is
+the gcd of b and those coefficients, taken from the one with the fewest terms
+on and stopped at the first constant gcd.  A PRS in a shared symbol would otherwise carry the
 one-sided symbols through every pseudo-remainder, whose coefficients then grow
 with each step.  The result is the same on every path: a gcd made primitive
 with a positive leading coefficient is unique.  Because the operators trust
@@ -87,14 +88,24 @@ Substitution finds the symbols a polynomial involves from the bitwise or of
 its keys, and puts the constant values (numeric draws, parameter values) in
 with one pass over its terms: each distinct monomial in those symbols is
 weighed once, as an integer over the common denominator of all their values,
-the numerators are summed as ints, and the result is reduced once.  A Horner
-scheme in one substituted symbol at a time then takes the values left.  When
-each of them has denominator 1 (polynomial assignments), the scheme runs on
-MPoly and wraps the result once: on such operands the MRat operators run no
-gcd and form the same products and sums, so the result is the same polynomial.
-:func:`solve_triangular` caches the reduction of each pending equation and
-nonzero form, and reduces it again only once a pivot solves an unknown it
-involves; it divides by a form only when both involve the same unknowns.
+the numerators are summed as ints, and the result is reduced once.  Values
+with denominator 1 (polynomial assignments) go in by a Horner scheme on MPoly,
+which forms the products and sums the MRat operators would, without a gcd.
+Values a_u/b_u with other denominators (solved unknowns, rational in t and the
+parameters) go in one denominator at a time when p has degree at most 1 in
+each of them and no term holds two: p = p0 + sum c_u * u, and the symbols
+whose values share a denominator b form one group with numerator sum c_u *
+a_u.  A canonical value has a_u and b coprime, so gcd(c * a_u, b) = gcd(c, b):
+a group of one symbol cancels by gcd(c_u, b), and only a larger group takes
+the gcd of its numerator with b.  p0 and the groups are summed as MRat; no
+product of value denominators is formed.  Any other shape (powers or products
+of rational values: the symmetry residuals, the blow-up inversions) takes the
+Horner scheme over MRat.  The canonical form is unique, so every path gives
+the same result.  :func:`solve_triangular` caches the reduction of each
+pending equation and nonzero form, and reduces it again only once a pivot
+solves an unknown it involves; it divides by a form only when both involve the
+same unknowns, and a stale form keeps a bound on its unknowns, so that it is
+reduced again only when it may divide.
 Equations linear in the unknowns with rational coefficients need no
 substitution at all: :func:`solve_rational_linear` solves them as sparse rows
 of Fractions, with the same pivots as :func:`solve_triangular`.
@@ -188,7 +199,7 @@ class Context:
     the packed exponent keys of its polynomials (module docstring).
     """
 
-    __slots__ = ("syms", "names", "_index", "_shifts", "_top", "_guards", "_units",
+    __slots__ = ("syms", "names", "_layout", "_index", "_shifts", "_top", "_guards", "_units",
                  "_packer", "_unpacker", "_nbytes")
 
     def __init__(self, syms: Sequence[Sym]):
@@ -197,6 +208,9 @@ class Context:
             raise ValueError("duplicate symbol names in context")
         self.syms = tuple(syms)
         self.names = tuple(names)
+        # equal contexts are often different objects: compare (and hash)
+        # plain tuples, not one Sym at a time
+        self._layout = (self.names, tuple(s.kind for s in syms))
         self._index = {n: i for i, n in enumerate(names)}
         n = len(names)
         # symbol i in field n - 1 - i, so that symbol 0 is the most
@@ -233,10 +247,10 @@ class Context:
         return len(self.syms)
 
     def __eq__(self, other) -> bool:
-        return self is other or isinstance(other, Context) and self.syms == other.syms
+        return self is other or isinstance(other, Context) and self._layout == other._layout
 
     def __hash__(self):
-        return hash(self.syms)
+        return hash(self._layout)
 
     def __repr__(self):
         return f"Context({', '.join(self.names)})"
@@ -794,11 +808,13 @@ def _gcd_core(a: MPoly, b: MPoly) -> tuple[MPoly, MPoly | None, MPoly | None]:
         return b, q, one
     if _coprime_certified(a, b, shared):
         return one, a, b
-    # symbols in one operand only: the gcd divides that operand's content in them
+    # symbols in one operand only: the gcd divides that operand's content in
+    # them, so it is the gcd of the other operand and those coefficients
     for p, q in ((a, b), (b, a)):
         only = [n for n in p.variables() if n not in shared]
         if only:
-            return poly_gcd(_list_gcd(coefficients_in(p, only)), q), None, None
+            polys = sorted([q] + coefficients_in(p, only), key=lambda f: len(f.packed))
+            return _list_gcd(polys), None, None
     # main variable: smallest combined degree keeps the PRS short
     v = min(shared, key=lambda n: (a.degree_in(n) + b.degree_in(n), a.ctx.index(n)))
     ua = a.as_univariate(v)
@@ -1130,10 +1146,13 @@ def _poly_subs(p: MPoly, values: Mapping[str, "MRat"]) -> MRat:
     """Simultaneous substitution: substituted values are never re-substituted.
 
     Only the keys p involves take part.  Constant values go in first, in one
-    pass over the terms.  When each value left has denominator 1, the Horner
-    scheme runs on their numerators as MPoly and the result is wrapped once:
-    the MRat operators on such operands run no gcd and compute the same
-    products and sums, so the result is the same polynomial.
+    pass over the terms, and values of denominator 1 by the Horner scheme on
+    MPoly (the MRat operators would run no gcd on them).  When p is linear in
+    the other values u -> a_u/b_u, no term holding two of them, p = p0 + sum
+    c_u * u goes in one denominator b at a time: the group's numerator sum
+    c_u * a_u is summed as MPoly and cancelled by one gcd with b, which for a
+    group of one symbol is gcd(c_u, b) = gcd(c_u * a_u, b), as a_u and b are
+    coprime.  Any other shape takes the Horner scheme over MRat.
     """
     active = _active(p, values)
     constants = {}
@@ -1147,9 +1166,49 @@ def _poly_subs(p: MPoly, values: Mapping[str, "MRat"]) -> MRat:
         active = [n for n in active if n not in constants]
     if not active:
         return MRat.from_poly(p)
-    if all(_is_one(values[n].den) for n in active):
-        return MRat.from_poly(_horner(p, {n: values[n].num for n in active}, lambda q: q))
-    return _horner(p, {n: values[n] for n in active}, MRat.from_poly)
+    rational = [n for n in active if not _is_one(values[n].den)]
+    polys = {n: values[n].num for n in active if n not in rational}
+    if not rational:
+        return MRat.from_poly(_horner(p, polys, lambda q: q))
+    parts = _linear_parts(p, rational)
+    if parts is None:
+        return _horner(p, {n: values[n] for n in active}, MRat.from_poly)
+    # p = p0 + sum c_u * u; the values a_u/b_u go in one denominator at a time
+    p0, coeffs = parts
+    groups: dict[MPoly, list[tuple[MPoly, MPoly]]] = {}
+    for n, c in coeffs.items():
+        groups.setdefault(values[n].den, []).append((_horner(c, polys, lambda q: q),
+                                                     values[n].num))
+    result = MRat.from_poly(_horner(p0, polys, lambda q: q))
+    for b, pairs in groups.items():
+        if len(pairs) == 1:
+            # a and b are coprime, so gcd(c * a, b) = gcd(c, b)
+            (c, a), = pairs
+            c, b = _cancel(c, b)
+            num = c * a
+        else:
+            num, b = _cancel(reduce(MPoly.__add__, (c * a for c, a in pairs)), b)
+        if not num.is_zero():
+            result = result + MRat(*_unit_normalize(num, b), _normalized=True)
+    return result
+
+
+def _linear_parts(p: MPoly, names: Sequence[str]) -> tuple[MPoly, dict[str, MPoly]] | None:
+    """p = p0 + sum c_u * u over the named u, with p0 and every c_u free of
+    them, as (p0, {u: c_u}); None when some term of p has degree 2 or more
+    in the named symbols together."""
+    ctx = p.ctx
+    units = {1 << ctx._shifts[ctx.index(n)]: n for n in names}
+    mask = ctx._mask(map(ctx.index, names))
+    split: dict[int, dict[int, int]] = {0: {}}
+    for k, c in p.packed.items():
+        split.setdefault(k & mask, {})[k] = c
+    if not split.keys() - {0} <= units.keys():
+        return None
+    degree = 1 << ctx._top
+    p0 = _make(ctx, split.pop(0), p.den)
+    return p0, {units[part]: _make(ctx, {k - (part | degree): c for k, c in terms.items()}, p.den)
+                for part, terms in split.items()}
 
 
 def _subs_constants(p: MPoly, values: Mapping[str, Fraction]) -> MPoly:
@@ -1365,8 +1424,10 @@ def assign(assignments: dict[str, MRat], u: str, value: MRat) -> None:
 class _Pending:
     """An equation or nonzero form of solve_triangular: ``reduced`` is the
     numerator of ``raw`` under the assignments (a form's, made primitive in
-    its unknowns), None until first read and once a pivot solves one of the
-    unknowns it involves, ``unsolved``."""
+    its unknowns), None until an equation's first read and once a pivot
+    solves one of the unknowns it involves, ``unsolved``.  While stale,
+    ``unsolved`` bounds the unknowns a refresh would find: those of the last
+    refresh, each solved one replaced by the unknowns of its value."""
 
     tag: str
     raw: MPoly
@@ -1415,8 +1476,11 @@ def solve_triangular(equations: Sequence[MPoly | MRat],
     of unknowns, so every assignment, and hence every reduction, has a
     denominator free of unknowns; and a pivot u -> v turns the reduction N/D
     under the assignments into N/D with u replaced by v, which is N/D again
-    when N lacks u.  A stuck run reports the reductions of its last scan,
-    which reached every equation left.
+    when N lacks u.  So the reduction of a stale entry involves at most its
+    old unknowns, less u, and the unknowns of v; a stale form whose bound
+    lacks one of the equation's unknowns cannot divide it, and is left
+    stale.  A stuck run reports the reductions of its last scan, which
+    reached every equation left.
     """
     unknowns = list(unknowns)
     unknown_set = set(unknowns)
@@ -1425,8 +1489,12 @@ def solve_triangular(equations: Sequence[MPoly | MRat],
     pending = [_Pending(tag, p) for tag, p in zip(tags, polys, strict=True) if not p.is_zero()]
     # a nonzero form is only used through its unknown-primitive part; its
     # parameter content is generically nonzero anyway
-    forms = [_Pending("", split_content(f, _active(f, unknowns))[1], form=True)
-             for f in nonzero_forms if not f.is_zero()]
+    forms = []
+    for f in nonzero_forms:
+        if not f.is_zero():
+            live = _active(f, unknowns)
+            f = split_content(f, live)[1]
+            forms.append(_Pending("", f, form=True, reduced=f, unsolved=live))
     assignments: dict[str, MRat] = {}
     relations: list[MPoly] = []
     trace: list[TraceStep] = []
@@ -1438,9 +1506,11 @@ def solve_triangular(equations: Sequence[MPoly | MRat],
                 break
             q = p
             if unsolved:
-                # relation extraction: c(params) * L with L a designated nonzero form
+                # relation extraction: c(params) * L with L a designated nonzero form;
+                # a stale form whose bound misses one of p's unknowns stays stale
                 quotients = (exact_divide(p, f.reduced) for f in forms
-                             if f.refresh(assignments, unknowns) == unsolved)
+                             if set(unsolved) <= set(f.unsolved)
+                             and f.refresh(assignments, unknowns) == unsolved)
                 q = next((q for q in quotients
                           if q is not None and not q.involves(unknown_set)), None)
             if q is not None:
@@ -1454,9 +1524,12 @@ def solve_triangular(equations: Sequence[MPoly | MRat],
                 u, value = pivot
                 assign(assignments, u, value)
                 trace.append(TraceStep(u, value, eq.tag))
+                gained = _active(value.num, unknowns)
                 for entry in pending + forms:
                     if u in entry.unsolved:
                         entry.reduced = None
+                        entry.unsolved = [w for w in entry.unsolved if w != u] + [
+                            w for w in gained if w not in entry.unsolved]
                 break
         else:
             raise StuckSystem([eq.reduced for eq in pending], [eq.tag for eq in pending])

@@ -373,20 +373,20 @@ _factor = _polys(min_terms=1, constant=False, degree=1)
 _cofactor = _polys(min_terms=1, degree=1)
 
 
-def _sympy():
+def _sympy(ctx=ORACLE_CTX):
     sp = pytest.importorskip("sympy")
-    return sp, sp.symbols(ORACLE_CTX.names)
+    return sp, sp.symbols(ctx.names)
 
 
 def _to_sympy(p):
-    sp, syms = _sympy()
+    sp, syms = _sympy(p.ctx)
     return sp.Add(*[sp.Rational(c.numerator, c.denominator)
                     * sp.Mul(*[s ** k for s, k in zip(syms, e)])
                     for e, c in p.terms.items()])
 
 
-def _from_sympy(expr):
-    sp, syms = _sympy()
+def _from_sympy(expr, ctx=ORACLE_CTX):
+    sp, syms = _sympy(ctx)
     terms = {}
     for e, c in sp.Poly(expr, *syms, domain="QQ").terms():
         c = sp.Rational(c)
@@ -414,7 +414,7 @@ def _assert_canonical_as_sympy(result, expr):
     """result is exactly the canonical form of the SymPy expression expr."""
     sp, _ = _sympy()
     num, den = sp.fraction(sp.cancel(sp.together(expr)))
-    want_den, want_num = _unit_free(_from_sympy(den), _from_sympy(num))
+    want_den, want_num = _unit_free(_from_sympy(den, result.ctx), _from_sympy(num, result.ctx))
     assert (result.num.terms, result.den.terms) == (want_num, want_den)
 
 
@@ -696,6 +696,105 @@ def test_mrat_subs_of_an_undeclared_symbol_raises():
     for values in ({"z": t}, {"t": t, "z": t}, {"x": t, "z": t}):
         with pytest.raises(KeyError, match="'z' not declared"):
             r.subs(values)
+
+
+# -- substitution one denominator at a time ----------------------------------
+
+GROUP_CTX = Context.make(fiber=("x",), parameters=["a"],
+                         unknowns=["u1", "u2", "u3", "u4"])  # symbols x, t, a, u1..u4
+
+
+def _in_group_ctx(polys):
+    return polys.map(lambda p: p.lift(GROUP_CTX))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), p0=_in_group_ctx(_cofactor), base=_in_group_ctx(_factor),
+       zero_group=st.booleans())
+def test_linear_substitution_by_denominator_groups_matches_horner(data, p0, base, zero_group):
+    """p = p0 + sum c_u * u, linear in 2 to 4 names with rational values,
+    goes in one denominator at a time: values whose denominators are equal,
+    one a multiple of another, or coprime; with zero_group, the first two
+    names form a group whose numerator cancels to 0.  A polynomial value for
+    x and a constant one for a may come along.  The Horner scheme over MRat
+    and SymPy's cancel are the references."""
+    names = ["u1", "u2", "u3", "u4"][:data.draw(st.integers(2, 4))]
+    kinds = ["multiple", "coprime"] if zero_group else ["equal", "multiple", "coprime"]
+    values = {}
+    for n in names:
+        kind = "equal" if zero_group and n in ("u1", "u2") else data.draw(st.sampled_from(kinds))
+        den = {"equal": lambda: base,
+               "multiple": lambda: base * data.draw(_in_group_ctx(_factor)),
+               "coprime": lambda: data.draw(_in_group_ctx(_factor))}[kind]()
+        values[n] = MRat(data.draw(_in_group_ctx(_nonzero)), den)
+    coeffs = [data.draw(_in_group_ctx(_cofactor)) for _ in names]
+    if zero_group:
+        v1, v2 = values["u1"], values["u2"]
+        assume(v1.den == v2.den)
+        k = data.draw(_in_group_ctx(_nonzero))
+        coeffs[:2] = k * v2.num, -(k * v1.num)
+    if data.draw(st.booleans()):
+        values["x"] = MRat.from_poly(data.draw(_in_group_ctx(_cofactor)))
+    if data.draw(st.booleans()):
+        values["a"] = GROUP_CTX.rat(data.draw(st.fractions(-3, 3, max_denominator=3)))
+    p = p0
+    for n, c in zip(names, coeffs):
+        p = p + c * GROUP_CTX.poly_var(n)
+    rational = [n for n in algebra._active(p, names) if not algebra._is_one(values[n].den)]
+    assert algebra._linear_parts(p, rational) is not None
+    result = p.subs(values)
+    assert result == algebra._horner(p, values, MRat.from_poly)
+    sp, syms = _sympy(GROUP_CTX)
+    theirs = {syms[GROUP_CTX.index(n)]: _to_sympy(v.num) / _to_sympy(v.den)
+              for n, v in values.items()}
+    _assert_canonical_as_sympy(result, sp.cancel(_to_sympy(p).subs(theirs, simultaneous=True)))
+
+
+# gcd_cofactors calls while recover substitutes the solved unknowns into dx/dt
+# and dy/dt of the generic family, for each builtin scheme; the Horner scheme
+# over MRat made 21/16, 21/16, 18/13, 10/10 and 12/7
+FAMILY_FIELD_GCDS = {"pvi": [4, 4], "gen-pvi": [4, 4], "gen-pv": [3, 1], "gen-piv": [1, 1],
+                     "gen-piii": [3, 1]}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_FIELD_GCDS))
+def test_family_field_substitution_runs_one_gcd_per_denominator(monkeypatch, name):
+    from grs.catalog import get_scheme
+    from grs.recovery import _solve_scheme
+
+    _, family, sol, _, _ = _solve_scheme(get_scheme(name).scheme)
+    real, calls = algebra.gcd_cofactors, []
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(algebra, "gcd_cofactors", counting)
+    counts = []
+    for component in family.vf.components():
+        calls.clear()
+        component.subs(sol.assignments)
+        counts.append(len(calls))
+    assert counts == FAMILY_FIELD_GCDS[name]
+
+
+def test_symmetry_residual_keeps_the_horner_scheme(monkeypatch):
+    """pi3 of gen-pvi sends x to 1/x and t to 1/t, whose powers the field
+    holds: no substitution of its residual is linear in the rational values."""
+    from grs.catalog import get_maps, get_system
+    from grs.symmetry import invariance_residual
+
+    real, shapes = algebra._linear_parts, []
+
+    def spy(p, names):
+        parts = real(p, names)
+        shapes.append(parts is not None)
+        return parts
+
+    monkeypatch.setattr(algebra, "_linear_parts", spy)
+    pi3 = next(m for m in get_maps("gen-pvi") if m.name == "pi3")
+    invariance_residual(get_system("gen-pvi").vf, pi3)
+    assert shapes and not any(shapes)
 
 
 # -- the coprimality certificate in front of the exact gcd -------------------

@@ -277,14 +277,18 @@ def test_verify_recovered_linearizes_each_resolved_point_once(monkeypatch):
 # MPoly.subs calls solve_triangular makes while recover solves each builtin
 # scheme; an eliminator that re-reduced the equations and the nonzero forms at
 # every change of the assignments would make 52/52/34/11/14, and on every scan
-# 52/59/39/14/14 (the equations' cache alone is pinned in test_algebra.py)
-SOLVE_SUBS = {"pvi": 33, "gen-pvi": 33, "gen-pv": 20, "gen-piv": 11, "gen-piii": 7}
+# 52/59/39/14/14 (the equations' cache alone is pinned in test_algebra.py).
+# One that refreshed each stale form before testing whether it can divide the
+# equation would make 33/33/20/11/7: a stale form is refreshed only when its
+# bound on the unsolved unknowns holds all of the equation's
+SOLVE_SUBS = {"pvi": 25, "gen-pvi": 25, "gen-pv": 17, "gen-piv": 6, "gen-piii": 7}
 
 
 @pytest.mark.parametrize("name", sorted(SOLVE_SUBS))
 def test_solve_triangular_reduces_each_equation_once_per_assignment(monkeypatch, name):
     """The nonzero forms, like each pending equation, are reduced again only
-    once a pivot solves an unknown they involve, never once per scan."""
+    once a pivot solves an unknown they involve, never once per scan, and a
+    stale form only when it may involve all of an equation's unknowns."""
     calls, solving = [0], [False]
     real_subs, real_solve = MPoly.subs, recovery.solve_triangular
 
