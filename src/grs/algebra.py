@@ -76,10 +76,14 @@ The one-sided step takes out the symbols that occur in one operand only
 (Geddes, Czapor & Labahn 1992, ch. 7): if a involves symbols that b lacks,
 gcd(a, b) involves none of them, so it divides the content of a in them (the
 gcd of a's coefficients as a polynomial in those symbols), and gcd(a, b) is
-the gcd of b and those coefficients, taken from the one with the fewest terms
-on and stopped at the first constant gcd.  A PRS in a shared symbol would otherwise carry the
-one-sided symbols through every pseudo-remainder, whose coefficients then grow
-with each step.  The result is the same on every path: a gcd made primitive
+the gcd of b and those coefficients.  A PRS in a shared symbol would otherwise
+carry the one-sided symbols through every pseudo-remainder, whose coefficients
+then grow with each step.  The PRS runs on MPoly in the shared symbol v of
+least combined degree: the operands' contents in v come off and have their own
+gcd, and each pseudo-remainder loses its content in v and its rational content
+before it divides the next.  The gcd of a list (a content, the one-sided step)
+folds from the member with the fewest terms and stops at the first constant
+gcd.  The result is the same on every path: a gcd made primitive
 with a positive leading coefficient is unique.  Because the operators trust
 their operands, every ``MRat(num, den, _normalized=True)`` must receive a pair
 that is already canonical; ``MRat(num, den)`` normalizes an arbitrary pair.
@@ -813,19 +817,11 @@ def _gcd_core(a: MPoly, b: MPoly) -> tuple[MPoly, MPoly | None, MPoly | None]:
     for p, q in ((a, b), (b, a)):
         only = [n for n in p.variables() if n not in shared]
         if only:
-            polys = sorted([q] + coefficients_in(p, only), key=lambda f: len(f.packed))
-            return _list_gcd(polys), None, None
+            return _list_gcd([q] + coefficients_in(p, only)), None, None
     # main variable: smallest combined degree keeps the PRS short
     v = min(shared, key=lambda n: (a.degree_in(n) + b.degree_in(n), a.ctx.index(n)))
-    ua = a.as_univariate(v)
-    ub = b.as_univariate(v)
-    cont_a = _list_gcd(list(ua.values()))
-    cont_b = _list_gcd(list(ub.values()))
-    cont = poly_gcd(cont_a, cont_b)
-    pa = _divide_coeffs(ua, cont_a)
-    pb = _divide_coeffs(ub, cont_b)
-    prim = _prs_gcd(pa, pb, a.ctx, v)
-    return cont * prim, None, None
+    (ca, pa), (cb, pb) = split_content(a, [v]), split_content(b, [v])
+    return poly_gcd(ca, cb) * _prs_gcd(pa, pb, v), None, None
 
 
 _PRIME = (1 << 61) - 1
@@ -924,6 +920,10 @@ def _coprime_certified(a: MPoly, b: MPoly, shared: Iterable[str]) -> bool:
 
 
 def _list_gcd(polys: list[MPoly]) -> MPoly:
+    """gcd of a nonempty list of nonzero polynomials, made primitive: the fold
+    starts from the member with the fewest terms and stops at the first
+    constant gcd, so a small member bounds every gcd it takes."""
+    polys = sorted(polys, key=lambda f: len(f.packed))
     g = polys[0]
     for p in polys[1:]:
         if g.is_constant():
@@ -932,78 +932,32 @@ def _list_gcd(polys: list[MPoly]) -> MPoly:
     return g.primitive()
 
 
-def _divide_coeffs(u: dict[int, MPoly], cont: MPoly) -> dict[int, MPoly]:
-    if _is_one(cont):
-        return u
-    return {d: exact_divide(c, cont) for d, c in u.items()}
-
-
-def _univ_degree(u: dict[int, MPoly]) -> int:
-    return max(d for d, c in u.items() if not c.is_zero())
-
-
-def _univ_to_poly(u: dict[int, MPoly], ctx: Context, v: str) -> MPoly:
-    acc = ctx.poly(0)
-    xv = ctx.poly_var(v)
-    for d, c in u.items():
-        acc = acc + c * xv ** d
-    return acc
-
-
-def _pseudo_rem(ua: dict[int, MPoly], ub: dict[int, MPoly], ctx: Context, v: str) -> dict[int, MPoly]:
-    """Pseudo-remainder of a by b as univariate polys in v over MPoly coefficients."""
-    da, db = _univ_degree(ua), _univ_degree(ub)
-    lb = ub[db]
-    r = dict(ua)
-    dr = da
-    while r and dr >= db:
-        lr = r.get(dr)
-        if lr is None or lr.is_zero():
-            r.pop(dr, None)
-            dr = max((d for d, c in r.items() if not c.is_zero()), default=-1)
-            continue
-        shift = dr - db
-        new: dict[int, MPoly] = {}
-        for d, c in r.items():
-            new[d] = c * lb
-        for d, c in ub.items():
-            prev = new.get(d + shift, ctx.poly(0))
-            new[d + shift] = prev - c * lr
-        r = {d: c for d, c in new.items() if not c.is_zero()}
-        dr = max((d for d, c in r.items() if not c.is_zero()), default=-1)
+def _pseudo_rem(a: MPoly, b: MPoly, v: str) -> MPoly:
+    """A pseudo-remainder of a by b in v, for b of positive degree in v: a
+    times a power of lc_v(b), less a multiple of b, of degree below deg_v(b)."""
+    db = b.degree_in(v)
+    lb = b.coefficient(v, db)
+    r = a
+    while not r.is_zero() and (dr := r.degree_in(v)) >= db:
+        r = r * lb - b * r.coefficient(v, dr) * a.ctx.poly_var(v) ** (dr - db)
     return r
 
 
-def _drop_rational_content(u: dict[int, MPoly]) -> dict[int, MPoly]:
-    """Divide out the rational content of all coefficients together.
+def _prs_gcd(a: MPoly, b: MPoly, v: str) -> MPoly:
+    """gcd of a and b up to a unit, for a and b primitive in v (content 1 as
+    polynomials in v) and of positive degree in v.
 
-    A rational number is a unit over Q, so this leaves the gcd unchanged; the
-    polynomial content alone would let the integers of the sequence grow
-    exponentially (univariate coefficients have polynomial content 1).
+    A primitive PRS (Brown, J. ACM 1971): each pseudo-remainder loses its
+    content in v and its rational content before it divides the next.  The
+    gcd is 1 once a remainder is free of v, else the last nonzero remainder.
     """
-    unit = Fraction(math.gcd(*(c for p in u.values() for c in p.packed.values())),
-                    math.lcm(*(p.den for p in u.values())))
-    if unit == 1:
-        return u
-    return {d: p.scale(1 / unit) for d, p in u.items()}
-
-
-def _prs_gcd(ua: dict[int, MPoly], ub: dict[int, MPoly], ctx: Context, v: str) -> MPoly:
-    a, b = ua, ub
-    if _univ_degree(a) < _univ_degree(b):
+    if a.degree_in(v) < b.degree_in(v):
         a, b = b, a
-    while True:
-        r = _pseudo_rem(a, b, ctx, v)
-        if not r:
-            break
-        if _univ_degree(r) == 0:
-            return ctx.poly(1)
-        cont = _list_gcd(list(r.values()))
-        a, b = b, _drop_rational_content(_divide_coeffs(r, cont))
-    g = _univ_to_poly(b, ctx, v)
-    cont = _list_gcd(list(b.values()))
-    g = exact_divide(g, cont)
-    return g
+    while not (r := _pseudo_rem(a, b, v)).is_zero():
+        if not r.involves([v]):
+            return a.ctx.poly(1)
+        a, b = b, split_content(r, [v])[1].primitive()
+    return b
 
 
 # ---------------------------------------------------------------------------

@@ -963,6 +963,70 @@ def test_captured_one_sided_pair_matches_sympy():
     assert poly_gcd(a, b).terms == _sympy_gcd(a, b)
 
 
+U3_CTX = Context.make(parameters=["p"])  # symbols x, y, t, p
+
+
+def _u3_rewrite_pair():
+    """dy/dt of the U0 field dx/dt = -x^2*y*t - x^3 - 3/2*y^2 + 3/2*t,
+    dy/dt = -y/(x^2 + y*t) on S_2 with twist 2/(p + 1), rewritten into U3,
+    and its numerator and denominator times x^3*y^3*(p + 1)^2."""
+    from grs.surface import PlaneVectorField, SurfaceModel, chart_transform
+
+    model = SurfaceModel(2, (U3_CTX.parse("2/(p + 1)"),))
+    vf = PlaneVectorField(U3_CTX.parse("-x^2*y*t - x^3 - 3/2*y^2 + 3/2*t"),
+                          U3_CTX.parse("-y/(x^2 + y*t)"), "U0", model)
+    c = chart_transform(vf, "U3").dydt
+    g = U3_CTX.parse("x^3*y^3*(p + 1)^2").num
+    return c, c.num * g, c.den * g
+
+
+def test_prs_gcd_of_a_u3_rewrite_pair_stays_small(monkeypatch):
+    """The gcd x^3*y^3*(p + 1)^2 runs nested PRSs in y, p, x and t; on dicts
+    of coefficients they took 7-11 s and about 265,000 products, on MPoly 757."""
+    c, a, b = _u3_rewrite_pair()
+    assert (len(a.packed), len(b.packed)) == (151, 20)
+    prs, products = [], []
+    real_prs, real_mul = algebra._prs_gcd, MPoly.__mul__
+    monkeypatch.setattr(algebra, "_prs_gcd", lambda *args: prs.append(1) or real_prs(*args))
+    monkeypatch.setattr(MPoly, "__mul__", lambda p, q: products.append(1) or real_mul(p, q))
+    g, qa, qb = gcd_cofactors(a, b)
+    assert g == U3_CTX.parse("x^3*y^3*p^2 + 2*x^3*y^3*p + x^3*y^3").num
+    unit = qa.leading()[1] / c.num.leading()[1]
+    assert (qa, qb) == (c.num.scale(unit), c.den.scale(unit))
+    assert prs and len(products) <= 5000
+
+
+def test_u3_rewrite_pair_gcd_matches_sympy():
+    _, a, b = _u3_rewrite_pair()
+    assert poly_gcd(a, b).terms == _sympy_gcd(a, b)
+
+
+def _prem_polys(names):
+    """Nonzero polynomials of degree <= 3 per symbol in the named symbols of ORACLE_CTX."""
+    monomials = st.tuples(*[st.integers(0, 3) if n in names else st.just(0) for n in ORACLE_CTX.names])
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool)
+    return st.dictionaries(monomials, coeffs, min_size=1, max_size=4).map(
+        lambda terms: MPoly(ORACLE_CTX, terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([("x", "t"), ("x", "t", "a")]).flatmap(
+    lambda names: st.tuples(_prem_polys(names), _prem_polys(names), st.sampled_from(names))))
+def test_pseudo_rem_matches_sympy_prem(operands):
+    """SymPy's prem multiplies a by lc_v(b)^(deg_v(a) - deg_v(b) + 1); the
+    kernel's pseudo-remainder may use a lower power of lc_v(b)."""
+    a, b, v = operands
+    assume(b.degree_in(v) > 0)
+    sp, syms = _sympy()
+    sv = syms[ORACLE_CTX.index(v)]
+    ours = algebra._pseudo_rem(a, b, v)
+    assert ours.is_zero() or ours.degree_in(v) < b.degree_in(v)
+    theirs = sp.prem(_to_sympy(a), _to_sympy(b), sv)
+    lead = sp.Poly(_to_sympy(b), sv).LC()
+    powers = range(max(a.degree_in(v) - b.degree_in(v) + 1, 0) + 1)
+    assert any(sp.expand(theirs - lead ** j * _to_sympy(ours)) == 0 for j in powers)
+
+
 PLANT_CTX = Context.make(fiber=("x",), parameters=["a", "b"])  # symbols x, t, a, b
 
 

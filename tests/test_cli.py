@@ -199,6 +199,14 @@ def test_cli_recover_point_at_a_high_power_of_t(capsys):
             " - n2*n3*n4 = 0") in out.splitlines()
 
 
+def test_cli_recover_point_at_a_hostile_location(capsys):
+    """gen-pvi with point 0 at 123456789123456789/987654321987654321*t^7 +
+    alpha0^9*n1^9: 18-digit coefficients and degree 18 in the parameters."""
+    scheme = Path(__file__).parent / "fixtures" / "gen-pvi_point0_hostile.json"
+    golden = (GOLDEN_CLI / "recover_gen-pvi_point0_hostile.json").read_text()
+    assert _run(capsys, "recover", "--scheme", str(scheme), "--format", "json") == (0, golden, "")
+
+
 FIXTURES = Path(__file__).parent / "fixtures"
 # dx/dt = (x^2 + 1)*(t*x - 1)*y, dy/dt = 0: F1(s, 0) = (s^2 + 1)*(t*s - 1)
 QUADRATIC_FACTOR = FIXTURES / "quadratic_factor.json"
