@@ -440,6 +440,9 @@ class MPoly:
                 out.pop(k, None)
         return _make(self.ctx, out, den)
 
+    def __radd__(self, other: int) -> "MPoly":
+        return self.ctx.poly(other) + self if isinstance(other, int) else NotImplemented
+
     def __neg__(self) -> "MPoly":
         return _canonical(self.ctx, {k: -c for k, c in self.packed.items()}, self.den)
 
@@ -464,6 +467,9 @@ class MPoly:
                 out[k] = get(k, 0) + ca * cb
         # drop the terms that cancelled
         return _make(self.ctx, {k: c for k, c in out.items() if c}, self.den * other.den)
+
+    def __rmul__(self, other: int) -> "MPoly":
+        return self.scale(other) if isinstance(other, int) else NotImplemented
 
     def scale(self, c: Fraction | int) -> "MPoly":
         if not c:
@@ -514,7 +520,11 @@ class MPoly:
         return {d: _make(self.ctx, packed, self.den) for d, packed in sorted(out.items())}
 
     def coefficient(self, name: str, power: int) -> "MPoly":
-        return self.as_univariate(name).get(power, self.ctx.poly(0))
+        """The coefficient of name^power, read from that one field."""
+        i = self.ctx.index(name)
+        s, shift = self.ctx._shifts[i], power * self.ctx._units[i]
+        return _make(self.ctx, {k - shift: c for k, c in self.packed.items()
+                                if k >> s & _FIELD == power}, self.den)
 
     def subs(self, values: Mapping[str, "MRat"]) -> "MRat":
         """Simultaneously substitute symbols by rational functions (exact)."""
@@ -1280,16 +1290,8 @@ class Mat2:
         i, j = ij
         return self.entries[i][j]
 
-    def triangular_kind(self) -> str | None:
-        upper = self.entries[1][0].is_zero()
-        lower = self.entries[0][1].is_zero()
-        if upper and lower:
-            return "diagonal"
-        if upper:
-            return "upper"
-        if lower:
-            return "lower"
-        return None
+    def is_triangular(self) -> bool:
+        return self.entries[1][0].is_zero() or self.entries[0][1].is_zero()
 
     def map(self, fn: Callable[[MRat], MRat]) -> "Mat2":
         """The matrix with fn applied to every entry."""

@@ -28,7 +28,6 @@ class SystemEntry:
     eigenvalue_syms: tuple[str, ...]
     relation: MPoly | None
     normalization: dict[str, MRat] | None
-    description: str
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,6 @@ class SchemeEntry:
     name: str
     scheme: GRScheme
     golden_system: str
-    scale_note: str
 
 
 # ---------------------------------------------------------------------------
@@ -60,10 +58,9 @@ def _ctx(name: str) -> Context:
     return Context.make(parameters=FAMILIES[name][0])
 
 
-def _system(name: str, vf: PlaneVectorField, description: str) -> SystemEntry:
+def _system(name: str, vf: PlaneVectorField) -> SystemEntry:
     params, syms, rel = FAMILIES[name]
-    return SystemEntry(name, vf, params, syms, relation_polynomial(rel, vf.ctx), None,
-                       description)
+    return SystemEntry(name, vf, params, syms, relation_polynomial(rel, vf.ctx), None)
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +98,7 @@ def pvi_system(normalized: bool = False) -> SystemEntry:
     normalization = {"alpha0": one - a1 - two * a2 - a3 - a4}
     if normalized:
         vf = vf.subs_params(normalization)
-    return SystemEntry("pvi", vf, *FAMILIES["pvi"][:2], None, normalization,
-                       "sixth Painleve system, polynomial Hamiltonian form")
+    return SystemEntry("pvi", vf, *FAMILIES["pvi"][:2], None, normalization)
 
 
 def gen_pvi_system() -> SystemEntry:
@@ -129,7 +125,7 @@ def gen_pvi_system() -> SystemEntry:
                       - n1 * n3 * a3 * (t - one) - n2 * n3 * a4 * t) * y
                    - a2 * (q * a1 + (p3 - s2) * a2))
     vf = PlaneVectorField(dxdt, dydt, "U0", sigma2_model(ctx))
-    return _system("gen-pvi", vf, "eigenvalue generalization of PVI (four simple points)")
+    return _system("gen-pvi", vf)
 
 
 def gen_pv_system() -> SystemEntry:
@@ -155,7 +151,7 @@ def gen_pv_system() -> SystemEntry:
                       + (n1 + n2) * t) * y
                    + two * n1 * a2 * (a1 + a2 - n2 * a2))
     vf = PlaneVectorField(dxdt, dydt, "U0", sigma2_model(ctx))
-    return _system("gen-pv", vf, "eigenvalue generalization of PV (double point at X=0)")
+    return _system("gen-pv", vf)
 
 
 def gen_piv_system() -> SystemEntry:
@@ -174,7 +170,7 @@ def gen_piv_system() -> SystemEntry:
                 - (two * n1 - one) * t / (three * n1) * y
                 + a2 * (a1 - (n1 - one) * a2) / n1)
     vf = PlaneVectorField(dxdt, dydt, "U0", sigma2_model(ctx))
-    return _system("gen-piv", vf, "eigenvalue generalization of PIV (triple point at X=0)")
+    return _system("gen-piv", vf)
 
 
 def gen_piii_system() -> SystemEntry:
@@ -191,7 +187,7 @@ def gen_piii_system() -> SystemEntry:
     dydt = pref * (four * x * y ** 2 - four * x * y
                    - (two * n1 * a1 + (n1 - six) * a2) * y - two * a2)
     vf = PlaneVectorField(dxdt, dydt, "U0", sigma2_model(ctx))
-    return _system("gen-piii", vf, "eigenvalue generalization of PIII (two double points)")
+    return _system("gen-piii", vf)
 
 
 def piv_reference() -> SystemEntry:
@@ -207,8 +203,7 @@ def piv_reference() -> SystemEntry:
     dxdt = four * x * y - x ** 2 - two * t * x + two * b1
     dydt = -two * y ** 2 + two * x * y + two * t * y + b2
     vf = PlaneVectorField(dxdt, dydt, "U0", SurfaceModel(2, (ctx.rat(0),)))
-    return SystemEntry("piv", vf, ("beta1", "beta2"), (), None, None,
-                       "classical fourth Painleve system (Okamoto Hamiltonian)")
+    return SystemEntry("piv", vf, ("beta1", "beta2"), (), None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +226,7 @@ def scheme_pvi() -> SchemeEntry:
         SingularSpec(None, 1, _mat(ctx, [["2", "-alpha1"], ["0", "1"]])),
     )
     scheme = GRScheme(sigma2_model(ctx), specs, *FAMILIES["pvi"][:2], "pvi")
-    return SchemeEntry("pvi", scheme, "pvi",
-                       "fully determined; equals PVI after the parameter "
-                       "normalization alpha0+alpha1+2*alpha2+alpha3+alpha4=1")
+    return SchemeEntry("pvi", scheme, "pvi")
 
 
 def scheme_gen_pvi() -> SchemeEntry:
@@ -246,7 +239,7 @@ def scheme_gen_pvi() -> SchemeEntry:
         SingularSpec(None, 1, _mat(ctx, [["n4", "alpha1"], ["0", "1"]])),
     )
     scheme = GRScheme(sigma2_model(ctx), specs, *FAMILIES["gen-pvi"][:2], "gen-pvi")
-    return SchemeEntry("gen-pvi", scheme, "gen-pvi", "fully determined")
+    return SchemeEntry("gen-pvi", scheme, "gen-pvi")
 
 
 def scheme_gen_pv() -> SchemeEntry:
@@ -261,7 +254,7 @@ def scheme_gen_pv() -> SchemeEntry:
         SingularSpec(None, 1, _mat(ctx, [["n2", "alpha1"], ["0", "1"]])),
     )
     scheme = GRScheme(sigma2_model(ctx), specs, *FAMILIES["gen-pv"][:2], "gen-pv")
-    return SchemeEntry("gen-pv", scheme, "gen-pv", "fully determined")
+    return SchemeEntry("gen-pv", scheme, "gen-pv")
 
 
 def scheme_gen_piv() -> SchemeEntry:
@@ -276,8 +269,7 @@ def scheme_gen_piv() -> SchemeEntry:
     # the scheme leaves the overall scale a(t) free: it is not a scheme parameter
     scheme = GRScheme(sigma2_model(ctx), specs, tuple(p for p in params if p != "a"),
                       syms, "gen-piv")
-    return SchemeEntry("gen-piv", scheme, "gen-piv",
-                       "underdetermined by one overall function a(t)")
+    return SchemeEntry("gen-piv", scheme, "gen-piv")
 
 
 def scheme_gen_piii() -> SchemeEntry:
@@ -295,7 +287,7 @@ def scheme_gen_piii() -> SchemeEntry:
                      resolved_inf),
     )
     scheme = GRScheme(sigma2_model(ctx), specs, *FAMILIES["gen-piii"][:2], "gen-piii")
-    return SchemeEntry("gen-piii", scheme, "gen-piii", "fully determined")
+    return SchemeEntry("gen-piii", scheme, "gen-piii")
 
 
 # ---------------------------------------------------------------------------

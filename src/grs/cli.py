@@ -206,8 +206,7 @@ def cmd_alpha_test(args) -> int:
     if args.format == "json":
         print(gio.dumps(data))
     else:
-        print(f"reduced system at t0: [[{data['reduced'][0][0]}, {data['reduced'][0][1]}],"
-              f" [{data['reduced'][1][0]}, {data['reduced'][1][1]}]]  (pole along {res.divisor})")
+        print(f"reduced system at t0: {res.reduced}  (pole along {res.divisor})")
         print(f"closed form: {res.closed_form}")
         print(f"single-valued: {res.single_valued} ({res.reason}), ratio {res.ratio}")
     return 0

@@ -1,13 +1,17 @@
 """Natural-number solutions of the eigenvalue relations, with exact search.
 
-Each relation is evaluated exactly on rational tuples.  One box scan finds
-the solutions among given entries: it scans the leading entries and solves
-the last one exactly, then re-checks the tuple.  The natural list is that
-scan at NATURAL_BOUND, a bound proved below per relation, and the test of
-record is the same scan at bound 100, so no case analysis is trusted
-blindly.  A bounded search over signed integers is the scan over the
-nonzero integers of [-bound, bound], an exploratory tool; classifying all
-integer solutions is open.
+Each relation is linear in its last entry and is stated once, in the table
+``_SOLVED``, as that entry solved: last = num/den.  The expressions run on
+ints, Fractions and polynomials alike; the arity, the exact check
+(den*last == num), the box scan's integer last entry and the cleared
+polynomial -num + den*n_k all read that table.  One box scan finds the
+solutions among given entries: it scans the leading entries, solves the
+last one exactly and re-checks the tuple.  The natural list is that scan at
+NATURAL_BOUND, a bound proved below per relation, and the test of record
+is the same scan at bound 100, so no case analysis is trusted blindly.  A
+bounded search over signed integers is the scan over the nonzero integers
+of [-bound, bound], an exploratory tool; classifying all integer solutions
+is open.
 """
 
 from __future__ import annotations
@@ -16,7 +20,15 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-RELATIONS = ("genVI", "genV", "genIV", "genIII")
+# The last entry of each relation as num/den of the leading ones; genVI is
+# 1/n1 + ... + 1/n4 = 2.  den = 0 leaves no solution on a nonzero head.
+_SOLVED = {
+    "genVI": lambda a, b, c: (-a * b * c, (a + b) * c + a * b - 2 * a * b * c),
+    "genV": lambda n1, n2: (2 * (n1 + n2), 2 * n1 * n2 - n1 - n2),
+    "genIV": lambda n1: (3 * (1 + n1), -1 + 2 * n1),
+    "genIII": lambda n1: (4, n1),
+}
+RELATIONS = tuple(_SOLVED)
 
 # bounded_integer_search refuses a box of more tuples than this
 MAX_SEARCH = 10**7
@@ -35,17 +47,13 @@ class ShapeMismatch(RelationError):
 
 
 def arity(rel: str, n: int | None = None) -> int:
-    if rel == "genVI":
-        return 4
-    if rel == "genV":
-        return 3
-    if rel in ("genIV", "genIII"):
-        return 2
     if rel == "existence":
         if n is None:
             raise RelationError("existence relation needs the surface index n")
         return n + 2
-    raise RelationError(f"unknown relation {rel!r}")
+    if rel not in _SOLVED:
+        raise RelationError(f"unknown relation {rel!r}")
+    return _SOLVED[rel].__code__.co_argcount + 1
 
 
 def check_relation(rel: str, values: Sequence[Fraction | int], n: int | None = None) -> bool:
@@ -53,24 +61,12 @@ def check_relation(rel: str, values: Sequence[Fraction | int], n: int | None = N
     vals = [Fraction(v) for v in values]
     if len(vals) != arity(rel, n):
         raise ShapeMismatch(f"{rel} takes {arity(rel, n)} entries, got {len(vals)}")
-    if rel == "genVI":
-        if any(v == 0 for v in vals):
-            raise ZeroEntry("reciprocals need nonzero entries")
-        return sum(1 / v for v in vals) == 2
-    if rel == "genV":
-        n1, n2, n3 = vals
-        return 2 * n1 * n2 * n3 - (n1 + n2) * n3 - 2 * (n1 + n2) == 0
-    if rel == "genIV":
-        n1, n2 = vals
-        return 2 * n1 * n2 - 3 * n1 - n2 - 3 == 0
-    if rel == "genIII":
-        n1, n2 = vals
-        return n1 * n2 == 4
+    if rel in ("genVI", "existence") and 0 in vals:
+        raise ZeroEntry("reciprocals need nonzero entries")
     if rel == "existence":
-        if any(v == 0 for v in vals):
-            raise ZeroEntry("reciprocals need nonzero entries")
         return sum(1 / v for v in vals) == n
-    raise RelationError(f"unknown relation {rel!r}")
+    num, den = _SOLVED[rel](*vals[:-1])
+    return den * vals[-1] == num
 
 
 def _satisfies_convention(rel: str, tup: tuple[int, ...], convention: str) -> bool:
@@ -116,27 +112,9 @@ def enumerate_natural(rel: str, convention: str = "paper") -> list[tuple[int, ..
 
 def _last_entry(rel: str, head: tuple[int, ...]) -> int | None:
     """The integer last entry that completes the nonzero integers ``head``
-    to a solution of the relation, or None if there is none.
-
-    Each relation is linear in its last entry (genVI in its reciprocal), so
-    that entry is num/den; den = 0 leaves no solution on a nonzero head.
-    """
-    if rel == "genVI":
-        a, b, c = head
-        num = a * b * c
-        den = 2 * num - (a + b) * c - a * b
-    elif rel == "genV":
-        n1, n2 = head
-        num, den = 2 * (n1 + n2), 2 * n1 * n2 - n1 - n2
-    elif rel == "genIV":
-        num, den = 3 * (head[0] + 1), 2 * head[0] - 1
-    elif rel == "genIII":
-        num, den = 4, head[0]
-    else:
-        raise RelationError(f"unknown relation {rel!r}")
-    if den == 0 or num % den:
-        return None
-    return num // den
+    to a solution of the relation, or None if there is none."""
+    num, den = _SOLVED[rel](*head)
+    return None if den == 0 or num % den else num // den
 
 
 def _box(rel: str, entries: Sequence[int]) -> list[tuple[int, ...]]:
@@ -183,7 +161,7 @@ def bounded_integer_search(rel: str, bound: int) -> list[tuple[int, ...]]:
 
 
 def relation_polynomial(rel: str, ctx=None):
-    """The relation as a cleared polynomial in symbols n1, n2, ...
+    """The relation as the cleared polynomial -num + den*n_k in n1, n2, ...
 
     Built in ``ctx`` when given (it must hold those symbols), otherwise in a
     context of the symbols alone.  This is the one home of the relation
@@ -195,18 +173,8 @@ def relation_polynomial(rel: str, ctx=None):
         ctx = Context.make(fiber=(), time=None,
                            parameters=[f"n{i}" for i in range(1, k + 1)])
     n = [ctx.poly_var(f"n{i}") for i in range(1, k + 1)]
-    two = ctx.poly(2)
-    if rel == "genVI":
-        n1, n2, n3, n4 = n
-        return (n2 * n3 * n4 + n1 * n3 * n4 + n1 * n2 * n4 + n1 * n2 * n3
-                - two * n1 * n2 * n3 * n4)
-    if rel == "genV":
-        return two * n[0] * n[1] * n[2] - (n[0] + n[1]) * n[2] - two * (n[0] + n[1])
-    if rel == "genIV":
-        return two * n[0] * n[1] - ctx.poly(3) * n[0] - n[1] - ctx.poly(3)
-    if rel == "genIII":
-        return n[0] * n[1] - ctx.poly(4)
-    raise RelationError(f"unknown relation {rel!r}")
+    num, den = _SOLVED[rel](*n[:-1])
+    return -num + den * n[-1]
 
 
 def relation_symmetry_group(rel: str) -> list[tuple[int, ...]]:

@@ -308,7 +308,7 @@ def linearization(local: LocalField, location: MRat) -> LocalIndex:
     if not access.is_zero():
         raise NotAccessible(f"numerator {access} does not vanish at "
                             f"{local.along} = {location} on {local.divisor} = 0")
-    if matrix.triangular_kind() is None:
+    if not matrix.is_triangular():
         raise SingularityError(f"linearization matrix is not triangular: {matrix}")
     di = ("x", "y").index(local.divisor)
     a11, a22 = matrix[di, di], matrix[1 - di, 1 - di]

@@ -240,16 +240,10 @@ def _proved(vf: PlaneVectorField, bmap: BirationalMap, params: Sequence[str],
 def verify_involution(bmap: BirationalMap, relation: MPoly | None = None,
                       eigenvalue_syms: Sequence[str] = ()) -> bool:
     """Exact check that the map composed with itself is the identity."""
-    ctx = bmap.ctx
     relsub = relation_substitution([relation], eigenvalue_syms) if relation is not None else {}
     full = bmap.full_subs()
-    if not zero_modulo(bmap.x_image.subs(full) - ctx.var("x"), relsub):
-        return False
-    if not zero_modulo(bmap.y_image.subs(full) - ctx.var("y"), relsub):
-        return False
-    if not zero_modulo(bmap.t_image.subs({"t": bmap.t_image}) - ctx.var("t"), relsub):
-        return False
-    for p, image in bmap.param_map.items():
-        if not zero_modulo(image.subs(bmap.param_map) - ctx.var(p), relsub):
-            return False
-    return True
+    cases = [("x", bmap.x_image, full), ("y", bmap.y_image, full),
+             ("t", bmap.t_image, {"t": bmap.t_image})]
+    cases += [(p, image, bmap.param_map) for p, image in bmap.param_map.items()]
+    return all(zero_modulo(image.subs(subs) - bmap.ctx.var(sym), relsub)
+               for sym, image, subs in cases)

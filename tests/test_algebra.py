@@ -527,6 +527,31 @@ def test_storage_stays_canonical(a, b, c, k, n, value):
         _assert_canonical_storage(p)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_polys(max_terms=6, degree=3), st.sampled_from(ORACLE_CTX.names))
+def test_coefficient_is_the_univariate_coefficient(p, name):
+    """coefficient(v, d) reads one field: it is as_univariate(v)'s entry for
+    d, and zero for a power the polynomial does not have."""
+    view = p.as_univariate(name)
+    for d in range(p.degree_in(name) + 2):
+        c = p.coefficient(name, d)
+        assert c == view.get(d, ORACLE_CTX.poly(0))
+        _assert_canonical_storage(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polys(), st.integers(-5, 5))
+def test_int_on_the_left_adds_and_scales(p, k):
+    assert 2 * p == p.scale(2) and k * p == p.scale(k)
+    assert 1 + p == p + ORACLE_CTX.poly(1) and k + p == p + ORACLE_CTX.poly(k)
+    # only ints: other left operands still raise
+    for other in ("a", 0.5, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            other + p
+        with pytest.raises(TypeError):
+            other * p
+
+
 _monomials = st.tuples(*[st.integers(0, 2)] * 3)
 
 

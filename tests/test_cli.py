@@ -346,6 +346,22 @@ def test_cli_alpha_test_json_matches_golden(capsys, system, point):
     assert (code, out, err) == (0, golden, "")
 
 
+@pytest.mark.parametrize("system", ["pvi", "gen-pvi"])
+@pytest.mark.parametrize("point", ["0", "1", "t", "inf"])
+def test_cli_alpha_test_pretty_matches_golden(capsys, system, point):
+    golden = (GOLDEN_CLI / f"alpha-test_{system}_{point}.txt").read_text()
+    assert _run(capsys, "alpha-test", "--system", system, "--point", point) == (0, golden, "")
+
+
+@pytest.mark.parametrize("fmt, ext", [("pretty", "txt"), ("json", "json")])
+@pytest.mark.parametrize("kind, flags", [("natural", ()),
+                                         ("integers6", ("--integers", "--bound", "6"))])
+@pytest.mark.parametrize("rel", ["genVI", "genV", "genIV", "genIII"])
+def test_cli_classify_matches_golden(capsys, rel, kind, flags, fmt, ext):
+    golden = (GOLDEN_CLI / f"classify_{rel}_{kind}.{ext}").read_text()
+    assert _run(capsys, "classify", "--relation", rel, *flags, "--format", fmt) == (0, golden, "")
+
+
 @pytest.mark.parametrize("system, point", [("gen-pv", "0"), ("gen-piv", "0"),
                                            ("gen-piii", "inf")])
 def test_cli_resolve_json_matches_golden(capsys, system, point):

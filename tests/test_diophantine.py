@@ -4,10 +4,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from grs.algebra import Context, solve_linear
 from grs.catalog import FAMILIES, get_system
-from grs.diophantine import (RELATIONS, ShapeMismatch, ZeroEntry, _last_entry, arity,
+from grs.diophantine import (RELATIONS, _SOLVED, ShapeMismatch, ZeroEntry, _last_entry, arity,
                              bounded_integer_search, brute_force_box, check_relation,
                              enumerate_natural, fuchs_relation, relation_polynomial,
                              relation_symmetry_group)
@@ -122,6 +123,27 @@ def test_last_entry_is_the_relation_polynomial_solved_for_it(rel):
         outcomes.add(outcome)
     assert {"integer", "not an integer"} <= outcomes
     assert ("no solution" in outcomes) == (rel in ("genVI", "genV"))
+
+
+_nonzero_rationals = st.fractions(-12, 12, max_denominator=5).filter(bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(RELATIONS), st.lists(_nonzero_rationals, min_size=3, max_size=3))
+def test_solved_last_entry_satisfies_the_check_and_the_polynomial(rel, entries):
+    """On a nonzero rational head with den != 0, the table's num/den is a
+    solution by check_relation and a zero of relation_polynomial, and the
+    last entry plus one is not a solution."""
+    head = tuple(entries[:arity(rel) - 1])
+    num, den = _SOLVED[rel](*head)
+    assume(den != 0)
+    last = Fraction(num) / den
+    assume(last != -1)  # last + 1 = 0 has no reciprocal in genVI
+    assert check_relation(rel, head + (last,))
+    poly = relation_polynomial(rel)
+    point = {f"n{i + 1}": poly.ctx.rat(v) for i, v in enumerate(head + (last,))}
+    assert poly.subs(point).is_zero()
+    assert not check_relation(rel, head + (last + 1,))
 
 
 RELATION_TEXT = {
