@@ -16,9 +16,9 @@ from typing import Callable, Mapping, Sequence
 from .algebra import MPoly, MRat, assign, solve_linear
 from .singularities import (AccessiblePoint, LocalField, LocalIndex, SingularityError,
                             default_candidates, deflate, divisor_chart_local,
-                            find_divisor_roots, linearization, linearization_matrix,
-                            restricted_numerator, root_multiplicity)
-from .surface import PlaneVectorField, CoefficientFamily, chart_from_u0
+                            find_divisor_roots, linearization, restricted_numerator,
+                            root_multiplicity)
+from .surface import PlaneVectorField, chart_from_u0
 
 
 class ResolutionError(Exception):
@@ -27,10 +27,6 @@ class ResolutionError(Exception):
 
 class NotResolvable(ResolutionError):
     """An intermediate point fails to be accessible (coefficient conditions unmet)."""
-
-
-class MalformedExpansion(ResolutionError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -256,89 +252,3 @@ def resolve_family(vf: PlaneVectorField, location: MRat, multiplicity: int,
     emit("resolved-point accessibility", restricted_numerator(final).subs({final.along: at}).num)
     chart_obj = _with(chart_obj, assignments)
     return FamilyResolution(ResolutionTrace(steps, chart_obj, resolved_location), conditions)
-
-
-# ---------------------------------------------------------------------------
-# Degenerate-matrix equivalence for the double point (generic family)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class EquivalenceReport:
-    condition_sets: dict[str, tuple[str, ...]]
-    matrix_shape: str
-    residuals: dict[str, tuple[str, ...]]
-    equivalent: bool
-
-
-def degenerate_matrix_criterion(family: CoefficientFamily) -> EquivalenceReport:
-    """Three-way equivalence at X=0 on the generic family:
-
-    (a) the point is a double point in the resolution sense,
-    (b) the point is accessible with degenerate (nilpotent-diagonal)
-        linear-approximation matrix,
-    (c) the explicit coefficient conditions.
-
-    Each route is reduced to a set of primitive coefficient polynomials and
-    the sets are compared; the report also shows the matrix shape under the
-    conditions.
-    """
-    vf = family.vf
-    ctx = vf.ctx
-    zero = ctx.rat(0)
-    res = resolve_family(vf, zero, 2, -ctx.var("t"), family.unknowns)
-    set_a = [p for _, p in res.conditions[:3]]
-    local = divisor_chart_local(vf, "U2")
-    matrix, access = linearization_matrix(local, zero)
-    set_b = [access.num, matrix[0, 0].num, matrix[1, 1].num]
-    set_c = [ctx.poly_var("a5"), ctx.poly_var("a7"), ctx.poly_var("a10")]
-
-    def norm(ps):
-        return tuple(sorted(str(p.primitive()) for p in ps if not p.is_zero()))
-
-    sets = {"resolution": norm(set_a), "degenerate-matrix": norm(set_b),
-            "coefficients": norm(set_c)}
-    names = list(sets)
-    residuals = {}
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            diff = tuple(sorted(set(sets[a]) ^ set(sets[b])))
-            residuals[f"{a} vs {b}"] = diff
-    conds = {"a5": zero, "a7": zero, "a10": zero}
-    shaped = matrix.map(lambda r: r.subs(conds))
-    equivalent = all(not r for r in residuals.values())
-    return EquivalenceReport(sets, str(shaped), residuals, equivalent)
-
-
-# ---------------------------------------------------------------------------
-# Graded expansion eigenvalues (triple-point criterion)
-# ---------------------------------------------------------------------------
-
-
-def expansion_eigenvalues(vf: PlaneVectorField) -> tuple[MRat, MRat, MRat, MRat]:
-    """Diagonal entries (a2, a5, a9, a10) of the graded expansion in U2.
-
-    These are the linear and quadratic block eigenvalues of the system
-    written with its order-one pole; the triple point condition is that all
-    four vanish.
-    """
-    local = divisor_chart_local(vf, "U2")
-    ctx = vf.ctx
-    y = ctx.var("y")
-    f1 = local.fx * y
-    f2 = local.fy
-    fiber = ("x", "y")
-    if not (f1.is_polynomial_in(fiber) and f2.is_polynomial_in(fiber)):
-        raise MalformedExpansion("system is not in logarithmic U2 form")
-
-    def coeff(r: MRat, i: int, j: int) -> MRat:
-        num_part = r.num.coefficient("x", i).coefficient("y", j)
-        return MRat.from_poly(num_part) / MRat.from_poly(r.den)
-
-    if not coeff(f1, 0, 0).is_zero():
-        raise MalformedExpansion("origin is not a singular point of the expansion")
-    a5 = coeff(f1, 1, 0)
-    a2 = coeff(f1, 2, 0)
-    a10 = -coeff(f2, 0, 0)
-    a9 = -coeff(f2, 1, 0)
-    return a2, a5, a9, a10

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Sequence
+from typing import Callable, Sequence
 
 # The last entry of each relation as num/den of the leading ones; genVI is
 # 1/n1 + ... + 1/n4 = 2.  den = 0 leaves no solution on a nonzero head.
@@ -110,10 +110,11 @@ def enumerate_natural(rel: str, convention: str = "paper") -> list[tuple[int, ..
     return brute_force_box(rel, NATURAL_BOUND, convention)
 
 
-def _last_entry(rel: str, head: tuple[int, ...]) -> int | None:
+def _last_entry(solved: Callable, head: tuple[int, ...]) -> int | None:
     """The integer last entry that completes the nonzero integers ``head``
-    to a solution of the relation, or None if there is none."""
-    num, den = _SOLVED[rel](*head)
+    to a solution of the relation whose ``_SOLVED`` entry is ``solved``, or
+    None if there is none."""
+    num, den = solved(*head)
     return None if den == 0 or num % den else num // den
 
 
@@ -124,9 +125,10 @@ def _box(rel: str, entries: Sequence[int]) -> list[tuple[int, ...]]:
     only when it is one of ``entries`` and re-checked by check_relation.
     """
     members = set(entries)
+    solved = _SOLVED[rel]
     out = []
     for head in product(entries, repeat=arity(rel) - 1):
-        last = _last_entry(rel, head)
+        last = _last_entry(solved, head)
         if last in members and check_relation(rel, head + (last,)):
             out.append(head + (last,))
     return sorted(out)
@@ -175,40 +177,3 @@ def relation_polynomial(rel: str, ctx=None):
     n = [ctx.poly_var(f"n{i}") for i in range(1, k + 1)]
     num, den = _SOLVED[rel](*n[:-1])
     return -num + den * n[-1]
-
-
-def relation_symmetry_group(rel: str) -> list[tuple[int, ...]]:
-    """Index permutations leaving the relation polynomial invariant (symbolic)."""
-    from itertools import permutations
-    k = arity(rel)
-    poly = relation_polynomial(rel)
-    ctx = poly.ctx
-    group = []
-    for perm in permutations(range(k)):
-        mapping = {f"n{i + 1}": ctx.var(f"n{perm[i] + 1}") for i in range(k)}
-        if poly.subs(mapping).num == poly:
-            group.append(perm)
-    return group
-
-
-def fuchs_relation(exponents: Sequence[Sequence], m: int, n: int) -> bool:
-    """Exact check of the linear exponent-sum constraint for (m+1) regular
-    singular points of an order-n equation: sum of all exponents equals
-    (m-1) n (n-1) / 2.
-
-    Entries may be Fractions or exact rational functions; the comparison is
-    exact either way.
-    """
-    rows = [list(r) for r in exponents]
-    if len(rows) != m + 1 or any(len(r) != n for r in rows):
-        raise ShapeMismatch(f"need an (m+1) x n = {m + 1} x {n} exponent matrix")
-    first = rows[0][0]
-    if hasattr(first, "ctx"):
-        ctx = first.ctx
-        total = ctx.rat(0)
-        for row in rows:
-            for v in row:
-                total = total + v
-        return total == ctx.rat(Fraction((m - 1) * n * (n - 1), 2))
-    total = sum(Fraction(v) for row in rows for v in row)
-    return total == Fraction((m - 1) * n * (n - 1), 2)

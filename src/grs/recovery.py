@@ -29,7 +29,8 @@ from typing import Callable, Mapping, Sequence
 
 from .algebra import (Context, InconsistentSystem, MPoly, MRat, Mat2, StuckSystem, Sym,
                       TriangularSolution, coefficients_in, distinct_up_to_scale, solve_linear,
-                      solve_rational_linear, solve_triangular, _relation_normal_form)
+                      solve_rational_linear, solve_triangular, union_context,
+                      _relation_normal_form)
 from .blowup import resolve_family, resolve_multiplicity
 from .singularities import (AccessiblePoint, accessible_points, divisor_chart_local,
                             linearization, linearization_matrix)
@@ -624,7 +625,7 @@ def _agrees(big: Context, gpart: tuple[MPoly, MPoly], rcomp: MRat,
             param_values: Mapping[str, MRat]) -> bool:
     """Whether gnum/gden is the reference component at the parameter values,
     by its uncancelled images (no gcd); False where its denominator's vanishes."""
-    target = big.extend(tuple(Sym(n, "parameter") for n in rcomp.ctx.names if n not in big))
+    target = union_context(big, rcomp.ctx)
     values = {k: v.lift(target) for k, v in param_values.items()}
     (a, b), (c, d) = ((q.num, q.den) for q in (p.lift(target).subs(values)
                                               for p in (rcomp.num, rcomp.den)))
@@ -634,7 +635,7 @@ def _agrees(big: Context, gpart: tuple[MPoly, MPoly], rcomp: MRat,
 
 def _reference_in(big: Context, rcomp: MRat, param_values: Mapping[str, MRat]) -> MRat:
     """The reference component with parameters substituted, in lowest terms."""
-    target = big.extend(tuple(Sym(n, "parameter") for n in rcomp.ctx.names if n not in big))
+    target = union_context(big, rcomp.ctx)
     combined = rcomp.lift(target).subs({k: v.lift(target) for k, v in param_values.items()})
     try:
         return combined.lift(big)

@@ -225,13 +225,6 @@ def accessible_points(vf: PlaneVectorField,
     return points
 
 
-def is_accessible(vf: PlaneVectorField, location: MRat | None) -> bool:
-    """Whether the divisor point X=location (None for infinity) is accessible."""
-    local = divisor_chart_local(vf, "U3" if location is None else "U2")
-    at = vf.ctx.rat(0) if location is None else location
-    return deflate(restricted_numerator(local), local.along, at) is not None
-
-
 # ---------------------------------------------------------------------------
 # Linearization / local index
 # ---------------------------------------------------------------------------
@@ -383,31 +376,3 @@ def alpha_test(vf: PlaneVectorField, point: AccessiblePoint) -> AlphaTestResult:
     if ratio.is_integer():
         return AlphaTestResult(reduced, index.divisor, closed, True, "integer-ratio", ratio)
     return AlphaTestResult(reduced, index.divisor, closed, False, "branching", ratio)
-
-
-# ---------------------------------------------------------------------------
-# Branch point screen
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScreenReport:
-    passes: bool
-    ratios: tuple[MRat, ...]
-    non_integer: tuple[MRat, ...]
-
-    def __bool__(self):
-        return self.passes
-
-
-def branch_point_screen(ratios: Sequence[MRat]) -> ScreenReport:
-    """Necessary single-valuedness condition: every local-index ratio in Z."""
-    bad = tuple(r for r in ratios if not r.is_integer())
-    return ScreenReport(not bad, tuple(ratios), bad)
-
-
-def screen_vector_field(vf: PlaneVectorField,
-                        extra_candidates: Sequence[MRat] = ()) -> ScreenReport:
-    return branch_point_screen([linearization(divisor_chart_local(vf, p.chart), p.location).ratio
-                                for p in accessible_points(vf, extra_candidates)
-                                if p.multiplicity == 1])

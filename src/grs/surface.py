@@ -79,18 +79,6 @@ def sigma2_model(ctx: Context, twist_name: str = "alpha2") -> SurfaceModel:
     return SurfaceModel(2, (ctx.var(twist_name),))
 
 
-def sigma_n_model(ctx: Context, n: int, twist: Sequence[MRat | str | int]) -> SurfaceModel:
-    entries = []
-    for g in twist:
-        if isinstance(g, MRat):
-            entries.append(g)
-        elif isinstance(g, str):
-            entries.append(ctx.var(g))
-        else:
-            entries.append(ctx.rat(g))
-    return SurfaceModel(n, tuple(entries))
-
-
 @dataclass(frozen=True)
 class PlaneVectorField:
     """Pair (dx/dt, dy/dt) of rational functions plus the chart it lives in;
@@ -158,11 +146,6 @@ def _walk(ctx: Context, model: SurfaceModel, source: str, target: str) -> tuple[
             b = b.inverse()
         source = hop
     return a, b
-
-
-def chart_to_u0(ctx: Context, model: SurfaceModel, chart: str) -> tuple[MRat, MRat]:
-    """U0 coordinates (x, y) expressed in the given chart's coordinates."""
-    return _walk(ctx, model, chart, "U0")
 
 
 def chart_from_u0(ctx: Context, model: SurfaceModel, chart: str) -> tuple[MRat, MRat]:

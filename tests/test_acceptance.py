@@ -10,14 +10,14 @@ from fractions import Fraction
 import pytest
 
 from grs.algebra import MRat, Mat2, union_context
-from grs.blowup import degenerate_matrix_criterion, resolve_multiplicity
+from grs.blowup import resolve_family, resolve_multiplicity
 from grs.catalog import (get_maps, get_scheme, get_system, match_pair, pvi_system,
                          scheme_pvi)
 from grs.diophantine import brute_force_box, enumerate_natural
 from grs.recovery import (construct_existence_system, eigenvalue_relation,
                           match_specialization, recover, relation_substitution)
 from grs.singularities import (accessible_points, alpha_test, divisor_chart_local,
-                               linearization, screen_vector_field)
+                               linearization, linearization_matrix)
 from grs.surface import SIGMA2_UNKNOWNS, generic_family, sigma2_model
 from grs.symmetry import verify_involution, verify_symmetry
 
@@ -159,10 +159,19 @@ def test_acceptance_7_resolutions():
         trace = resolve_multiplicity(vf, pts[label])
         assert tuple(str(m) for m in trace.final_chart_map) == patch
         assert str(trace.final_location) == point
+    # the double point at X=0 of the generic family: resolution conditions,
+    # degenerate matrix and a5 = a7 = a10 = 0 are one condition set
     from grs.algebra import Context
     ctx = Context.make(parameters=["alpha2"], unknowns=list(SIGMA2_UNKNOWNS))
-    rep = degenerate_matrix_criterion(generic_family(sigma2_model(ctx), ctx))
-    assert rep.equivalent and rep.matrix_shape == "[[0, a8], [0, 0]]"
+    family = generic_family(sigma2_model(ctx), ctx)
+    zero = ctx.rat(0)
+    res = resolve_family(family.vf, zero, 2, -ctx.var("t"), family.unknowns)
+    matrix, access = linearization_matrix(divisor_chart_local(family.vf, "U2"), zero)
+    conditions = {"a5", "a7", "a10"}
+    assert {str(p) for _, p in res.conditions[:3]} == conditions
+    assert {str(r.num.primitive()) for r in (access, matrix[0, 0], matrix[1, 1])} == conditions
+    shaped = matrix.map(lambda r: r.subs({name: zero for name in conditions}))
+    assert str(shaped) == "[[0, a8], [0, 0]]"
     report(7, "resolutions yield patching data (x, x^2*y), (x, x^3*y) and "
               "resolved points (0,-t), (0,-1/2), (0,-1); the double-point "
               "three-way equivalence verifies symbolically on the family")
@@ -203,9 +212,9 @@ def test_acceptance_9_alpha_test():
         "n1": gctx.rat(Fraction(3, 2)), "n2": gctx.rat(2), "n3": gctx.rat(2),
         "alpha0": gctx.rat(1), "alpha1": gctx.rat(2), "alpha2": gctx.rat(3),
         "alpha3": gctx.rat(5), "alpha4": gctx.rat(7)})
-    screen = screen_vector_field(inst)
-    assert not screen.passes
-    assert any(str(r) == "3/2" for r in screen.non_integer)
+    ratios = [linearization(divisor_chart_local(inst, p.chart), p.location).ratio
+              for p in accessible_points(inst) if p.multiplicity == 1]
+    assert [str(r) for r in ratios if not r.is_integer()] == ["3/2"]
     report(9, "reduced system and closed form at X=0 match the display "
               "(W linear, Z with exponent 2), single-valued; at n1 = 3/2 the "
               "screen reports branching")

@@ -1,15 +1,15 @@
 """Blow-up and resolution tests: step data for the double and triple
-points, the degenerate-matrix equivalence, and the graded expansion."""
+points, and the double- and triple-point criteria stated against
+resolve_family, linearization_matrix and accessible_points."""
 
 import pytest
 
 from grs.algebra import Context
 from grs.blowup import (LocalChart, NotResolvable, ResolutionError, blow_up_chart,
-                        degenerate_matrix_criterion, expansion_eigenvalues,
                         resolve_family, resolve_multiplicity)
 from grs.catalog import get_system
 from grs.recovery import relation_substitution
-from grs.singularities import accessible_points
+from grs.singularities import accessible_points, divisor_chart_local, linearization_matrix
 from grs.surface import SIGMA2_UNKNOWNS, generic_family, sigma2_model
 
 
@@ -117,28 +117,26 @@ def test_blow_up_fails_when_a10_nonzero(family):
 
 
 def test_degenerate_matrix_criterion(family):
-    rep = degenerate_matrix_criterion(family)
-    assert rep.equivalent
-    assert rep.condition_sets["resolution"] == ("a10", "a5", "a7")
-    assert rep.condition_sets["degenerate-matrix"] == ("a10", "a5", "a7")
-    assert rep.condition_sets["coefficients"] == ("a10", "a5", "a7")
-    assert rep.matrix_shape == "[[0, a8], [0, 0]]"
-    assert all(not r for r in rep.residuals.values())
-
-
-def test_expansion_eigenvalues(family):
+    """At X=0 of the generic family three routes give one condition set:
+    the double point's resolution conditions, the accessibility value and
+    diagonal of the linearization matrix, and a5 = a7 = a10 = 0.  Under them
+    the matrix is nilpotent."""
     ctx = family.vf.ctx
     zero = ctx.rat(0)
-    # triple-point conditions annihilate all four expansion eigenvalues
-    conds = {"a2": zero, "a5": zero, "a7": zero, "a9": zero, "a10": zero}
-    vals = expansion_eigenvalues(family.vf.subs_params(conds))
-    assert all(v.is_zero() for v in vals)
-    # the sixth Painleve system has a nonzero linear block
-    from grs.catalog import pvi_system
-    pvi = pvi_system(normalized=True).vf
-    a2, a5, a9, a10 = expansion_eigenvalues(pvi)
-    assert str(a5) == "(2)/(t - 1)"
-    assert not a10.is_zero()
-    # zero field trivially expands to zero
-    zero_vf = family.vf.subs_params({k: zero for k in SIGMA2_UNKNOWNS})
-    assert all(v.is_zero() for v in expansion_eigenvalues(zero_vf))
+    res = resolve_family(family.vf, zero, 2, -ctx.var("t"), family.unknowns)
+    assert {str(p) for _, p in res.conditions[:3]} == {"a5", "a7", "a10"}
+    matrix, access = linearization_matrix(divisor_chart_local(family.vf, "U2"), zero)
+    entries = (access, matrix[0, 0], matrix[1, 1])
+    assert {str(r.num.primitive()) for r in entries} == {"a5", "a7", "a10"}
+    shaped = matrix.map(lambda r: r.subs({"a5": zero, "a7": zero, "a10": zero}))
+    assert str(shaped) == "[[0, a8], [0, 0]]"
+
+
+def test_triple_point_criterion(family):
+    """Under a2 = a5 = a7 = a9 = a10 = 0, X=0 is a triple point; under the
+    double-point conditions a5 = a7 = a10 = 0 alone it is double."""
+    zero = family.vf.ctx.rat(0)
+    for names, label in ((("a5", "a7", "a10"), "X=0 (2)"),
+                         (("a2", "a5", "a7", "a9", "a10"), "X=0 (3)")):
+        vf = family.vf.subs_params({u: zero for u in names})
+        assert label in [str(p) for p in accessible_points(vf)]

@@ -1,7 +1,7 @@
 """Eigenvalue relation classifications: paper lists, box oracles, conventions."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,8 +10,7 @@ from grs.algebra import Context, solve_linear
 from grs.catalog import FAMILIES, get_system
 from grs.diophantine import (RELATIONS, _SOLVED, ShapeMismatch, ZeroEntry, _last_entry, arity,
                              bounded_integer_search, brute_force_box, check_relation,
-                             enumerate_natural, fuchs_relation, relation_polynomial,
-                             relation_symmetry_group)
+                             enumerate_natural, relation_polynomial)
 
 
 def test_genVI_four_types():
@@ -119,7 +118,7 @@ def test_last_entry_is_the_relation_polynomial_solved_for_it(rel):
             q = value.num.subs(point).constant_value() / den
             expected = q.numerator if q.denominator == 1 else None
             outcome = "integer" if expected is not None else "not an integer"
-        assert _last_entry(rel, head) == expected, head
+        assert _last_entry(_SOLVED[rel], head) == expected, head
         outcomes.add(outcome)
     assert {"integer", "not an integer"} <= outcomes
     assert ("no solution" in outcomes) == (rel in ("genVI", "genV"))
@@ -166,33 +165,25 @@ def test_relation_polynomial_is_each_family_relation(family):
     assert poly == relation_polynomial(rel).lift(ctx)
 
 
+# the entries each relation may permute; its convention lists them ordered
+SYMMETRIC = {"genVI": {0, 1, 2, 3}, "genV": {0, 1}, "genIV": set(), "genIII": {0, 1}}
+
+
 def test_symmetry_groups_match_declared_conventions():
-    assert len(relation_symmetry_group("genVI")) == 24   # fully symmetric
-    assert relation_symmetry_group("genV") == [(0, 1, 2), (1, 0, 2)]
-    assert relation_symmetry_group("genIV") == [(0, 1)]  # asymmetric
-    assert relation_symmetry_group("genIII") == [(0, 1), (1, 0)]
-
-
-def test_fuchs_relation_hypergeometric():
-    a, b, c = Fraction(2, 7), Fraction(1, 5), Fraction(3, 11)
-    exponents = [[0, 1 - c], [0, c - a - b], [a, b]]
-    assert fuchs_relation(exponents, 2, 2)
-
-
-def test_fuchs_relation_zero_and_false_cases():
-    assert fuchs_relation([[0, 0], [0, 0]], 1, 2)
-    assert not fuchs_relation([[1, 0], [1, 0], [0, 0]], 2, 2)
-
-
-def test_fuchs_relation_symbolic_entries():
-    from grs.algebra import Context
-    ctx = Context.make(fiber=(), time=None, parameters=["a", "b", "c"])
-    a, b, c = ctx.var("a"), ctx.var("b"), ctx.var("c")
-    one = ctx.rat(1)
-    exponents = [[ctx.rat(0), one - c], [ctx.rat(0), c - a - b], [a, b]]
-    assert fuchs_relation(exponents, 2, 2)
-
-
-def test_fuchs_relation_shape():
-    with pytest.raises(ShapeMismatch):
-        fuchs_relation([[0, 0]], 2, 2)
+    """The natural solutions are closed under swapping two entries exactly
+    when the convention orders both, and permuting those entries of the
+    convention's list gives every natural solution."""
+    for rel in RELATIONS:
+        solutions = set(enumerate_natural(rel, "all"))
+        for i, j in combinations(range(arity(rel)), 2):
+            swapped = {t[:i] + (t[j],) + t[i + 1:j] + (t[i],) + t[j + 1:] for t in solutions}
+            assert (swapped == solutions) == ({i, j} <= SYMMETRIC[rel]), (rel, i, j)
+        block = sorted(SYMMETRIC[rel])
+        orbits = set()
+        for t in enumerate_natural(rel):
+            for perm in permutations(block):
+                u = list(t)
+                for src, dst in zip(block, perm):
+                    u[dst] = t[src]
+                orbits.add(tuple(u))
+        assert orbits == solutions, rel

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from grs import algebra, blowup, io as gio, recovery, singularities
+from grs import algebra, io as gio, recovery, singularities
 from grs.algebra import (Context, InconsistentSystem, MPoly, MRat, Mat2, StuckSystem, TraceStep,
                          TriangularSolution, assign, distinct_up_to_scale, exact_divide,
                          solve_linear, solve_triangular, split_content, union_context,
@@ -266,7 +266,7 @@ def test_verify_recovered_linearizes_each_resolved_point_once(monkeypatch):
         divisors.append(local.divisor)
         return real(local, location)
 
-    for module in (singularities, blowup, recovery):
+    for module in (singularities, recovery):
         monkeypatch.setattr(module, "linearization_matrix", spy)
     verify_recovered(rec)
     # the resolved chart of the double point at 0 has divisor x; the divisor

@@ -12,11 +12,9 @@ from grs.blowup import resolve_family, resolve_multiplicity
 from grs.catalog import get_system, pvi_system, system_names
 from grs.recovery import relation_substitution
 from grs.singularities import (AccessiblePoint, LocalField, NotAccessible, UnresolvedFactor,
-                               accessible_points, alpha_test,
-                               branch_point_screen, default_candidates, deflate,
-                               divisor_chart_local, find_divisor_roots, is_accessible,
-                               linearization, linearization_matrix, restricted_numerator,
-                               root_multiplicity, screen_vector_field)
+                               accessible_points, alpha_test, default_candidates, deflate,
+                               divisor_chart_local, find_divisor_roots, linearization,
+                               linearization_matrix, restricted_numerator, root_multiplicity)
 from grs.surface import (PlaneVectorField, SIGMA2_UNKNOWNS, generic_family,
                          sigma2_model)
 
@@ -24,6 +22,13 @@ from grs.surface import (PlaneVectorField, SIGMA2_UNKNOWNS, generic_family,
 @pytest.fixture(scope="module")
 def pvi():
     return pvi_system(normalized=True).vf
+
+
+def _accessible(vf, location):
+    """Whether the divisor point X=location (None for infinity) is accessible."""
+    local = divisor_chart_local(vf, "U3" if location is None else "U2")
+    at = vf.ctx.rat(0) if location is None else location
+    return deflate(restricted_numerator(local), local.along, at) is not None
 
 
 def test_pvi_accessible_points(pvi):
@@ -101,9 +106,9 @@ def test_symbolic_family_origin_not_accessible_when_a7_nonzero():
     ctx = Context.make(parameters=["alpha2"], unknowns=list(SIGMA2_UNKNOWNS))
     fam = generic_family(sigma2_model(ctx), ctx)
     # the divisor numerator at X=0 is a7, nonzero as a symbol
-    assert not is_accessible(fam.vf, ctx.rat(0))
+    assert not _accessible(fam.vf, ctx.rat(0))
     a7_zero = fam.vf.subs_params({"a7": ctx.rat(0)})
-    assert is_accessible(a7_zero, ctx.rat(0))
+    assert _accessible(a7_zero, ctx.rat(0))
 
 
 def test_gen_pv_multiplicities():
@@ -230,18 +235,12 @@ def test_four_point_family_ratios_equal_the_eigenvalues():
         assert str(linearization(local, p.location).ratio) == expected[p.label]
 
 
-def test_branch_point_screen():
-    ctx = Context.make()
-    ints = [ctx.rat(2), ctx.rat(2), ctx.rat(2), ctx.rat(2)]
-    assert branch_point_screen(ints).passes
-    mixed = [ctx.rat(2), ctx.rat(Fraction(3, 2))]
-    rep = branch_point_screen(mixed)
-    assert not rep.passes and str(rep.non_integer[0]) == "3/2"
-    assert branch_point_screen([ctx.rat(2), ctx.rat(1), ctx.rat(6)]).passes
-
-
-def test_screen_vector_field_on_pvi(pvi):
-    assert screen_vector_field(pvi).passes
+def test_branch_point_screen(pvi):
+    """The necessary single-valuedness condition holds on pvi: the local
+    index ratio of every simple accessible point is an integer."""
+    ratios = [linearization(divisor_chart_local(pvi, p.chart), p.location).ratio
+              for p in accessible_points(pvi) if p.multiplicity == 1]
+    assert ratios and all(r.is_integer() for r in ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +570,7 @@ def test_values_involving_x_or_y_are_never_roots():
     x, y = ctx.var("x"), ctx.var("y")
     vf = PlaneVectorField((x * x + ctx.rat(1)) * y, ctx.rat(0), "U0", sigma2_model(ctx))
     for text in FIBER_VALUES:
-        assert not is_accessible(vf, ctx.parse(text))
+        assert not _accessible(vf, ctx.parse(text))
         with pytest.raises(UnresolvedFactor) as exc:
             accessible_points(vf, [ctx.parse(text)])
         assert str(exc.value) == "unresolved factor: (1)*X^0 + (1)*X^2"
@@ -580,7 +579,7 @@ def test_values_involving_x_or_y_are_never_roots():
 @pytest.mark.parametrize("name", system_names())
 def test_accessible_points_match_the_coefficient_list_reference(name):
     """Every builtin system: the U2 roots, the multiplicity at infinity and
-    is_accessible, at None and at every root, agree with the reference."""
+    _accessible, at None and at every root, agree with the reference."""
     vf = _cli_system(name)
     ctx = vf.ctx
     u2, u3 = divisor_chart_local(vf, "U2"), divisor_chart_local(vf, "U3")
@@ -591,10 +590,10 @@ def test_accessible_points_match_the_coefficient_list_reference(name):
     coeffs3 = _ref_restricted_numerator(u3)
     at_inf = _ref_root_multiplicity(coeffs3, ctx.rat(0))[0]
     assert root_multiplicity(restricted_numerator(u3), u3.along, ctx.rat(0))[0] == at_inf
-    assert is_accessible(vf, None) == _ref_eval(coeffs3, ctx.rat(0)).is_zero() == bool(at_inf)
+    assert _accessible(vf, None) == _ref_eval(coeffs3, ctx.rat(0)).is_zero() == bool(at_inf)
     for root, _ in want:
-        assert is_accessible(vf, root)
+        assert _accessible(vf, root)
     for text in FIBER_VALUES + ["2", "-t"]:
         value = ctx.parse(text)
-        assert is_accessible(vf, value) == _ref_eval(_ref_restricted_numerator(u2),
-                                                      value).is_zero()
+        assert _accessible(vf, value) == _ref_eval(_ref_restricted_numerator(u2),
+                                                   value).is_zero()

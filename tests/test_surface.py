@@ -9,16 +9,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from grs.algebra import Context, MPoly, MRat
 from grs.surface import (CHARTS, InvalidN, PlaneVectorField, SIGMA2_UNKNOWNS,
-                         SurfaceModel, chart_from_u0, chart_to_u0, chart_transform,
+                         SurfaceModel, _walk, chart_from_u0, chart_transform,
                          check_log_condition, degree_bounds, generic_family,
-                         sigma2_model, sigma_n_model)
+                         sigma2_model)
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def roundtrip_is_identity(ctx: Context, model: SurfaceModel, chart: str) -> bool:
     """Exact check that chart -> U0 -> chart composes to the identity."""
-    u0 = chart_to_u0(ctx, model, chart)
+    u0 = _walk(ctx, model, chart, "U0")
     back = chart_from_u0(ctx, model, chart)
     comp1 = back[0].subs({"x": u0[0], "y": u0[1]})
     comp2 = back[1].subs({"x": u0[0], "y": u0[1]})
@@ -39,7 +39,7 @@ def test_chart_round_trips(ctx):
     model = sigma2_model(ctx)
     assert all(roundtrip_is_identity(ctx, model, c) for c in ("U1", "U2", "U3"))
     ctx3 = Context.make(parameters=["g1", "g2"])
-    model3 = sigma_n_model(ctx3, 3, ["g1", "g2"])
+    model3 = SurfaceModel(3, (ctx3.var("g1"), ctx3.var("g2")))
     assert all(roundtrip_is_identity(ctx3, model3, c) for c in ("U1", "U2", "U3"))
     ctx1 = Context.make()
     model1 = SurfaceModel(1, ())
@@ -200,7 +200,7 @@ def test_generic_family_general_path_agrees_on_sigma2(ctx, family):
     from grs.algebra import solve_triangular
     names = _ansatz_unknown_names(2)
     gctx = Context.make(parameters=["alpha2"], unknowns=names)
-    model = sigma_n_model(gctx, 2, ["alpha2"])
+    model = sigma2_model(gctx)
     x, y = gctx.var("x"), gctx.var("y")
 
     def block(b, cap):
@@ -220,7 +220,7 @@ def test_generic_family_general_path_agrees_on_sigma2(ctx, family):
 
 def test_generic_family_sigma3():
     ctx3 = Context.make(parameters=["g1", "g2"])
-    model = sigma_n_model(ctx3, 3, ["g1", "g2"])
+    model = SurfaceModel(3, (ctx3.var("g1"), ctx3.var("g2")))
     fam = generic_family(model)
     assert check_log_condition(fam.vf).holds
     # the divisor numerator (accessible locus) has degree n + 2 = 5 in X with
@@ -261,11 +261,11 @@ def _substituted_rewrite(vf, target):
     map from vf's chart to the target, then the inverse map substituted."""
     ctx, model = vf.ctx, vf.model
     tx, ty = chart_from_u0(ctx, model, target)
-    cx, cy = chart_to_u0(ctx, model, vf.chart)
+    cx, cy = _walk(ctx, model, vf.chart, "U0")
     phi = (tx.subs({"x": cx, "y": cy}), ty.subs({"x": cx, "y": cy}))
     d1, d2 = (p.derivative("x") * vf.dxdt + p.derivative("y") * vf.dydt for p in phi)
     bx, by = chart_from_u0(ctx, model, vf.chart)
-    ux, uy = chart_to_u0(ctx, model, target)
+    ux, uy = _walk(ctx, model, target, "U0")
     inv = {"x": bx.subs({"x": ux, "y": uy}), "y": by.subs({"x": ux, "y": uy})}
     return d1.subs(inv), d2.subs(inv)
 
@@ -372,7 +372,7 @@ def test_builtin_rewrites_run_few_gcds(monkeypatch):
     from grs import algebra
     from grs.catalog import get_system, system_names
     fields = [get_system(name).vf for name in system_names()]
-    polynomial = generic_family(sigma_n_model(LAURENT_CTX, 2, ["p"])).vf
+    polynomial = generic_family(sigma2_model(LAURENT_CTX, "p")).vf
     calls = []
     cofactors = algebra.gcd_cofactors
     monkeypatch.setattr(algebra, "gcd_cofactors",
