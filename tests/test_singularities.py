@@ -235,12 +235,31 @@ def test_four_point_family_ratios_equal_the_eigenvalues():
         assert str(linearization(local, p.location).ratio) == expected[p.label]
 
 
-def test_branch_point_screen(pvi):
+def _simple_point_ratios(vf):
+    """The local index ratio at every simple accessible point, by label."""
+    return {p.label: linearization(divisor_chart_local(vf, p.chart), p.location).ratio
+            for p in accessible_points(vf) if p.multiplicity == 1}
+
+
+def test_branch_point_screen():
+    """The screen flags exactly the non-integer ratios: the four-point family
+    at eigenvalues (2, 2, 2, 2) passes, at (1, 3, 4, 12/5) only X=inf fails."""
+    entry = get_system("gen-pvi")
+    ctx = entry.vf.ctx
+    alphas = {"alpha0": ctx.rat(2), "alpha1": ctx.rat(3), "alpha2": ctx.rat(5),
+              "alpha3": ctx.rat(7), "alpha4": ctx.rat(11)}
+    for eigen, flagged in (((2, 2, 2, 2), []), ((1, 3, 4, Fraction(12, 5)), ["inf"])):
+        values = dict(alphas, **{f"n{i}": ctx.rat(n) for i, n in enumerate(eigen, 1)})
+        ratios = _simple_point_ratios(entry.vf.subs_params(values))
+        assert len(ratios) == 4
+        assert [label for label, r in ratios.items() if not r.is_integer()] == flagged
+
+
+def test_screen_vector_field_on_pvi(pvi):
     """The necessary single-valuedness condition holds on pvi: the local
     index ratio of every simple accessible point is an integer."""
-    ratios = [linearization(divisor_chart_local(pvi, p.chart), p.location).ratio
-              for p in accessible_points(pvi) if p.multiplicity == 1]
-    assert ratios and all(r.is_integer() for r in ratios)
+    ratios = _simple_point_ratios(pvi)
+    assert ratios and all(r.is_integer() for r in ratios.values())
 
 
 # ---------------------------------------------------------------------------
