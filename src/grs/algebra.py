@@ -72,6 +72,8 @@ both leading coefficients survive the evaluation no image gcd has a lower
 degree in v than the true gcd; images coprime in every shared symbol therefore
 prove the gcd constant.  Any other outcome (a vanished leading coefficient,
 the prime in a denominator, an image gcd of positive degree) falls through.
+The same term images, at any point, give a rational function's value and
+partials mod the prime (``_rat_image``), which screen symmetry probes.
 The one-sided step takes out the symbols that occur in one operand only
 (Geddes, Czapor & Labahn 1992, ch. 7): if a involves symbols that b lacks,
 gcd(a, b) involves none of them, so it divides the content of a in them (the
@@ -851,25 +853,28 @@ def _residues(n: int) -> tuple[list[int], list[int]]:
     return _RESIDUES, _INVERSES
 
 
-def _powers(i: int, degree: int) -> list[int]:
-    """The table of powers of residue i, extended up to ``degree``."""
-    table = _POWERS[i]
-    r = _RESIDUES[i]
+def _powers(i: int, degree: int, point: Sequence[int] = _RESIDUES) -> list[int]:
+    """The table of powers of residue i of ``point``, up to ``degree``; kept
+    and extended where that residue is the fixed one."""
+    r = point[i]
+    table = _POWERS[i] if r == _RESIDUES[i] else [1]
     while len(table) <= degree:
         table.append(table[-1] * r % _PRIME)
     return table
 
 
-def _term_images(p: MPoly) -> list[tuple[int, int]] | None:
-    """Each term's value mod _PRIME at the fixed residues (set up by _residues),
-    by packed key; None if _PRIME divides p.den."""
+def _term_images(p: MPoly, point: Sequence[int] = _RESIDUES) -> list[tuple[int, int]] | None:
+    """Each term's value mod _PRIME at ``point``, a residue per context index
+    (by default the fixed ones, set up by _residues), by packed key; None if
+    _PRIME divides p.den."""
     if p.den % _PRIME == 0:
         return None
     inverse = pow(p.den, -1, _PRIME)
     ctx = p.ctx
-    support = reduce(or_, p.packed)
-    degree = max(p.packed) >> ctx._top
-    fields = [(s, _powers(i, degree)) for i, s in enumerate(ctx._shifts) if support >> s & _FIELD]
+    support = reduce(or_, p.packed, 0)
+    degree = max(p.packed, default=0) >> ctx._top
+    fields = [(s, _powers(i, degree, point)) for i, s in enumerate(ctx._shifts)
+              if support >> s & _FIELD]
     images = []
     for k, c in p.packed.items():
         m = c * inverse % _PRIME
@@ -877,6 +882,26 @@ def _term_images(p: MPoly) -> list[tuple[int, int]] | None:
             m = m * table[k >> s & _FIELD] % _PRIME
         images.append((k, m))
     return images
+
+
+def _rat_image(r: "MRat", point: Sequence[int], along: Sequence[int] = ()) -> list[int]:
+    """r, then its partials in the symbols of indices ``along`` (each at its
+    fixed residue), mod _PRIME at ``point``; raises DivisionByZero where
+    _PRIME divides a coefficient denominator or r.den vanishes there."""
+    parts = []
+    for images in (_term_images(r.num, point), _term_images(r.den, point)):
+        if images is None:
+            raise DivisionByZero(f"{_PRIME} divides a coefficient denominator")
+        parts.append([sum(m for _, m in images)] + [
+            sum((k >> r.ctx._shifts[i] & _FIELD) * m for k, m in images) * _INVERSES[i]
+            for i in along])
+    (num, *dnum), (den, *dden) = parts
+    if not den % _PRIME:
+        raise DivisionByZero(f"the denominator vanishes mod {_PRIME}")
+    inverse = pow(den, -1, _PRIME)
+    value = num * inverse % _PRIME
+    # (n/d)' = (n' - (n/d) d')/d
+    return [value] + [(a - value * b) * inverse % _PRIME for a, b in zip(dnum, dden)]
 
 
 def _image_in(images: list[tuple[int, int]], shift: int, inverse: int) -> list[int] | None:

@@ -15,21 +15,31 @@ whose left side is ``surface.chain_rule``; a probe substitutes its draw
 before it differentiates, and one function, ``_vanishes``, decides whether a
 residual vanishes outright or modulo the relation.
 
-A probe run draws and checks in full until one draw passes.  That draw is a
-random-point identity test (Schwartz, J. ACM 1980; Zippel, EUROSAM 1979),
-so a map that is not a symmetry almost always fails at once, with the same
-draw, note and residual text as a run of per-draw checks.  When more draws
-were asked for, the exact residual is then reduced once (``_proved``).
+A probe run checks draws until one passes.  A draw is a random-point
+identity test (Schwartz, J. ACM 1980; Zippel, EUROSAM 1979), so a map that
+is not a symmetry almost always fails at once, with the same draw, note and
+residual text as a run of per-draw checks.  When more draws were asked for,
+each draw up to the first pass is screened (``_screen``): its residual is
+evaluated mod the prime 2^61 - 1 at fixed residues of x, y and t, from
+values and partials there, with no substitution or derivative on the
+fields.  Unless the prime divides a draw's denominator or an evaluated
+denominator vanishes (always so for a draw that leaves the residual
+undefined), that evaluation is a ring homomorphism, so a nonzero image
+proves the exact residual nonzero, and the draw is computed exactly and
+reported.  A zero image has the exact residual reduced once (``_proved``).
 Where it vanishes, outright or modulo the relation, the map is invariant,
-and the run ends there and reports all the draws asked for: a later draw
-would only check the image of that identity under setting the parameters to
-the draw, a ring homomorphism that commutes with d/dx, d/dy and d/dt and
-respects the relation the draw satisfies.  This is the one way a probe run
-differs from a loop that checks every draw in full: such a loop can still
-raise on a later draw, where too many draws hit excluded loci or no
-consistent parameters are found, and a proved run returns the proven
-verdict instead.  Where the residual does not vanish, or its reduction
-divides by zero, every draw is probed in full.
+and the run ends there and reports all the draws asked for: the screened
+draw would pass, and a later draw would only check the image of that
+identity under setting the parameters to the draw, a ring homomorphism that
+commutes with d/dx, d/dy and d/dt and respects the relation the draw
+satisfies.  This is the one way a probe run differs from a loop that checks
+every draw in full: such a loop can still raise on a later draw, where too
+many draws hit excluded loci or no consistent parameters are found, and a
+proved run returns the proven verdict instead.  Where the proof fails (the
+residual does not vanish, or its reduction divides by zero), the screened
+draw is computed exactly and every draw after it is probed in full.  Where
+the screen cannot decide, the draw is computed exactly, or skipped where it
+is undefined, and the first passing draw is proved as above.
 """
 
 from __future__ import annotations
@@ -39,7 +49,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Context, DivisionByZero, MPoly, MRat, _subs_constants
+from .algebra import (_PRIME, Context, DivisionByZero, MPoly, MRat, _rat_image, _residues,
+                      _subs_constants)
 from .recovery import relation_substitution, zero_modulo
 from .surface import PlaneVectorField, chain_rule
 
@@ -165,6 +176,34 @@ def _probe_residual(f: tuple[MRat, MRat], bmap: BirationalMap, values: dict[str,
                                   f[1].subs(mapped).subs(image)))
 
 
+def _screen(f: tuple[MRat, MRat], bmap: BirationalMap, values: dict[str, MRat],
+            params: Sequence[str]) -> tuple[int, int] | None:
+    """``_probe_residual(f, bmap, values, params)`` mod _PRIME at x, y and t
+    at their fixed residues, from values and partials at one point; None
+    where _PRIME divides a draw's denominator or an evaluated denominator."""
+    ctx = bmap.ctx
+    xyt = [ctx.index(n) for n in ("x", "y", "t")]
+    point = _residues(len(ctx))[0][:len(ctx)]
+    try:
+        for p in params:
+            point[ctx.index(p)] = _rat_image(values[p], point)[0]
+        images = [_rat_image(img, point, xyt)
+                  for img in (bmap.x_image, bmap.y_image, bmap.t_image)]
+        fv = [_rat_image(c, point)[0] for c in f]
+        # F at the images, with the mapped parameters at the images too
+        at = list(point)
+        for i, image in zip(xyt, images):
+            at[i] = image[0]
+        mapped = {p: _rat_image(img, at)[0] for p, img in bmap.param_map.items() if p in params}
+        for p, value in mapped.items():
+            at[ctx.index(p)] = value
+        f_at_image = [_rat_image(c, at)[0] for c in f]
+    except DivisionByZero:
+        return None
+    return tuple((dx * fv[0] + dy * fv[1] + dt - images[2][3] * g) % _PRIME
+                 for (_, dx, dy, dt), g in zip(images, f_at_image))
+
+
 def verify_symmetry(vf: PlaneVectorField, bmap: BirationalMap, mode: str = "numeric-probe",
                     relation: MPoly | None = None, eigenvalue_syms: Sequence[str] = (),
                     draws: int = 20, seed: int = 20200828) -> SymmetryReport:
@@ -173,10 +212,12 @@ def verify_symmetry(vf: PlaneVectorField, bmap: BirationalMap, mode: str = "nume
     In numeric-probe mode all parameters and eigenvalues are instantiated at
     random rationals consistent with the eigenvalue relation and the
     residual is compared with zero exactly, draw by draw; ``draws`` must be
-    at least 1 and at most MAX_DRAWS.  After the first passing draw, when
-    ``draws`` is more than 1, the exact residual is reduced once; where it
-    vanishes, the run ends with an invariant report of ``draws`` draws, even
-    where a per-draw loop would go on to raise (see the module docstring).
+    at least 1 and at most MAX_DRAWS.  When ``draws`` is more than 1, each
+    draw up to the first pass is screened mod a prime first; a zero screen,
+    or else the first passing draw, has the exact residual reduced once, and
+    where it vanishes the run ends with an invariant report of ``draws``
+    draws, even where a per-draw loop would go on to raise (see the module
+    docstring).
     In symbolic mode ``draws`` is ignored and the residual is reduced modulo
     the relation; a residual that vanishes only modulo the relation is
     reported, not failed.
@@ -201,6 +242,7 @@ def verify_symmetry(vf: PlaneVectorField, bmap: BirationalMap, mode: str = "nume
     f = vf.components()
     rng = random.Random(seed)
     relsub = {} if relation is None else relation_substitution([relation], eigenvalue_syms)
+    prove = draws > 1
     done = 0
     attempts = 0
     while done < draws:
@@ -208,6 +250,10 @@ def verify_symmetry(vf: PlaneVectorField, bmap: BirationalMap, mode: str = "nume
         if attempts > 50 * draws:
             raise SymmetryError("parameter draws kept hitting excluded loci")
         values = draw_parameters(ctx, rng, relsub)
+        if prove and not done and _screen(f, bmap, values, params) == (0, 0):
+            if _proved(vf, bmap, params, relsub):
+                return SymmetryReport(True, mode, draws=draws)
+            prove = False
         try:
             r1, r2 = _probe_residual(f, bmap, values, params)
         except DivisionByZero:
@@ -217,7 +263,7 @@ def verify_symmetry(vf: PlaneVectorField, bmap: BirationalMap, mode: str = "nume
                                   note=f"failed at draw {done + 1} with "
                                        + ", ".join(f"{k}={v}" for k, v in values.items()))
         done += 1
-        if done == 1 and draws > 1 and _proved(vf, bmap, params, relsub):
+        if done == 1 and prove and _proved(vf, bmap, params, relsub):
             return SymmetryReport(True, mode, draws=draws)
     return SymmetryReport(True, mode, draws=done)
 

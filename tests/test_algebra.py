@@ -859,6 +859,39 @@ def test_certificate_falls_through_when_the_prime_divides_a_denominator():
     assert poly_gcd(a, b) == ORACLE_CTX.poly(1)
 
 
+def _image_mod_p(p, point):
+    """p at ``point`` mod the certificate's prime, one Fraction term at a time."""
+    prime = algebra._PRIME
+    return sum(c.numerator * pow(c.denominator, -1, prime)
+               * math.prod(pow(point[i], k, prime) for i, k in enumerate(e))
+               for e, c in p.terms.items()) % prime
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys(), _nonzero, st.integers(0, algebra._PRIME - 1))
+def test_rat_image_is_the_value_and_partials_mod_p(num, den, a):
+    """x and t at their fixed residues, a anywhere: the image and the partials
+    in x and t are those of the exact quotient and its derivatives."""
+    point = algebra._residues(len(ORACLE_CTX))[0][:len(ORACLE_CTX)]
+    point[ORACLE_CTX.index("a")] = a
+    r = MRat(num, den)
+    if not _image_mod_p(r.den, point):
+        with pytest.raises(DivisionByZero):
+            algebra._rat_image(r, point)
+        return
+    want = [r] + [r.derivative(n) for n in ("x", "t")]
+    assert algebra._rat_image(r, point, [ORACLE_CTX.index(n) for n in ("x", "t")]) == [
+        _image_mod_p(q.num, point) * pow(_image_mod_p(q.den, point), -1, algebra._PRIME)
+        % algebra._PRIME for q in want]
+
+
+def test_rat_image_refuses_a_denominator_the_prime_divides():
+    point = algebra._residues(len(ORACLE_CTX))[0][:len(ORACLE_CTX)]
+    with pytest.raises(DivisionByZero):
+        algebra._rat_image(ORACLE_CTX.rat(Fraction(1, 2 * algebra._PRIME)), point)
+    assert algebra._rat_image(ORACLE_CTX.rat(Fraction(algebra._PRIME, 2)), point) == [0]
+
+
 _dense_factor = _polys(min_terms=3, max_terms=3, constant=False, degree=2)
 
 

@@ -393,6 +393,14 @@ def test_cli_symmetry_probe_json_matches_golden(capsys, system, bmap):
 
 
 @pytest.mark.parametrize("system, bmap", _SHIPPED_MAPS + [("gen-pvi", "pi3-verbatim")])
+def test_cli_symmetry_probe_pretty_matches_golden(capsys, system, bmap):
+    """The pretty probe report: verdict line, map note and residual lines."""
+    code, out, err = _run(capsys, "symmetry", "--system", system, "--map", bmap)
+    golden = (GOLDEN_CLI / f"symmetry_{system}_{bmap}.txt").read_text()
+    assert (code, out, err) == (3 if bmap == "pi3-verbatim" else 0, golden, "")
+
+
+@pytest.mark.parametrize("system, bmap", _SHIPPED_MAPS + [("gen-pvi", "pi3-verbatim")])
 def test_cli_symmetry_symbolic_json_matches_golden(capsys, system, bmap):
     """pi3-verbatim pins the full symbolic residual; its exact check runs one
     gcd of two 500-term operands in 11 symbols that returns 1."""

@@ -1,10 +1,11 @@
 """Birational symmetry tests: exact probes, involutions, push-forwards."""
 
+import math
 import random
 
 import pytest
 
-from grs import symmetry
+from grs import algebra, symmetry
 from grs.algebra import Context, DivisionByZero
 from grs.catalog import get_maps, get_system
 from grs.recovery import relation_substitution
@@ -308,6 +309,39 @@ def test_probe_matches_the_per_draw_loop_on_invariant_fields(case, seeds):
         assert report == _reference_probe(vf, bmap, draws=20, seed=seed), seed
 
 
+def _image_mod_p(r, point):
+    """An MRat at ``point`` mod the screen's prime, one Fraction term at a time."""
+    prime = algebra._PRIME
+    num, den = (sum(c.numerator * pow(c.denominator, -1, prime)
+                    * math.prod(pow(point[i], k, prime) for i, k in enumerate(e))
+                    for e, c in p.terms.items()) for p in (r.num, r.den))
+    return num * pow(den, -1, prime) % prime
+
+
+@pytest.mark.parametrize("sys_name, map_name", CASES + [("gen-pvi", "pi3-verbatim")])
+def test_screen_is_the_image_of_the_exact_residual(sys_name, map_name):
+    """At the first draw of seeds 1 to 5 the screen is zero exactly when the
+    exact residual is, and is that residual at the fixed residues mod p."""
+    entry, bmap = _get(sys_name, map_name)
+    ctx = entry.vf.ctx
+    params = [s.name for s in ctx.syms if s.kind == "parameter"]
+    relsub = relation_substitution([entry.relation], entry.eigenvalue_syms)
+    point = algebra._residues(len(ctx))[0]
+    for seed in range(1, 6):
+        values = symmetry.draw_parameters(ctx, random.Random(seed), relsub)
+        args = (entry.vf.components(), bmap, values, params)
+        exact = symmetry._probe_residual(*args)
+        screen = symmetry._screen(*args)
+        assert (screen == (0, 0)) == all(r.is_zero() for r in exact), seed
+        assert screen == tuple(_image_mod_p(r, point) for r in exact), seed
+
+
+def _calls(monkeypatch, log, name):
+    """Log (name, args) as each call starts."""
+    original = getattr(symmetry, name)
+    monkeypatch.setattr(symmetry, name, lambda *args: log.append((name, args)) or original(*args))
+
+
 def _spy(monkeypatch, events, name, outcome):
     """Log (name, outcome of the result, or "excluded") for each call."""
     original = getattr(symmetry, name)
@@ -326,8 +360,9 @@ def _spy(monkeypatch, events, name, outcome):
 @pytest.mark.parametrize("sys_name, map_name", CASES)
 def test_a_proved_probe_run_ends_at_its_first_passing_draw(monkeypatch, sys_name, map_name):
     """An invariant map makes the draws the per-draw loop needs for its first
-    pass, probes each, proves the residual zero once and reports all its
-    draws; a run of one draw proves nothing."""
+    pass, computes exactly only those that are excluded, proves the residual
+    zero once, on the screen of the passing draw, and reports all its draws;
+    a run of one draw proves nothing."""
     entry, bmap = _get(sys_name, map_name)
     vf, relation, syms = entry.vf, entry.relation, entry.eigenvalue_syms
     events = []
@@ -341,8 +376,8 @@ def test_a_proved_probe_run_ends_at_its_first_passing_draw(monkeypatch, sys_name
         report = verify_symmetry(vf, bmap, "numeric-probe", relation, syms, draws=draws)
         assert report == SymmetryReport(True, "numeric-probe", draws=draws)
         assert events.count(("draw_parameters", "drawn")) == first_pass
-        assert events.count(("_probe_residual", "passed")) == 1
-        assert sum(e[0] == "_probe_residual" for e in events) == first_pass
+        assert events.count(("_probe_residual", "excluded")) == first_pass - 1
+        assert sum(e[0] == "_probe_residual" for e in events) == first_pass - 1
         assert [e for e in events if e[0] == "_proved"] == [("_proved", True)]
         assert events[-1] == ("_proved", True)
     del events[:]
@@ -352,19 +387,29 @@ def test_a_proved_probe_run_ends_at_its_first_passing_draw(monkeypatch, sys_name
     assert not [e for e in events if e[0] == "_proved"]
 
 
-def test_probe_continues_when_the_exact_residual_does_not_vanish():
+def test_probe_continues_when_the_exact_residual_does_not_vanish(monkeypatch):
     """x -> x + (a - a0) t leaves the residual ((a - a0)(1 - t), 0) on
-    dx/dt = x, dy/dt = y; a0 is the first draw of a, so that draw passes and
-    a later one fails, with the same report as when every draw is probed."""
+    dx/dt = x, dy/dt = y; a0 is the first draw of a, so that draw screens to
+    zero, its proof fails once, it is computed exactly and passes, and a
+    later one fails, with the same report as when every draw is probed."""
     ctx = Context.make(parameters=["a", "b"])
     x, y, t, a = (ctx.var(n) for n in ("x", "y", "t", "a"))
     vf = PlaneVectorField(x, y, "U0", SurfaceModel(1, ()))
+    log = []
+    _calls(monkeypatch, log, "_probe_residual")
+    _spy(monkeypatch, log, "_screen", lambda r: r)
+    _spy(monkeypatch, log, "_proved", bool)
     for seed in (1, 2, 3):
         a0 = symmetry.draw_parameters(ctx, random.Random(seed), {})["a"]
         bmap = BirationalMap("shear", x + (a - a0) * t, y, t, {})
+        del log[:]
         report = verify_symmetry(vf, bmap, draws=20, seed=seed)
         assert not report.invariant and report.draws > 1
         assert report == _reference_probe(vf, bmap, draws=20, seed=seed)
+        assert log[:2] == [("_screen", (0, 0)), ("_proved", False)]
+        probes = [args for name, args in log[2:] if name == "_probe_residual"]
+        assert len(probes) == len(log) - 2 == report.draws
+        assert probes[0][2]["a"] == a0
 
 
 def test_probe_raises_when_every_draw_is_excluded():
@@ -378,3 +423,55 @@ def test_probe_raises_when_every_draw_is_excluded():
     for call in (verify_symmetry, _reference_probe):
         with pytest.raises(SymmetryError, match="kept hitting excluded loci"):
             call(vf, bmap, relation=relation, eigenvalue_syms=("n1", "n2"), draws=3)
+
+
+def test_a_nonzero_screen_is_reported_without_a_proof(monkeypatch):
+    """The verbatim map's first draw screens nonzero: that draw alone is
+    computed exactly and reported, and the proof never runs."""
+    entry, bmap = _get("gen-pvi", "pi3-verbatim")
+    args = (entry.vf, bmap, entry.relation, entry.eigenvalue_syms)
+    log = []
+    for name in ("_screen", "_probe_residual", "_proved"):
+        _calls(monkeypatch, log, name)
+    for draws in (3, 20):
+        del log[:]
+        assert verify_symmetry(entry.vf, bmap, "numeric-probe", *args[2:], draws=draws) \
+            == _reference_probe(*args, draws=draws)
+        assert [name for name, _ in log] == ["_screen", "_probe_residual"]
+
+
+@pytest.mark.parametrize("seed", [7, 9], ids=["a=1", "a=2"])
+def test_an_undecided_screen_takes_the_exact_path(monkeypatch, seed):
+    """The first scaling draw of seed 7 has a = 1 (the x image undefined), of
+    seed 9 a = 2 (F undefined): the screen cannot decide, the exact draw is
+    excluded, and the next draw screens to zero and is proved."""
+    vf, bmap = _scaling_case()
+    log = []
+    _spy(monkeypatch, log, "_screen", lambda r: r)
+    _spy(monkeypatch, log, "_probe_residual", lambda r: "passed")
+    _spy(monkeypatch, log, "_proved", bool)
+    assert verify_symmetry(vf, bmap, draws=20, seed=seed) \
+        == _reference_probe(vf, bmap, draws=20, seed=seed)
+    assert log == [("_screen", None), ("_probe_residual", "excluded"), ("_screen", (0, 0)),
+                   ("_proved", True)]
+
+
+def test_a_draw_value_the_prime_divides_takes_the_exact_path(monkeypatch):
+    """The relation n1 - p n2, for p the prime 2^61 - 1, solves n2 = n1/p, a
+    draw value the screen cannot reduce mod p: every draw takes the exact
+    path, with the reports of the per-draw loop, on an invariant map and on
+    one that fails."""
+    ctx = Context.make(parameters=["n1", "n2"])
+    x, y, t, n1, n2 = (ctx.var(n) for n in ("x", "y", "t", "n1", "n2"))
+    relation = (n1 - ctx.rat((1 << 61) - 1) * n2).num
+    vf = PlaneVectorField(n2 * x, y, "U0", SurfaceModel(1, ()))
+    log = []
+    _spy(monkeypatch, log, "_screen", lambda r: r)
+    for bmap, invariant in ((BirationalMap("flip", x, -y, t, {}), True),
+                            (BirationalMap("shift", x, y + ctx.rat(1), t, {}), False)):
+        for seed in (1, 2, 3):
+            kwargs = dict(relation=relation, eigenvalue_syms=("n1", "n2"), draws=20, seed=seed)
+            report = verify_symmetry(vf, bmap, **kwargs)
+            assert report.invariant == invariant
+            assert report == _reference_probe(vf, bmap, **kwargs)
+    assert log and all(screen is None for _, screen in log)
