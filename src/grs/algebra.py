@@ -73,7 +73,8 @@ degree in v than the true gcd; images coprime in every shared symbol therefore
 prove the gcd constant.  Any other outcome (a vanished leading coefficient,
 the prime in a denominator, an image gcd of positive degree) falls through.
 The same term images, at any point, give a rational function's value and
-partials mod the prime (``_rat_image``), which screen symmetry probes.
+partials mod the prime (``_rat_image``), which screen symmetry probes; a
+point's tables of powers (``_power_tables``) serve every image taken there.
 The one-sided step takes out the symbols that occur in one operand only
 (Geddes, Czapor & Labahn 1992, ch. 7): if a involves symbols that b lacks,
 gcd(a, b) involves none of them, so it divides the content of a in them (the
@@ -849,31 +850,36 @@ def _residues(n: int) -> tuple[list[int], list[int]]:
         r = random.Random(len(_RESIDUES)).randrange(2, _PRIME)
         _RESIDUES.append(r)
         _INVERSES.append(pow(r, -1, _PRIME))
-        _POWERS.append([1])
+        _POWERS.append([1, r])
     return _RESIDUES, _INVERSES
 
 
-def _powers(i: int, degree: int, point: Sequence[int] = _RESIDUES) -> list[int]:
-    """The table of powers of residue i of ``point``, up to ``degree``; kept
-    and extended where that residue is the fixed one."""
-    r = point[i]
-    table = _POWERS[i] if r == _RESIDUES[i] else [1]
+def _power_tables(point: Sequence[int]) -> list[list[int]]:
+    """A table of powers per residue of ``point`` (table[1] is the residue),
+    for _term_images to extend; a fixed residue shares its kept table."""
+    fixed = _residues(len(point))[0]
+    return [_POWERS[i] if r == fixed[i] else [1, r] for i, r in enumerate(point)]
+
+
+def _powers(table: list[int], degree: int) -> list[int]:
+    """``table`` extended up to ``degree``."""
     while len(table) <= degree:
-        table.append(table[-1] * r % _PRIME)
+        table.append(table[-1] * table[1] % _PRIME)
     return table
 
 
-def _term_images(p: MPoly, point: Sequence[int] = _RESIDUES) -> list[tuple[int, int]] | None:
-    """Each term's value mod _PRIME at ``point``, a residue per context index
-    (by default the fixed ones, set up by _residues), by packed key; None if
-    _PRIME divides p.den."""
+def _term_images(p: MPoly, tables: Sequence[list[int]] = _POWERS
+                 ) -> list[tuple[int, int]] | None:
+    """Each term's value mod _PRIME at the point of ``tables`` (made by
+    _power_tables; by default the fixed residues, set up by _residues), by
+    packed key; None if _PRIME divides p.den."""
     if p.den % _PRIME == 0:
         return None
     inverse = pow(p.den, -1, _PRIME)
     ctx = p.ctx
     support = reduce(or_, p.packed, 0)
     degree = max(p.packed, default=0) >> ctx._top
-    fields = [(s, _powers(i, degree, point)) for i, s in enumerate(ctx._shifts)
+    fields = [(s, _powers(tables[i], degree)) for i, s in enumerate(ctx._shifts)
               if support >> s & _FIELD]
     images = []
     for k, c in p.packed.items():
@@ -884,12 +890,14 @@ def _term_images(p: MPoly, point: Sequence[int] = _RESIDUES) -> list[tuple[int, 
     return images
 
 
-def _rat_image(r: "MRat", point: Sequence[int], along: Sequence[int] = ()) -> list[int]:
+def _rat_image(r: "MRat", tables: Sequence[list[int]] = _POWERS,
+               along: Sequence[int] = ()) -> list[int]:
     """r, then its partials in the symbols of indices ``along`` (each at its
-    fixed residue), mod _PRIME at ``point``; raises DivisionByZero where
-    _PRIME divides a coefficient denominator or r.den vanishes there."""
+    fixed residue), mod _PRIME at the point of ``tables`` (as for
+    _term_images); raises DivisionByZero where _PRIME divides a coefficient
+    denominator or r.den vanishes there."""
     parts = []
-    for images in (_term_images(r.num, point), _term_images(r.den, point)):
+    for images in (_term_images(r.num, tables), _term_images(r.den, tables)):
         if images is None:
             raise DivisionByZero(f"{_PRIME} divides a coefficient denominator")
         parts.append([sum(m for _, m in images)] + [

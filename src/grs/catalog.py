@@ -6,12 +6,21 @@ two- and two-double-point families), the corresponding geometric Riemann
 schemes, and the transformation groups.  The delta denominators are kept in
 cleared form exactly as printed; recovered systems are compared against
 these transcriptions term for term.
+
+``get_system``, ``get_scheme`` and ``get_maps`` build each builtin entry once
+per process and hand every caller the same object, so a field keeps its memo
+of chart rewrites from one command to the next.  The shared entries are
+read-only: the dataclasses are frozen, a normalization and a map's parameter
+images are read-only mappings, and the maps of a system come as a tuple.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
+from typing import Mapping
 
 from .algebra import Context, MPoly, MRat, Mat2
 from .diophantine import relation_polynomial
@@ -27,7 +36,7 @@ class SystemEntry:
     params: tuple[str, ...]
     eigenvalue_syms: tuple[str, ...]
     relation: MPoly | None
-    normalization: dict[str, MRat] | None
+    normalization: Mapping[str, MRat] | None
 
 
 @dataclass(frozen=True)
@@ -95,7 +104,7 @@ def pvi_system(normalized: bool = False) -> SystemEntry:
                       + a4 * (two * x - t - one)) * y
                    - a2 * (a1 + a2))
     vf = PlaneVectorField(dxdt, dydt, "U0", sigma2_model(ctx))
-    normalization = {"alpha0": one - a1 - two * a2 - a3 - a4}
+    normalization = MappingProxyType({"alpha0": one - a1 - two * a2 - a3 - a4})
     if normalized:
         vf = vf.subs_params(normalization)
     return SystemEntry("pvi", vf, *FAMILIES["pvi"][:2], None, normalization)
@@ -295,7 +304,7 @@ def scheme_gen_piii() -> SchemeEntry:
 # ---------------------------------------------------------------------------
 
 
-def maps_gen_pvi() -> list[BirationalMap]:
+def maps_gen_pvi() -> tuple[BirationalMap, ...]:
     ctx = _ctx("gen-pvi")
     x, y, t = ctx.var("x"), ctx.var("y"), ctx.var("t")
     a0, a1, a2, a3, a4 = (ctx.var(n) for n in ALPHAS)
@@ -336,10 +345,10 @@ def maps_gen_pvi() -> list[BirationalMap]:
         note=("verbatim transcription of the printed alpha1/alpha4 images; "
               "fails verify_symmetry and verify_involution (discrepancy "
               "finding, reported rather than silently patched)"))
-    return [s, pi1, pi2, pi3, pi3_verbatim]
+    return s, pi1, pi2, pi3, pi3_verbatim
 
 
-def maps_gen_pv() -> list[BirationalMap]:
+def maps_gen_pv() -> tuple[BirationalMap, ...]:
     ctx = _ctx("gen-pv")
     x, y, t = ctx.var("x"), ctx.var("y"), ctx.var("t")
     a0, a1, a2, a3 = (ctx.var(f"alpha{i}") for i in range(4))
@@ -356,10 +365,10 @@ def maps_gen_pv() -> list[BirationalMap]:
     pi = BirationalMap(
         "pi", x / (x - one), -(x - one) * ((x - one) * y + a2), -t,
         {"n1": n2, "n2": n1, "alpha0": a1, "alpha1": a0})
-    return [s, pi]
+    return s, pi
 
 
-def maps_gen_piv() -> list[BirationalMap]:
+def maps_gen_piv() -> tuple[BirationalMap, ...]:
     ctx = _ctx("gen-piv")
     x, y, t = ctx.var("x"), ctx.var("y"), ctx.var("t")
     a1, a2 = ctx.var("alpha1"), ctx.var("alpha2")
@@ -370,10 +379,10 @@ def maps_gen_piv() -> list[BirationalMap]:
         note=("the published list gives images for (alpha1, alpha2) only; alpha0 does "
               "not occur in the system, so invariance is independent of any "
               "completion of the alpha0 image"))
-    return [s]
+    return (s,)
 
 
-def maps_gen_piii() -> list[BirationalMap]:
+def maps_gen_piii() -> tuple[BirationalMap, ...]:
     ctx = _ctx("gen-piii")
     x, y, t = ctx.var("x"), ctx.var("y"), ctx.var("t")
     a0, a1, a2 = (ctx.var(f"alpha{i}") for i in range(3))
@@ -386,7 +395,7 @@ def maps_gen_piii() -> list[BirationalMap]:
     pi = BirationalMap(
         "pi", t / x, -x * (x * y + a2) / t, t,
         {"n1": n2, "n2": n1, "alpha0": a1, "alpha1": a0})
-    return [s, pi]
+    return s, pi
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +435,7 @@ def scheme_names() -> list[str]:
     return sorted(_SCHEMES)
 
 
+@functools.cache
 def get_system(name: str) -> SystemEntry:
     try:
         return _SYSTEMS[name]()
@@ -433,6 +443,7 @@ def get_system(name: str) -> SystemEntry:
         raise KeyError(f"unknown builtin system {name!r}; available: {system_names()}")
 
 
+@functools.cache
 def get_scheme(name: str) -> SchemeEntry:
     try:
         return _SCHEMES[name]()
@@ -440,7 +451,8 @@ def get_scheme(name: str) -> SchemeEntry:
         raise KeyError(f"unknown builtin scheme {name!r}; available: {scheme_names()}")
 
 
-def get_maps(system: str) -> list[BirationalMap]:
+@functools.cache
+def get_maps(system: str) -> tuple[BirationalMap, ...]:
     try:
         return _MAPS[system]()
     except KeyError:

@@ -5,11 +5,17 @@ inconsistent constraint system), 3 verification mismatch (a check that was
 expected to hold exactly did not).  A run whose stdout is closed early (a
 reader such as ``head`` that stops) ends quietly with exit code 1.  Output is
 deterministic: canonical polynomial text or sorted JSON, no timestamps.
+
+The parser is built once per process and shared by every ``main`` call; each
+call parses into a fresh namespace, so no option of one call reaches the next.
+The builtin entries come from the catalog, built once per process, shared and
+read-only.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -309,8 +315,10 @@ def cmd_match(args) -> int:
     return 0 if rep.found else VERIFY_MISMATCH
 
 
+@functools.cache
 def build_parser() -> _Parser:
-    parser = _Parser(prog="grs", description=__doc__)
+    # the docstring's last paragraph is about the code, not for --help
+    parser = _Parser(prog="grs", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):

@@ -47,10 +47,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
-from .algebra import (_PRIME, Context, DivisionByZero, MPoly, MRat, _rat_image, _residues,
-                      _subs_constants)
+from .algebra import (_PRIME, Context, DivisionByZero, MPoly, MRat, _power_tables,
+                      _rat_image, _residues, _subs_constants)
 from .recovery import relation_substitution, zero_modulo
 from .surface import PlaneVectorField, chain_rule
 
@@ -66,14 +67,18 @@ class SymmetryError(Exception):
 
 @dataclass(frozen=True)
 class BirationalMap:
-    """Rational substitution for (x, y, t) plus a parameter map."""
+    """Rational substitution for (x, y, t) plus a parameter map, which is
+    kept as a read-only copy."""
 
     name: str
     x_image: MRat
     y_image: MRat
     t_image: MRat
-    param_map: dict[str, MRat]
+    param_map: Mapping[str, MRat]
     note: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "param_map", MappingProxyType(dict(self.param_map)))
 
     @property
     def ctx(self) -> Context:
@@ -185,19 +190,24 @@ def _screen(f: tuple[MRat, MRat], bmap: BirationalMap, values: dict[str, MRat],
     xyt = [ctx.index(n) for n in ("x", "y", "t")]
     point = _residues(len(ctx))[0][:len(ctx)]
     try:
+        # the draw is constant, so its images need no point
         for p in params:
-            point[ctx.index(p)] = _rat_image(values[p], point)[0]
-        images = [_rat_image(img, point, xyt)
+            point[ctx.index(p)] = _rat_image(values[p])[0]
+        tables = _power_tables(point)
+        images = [_rat_image(img, tables, xyt)
                   for img in (bmap.x_image, bmap.y_image, bmap.t_image)]
-        fv = [_rat_image(c, point)[0] for c in f]
+        fv = [_rat_image(c, tables)[0] for c in f]
         # F at the images, with the mapped parameters at the images too
         at = list(point)
         for i, image in zip(xyt, images):
             at[i] = image[0]
-        mapped = {p: _rat_image(img, at)[0] for p, img in bmap.param_map.items() if p in params}
+        tables = _power_tables(at)
+        mapped = {p: _rat_image(img, tables)[0]
+                  for p, img in bmap.param_map.items() if p in params}
         for p, value in mapped.items():
             at[ctx.index(p)] = value
-        f_at_image = [_rat_image(c, at)[0] for c in f]
+        tables = _power_tables(at)
+        f_at_image = [_rat_image(c, tables)[0] for c in f]
     except DivisionByZero:
         return None
     return tuple((dx * fv[0] + dy * fv[1] + dt - images[2][3] * g) % _PRIME

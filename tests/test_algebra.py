@@ -875,21 +875,22 @@ def test_rat_image_is_the_value_and_partials_mod_p(num, den, a):
     point = algebra._residues(len(ORACLE_CTX))[0][:len(ORACLE_CTX)]
     point[ORACLE_CTX.index("a")] = a
     r = MRat(num, den)
+    tables = algebra._power_tables(point)
     if not _image_mod_p(r.den, point):
         with pytest.raises(DivisionByZero):
-            algebra._rat_image(r, point)
+            algebra._rat_image(r, tables)
         return
     want = [r] + [r.derivative(n) for n in ("x", "t")]
-    assert algebra._rat_image(r, point, [ORACLE_CTX.index(n) for n in ("x", "t")]) == [
+    assert algebra._rat_image(r, tables, [ORACLE_CTX.index(n) for n in ("x", "t")]) == [
         _image_mod_p(q.num, point) * pow(_image_mod_p(q.den, point), -1, algebra._PRIME)
         % algebra._PRIME for q in want]
 
 
 def test_rat_image_refuses_a_denominator_the_prime_divides():
-    point = algebra._residues(len(ORACLE_CTX))[0][:len(ORACLE_CTX)]
+    tables = algebra._power_tables(algebra._residues(len(ORACLE_CTX))[0][:len(ORACLE_CTX)])
     with pytest.raises(DivisionByZero):
-        algebra._rat_image(ORACLE_CTX.rat(Fraction(1, 2 * algebra._PRIME)), point)
-    assert algebra._rat_image(ORACLE_CTX.rat(Fraction(algebra._PRIME, 2)), point) == [0]
+        algebra._rat_image(ORACLE_CTX.rat(Fraction(1, 2 * algebra._PRIME)), tables)
+    assert algebra._rat_image(ORACLE_CTX.rat(Fraction(algebra._PRIME, 2)), tables) == [0]
 
 
 _dense_factor = _polys(min_terms=3, max_terms=3, constant=False, degree=2)

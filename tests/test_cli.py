@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from grs import io as gio
-from grs.catalog import (HVI_TEXT, MATCH_PAIRS, get_scheme, get_system, scheme_names,
+from grs.catalog import (HVI_TEXT, MATCH_PAIRS, get_maps, get_scheme, get_system, scheme_names,
                          system_names)
 from grs.cli import main
 
@@ -452,6 +452,80 @@ def test_cli_construct_json_matches_golden(capsys, n, points, ratios):
                           "--ratios", ratios, "--format", "json")
     golden = (GOLDEN_CLI / f"construct_n{n}.json").read_text()
     assert (code, out, err) == (0, golden, "")
+
+
+def _golden_survey_commands():
+    """(argv, golden file) for every golden-backed survey command."""
+    runs = []
+    for system in system_names():
+        runs.append((["singular", "--system", system], f"singular_{system}.txt"))
+        runs.append((["singular", "--system", system, "--format", "json"],
+                     f"singular_{system}.json"))
+    for system, point in [("gen-pv", "0"), ("gen-piv", "0"), ("gen-piii", "inf")]:
+        argv = ["resolve", "--system", system, "--point", point]
+        runs.append((argv, f"resolve_{system}_{point}.txt"))
+        runs.append((argv + ["--format", "json"], f"resolve_{system}_{point}.json"))
+    for system in ("pvi", "gen-pvi"):
+        for point in ("0", "1", "t", "inf"):
+            argv = ["alpha-test", "--system", system, "--point", point]
+            runs.append((argv, f"alpha-test_{system}_{point}.txt"))
+            runs.append((argv + ["--format", "json"], f"alpha-test_{system}_{point}.json"))
+    for rel in ("genVI", "genV", "genIV", "genIII"):
+        for kind, flags in [("natural", []), ("integers6", ["--integers", "--bound", "6"])]:
+            argv = ["classify", "--relation", rel, *flags]
+            runs.append((argv, f"classify_{rel}_{kind}.txt"))
+            runs.append((argv + ["--format", "json"], f"classify_{rel}_{kind}.json"))
+    for n, points, ratios in [("2", "0,1", "2,2,2,2"), ("3", "0,1,2", "1,2,2,2,2")]:
+        runs.append((["construct", "--n", n, "--points", points, "--ratios", ratios,
+                      "--format", "json"], f"construct_n{n}.json"))
+    return runs
+
+
+def test_cli_commands_repeated_in_one_process_match_their_goldens(capsys):
+    """The shared parser and catalog entries change no output: every
+    golden-backed survey command, run twice with the others in between."""
+    runs = _golden_survey_commands()
+    for argv, golden in runs + runs[::-1]:
+        assert _run(capsys, *argv) == (0, (GOLDEN_CLI / golden).read_text(), ""), argv
+
+
+def test_cli_options_do_not_leak_into_the_next_call(capsys):
+    golden = (GOLDEN_CLI / "recover_pvi.txt").read_text()
+    assert _run(capsys, "recover", "--scheme", "pvi", "--trace") == (0, golden, "")
+    assert _run(capsys, "recover", "--scheme", "pvi") == (
+        0, golden[:golden.index("# solver trace:\n")], "")
+
+
+def test_cli_usage_error_repeats_byte_for_byte(capsys):
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["symmetry"])
+        assert exc.value.code == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        errors.append(out.err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("usage: grs symmetry") and "error: " in errors[0]
+
+
+def test_catalog_entries_are_built_once_and_read_only():
+    assert get_system("pvi") is get_system("pvi")
+    messages = []
+    for _ in range(2):
+        with pytest.raises(KeyError) as exc:
+            get_system("nope")
+        messages.append(exc.value.args)
+    assert messages[0] == messages[1]
+    assert messages[0][0].startswith("unknown builtin system 'nope'; available: ")
+    with pytest.raises(TypeError):
+        get_system("pvi").normalization["alpha0"] = get_system("pvi").vf.ctx.rat(0)
+    maps = get_maps("gen-pvi")
+    assert isinstance(maps, tuple) and maps is get_maps("gen-pvi")
+    for bmap in maps:
+        with pytest.raises(TypeError):
+            bmap.param_map["alpha2"] = bmap.ctx.rat(0)
+    assert dict(maps[0].param_map)["alpha2"] == -maps[0].ctx.var("alpha2")
 
 
 @pytest.mark.parametrize("system, message", [
