@@ -5,11 +5,6 @@ inconsistent constraint system), 3 verification mismatch (a check that was
 expected to hold exactly did not).  A run whose stdout is closed early (a
 reader such as ``head`` that stops) ends quietly with exit code 1.  Output is
 deterministic: canonical polynomial text or sorted JSON, no timestamps.
-
-The parser is built once per process and shared by every ``main`` call; each
-call parses into a fresh namespace, so no option of one call reaches the next.
-The builtin entries come from the catalog, built once per process, shared and
-read-only.
 """
 
 from __future__ import annotations
@@ -317,8 +312,13 @@ def cmd_match(args) -> int:
 
 @functools.cache
 def build_parser() -> _Parser:
-    # the docstring's last paragraph is about the code, not for --help
-    parser = _Parser(prog="grs", description=__doc__.rsplit("\n\n", 1)[0])
+    """The parser, built once per process and shared by every ``main`` call.
+
+    Each call parses into a fresh namespace, so no option of one call reaches
+    the next; the builtin entries come from the catalog, likewise built once
+    per process, shared and read-only.
+    """
+    parser = _Parser(prog="grs", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
