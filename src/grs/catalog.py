@@ -12,6 +12,10 @@ per process and hand every caller the same object, so a field keeps its memo
 of chart rewrites from one command to the next.  The shared entries are
 read-only: the dataclasses are frozen, a normalization and a map's parameter
 images are read-only mappings, and the maps of a system come as a tuple.
+
+Only the catalog knows a system's normalization: ``SystemEntry.admissible``
+is the field on its normalized parameter slice, where it is admissible on the
+surface, computed once per entry with its own memo of chart rewrites.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from typing import Mapping
 
 from .algebra import Context, MPoly, MRat, Mat2
 from .diophantine import relation_polynomial
-from .recovery import GRScheme, ResolvedData, SingularSpec
-from .surface import PlaneVectorField, SurfaceModel, sigma2_model
+from .recovery import GRScheme, ResolvedData, SingularSpec, recover, specialize_scheme
+from .surface import PlaneVectorField, SurfaceModel, chart_transform, sigma2_model
 from .symmetry import BirationalMap
 
 
@@ -33,10 +37,15 @@ from .symmetry import BirationalMap
 class SystemEntry:
     name: str
     vf: PlaneVectorField
-    params: tuple[str, ...]
     eigenvalue_syms: tuple[str, ...]
     relation: MPoly | None
     normalization: Mapping[str, MRat] | None
+
+    @functools.cached_property
+    def admissible(self) -> PlaneVectorField:
+        """The field with the normalization substituted (pvi's alpha0
+        eliminated), which is what makes it admissible on the surface."""
+        return self.vf.subs_params(self.normalization) if self.normalization else self.vf
 
 
 @dataclass(frozen=True)
@@ -68,8 +77,8 @@ def _ctx(name: str) -> Context:
 
 
 def _system(name: str, vf: PlaneVectorField) -> SystemEntry:
-    params, syms, rel = FAMILIES[name]
-    return SystemEntry(name, vf, params, syms, relation_polynomial(rel, vf.ctx), None)
+    _, syms, rel = FAMILIES[name]
+    return SystemEntry(name, vf, syms, relation_polynomial(rel, vf.ctx), None)
 
 
 # ---------------------------------------------------------------------------
@@ -83,12 +92,11 @@ HVI_TEXT = ("H_VI(x, y, t; alpha0..alpha4) = (1/(t*(t-1))) * ["
             "   with alpha0 + alpha1 + 2*alpha2 + alpha3 + alpha4 = 1")
 
 
-def pvi_system(normalized: bool = False) -> SystemEntry:
+def pvi_system() -> SystemEntry:
     """The sixth Painleve system (polynomial Hamiltonian form).
 
-    The parameters satisfy alpha0 + alpha1 + 2*alpha2 + alpha3 + alpha4 = 1;
-    with normalized=True that relation is substituted (alpha0 eliminated),
-    which is what makes the field admissible on the surface.
+    The parameters satisfy alpha0 + alpha1 + 2*alpha2 + alpha3 + alpha4 = 1,
+    the entry's normalization (alpha0 eliminated).
     """
     ctx = _ctx("pvi")
     x, y, t = ctx.var("x"), ctx.var("y"), ctx.var("t")
@@ -105,9 +113,7 @@ def pvi_system(normalized: bool = False) -> SystemEntry:
                    - a2 * (a1 + a2))
     vf = PlaneVectorField(dxdt, dydt, "U0", sigma2_model(ctx))
     normalization = MappingProxyType({"alpha0": one - a1 - two * a2 - a3 - a4})
-    if normalized:
-        vf = vf.subs_params(normalization)
-    return SystemEntry("pvi", vf, *FAMILIES["pvi"][:2], None, normalization)
+    return SystemEntry("pvi", vf, FAMILIES["pvi"][1], None, normalization)
 
 
 def gen_pvi_system() -> SystemEntry:
@@ -212,7 +218,7 @@ def piv_reference() -> SystemEntry:
     dxdt = four * x * y - x ** 2 - two * t * x + two * b1
     dydt = -two * y ** 2 + two * x * y + two * t * y + b2
     vf = PlaneVectorField(dxdt, dydt, "U0", SurfaceModel(2, (ctx.rat(0),)))
-    return SystemEntry("piv", vf, ("beta1", "beta2"), (), None, None)
+    return SystemEntry("piv", vf, (), None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -473,45 +479,40 @@ def match_pair(name: str):
     records the arrangement (chart moves, eigenvalue values, scale presets,
     and which side's parameters are solved for).
     """
-    from .recovery import recover, specialize_scheme
-    from .surface import chart_transform
-
     if name == "gen-piv:piv":
-        entry = gen_piv_system()
+        entry = get_system("gen-piv")
         ctx = entry.vf.ctx
         spec = entry.vf.subs_params({"n1": ctx.rat(2), "a": ctx.rat(4)})
         general = chart_transform(spec, "U1")
-        ref = piv_reference()
         note = ("three-point family at (n1,n2)=(2,3), a(t)=4, moved to the U1 "
                 "chart, against the classical PIV Hamiltonian system")
-        return general, ref.vf, list(ref.params), note
+        return general, get_system("piv").vf, ["beta1", "beta2"], note
     if name == "gen-pvi:pvi":
-        entry = gen_pvi_system()
+        entry = get_system("gen-pvi")
         two = entry.vf.ctx.rat(2)
         g = entry.vf.subs_params({"n1": two, "n2": two, "n3": two, "n4": two})
-        ref = pvi_system(normalized=True)
         note = ("four-point family at n=(2,2,2,2) against the Painleve VI "
                 "system on its normalized parameter slice; the general "
                 "system's parameters are solved as affine functions of the "
                 "reference's")
-        return ref.vf, g, list(ALPHAS), note
+        return get_system("pvi").admissible, g, list(ALPHAS), note
     if name == "gen-pv:pv":
-        sch = scheme_gen_pv().scheme
+        sch = get_scheme("gen-pv").scheme
         ctx = sch.specs[0].matrix[0, 0].ctx
         vals = {"n1": ctx.rat(2), "n2": ctx.rat(2), "n3": ctx.rat(2)}
         cls = recover(specialize_scheme(sch, vals, "pv"))
-        entry = gen_pv_system()
+        entry = get_system("gen-pv")
         g = entry.vf.subs_params({"n1": entry.vf.ctx.rat(2), "n2": entry.vf.ctx.rat(2)})
         note = ("double-point family at (n1,n2,n3)=(2,2,2) against the system "
                 "recovered from the scheme at those eigenvalues (the classical "
                 "fifth Painleve case)")
         return cls.vf, g, ["alpha0", "alpha1", "alpha2", "alpha3"], note
     if name == "gen-piii:piii":
-        sch = scheme_gen_piii().scheme
+        sch = get_scheme("gen-piii").scheme
         ctx = sch.specs[0].matrix[0, 0].ctx
         vals = {"n1": ctx.rat(2), "n2": ctx.rat(2)}
         cls = recover(specialize_scheme(sch, vals, "piii"))
-        entry = gen_piii_system()
+        entry = get_system("gen-piii")
         g = entry.vf.subs_params({"n1": entry.vf.ctx.rat(2), "n2": entry.vf.ctx.rat(2)})
         note = ("two-double-point family at (n1,n2)=(2,2) against the system "
                 "recovered from the scheme at those eigenvalues (the classical "

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -52,14 +53,10 @@ def _load(ref: str, kind: str, names: list[str], get, from_json):
         f"{ref!r} is neither a builtin {kind} ({', '.join(names)}) nor a file")
 
 
-def _load_system(ref: str, normalized: bool = True):
-    """(vf, entry-or-None) for a system reference."""
+def _load_system(ref: str):
+    """(vf, entry-or-None) for a system reference, a builtin's vf admissible."""
     entry, vf = _load(ref, "system", system_names(), get_system, gio.vf_from_json)
-    if entry is not None:
-        vf = entry.vf
-        if normalized and entry.normalization:
-            vf = vf.subs_params(entry.normalization)
-    return vf, entry
+    return (vf if entry is None else entry.admissible), entry
 
 
 def _load_scheme(ref: str):
@@ -81,8 +78,8 @@ def cmd_show(args) -> int:
     if args.system.removeprefix("builtin:") == "hvi":
         print(gio.dumps({"hamiltonian": HVI_TEXT}) if args.format == "json" else HVI_TEXT)
         return 0
-    vf, entry = _load_system(args.system, normalized=False)
-    _print_vf(vf, args.format)
+    entry, vf = _load(args.system, "system", system_names(), get_system, gio.vf_from_json)
+    _print_vf(vf if entry is None else entry.vf, args.format)
     if entry and entry.normalization and args.format == "pretty":
         sub = ", ".join(f"{k} = {v}" for k, v in entry.normalization.items())
         print(f"# parameters satisfy: {sub}")
@@ -270,11 +267,27 @@ def cmd_symmetry(args) -> int:
     return 0 if (rep.invariant and inv) else VERIFY_MISMATCH
 
 
+# A command-line number may not have a decimal exponent above this: Fraction
+# computes 10**e before anything could check it, and a value with more digits
+# could not be printed (Python refuses integer text of more than 4300 digits).
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
 def _fractions(text: str) -> list[Fraction]:
-    try:
-        return [Fraction(v) for v in text.split(",")]
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    values = []
+    for v in text.split(","):
+        exponent = _EXPONENT.search(v)
+        digits = exponent and exponent[1].replace("_", "").lstrip("0")
+        if digits and (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+                       or int(digits) > MAX_DECIMAL_EXPONENT):
+            raise ValueError(f"exponent above MAX_DECIMAL_EXPONENT = "
+                             f"{MAX_DECIMAL_EXPONENT} in {v!r}")
+        try:
+            values.append(Fraction(v))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
+    return values
 
 
 def cmd_construct(args) -> int:
@@ -386,7 +399,7 @@ def main(argv=None) -> int:
     except (VerificationMismatch, NotResolvable) as exc:
         return _fail("verification mismatch", exc, VERIFY_MISMATCH)
     except (SchemeError, SingularityError, SurfaceError, UnresolvedFactor, AlgebraError,
-            ResolutionError, FileNotFoundError, KeyError, ValueError) as exc:
+            ResolutionError, OSError, KeyError, ValueError) as exc:
         # str() of a KeyError is the repr of its message, quotes and all
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         return _fail("error", message, USAGE_ERROR)

@@ -20,6 +20,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Sequence
 
+from .algebra import Context, MPoly
+
 # The last entry of each relation as num/den of the leading ones; genVI is
 # 1/n1 + ... + 1/n4 = 2.  den = 0 leaves no solution on a nonzero head.
 _SOLVED = {
@@ -46,25 +48,19 @@ class ShapeMismatch(RelationError):
     pass
 
 
-def arity(rel: str, n: int | None = None) -> int:
-    if rel == "existence":
-        if n is None:
-            raise RelationError("existence relation needs the surface index n")
-        return n + 2
+def arity(rel: str) -> int:
     if rel not in _SOLVED:
         raise RelationError(f"unknown relation {rel!r}")
     return _SOLVED[rel].__code__.co_argcount + 1
 
 
-def check_relation(rel: str, values: Sequence[Fraction | int], n: int | None = None) -> bool:
+def check_relation(rel: str, values: Sequence[Fraction | int]) -> bool:
     """Exact evaluation of the relation on a rational tuple."""
     vals = [Fraction(v) for v in values]
-    if len(vals) != arity(rel, n):
-        raise ShapeMismatch(f"{rel} takes {arity(rel, n)} entries, got {len(vals)}")
-    if rel in ("genVI", "existence") and 0 in vals:
+    if len(vals) != arity(rel):
+        raise ShapeMismatch(f"{rel} takes {arity(rel)} entries, got {len(vals)}")
+    if rel == "genVI" and 0 in vals:
         raise ZeroEntry("reciprocals need nonzero entries")
-    if rel == "existence":
-        return sum(1 / v for v in vals) == n
     num, den = _SOLVED[rel](*vals[:-1])
     return den * vals[-1] == num
 
@@ -162,18 +158,11 @@ def bounded_integer_search(rel: str, bound: int) -> list[tuple[int, ...]]:
     return _box(rel, [v for v in range(-bound, bound + 1) if v != 0])
 
 
-def relation_polynomial(rel: str, ctx=None):
-    """The relation as the cleared polynomial -num + den*n_k in n1, n2, ...
-
-    Built in ``ctx`` when given (it must hold those symbols), otherwise in a
-    context of the symbols alone.  This is the one home of the relation
-    polynomials; the builtin systems of ``catalog`` take theirs from here.
-    """
-    from .algebra import Context
-    k = arity(rel)
-    if ctx is None:
-        ctx = Context.make(fiber=(), time=None,
-                           parameters=[f"n{i}" for i in range(1, k + 1)])
-    n = [ctx.poly_var(f"n{i}") for i in range(1, k + 1)]
+def relation_polynomial(rel: str, ctx: Context) -> MPoly:
+    """The relation as the cleared polynomial -num + den*n_k in n1, n2, ...,
+    built in ``ctx``, which must hold those symbols.  This is the one home of
+    the relation polynomials; the builtin systems of ``catalog`` take theirs
+    from here."""
+    n = [ctx.poly_var(f"n{i}") for i in range(1, arity(rel) + 1)]
     num, den = _SOLVED[rel](*n[:-1])
     return -num + den * n[-1]

@@ -86,6 +86,9 @@ class SingularSpec:
     resolved: ResolvedData | None = None
 
     def __post_init__(self):
+        if self.multiplicity < 1:
+            raise SchemeError(f"scheme column X={self.label}: multiplicity "
+                              f"{self.multiplicity} is below 1")
         if self.multiplicity >= 2 and self.resolved is None:
             raise SchemeError("multiple points require resolved-point data")
         if self.multiplicity == 1 and self.resolved is not None:
@@ -235,7 +238,7 @@ def _solve_scheme(scheme: GRScheme):
     return scheme, family, sol, tidy, relations
 
 
-def recover(scheme: GRScheme, verify: bool = True) -> RecoveredSystem:
+def recover(scheme: GRScheme) -> RecoveredSystem:
     """Solve the scheme's constraint system on the generic family.
 
     Residual scale freedom is reported through ``free`` (for example the
@@ -248,8 +251,7 @@ def recover(scheme: GRScheme, verify: bool = True) -> RecoveredSystem:
     dxdt, dydt = (c.subs(sol.assignments).lift(tidy) for c in family.vf.components())
     vf = PlaneVectorField(dxdt, dydt, "U0", scheme.model.lift(tidy))
     rec = RecoveredSystem(vf, tuple(sol.free), relations, sol, scheme)
-    if verify:
-        verify_recovered(rec)
+    verify_recovered(rec)
     return rec
 
 
@@ -378,15 +380,13 @@ class ExistenceSystem:
     vf: PlaneVectorField
     points: list[AccessiblePoint]
     ratios: dict[str, MRat]
-    n: int
-    m: tuple[MRat, ...]
 
 
-def construct_existence_system(n: int, c: Sequence, m: Sequence,
-                               ctx: Context | None = None) -> ExistenceSystem:
+def construct_existence_system(n: int, c: Sequence, m: Sequence) -> ExistenceSystem:
     """Build the system with n+2 simple accessible points c_1..c_n, t, inf
     and local-index ratios m_1..m_{n+2}, on the surface with twist alpha and
-    overall scale a1t.
+    overall scale a1t.  Its parameters are alpha, a1t and then the symbols of
+    the points and ratios given as MRat, in name order.
 
     The y-blocks are fixed by the data; the remaining polynomial blocks are
     solved so the U1 rewrite is polynomial (free coefficients are set to
@@ -402,11 +402,10 @@ def construct_existence_system(n: int, c: Sequence, m: Sequence,
     unknowns = ([f"u1_{k}" for k in range(n + 2)]
                 + [f"u2_{k}" for k in range(n + 1)]
                 + [f"u3_{k}" for k in range(n)])
-    if ctx is None:
-        extra = sorted({name for v in list(c) + list(m) if isinstance(v, MRat)
-                        for name in v.num.variables() + v.den.variables()})
-        params = ["alpha", "a1t"] + [e for e in extra if e not in ("alpha", "a1t")]
-        ctx = Context.make(parameters=params, unknowns=unknowns)
+    extra = sorted({name for v in list(c) + list(m) if isinstance(v, MRat)
+                    for name in v.num.variables() + v.den.variables()})
+    params = ["alpha", "a1t"] + [e for e in extra if e not in ("alpha", "a1t")]
+    ctx = Context.make(parameters=params, unknowns=unknowns)
 
     def lift(v) -> MRat:
         if isinstance(v, MRat):
@@ -475,7 +474,7 @@ def construct_existence_system(n: int, c: Sequence, m: Sequence,
         if index.ratio != expected:
             raise VerificationMismatch(
                 f"ratio at X={p.label} is {index.ratio}, expected {expected}")
-    return ExistenceSystem(final, points, ratios, n, tuple(ms))
+    return ExistenceSystem(final, points, ratios)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,11 @@ move with w1 also cancels the gcd of the images' contents in x and y.
 Moves omit the chart map's t-derivative (t is a parameter of the field), so
 they compose and all paths agree.  A rewrite is computed once and held on
 the field, outside its equality, hash and text.
+
+The generic family, the most general field satisfying the log condition, is
+the ten-coefficient family on S_2: the paper's schemes live on S_2, and
+recovery refuses any other surface.  The chart calculus itself works on
+every S_n (the existence construction uses it on S_n).
 """
 
 from __future__ import annotations
@@ -38,16 +43,12 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .algebra import (Context, MPoly, MRat, _key_gcd, _unit_normalize, exact_divide, poly_gcd,
-                      solve_triangular, split_content)
+                      split_content)
 
 CHARTS = ("U0", "U1", "U2", "U3")
 
 
 class SurfaceError(Exception):
-    pass
-
-
-class InvalidN(SurfaceError):
     pass
 
 
@@ -64,7 +65,7 @@ class SurfaceModel:
 
     def __post_init__(self):
         if self.n < 1:
-            raise InvalidN(f"surface index must be >= 1, got {self.n}")
+            raise SurfaceError(f"surface index must be >= 1, got {self.n}")
         if len(self.twist) != self.n - 1:
             raise SurfaceError(
                 f"S_{self.n} needs {self.n - 1} twist coefficients, got {len(self.twist)}")
@@ -74,9 +75,9 @@ class SurfaceModel:
         return SurfaceModel(self.n, tuple(g.lift(ctx) for g in self.twist))
 
 
-def sigma2_model(ctx: Context, twist_name: str = "alpha2") -> SurfaceModel:
-    """The S_2 model with symbolic twist coefficient (default alpha2)."""
-    return SurfaceModel(2, (ctx.var(twist_name),))
+def sigma2_model(ctx: Context) -> SurfaceModel:
+    """The S_2 model with symbolic twist coefficient alpha2."""
+    return SurfaceModel(2, (ctx.var("alpha2"),))
 
 
 @dataclass(frozen=True)
@@ -263,13 +264,6 @@ def check_log_condition(vf: PlaneVectorField) -> LogConditionReport:
 # ---------------------------------------------------------------------------
 
 
-def degree_bounds(n: int) -> tuple[int, int, int, int, int]:
-    """Degree caps (deg b1, ..., deg b5) forced by holomorphy on S_n."""
-    if n < 1:
-        raise InvalidN(f"degree bounds need n >= 1, got {n}")
-    return (n + 1, n + 2, n - 1, n, n + 1)
-
-
 @dataclass(frozen=True)
 class CoefficientFamily:
     """A vector field whose coefficients still contain unknown symbols."""
@@ -279,21 +273,6 @@ class CoefficientFamily:
 
 
 SIGMA2_UNKNOWNS = tuple(f"a{i}" for i in range(1, 11))
-
-
-def sigma2_family(ctx: Context, model: SurfaceModel) -> CoefficientFamily:
-    """The 10-coefficient family on S_2 (the most general admissible field)."""
-    x, y = ctx.var("x"), ctx.var("y")
-    a = {i: ctx.var(f"a{i}") for i in range(1, 11)}
-    al = model.twist[0]
-    half = ctx.rat(Fraction(1, 2))
-    two, three = ctx.rat(2), ctx.rat(3)
-    dxdt = (a[1] * x ** 3 * y + a[2] * x ** 2 * y
-            + half * ((three * a[1] + two * a[3]) * al - a[4]) * x ** 2
-            + a[5] * x * y + ((a[2] + a[9]) * al - a[6]) * x + a[7] * y + a[8])
-    dydt = (a[3] * x ** 2 * y ** 2 + a[9] * x * y ** 2 + a[10] * y ** 2
-            + a[4] * x * y + a[6] * y + half * (a[1] * al + a[4]) * al)
-    return CoefficientFamily(PlaneVectorField(dxdt, dydt, "U0", model), SIGMA2_UNKNOWNS)
 
 
 def family_context(model: SurfaceModel, parameters: Sequence[str],
@@ -308,26 +287,6 @@ def family_context(model: SurfaceModel, parameters: Sequence[str],
     return Context.make(parameters=params, unknowns=unknowns)
 
 
-def _family_caps(n: int) -> tuple[int, int, int, int, int]:
-    """Effective ansatz degrees for the generic family.
-
-    The a priori caps are degree_bounds(n); lowering deg(b5) to n excludes
-    the one extra admissible line (a field proportional to the top b5
-    coefficient, with tied b1/b2/b3/b4 tops) that the ten-coefficient n=2
-    family does not contain, so the generated family matches it exactly.
-    """
-    caps = list(degree_bounds(n))
-    caps[4] = n
-    return tuple(caps)
-
-
-def _ansatz_unknown_names(n: int) -> list[str]:
-    names = []
-    for b, cap in zip(range(1, 6), _family_caps(n)):
-        names += [f"b{b}_{k}" for k in range(cap + 1)]
-    return names
-
-
 def poly_block(ctx: Context, prefix: str, degree: int) -> MRat:
     """The polynomial sum of prefix_k * x^k for k = 0..degree."""
     x = ctx.var("x")
@@ -337,31 +296,20 @@ def poly_block(ctx: Context, prefix: str, degree: int) -> MRat:
     return acc
 
 
-def generic_family(model: SurfaceModel, ctx: Context | None = None) -> CoefficientFamily:
-    """Most general family satisfying the log condition on S_n.
-
-    For n = 2 this is the explicit 10-coefficient family above; for other n
-    the family is generated from the degree caps by imposing polynomiality
-    of the U1 rewrite and eliminating the forced coefficients.
-    """
-    names = SIGMA2_UNKNOWNS if model.n == 2 else _ansatz_unknown_names(model.n)
-    if ctx is None:
-        ctx = family_context(model, [], names)
-    model = model.lift(ctx)
-    if model.n == 2:
-        return sigma2_family(ctx, model)
-    y = ctx.var("y")
-    b1, b2, b3, b4, b5 = (poly_block(ctx, f"b{b}", cap)
-                          for b, cap in enumerate(_family_caps(model.n), start=1))
-    vf = PlaneVectorField(b1 + b2 * y, b3 + b4 * y + b5 * y * y, "U0", model)
-    conditions = _u1_pole_conditions(vf)
-    sol = solve_triangular(conditions, names)
-    if sol.relations:
-        raise SurfaceError("holomorphy conditions produced parameter relations")
-    dxdt = vf.dxdt.subs(sol.assignments)
-    dydt = vf.dydt.subs(sol.assignments)
-    out = PlaneVectorField(dxdt, dydt, "U0", model)
-    return CoefficientFamily(out, tuple(sol.free))
+def generic_family(model: SurfaceModel, ctx: Context) -> CoefficientFamily:
+    """The ten-coefficient family on S_2, the most general field satisfying
+    the log condition, in ctx (which holds the model's twist and a1..a10)."""
+    x, y = ctx.var("x"), ctx.var("y")
+    a = {i: ctx.var(f"a{i}") for i in range(1, 11)}
+    al = model.twist[0]
+    half = ctx.rat(Fraction(1, 2))
+    two, three = ctx.rat(2), ctx.rat(3)
+    dxdt = (a[1] * x ** 3 * y + a[2] * x ** 2 * y
+            + half * ((three * a[1] + two * a[3]) * al - a[4]) * x ** 2
+            + a[5] * x * y + ((a[2] + a[9]) * al - a[6]) * x + a[7] * y + a[8])
+    dydt = (a[3] * x ** 2 * y ** 2 + a[9] * x * y ** 2 + a[10] * y ** 2
+            + a[4] * x * y + a[6] * y + half * (a[1] * al + a[4]) * al)
+    return CoefficientFamily(PlaneVectorField(dxdt, dydt, "U0", model), SIGMA2_UNKNOWNS)
 
 
 def _u1_pole_conditions(vf: PlaneVectorField) -> list[MPoly]:

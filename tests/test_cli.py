@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from grs import io as gio
 from grs.catalog import (HVI_TEXT, MATCH_PAIRS, get_maps, get_scheme, get_system, scheme_names,
                          system_names)
-from grs.cli import main
+from grs.cli import _fractions, main
 
 GOLDEN_CLI = Path(__file__).parent / "golden_cli"
 
@@ -154,6 +155,43 @@ def test_cli_construct_zero_denominator_exits_one(capsys, flags):
     code, out, err = _run(capsys, "construct", "--n", "2", *flags)
     assert (code, out) == (1, "")
     assert err.startswith("error: zero denominator in '1/0") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("points, ratios, value", [("0,1", "1e999999999,2,2,2", "1e999999999"),
+                                                  ("0,1", "2,2,2,1E-4301", "1E-4301"),
+                                                  ("0,1e4_301", "2,2,2,2", "1e4_301")])
+def test_cli_construct_exponent_above_the_bound_exits_one(points, ratios, value):
+    """Fraction computes 10**e before anything checks e, so a huge exponent
+    would run for ever; it is refused at once, in a process of its own."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "grs.cli", "construct", "--n", "2",
+                           "--points", points, "--ratios", ratios],
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", f"error: exponent above MAX_DECIMAL_EXPONENT = 4300 in {value!r}\n")
+
+
+def test_cli_numbers_up_to_the_exponent_bound_parse_as_fractions():
+    assert _fractions("1e4300, -3/4,1.5E-2,2_0,0e-0004300") == [
+        Fraction(10) ** 4300, Fraction(-3, 4), Fraction(3, 200), Fraction(20), Fraction(0)]
+
+
+@pytest.mark.parametrize("command, flag", [("show", "--system"), ("recover", "--scheme")])
+def test_cli_directory_reference_exits_one(tmp_path, capsys, command, flag):
+    code, out, err = _run(capsys, command, flag, str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and str(tmp_path) in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("multiplicity", [0, -3])
+def test_cli_scheme_multiplicity_below_one_exits_one(tmp_path, capsys, multiplicity):
+    data = gio.scheme_to_json(get_scheme("pvi").scheme)
+    data["specs"][0]["multiplicity"] = multiplicity
+    path = tmp_path / "multiplicity.json"
+    path.write_text(gio.dumps(data))
+    assert _run(capsys, "recover", "--scheme", str(path)) == (
+        1, "", f"error: scheme column X=0: multiplicity {multiplicity} is below 1\n")
 
 
 @pytest.mark.parametrize("draws", ["0", "-3"])

@@ -48,8 +48,6 @@ def test_check_relation_examples():
     assert check_relation("genVI", (2, 2, 2, 2))
     assert not check_relation("genVI", (3, 3, 3, 3))
     assert check_relation("genV", (2, 2, 2))  # 16 - 8 - 8 = 0
-    assert check_relation("existence", (2, 2, 2, 2), n=2)
-    assert not check_relation("existence", (2, 2, 2, 3), n=2)
 
 
 def test_check_relation_errors():
@@ -99,12 +97,18 @@ def test_box_scans_equal_the_full_box(rel):
         assert brute_force_box(rel, bound) == [t for t in naturals if PAPER_ORDER[rel](t)]
 
 
+def _symbols(rel):
+    """A context of the relation's symbols n1, n2, ... alone."""
+    return Context.make(fiber=(), time=None,
+                        parameters=[f"n{i}" for i in range(1, arity(rel) + 1)])
+
+
 @pytest.mark.parametrize("rel", RELATIONS)
 def test_last_entry_is_the_relation_polynomial_solved_for_it(rel):
     """On every nonzero head of a small signed box, _last_entry is the value
     solve_linear finds for the last symbol when that value is an integer,
     and None when it is not or does not exist."""
-    poly = relation_polynomial(rel)
+    poly = relation_polynomial(rel, _symbols(rel))
     k = arity(rel)
     name, value = solve_linear(poly, [f"n{k}"], [])
     assert name == f"n{k}"
@@ -139,7 +143,7 @@ def test_solved_last_entry_satisfies_the_check_and_the_polynomial(rel, entries):
     last = Fraction(num) / den
     assume(last != -1)  # last + 1 = 0 has no reciprocal in genVI
     assert check_relation(rel, head + (last,))
-    poly = relation_polynomial(rel)
+    poly = relation_polynomial(rel, _symbols(rel))
     point = {f"n{i + 1}": poly.ctx.rat(v) for i, v in enumerate(head + (last,))}
     assert poly.subs(point).is_zero()
     assert not check_relation(rel, head + (last + 1,))
@@ -162,7 +166,7 @@ def test_relation_polynomial_is_each_family_relation(family):
     poly = relation_polynomial(rel, ctx)
     assert poly.ctx == ctx
     assert str(poly) == RELATION_TEXT[family]
-    assert poly == relation_polynomial(rel).lift(ctx)
+    assert poly == relation_polynomial(rel, _symbols(rel)).lift(ctx)
 
 
 # the entries each relation may permute; its convention lists them ordered

@@ -208,8 +208,10 @@ def test_underdetermined_when_column_deleted():
     reduced = GRScheme(scheme.model,
                        tuple(s for s in scheme.specs if s.label != "1"),
                        scheme.params, scheme.eigenvalue_syms, "pvi-minus-one")
-    rec = recover(reduced, verify=False)
-    assert len(rec.free) >= 1
+    # the solve alone: verification rejects the field by design, since with
+    # fewer constraints it finds an extra accessible point
+    _, _, sol, _, _ = recovery._solve_scheme(reduced)
+    assert len(sol.free) >= 1
 
 
 def test_specialize_scheme_commutes_with_recovery():
@@ -255,10 +257,18 @@ def test_resolved_point_off_the_exceptional_line_is_refused():
                               "the exceptional line")
 
 
+@pytest.mark.parametrize("multiplicity", [0, -3])
+def test_multiplicity_below_one_is_refused(multiplicity):
+    spec = scheme_pvi().scheme.specs[3]
+    with pytest.raises(SchemeError) as exc:
+        replace(spec, multiplicity=multiplicity)
+    assert str(exc.value) == f"scheme column X=inf: multiplicity {multiplicity} is below 1"
+
+
 def test_verify_recovered_linearizes_each_resolved_point_once(monkeypatch):
     """verify_recovered reads the resolved point's matrix from the index that
     resolve_multiplicity keeps on its trace, and does not compute it again."""
-    rec = recover(get_scheme("gen-pv").scheme, verify=False)
+    rec = recover(get_scheme("gen-pv").scheme)
     real = singularities.linearization_matrix
     divisors = []
 
@@ -305,7 +315,7 @@ def test_solve_triangular_reduces_each_equation_once_per_assignment(monkeypatch,
 
     monkeypatch.setattr(MPoly, "subs", subs)
     monkeypatch.setattr(recovery, "solve_triangular", solve)
-    recover(get_scheme(name).scheme, verify=False)
+    recover(get_scheme(name).scheme)
     assert calls[0] == SOLVE_SUBS[name]
 
 
@@ -381,7 +391,7 @@ def _both_solves(equations, unknowns, **kwargs):
 
 
 @pytest.mark.parametrize("run", [
-    *[pytest.param(lambda name=name: recover(get_scheme(name).scheme, verify=False), id=name)
+    *[pytest.param(lambda name=name: recover(get_scheme(name).scheme), id=name)
       for name in ["pvi", "gen-pvi", "gen-pv", "gen-piv", "gen-piii"]],
     *[pytest.param(lambda pair=pair: match_pair(pair), id=pair)
       for pair in ["gen-pv:pv", "gen-piii:piii"]]])
@@ -445,7 +455,7 @@ def test_a_form_dividing_an_equation_with_another_unknown_gives_no_relation(monk
 def test_eigenvalue_relation_builds_no_field(monkeypatch):
     """eigenvalue_relation stops at the solve: it gives the JSON goldens'
     relations, and pvi's NoRelation, with PlaneVectorField out of reach."""
-    expected = {name: recover(get_scheme(name).scheme, verify=False).relations[0]
+    expected = {name: recover(get_scheme(name).scheme).relations[0]
                 for name in ["gen-pvi", "gen-pv", "gen-piv", "gen-piii"]}
 
     def no_field(*args, **kwargs):
@@ -579,7 +589,8 @@ def test_existence_symbolic_ratios_reproduce_relation():
                        + [f"u3_{k}" for k in range(n)])
     m1, m2, m3 = (ctx.var(f"m{i}") for i in (1, 2, 3))
     m4 = (ctx.rat(n) - m1.inverse() - m2.inverse() - m3.inverse()).inverse()
-    sys_sym = construct_existence_system(2, [0, 1], [m1, m2, m3, m4], ctx=ctx)
+    sys_sym = construct_existence_system(2, [0, 1], [m1, m2, m3, m4])
+    assert sys_sym.vf.ctx == ctx
     assert sys_sym.ratios["inf"] == m4
 
 
@@ -729,7 +740,7 @@ def test_no_correspondence_is_reported():
     """Mismatched systems terminate with a definitive negative verdict."""
     a = get_system("gen-piii")
     b = get_system("piv")
-    rep = match_specialization(a.vf, b.vf, list(b.params))
+    rep = match_specialization(a.vf, b.vf, ["beta1", "beta2"])
     assert not rep.found
     assert rep.residual
 

@@ -15,13 +15,13 @@ from grs.singularities import (AccessiblePoint, LocalField, NotAccessible, Unres
                                accessible_points, alpha_test, default_candidates, deflate,
                                divisor_chart_local, find_divisor_roots, linearization,
                                linearization_matrix, restricted_numerator, root_multiplicity)
-from grs.surface import (PlaneVectorField, SIGMA2_UNKNOWNS, generic_family,
+from grs.surface import (PlaneVectorField, SIGMA2_UNKNOWNS, SurfaceModel, generic_family,
                          sigma2_model)
 
 
 @pytest.fixture(scope="module")
 def pvi():
-    return pvi_system(normalized=True).vf
+    return pvi_system().admissible
 
 
 def _accessible(vf, location):
@@ -68,7 +68,7 @@ def test_pvi_finite_matrices_verbatim_on_raw_transcription():
     """On the raw five-parameter transcription the three finite points give
     the displayed matrices verbatim, alpha0 included; only the infinity
     chart needs the normalization."""
-    raw = pvi_system(normalized=False).vf
+    raw = pvi_system().vf
     ctx = raw.ctx
     displays = {"0": ("1/(t - 1)", "-alpha4"), "1": ("-1/t", "-alpha3"),
                 "t": ("1", "-alpha0")}
@@ -85,7 +85,7 @@ def test_trivial_linear_system_reads_off_matrix():
     # dX/dt = (2X - a*Y)/Y, dY/dt = 1 corresponds to dx/dt = 2xy - a, dy/dt = -y^2
     ctx = Context.make(parameters=["alpha"])
     x, y, a = ctx.var("x"), ctx.var("y"), ctx.var("alpha")
-    vf = PlaneVectorField(ctx.rat(2) * x * y - a, -y * y, "U0", sigma2_model(ctx, "alpha"))
+    vf = PlaneVectorField(ctx.rat(2) * x * y - a, -y * y, "U0", SurfaceModel(2, (a,)))
     pts = accessible_points(vf)
     assert pts[0].label == "0"
     li = linearization(divisor_chart_local(vf, pts[0].chart), pts[0].location)

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from grs.algebra import Context, MPoly, MRat
-from grs.surface import (CHARTS, InvalidN, PlaneVectorField, SIGMA2_UNKNOWNS,
-                         SurfaceModel, _walk, chart_from_u0, chart_transform,
-                         check_log_condition, degree_bounds, generic_family,
-                         sigma2_model)
+from grs.surface import (CHARTS, PlaneVectorField, SIGMA2_UNKNOWNS, SurfaceModel, _walk,
+                         chart_from_u0, chart_transform, check_log_condition,
+                         generic_family, sigma2_model)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -165,23 +164,9 @@ def test_log_condition_reports(ctx, family):
 
 def test_log_condition_on_pvi():
     from grs.catalog import pvi_system
-    assert check_log_condition(pvi_system(normalized=True).vf).holds
+    assert check_log_condition(pvi_system().admissible).holds
     # the raw five-parameter transcription holds only on the normalized slice
-    assert not check_log_condition(pvi_system(normalized=False).vf).holds
-
-
-@pytest.mark.parametrize("n, expected", [
-    (2, (3, 4, 1, 2, 3)),
-    (1, (2, 3, 0, 1, 2)),
-    (5, (6, 7, 4, 5, 6)),
-])
-def test_degree_bounds(n, expected):
-    assert degree_bounds(n) == expected
-
-
-def test_degree_bounds_invalid():
-    with pytest.raises(InvalidN):
-        degree_bounds(0)
+    assert not check_log_condition(pvi_system().vf).holds
 
 
 def test_generic_family_sigma2_is_ten_dimensional(family):
@@ -194,11 +179,14 @@ def test_generic_family_sigma2_is_ten_dimensional(family):
 def test_generic_family_general_path_agrees_on_sigma2(ctx, family):
     # generate the n=2 family from the degree caps instead of the closed
     # form: it must have the same dimension, and the explicit family must
-    # satisfy all pole conditions identically
-    from grs.surface import (_ansatz_unknown_names, _family_caps, _u1_pole_conditions,
-                             PlaneVectorField)
+    # satisfy all pole conditions identically.  The caps are those holomorphy
+    # forces on S_2, (3, 4, 1, 2, 3), with deg b5 lowered to 2: that excludes
+    # the one extra admissible line (a field proportional to the top b5
+    # coefficient) that the ten-coefficient family does not contain
+    from grs.surface import _u1_pole_conditions
     from grs.algebra import solve_triangular
-    names = _ansatz_unknown_names(2)
+    caps = (3, 4, 1, 2, 2)
+    names = [f"b{b}_{k}" for b, cap in enumerate(caps, start=1) for k in range(cap + 1)]
     gctx = Context.make(parameters=["alpha2"], unknowns=names)
     model = sigma2_model(gctx)
     x, y = gctx.var("x"), gctx.var("y")
@@ -209,25 +197,12 @@ def test_generic_family_general_path_agrees_on_sigma2(ctx, family):
             acc = acc + gctx.var(f"b{b}_{k}") * x ** k
         return acc
 
-    caps = _family_caps(2)
     b1, b2, b3, b4, b5 = (block(i + 1, caps[i]) for i in range(5))
     ansatz = PlaneVectorField(b1 + b2 * y, b3 + b4 * y + b5 * y * y, "U0", model)
     sol = solve_triangular(_u1_pole_conditions(ansatz), names)
     assert len(sol.free) == 10  # the ten-coefficient family
     # the explicit family is identically polynomial in U1
     assert _u1_pole_conditions(family.vf) == []
-
-
-def test_generic_family_sigma3():
-    ctx3 = Context.make(parameters=["g1", "g2"])
-    model = SurfaceModel(3, (ctx3.var("g1"), ctx3.var("g2")))
-    fam = generic_family(model)
-    assert check_log_condition(fam.vf).holds
-    # the divisor numerator (accessible locus) has degree n + 2 = 5 in X with
-    # the leading y-block of degree n + 1 = 4 once the leading cap is forced
-    from grs.singularities import divisor_chart_local, restricted_numerator
-    local = divisor_chart_local(fam.vf, "U2")
-    assert restricted_numerator(local).num.degree_in("x") == 4
 
 
 def test_sigma_model_twist_arity():
@@ -373,7 +348,8 @@ def test_builtin_rewrites_run_few_gcds(monkeypatch):
     from grs import algebra
     from grs.catalog import get_system, system_names
     fields = [_fresh(get_system(name).vf) for name in system_names()]
-    polynomial = generic_family(sigma2_model(LAURENT_CTX, "p")).vf
+    family_ctx = Context.make(parameters=["p"], unknowns=list(SIGMA2_UNKNOWNS))
+    polynomial = generic_family(SurfaceModel(2, (family_ctx.var("p"),)), family_ctx).vf
     calls = []
     cofactors = algebra.gcd_cofactors
     monkeypatch.setattr(algebra, "gcd_cofactors",
