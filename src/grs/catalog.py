@@ -7,11 +7,13 @@ schemes, and the transformation groups.  The delta denominators are kept in
 cleared form exactly as printed; recovered systems are compared against
 these transcriptions term for term.
 
-``get_system``, ``get_scheme`` and ``get_maps`` build each builtin entry once
-per process and hand every caller the same object, so a field keeps its memo
-of chart rewrites from one command to the next.  The shared entries are
-read-only: the dataclasses are frozen, a normalization and a map's parameter
-images are read-only mappings, and the maps of a system come as a tuple.
+``get_system``, ``get_scheme``, ``get_maps`` and ``match_pair`` build each
+builtin entry and match pair once per process and hand every caller the same
+object, so a field keeps its memo of chart rewrites from one command to the
+next, and the pv and piii references are recovered (with full verification)
+once.  The shared entries are read-only: the dataclasses and fields are
+frozen, a normalization and a map's parameter images are read-only mappings,
+and the maps of a system and a pair's parameter names come as tuples.
 
 Only the catalog knows a system's normalization: ``SystemEntry.admissible``
 is the field on its normalized parameter slice, where it is admissible on the
@@ -472,12 +474,15 @@ def get_maps(system: str) -> tuple[BirationalMap, ...]:
 MATCH_PAIRS = ("gen-piv:piv", "gen-pvi:pvi", "gen-pv:pv", "gen-piii:piii")
 
 
-def match_pair(name: str):
+@functools.cache
+def match_pair(name: str) -> tuple[PlaneVectorField, PlaneVectorField, tuple[str, ...], str]:
     """Prepared (general, reference, reference_params, note) for a builtin pair.
 
     Both fields are arranged in the same coordinate conventions; the note
     records the arrangement (chart moves, eigenvalue values, scale presets,
-    and which side's parameters are solved for).
+    and which side's parameters are solved for).  Each pair is built once per
+    process and shared read-only; an unknown name is not cached and raises
+    the same ``KeyError`` each time.
     """
     if name == "gen-piv:piv":
         entry = get_system("gen-piv")
@@ -486,7 +491,7 @@ def match_pair(name: str):
         general = chart_transform(spec, "U1")
         note = ("three-point family at (n1,n2)=(2,3), a(t)=4, moved to the U1 "
                 "chart, against the classical PIV Hamiltonian system")
-        return general, get_system("piv").vf, ["beta1", "beta2"], note
+        return general, get_system("piv").vf, ("beta1", "beta2"), note
     if name == "gen-pvi:pvi":
         entry = get_system("gen-pvi")
         two = entry.vf.ctx.rat(2)
@@ -495,7 +500,7 @@ def match_pair(name: str):
                 "system on its normalized parameter slice; the general "
                 "system's parameters are solved as affine functions of the "
                 "reference's")
-        return get_system("pvi").admissible, g, list(ALPHAS), note
+        return get_system("pvi").admissible, g, ALPHAS, note
     if name == "gen-pv:pv":
         sch = get_scheme("gen-pv").scheme
         ctx = sch.specs[0].matrix[0, 0].ctx
@@ -506,7 +511,7 @@ def match_pair(name: str):
         note = ("double-point family at (n1,n2,n3)=(2,2,2) against the system "
                 "recovered from the scheme at those eigenvalues (the classical "
                 "fifth Painleve case)")
-        return cls.vf, g, ["alpha0", "alpha1", "alpha2", "alpha3"], note
+        return cls.vf, g, ALPHAS[:4], note
     if name == "gen-piii:piii":
         sch = get_scheme("gen-piii").scheme
         ctx = sch.specs[0].matrix[0, 0].ctx
@@ -517,5 +522,5 @@ def match_pair(name: str):
         note = ("two-double-point family at (n1,n2)=(2,2) against the system "
                 "recovered from the scheme at those eigenvalues (the classical "
                 "third Painleve case)")
-        return cls.vf, g, ["alpha0", "alpha1", "alpha2"], note
+        return cls.vf, g, ALPHAS[:3], note
     raise KeyError(f"unknown match pair {name!r}; available: {MATCH_PAIRS}")

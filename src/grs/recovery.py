@@ -276,13 +276,13 @@ def lift_scheme(scheme: GRScheme, ctx: Context) -> GRScheme:
     return map_scheme(scheme, lambda r: r.lift(ctx))
 
 
-def specialize_scheme(scheme: GRScheme, values: Mapping[str, MRat],
-                      name: str | None = None) -> GRScheme:
-    """The scheme with parameter values substituted (e.g. numeric eigenvalues)."""
+def specialize_scheme(scheme: GRScheme, values: Mapping[str, MRat], name: str) -> GRScheme:
+    """The scheme, renamed, with parameter values substituted (e.g. numeric
+    eigenvalues)."""
     return map_scheme(scheme, lambda r: r.subs(values),
                       params=tuple(p for p in scheme.params if p not in values),
                       eigenvalue_syms=tuple(e for e in scheme.eigenvalue_syms if e not in values),
-                      name=name if name is not None else scheme.name + "-specialized")
+                      name=name)
 
 
 def relation_substitution(relations: Sequence[MPoly],
@@ -302,7 +302,7 @@ def zero_modulo(value: MRat, relsub: Mapping[str, MRat]) -> bool:
     return value.is_zero() or (bool(relsub) and value.subs(relsub).is_zero())
 
 
-def scheme_of(vf: PlaneVectorField, candidates: Sequence[MRat] = ()) -> tuple[SingularSpec, ...]:
+def scheme_of(vf: PlaneVectorField, candidates: Sequence[MRat]) -> tuple[SingularSpec, ...]:
     """The geometric Riemann scheme of vf, the inverse of ``recover``: one column
     per accessible point, in ``accessible_points`` order, infinity as location
     None.  A simple point's column holds its divisor chart's matrix; a multiple
@@ -427,7 +427,11 @@ def construct_existence_system(n: int, c: Sequence, m: Sequence) -> ExistenceSys
     for mi in ms:
         total = total + mi.inverse()
     if total != ctx.rat(n):
-        raise RelationViolated(f"sum of reciprocal ratios is {total}, expected {n}")
+        try:
+            shown = str(total)
+        except ValueError:  # more digits than the interpreter converts to text
+            shown = "a value too long to print"
+        raise RelationViolated(f"sum of reciprocal ratios is {shown}, expected {n}")
 
     x, y = ctx.var("x"), ctx.var("y")
     a1 = ctx.var("a1t")

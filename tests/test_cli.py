@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from grs import io as gio
-from grs.catalog import (HVI_TEXT, MATCH_PAIRS, get_maps, get_scheme, get_system, scheme_names,
-                         system_names)
+from grs.catalog import (HVI_TEXT, MATCH_PAIRS, get_maps, get_scheme, get_system, match_pair,
+                         scheme_names, system_names)
 from grs.cli import _fractions, main
 
 GOLDEN_CLI = Path(__file__).parent / "golden_cli"
@@ -170,6 +170,21 @@ def test_cli_construct_exponent_above_the_bound_exits_one(points, ratios, value)
                           capture_output=True, text=True, env=env, timeout=20)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         1, "", f"error: exponent above MAX_DECIMAL_EXPONENT = 4300 in {value!r}\n")
+
+
+def test_cli_construct_reciprocal_sum_off_n_exits_one(capsys):
+    assert _run(capsys, "construct", "--n", "2", "--points", "0,1", "--ratios", "3,2,2,2") == (
+        1, "", "error: sum of reciprocal ratios is 11/6, expected 2\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter converts integers of any length to text")
+@pytest.mark.parametrize("ratios", ["1e4300,2,2,2", "1e-4300,2,2,2"])
+def test_cli_construct_unprintable_reciprocal_sum_exits_one(capsys, ratios):
+    """A sum with more digits than the interpreter converts to text is named
+    without its value."""
+    assert _run(capsys, "construct", "--n", "2", "--points", "0,1", "--ratios", ratios) == (
+        1, "", "error: sum of reciprocal ratios is a value too long to print, expected 2\n")
 
 
 def test_cli_numbers_up_to_the_exponent_bound_parse_as_fractions():
@@ -527,6 +542,18 @@ def test_cli_commands_repeated_in_one_process_match_their_goldens(capsys):
         assert _run(capsys, *argv) == (0, (GOLDEN_CLI / golden).read_text(), ""), argv
 
 
+def test_cli_match_repeated_in_one_process_matches_its_goldens(capsys):
+    """The shared match pairs change no output: each pair's JSON and pretty
+    golden, run twice with the other pairs in between."""
+    runs = []
+    for pair in MATCH_PAIRS:
+        golden = f"match_{pair.replace(':', '_')}"
+        runs.append((["match", "--pair", pair, "--format", "json"], f"{golden}.json"))
+        runs.append((["match", "--pair", pair], f"{golden}.txt"))
+    for argv, golden in runs * 2:
+        assert _run(capsys, *argv) == (0, (GOLDEN_CLI / golden).read_text(), ""), argv
+
+
 def test_cli_options_do_not_leak_into_the_next_call(capsys):
     golden = (GOLDEN_CLI / "recover_pvi.txt").read_text()
     assert _run(capsys, "recover", "--scheme", "pvi", "--trace") == (0, golden, "")
@@ -564,6 +591,23 @@ def test_catalog_entries_are_built_once_and_read_only():
         with pytest.raises(TypeError):
             bmap.param_map["alpha2"] = bmap.ctx.rat(0)
     assert dict(maps[0].param_map)["alpha2"] == -maps[0].ctx.var("alpha2")
+
+
+@pytest.mark.parametrize("pair", MATCH_PAIRS)
+def test_match_pairs_are_built_once_and_read_only(pair):
+    prepared = match_pair(pair)
+    assert prepared is match_pair(pair)
+    assert isinstance(prepared[2], tuple) and isinstance(prepared[3], str)
+
+
+def test_unknown_match_pair_raises_the_same_key_error_each_time():
+    messages = []
+    for _ in range(2):
+        with pytest.raises(KeyError) as exc:
+            match_pair("nope")
+        messages.append(exc.value.args)
+    assert messages[0] == messages[1] == (
+        f"unknown match pair 'nope'; available: {MATCH_PAIRS}",)
 
 
 @pytest.mark.parametrize("system, message", [
