@@ -10,8 +10,8 @@ a dict ``packed`` mapping the packed key of each exponent to a nonzero int,
 and an int ``den`` with gcd(den, *numerators) = 1.  That pair is unique, so
 equality is structural.  Products, sums, exact division and modular images
 run on ints, and each result is reduced once, by one gcd of its denominator
-and numerators; the views ``nums`` and ``terms`` show the numerators and the
-reduced ``Fraction`` coefficients by exponent tuple.
+and numerators; the view ``terms`` shows the reduced ``Fraction``
+coefficients by exponent tuple.
 
 A packed key is one int (Monagan & Pearce, CASC 2007).  In a context of n
 symbols it has n + 1 fields of ``FIELD_BITS`` = 32 bits: the total degree in
@@ -188,7 +188,7 @@ class Sym:
     """A named symbol with a fixed kind (fiber, time, parameter, unknown)."""
 
     name: str
-    kind: str = "parameter"
+    kind: str
 
     def __post_init__(self):
         if self.kind not in SYM_KINDS:
@@ -202,7 +202,7 @@ class Context:
 
     Symbol order is the canonical variable order: fiber variables first,
     then time, then parameters, then unknowns (the constructor does not
-    enforce this; builders below do).  The context also fixes the layout of
+    enforce this; ``make`` does).  The context also fixes the layout of
     the packed exponent keys of its polynomials (module docstring).
     """
 
@@ -232,14 +232,11 @@ class Context:
         self._nbytes = self._unpacker.size
 
     @staticmethod
-    def make(fiber: Sequence[str] = ("x", "y"), time: str | None = "t",
-             parameters: Sequence[str] = (), unknowns: Sequence[str] = ()) -> "Context":
-        syms = [Sym(n, "fiber") for n in fiber]
-        if time is not None:
-            syms.append(Sym(time, "time"))
-        syms += [Sym(n, "parameter") for n in parameters]
-        syms += [Sym(n, "unknown") for n in unknowns]
-        return Context(syms)
+    def make(parameters: Sequence[str], unknowns: Sequence[str] = ()) -> "Context":
+        """The context of fiber x, y, time t, then the parameters and unknowns."""
+        return Context([Sym("x", "fiber"), Sym("y", "fiber"), Sym("t", "time"),
+                        *(Sym(n, "parameter") for n in parameters),
+                        *(Sym(n, "unknown") for n in unknowns)])
 
     def index(self, name: str) -> int:
         try:
@@ -345,9 +342,9 @@ class MPoly:
     coefficient of that exponent is ``packed[key] / den``.  ``packed`` holds
     no zeros, ``den`` is positive and gcd(den, *numerators) = 1, so the pair
     is unique and equality is structural.  ``packed`` is never mutated once
-    the polynomial exists.  The views ``nums`` (ints) and ``terms`` (reduced
-    Fractions) key the coefficients by exponent tuples, in storage order,
-    as fresh dicts; code outside this module reads only those.
+    the polynomial exists.  The view ``terms`` keys the coefficients, as
+    reduced Fractions, by exponent tuples, in storage order, as a fresh
+    dict; code outside this module reads only that.
     """
 
     __slots__ = ("ctx", "packed", "den")
@@ -369,12 +366,6 @@ class MPoly:
         self.ctx = ctx
         self.packed = packed
         self.den = den
-
-    @property
-    def nums(self) -> dict[Exponent, int]:
-        """The integer numerators by exponent tuple, in storage order (a copy)."""
-        unpack = self.ctx._unpack
-        return {unpack(k): c for k, c in self.packed.items()}
 
     @property
     def terms(self) -> dict[Exponent, Fraction]:
@@ -412,12 +403,6 @@ class MPoly:
     def total_degree(self) -> int:
         # the largest key has the largest degree
         return max(self.packed, default=0) >> self.ctx._top
-
-    def leading(self) -> tuple[Exponent, Fraction]:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading term")
-        k = max(self.packed)
-        return self.ctx._unpack(k), Fraction(self.packed[k], self.den)
 
     # -- ring operations ----------------------------------------------------
 
@@ -683,7 +668,7 @@ def exact_divide(a: MPoly, b: MPoly) -> MPoly | None:
     with B * Q' primitive makes cont the content of A, an integer.  Each
     quotient coefficient the loop computes is then an integer, and a nonzero
     remainder of any coefficient division proves that b does not divide a.
-    The quotient a/b is A/B scaled by b.den / (a.den * content(b.nums)).
+    The quotient a/b is A/B scaled by b.den / (a.den * content(b.packed)).
 
     The loop runs on packed keys, whose integer order is graded-lex order,
     so the remainder's heap of negated keys pops its leading term.  A key

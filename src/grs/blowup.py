@@ -207,7 +207,7 @@ class FamilyResolution:
 
 def resolve_family(vf: PlaneVectorField, location: MRat, multiplicity: int,
                    resolved_location: MRat, unknowns: Sequence[str],
-                   chart: str = "U2") -> FamilyResolution:
+                   chart: str) -> FamilyResolution:
     """Resolve a multiple point of a coefficient family symbolically.
 
     Every accessibility requirement that fails to hold identically is

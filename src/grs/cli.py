@@ -33,6 +33,9 @@ from .symmetry import verify_involution, verify_symmetry
 
 USAGE_ERROR, SOLVER_FAILURE, VERIFY_MISMATCH = 1, 2, 3
 
+# the most characters read from an input file; a longer one is refused
+MAX_INPUT_CHARS = 64 * 2**20
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -48,7 +51,10 @@ def _load(ref: str, kind: str, names: list[str], get, from_json):
         return get(name), None
     if os.path.exists(ref):
         with open(ref) as fh:
-            return None, from_json(gio.loads(fh.read()))
+            text = fh.read(MAX_INPUT_CHARS + 1)
+        if len(text) > MAX_INPUT_CHARS:
+            raise ValueError(f"{ref!r} is longer than {MAX_INPUT_CHARS} characters")
+        return None, from_json(gio.loads(text))
     raise FileNotFoundError(
         f"{ref!r} is neither a builtin {kind} ({', '.join(names)}) nor a file")
 

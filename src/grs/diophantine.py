@@ -91,7 +91,7 @@ def _satisfies_convention(rel: str, tup: tuple[int, ...], convention: str) -> bo
 NATURAL_BOUND = 6
 
 
-def enumerate_natural(rel: str, convention: str = "paper") -> list[tuple[int, ...]]:
+def enumerate_natural(rel: str, convention: str) -> list[tuple[int, ...]]:
     """Complete list of natural solutions under the declared ordering convention.
 
     Conventions follow the classical statements: genVI is listed nondecreasing
@@ -120,21 +120,21 @@ def _box(rel: str, entries: Sequence[int]) -> list[tuple[int, ...]]:
     The leading entries are scanned and the last one is solved exactly, kept
     only when it is one of ``entries`` and re-checked by check_relation.
     """
+    # arity refuses an unknown relation before _SOLVED is indexed
+    heads = product(entries, repeat=arity(rel) - 1)
     members = set(entries)
     solved = _SOLVED[rel]
     out = []
-    for head in product(entries, repeat=arity(rel) - 1):
+    for head in heads:
         last = _last_entry(solved, head)
         if last in members and check_relation(rel, head + (last,)):
             out.append(head + (last,))
     return sorted(out)
 
 
-def brute_force_box(rel: str, bound: int, convention: str = "paper") -> list[tuple[int, ...]]:
+def brute_force_box(rel: str, bound: int, convention: str) -> list[tuple[int, ...]]:
     """Every natural tuple in [1, bound]^k satisfying the relation, listed
     under the convention of enumerate_natural."""
-    if rel not in RELATIONS:
-        raise RelationError(f"unknown relation {rel!r}")
     return [t for t in _box(rel, range(1, bound + 1))
             if _satisfies_convention(rel, t, convention)]
 

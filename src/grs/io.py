@@ -36,7 +36,7 @@ def context_to_json(ctx: Context) -> list[dict[str, str]]:
     return [{"name": s.name, "kind": s.kind} for s in ctx.syms]
 
 
-def context_from_json(data: list[dict[str, str]], where: str = "symbols") -> Context:
+def context_from_json(data: list[dict[str, str]], where: str) -> Context:
     return Context(tuple(Sym(_get(d, "name", f"{where}[{i}]", str),
                              _get(d, "kind", f"{where}[{i}]", str))
                          for i, d in enumerate(data)))

@@ -115,8 +115,8 @@ class GRScheme:
     model: SurfaceModel
     specs: tuple[SingularSpec, ...]
     params: tuple[str, ...]
-    eigenvalue_syms: tuple[str, ...] = ()
-    name: str = ""
+    eigenvalue_syms: tuple[str, ...]
+    name: str
 
     def __post_init__(self):
         labels = [s.label for s in self.specs]
@@ -459,7 +459,7 @@ def construct_existence_system(n: int, c: Sequence, m: Sequence) -> ExistenceSys
     final = PlaneVectorField(vf.dxdt.subs(sol.assignments).subs(zero_free),
                              vf.dydt.subs(sol.assignments).subs(zero_free),
                              "U0", model)
-    if not check_log_condition(final).holds:
+    if not check_log_condition(final):
         raise SchemeError("existence construction failed the log condition")
     points = accessible_points(final, extra_candidates=cs)
     labels = {p.label for p in points}

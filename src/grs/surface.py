@@ -222,41 +222,24 @@ def _move(vf: PlaneVectorField, target: str) -> PlaneVectorField:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class LogConditionReport:
-    holds: bool
-    witnesses: list[str]
-
-    def __bool__(self):
-        return self.holds
-
-
-def check_log_condition(vf: PlaneVectorField) -> LogConditionReport:
-    """Check membership in the admissible (log-pole along the divisor) class.
+def check_log_condition(vf: PlaneVectorField) -> bool:
+    """Whether the field is in the admissible (log-pole along the divisor) class.
 
     Requires a polynomial field in U0.  Holds iff (1) the U1 rewrite is
     polynomial and (2) the U2 rewrite has the shape dX/dt = F1/Y,
-    dY/dt = F2 with F1, F2 polynomial.  Witnesses name the failures.
+    dY/dt = F2 with F1, F2 polynomial.
     """
     if vf.chart != "U0":
         raise SurfaceError("log condition is checked on U0 fields")
     fiber = ("x", "y")
-    witnesses: list[str] = []
     if not (vf.dxdt.is_polynomial_in(fiber) and vf.dydt.is_polynomial_in(fiber)):
-        witnesses.append("field is not polynomial in U0")
-        return LogConditionReport(False, witnesses)
+        return False
     u1 = chart_transform(vf, "U1")
-    if not u1.dxdt.is_polynomial_in(fiber):
-        witnesses.append(f"U1 component dx1/dt has denominator {u1.dxdt.den}")
-    if not u1.dydt.is_polynomial_in(fiber):
-        witnesses.append(f"U1 component dy1/dt has denominator {u1.dydt.den}")
+    if not (u1.dxdt.is_polynomial_in(fiber) and u1.dydt.is_polynomial_in(fiber)):
+        return False
     u2 = chart_transform(vf, "U2")
-    yv = vf.ctx.var("y")
-    if not (u2.dxdt * yv).is_polynomial_in(fiber):
-        witnesses.append(f"U2 component Y*dX/dt has denominator {(u2.dxdt * yv).den}")
-    if not u2.dydt.is_polynomial_in(fiber):
-        witnesses.append(f"U2 component dY/dt has denominator {u2.dydt.den}")
-    return LogConditionReport(not witnesses, witnesses)
+    return ((u2.dxdt * vf.ctx.var("y")).is_polynomial_in(fiber)
+            and u2.dydt.is_polynomial_in(fiber))
 
 
 # ---------------------------------------------------------------------------

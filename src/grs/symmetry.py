@@ -214,8 +214,8 @@ def _screen(f: tuple[MRat, MRat], bmap: BirationalMap, values: dict[str, MRat],
                  for (_, dx, dy, dt), g in zip(images, f_at_image))
 
 
-def verify_symmetry(vf: PlaneVectorField, bmap: BirationalMap, mode: str = "numeric-probe",
-                    relation: MPoly | None = None, eigenvalue_syms: Sequence[str] = (),
+def verify_symmetry(vf: PlaneVectorField, bmap: BirationalMap, mode: str,
+                    relation: MPoly | None, eigenvalue_syms: Sequence[str],
                     draws: int = 20, seed: int = 20200828) -> SymmetryReport:
     """Invariance check, exact per draw or fully symbolic.
 
@@ -293,8 +293,8 @@ def _proved(vf: PlaneVectorField, bmap: BirationalMap, params: Sequence[str],
         return False
 
 
-def verify_involution(bmap: BirationalMap, relation: MPoly | None = None,
-                      eigenvalue_syms: Sequence[str] = ()) -> bool:
+def verify_involution(bmap: BirationalMap, relation: MPoly | None,
+                      eigenvalue_syms: Sequence[str]) -> bool:
     """Exact check that the map composed with itself is the identity."""
     relsub = relation_substitution([relation], eigenvalue_syms) if relation is not None else {}
     full = bmap.full_subs()

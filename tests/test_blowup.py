@@ -29,7 +29,7 @@ def test_blow_up_exposes_a10_condition(family):
     """With a5 = a7 = 0, the blown-up origin is accessible iff a10 = 0."""
     ctx = family.vf.ctx
     zeroed = family.vf.subs_params({"a5": ctx.rat(0), "a7": ctx.rat(0)})
-    res = resolve_family(zeroed, ctx.rat(0), 2, -ctx.var("t"), family.unknowns)
+    res = resolve_family(zeroed, ctx.rat(0), 2, -ctx.var("t"), family.unknowns, "U2")
     tags = [tag for tag, _ in res.conditions]
     polys = [str(p) for _, p in res.conditions]
     assert any("blow-up step 1" in t for t in tags)
@@ -44,12 +44,12 @@ def test_resolve_family_rejects_a_condition_it_cannot_solve(family, a7, conditio
     ctx = family.vf.ctx
     vf = family.vf.subs_params({"a7": ctx.parse(a7)})
     with pytest.raises(ResolutionError) as exc:
-        resolve_family(vf, ctx.rat(0), 2, -ctx.var("t"), family.unknowns)
+        resolve_family(vf, ctx.rat(0), 2, -ctx.var("t"), family.unknowns, "U2")
     assert str(exc.value) == f"cannot impose condition {condition} = 0 on the family"
 
 
 def test_radial_field_blow_up_kills_fiber_component():
-    ctx = Context.make()
+    ctx = Context.make(parameters=[])
     x, y = ctx.var("x"), ctx.var("y")
     chart = LocalChart(x, y, x, y)
     up = blow_up_chart(chart)
@@ -61,7 +61,7 @@ def test_triple_point_conditions_in_paper_order(family):
     """Resolving the triple point collects a7, a5, a2, then a10, then a9."""
     ctx = family.vf.ctx
     half = ctx.rat(1) / ctx.rat(2)
-    res = resolve_family(family.vf, ctx.rat(0), 3, -half, family.unknowns)
+    res = resolve_family(family.vf, ctx.rat(0), 3, -half, family.unknowns, "U2")
     polys = [str(p) for _, p in res.conditions]
     assert polys[:5] == ["a7", "a5", "a2", "a10", "a9"]
 
@@ -123,7 +123,7 @@ def test_degenerate_matrix_criterion(family):
     the matrix is nilpotent."""
     ctx = family.vf.ctx
     zero = ctx.rat(0)
-    res = resolve_family(family.vf, zero, 2, -ctx.var("t"), family.unknowns)
+    res = resolve_family(family.vf, zero, 2, -ctx.var("t"), family.unknowns, "U2")
     assert {str(p) for _, p in res.conditions[:3]} == {"a5", "a7", "a10"}
     matrix, access = linearization_matrix(divisor_chart_local(family.vf, "U2"), zero)
     entries = (access, matrix[0, 0], matrix[1, 1])

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from grs import io as gio
+from grs import cli, io as gio
 from grs.catalog import (HVI_TEXT, MATCH_PAIRS, get_maps, get_scheme, get_system, match_pair,
                          scheme_names, system_names)
 from grs.cli import _fractions, main
@@ -197,6 +197,26 @@ def test_cli_directory_reference_exits_one(tmp_path, capsys, command, flag):
     code, out, err = _run(capsys, command, flag, str(tmp_path))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and str(tmp_path) in err and err.count("\n") == 1
+
+
+def test_cli_input_file_over_the_size_limit_exits_one(tmp_path, capsys, monkeypatch):
+    """A file is read up to the limit and refused, with one line, when it is
+    longer; a file of exactly the limit, or standard input, is read as usual."""
+    path = tmp_path / "pvi.json"
+    path.write_text(gio.dumps(gio.vf_to_json(get_system("pvi").vf)))
+    size = len(path.read_text())
+    monkeypatch.setattr(cli, "MAX_INPUT_CHARS", size - 1)
+    assert _run(capsys, "show", "--system", str(path)) == (
+        1, "", f"error: {str(path)!r} is longer than {size - 1} characters\n")
+    monkeypatch.setattr(cli, "MAX_INPUT_CHARS", size)
+    code, out, err = _run(capsys, "show", "--system", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "grs.cli", "show", "--system", "/dev/stdin",
+                           "--format", "json"], input=path.read_text(),
+                          capture_output=True, text=True, env=env, timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
 
 @pytest.mark.parametrize("multiplicity", [0, -3])

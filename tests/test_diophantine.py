@@ -6,35 +6,35 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from grs.algebra import Context, solve_linear
+from grs.algebra import Context, Sym, solve_linear
 from grs.catalog import FAMILIES, get_system
-from grs.diophantine import (RELATIONS, _SOLVED, ShapeMismatch, ZeroEntry, _last_entry, arity,
-                             bounded_integer_search, brute_force_box, check_relation,
-                             enumerate_natural, relation_polynomial)
+from grs.diophantine import (RELATIONS, _SOLVED, RelationError, ShapeMismatch, ZeroEntry,
+                             _last_entry, arity, bounded_integer_search, brute_force_box,
+                             check_relation, enumerate_natural, relation_polynomial)
 
 
 def test_genVI_four_types():
-    assert enumerate_natural("genVI") == [
+    assert enumerate_natural("genVI", "paper") == [
         (1, 2, 3, 6), (1, 2, 4, 4), (1, 3, 3, 3), (2, 2, 2, 2)]
 
 
 def test_genV_six_types():
-    assert enumerate_natural("genV") == [
+    assert enumerate_natural("genV", "paper") == [
         (2, 1, 6), (2, 2, 2), (3, 1, 4), (3, 3, 1), (5, 1, 3), (6, 2, 1)]
 
 
 def test_genIV_three_types():
-    assert enumerate_natural("genIV") == [(1, 6), (2, 3), (5, 2)]
+    assert enumerate_natural("genIV", "paper") == [(1, 6), (2, 3), (5, 2)]
 
 
 def test_genIII_both_conventions():
-    assert enumerate_natural("genIII") == [(2, 2), (4, 1)]
+    assert enumerate_natural("genIII", "paper") == [(2, 2), (4, 1)]
     assert enumerate_natural("genIII", "all") == [(1, 4), (2, 2), (4, 1)]
 
 
 @pytest.mark.parametrize("rel", ["genVI", "genV", "genIV", "genIII"])
 def test_box_oracle_confirms_completeness(rel):
-    assert brute_force_box(rel, 100) == enumerate_natural(rel)
+    assert brute_force_box(rel, 100, "paper") == enumerate_natural(rel, "paper")
     assert brute_force_box(rel, 100, "all") == enumerate_natural(rel, "all")
 
 
@@ -55,6 +55,16 @@ def test_check_relation_errors():
         check_relation("genVI", (0, 2, 2, 2))
     with pytest.raises(ShapeMismatch):
         check_relation("genVI", (2, 2, 2))
+
+
+def test_an_unknown_relation_is_refused_by_every_search():
+    for search in (lambda: enumerate_natural("genII", "paper"),
+                   lambda: brute_force_box("genII", 6, "paper"),
+                   lambda: bounded_integer_search("genII", 6)):
+        with pytest.raises(RelationError) as caught:
+            search()
+        assert type(caught.value) is RelationError
+        assert str(caught.value) == "unknown relation 'genII'"
 
 
 def test_bounded_integer_search():
@@ -94,13 +104,12 @@ def test_box_scans_equal_the_full_box(rel):
         assert bounded_integer_search(rel, bound) == _full_box(rel, signed)
         naturals = _full_box(rel, range(1, bound + 1))
         assert brute_force_box(rel, bound, "all") == naturals
-        assert brute_force_box(rel, bound) == [t for t in naturals if PAPER_ORDER[rel](t)]
+        assert brute_force_box(rel, bound, "paper") == [t for t in naturals if PAPER_ORDER[rel](t)]
 
 
 def _symbols(rel):
     """A context of the relation's symbols n1, n2, ... alone."""
-    return Context.make(fiber=(), time=None,
-                        parameters=[f"n{i}" for i in range(1, arity(rel) + 1)])
+    return Context([Sym(f"n{i}", "parameter") for i in range(1, arity(rel) + 1)])
 
 
 @pytest.mark.parametrize("rel", RELATIONS)
@@ -184,7 +193,7 @@ def test_symmetry_groups_match_declared_conventions():
             assert (swapped == solutions) == ({i, j} <= SYMMETRIC[rel]), (rel, i, j)
         block = sorted(SYMMETRIC[rel])
         orbits = set()
-        for t in enumerate_natural(rel):
+        for t in enumerate_natural(rel, "paper"):
             for perm in permutations(block):
                 u = list(t)
                 for src, dst in zip(block, perm):

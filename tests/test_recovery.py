@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from grs import algebra, io as gio, recovery, singularities
-from grs.algebra import (Context, InconsistentSystem, MPoly, MRat, Mat2, StuckSystem, TraceStep,
-                         TriangularSolution, assign, distinct_up_to_scale, exact_divide,
+from grs.algebra import (Context, InconsistentSystem, MPoly, MRat, Mat2, StuckSystem, Sym,
+                         TraceStep, TriangularSolution, assign, distinct_up_to_scale, exact_divide,
                          solve_linear, solve_triangular, split_content, union_context,
                          _active, _relation_normal_form)
 from grs.catalog import (MATCH_PAIRS, get_scheme, get_system, match_pair, pvi_system,
@@ -192,8 +192,7 @@ def test_eigenvalue_relations_up_to_unit(name, expected):
     ctx = rel.ctx
     expected_poly = ctx.parse(expected).num
     # equality up to a unit (nonzero rational)
-    le, lg = expected_poly.leading()[1], rel.leading()[1]
-    assert rel.scale(le / lg) == expected_poly
+    assert rel.primitive() == expected_poly.primitive()
 
 
 def test_eigenvalue_relation_absent_for_pvi():
@@ -480,7 +479,7 @@ def test_scheme_of_a_builtin_recovery_gives_back_its_columns(name):
     the JSON round trip."""
     rec = recover(get_scheme(name).scheme)
     builtin = lift_scheme(rec.scheme, rec.vf.ctx)
-    derived = GRScheme(rec.vf.model, scheme_of(rec.vf, ()), builtin.params, name=name)
+    derived = GRScheme(rec.vf.model, scheme_of(rec.vf, ()), builtin.params, (), name)
 
     def columns(scheme):
         return {s.label: (s.multiplicity, s.resolved) for s in scheme.specs}
@@ -630,7 +629,7 @@ def test_existence_system_round_trips_through_its_scheme(points, ratios, at, sca
     for spec, (c, by_t) in zip(specs, scales):
         scale = ctx.rat(c) * (ctx.var("t") if by_t else ctx.rat(1))
         scaled.append(replace(spec, matrix=spec.matrix.map(lambda e: e * scale)))
-    rec = recover(GRScheme(vf.model, tuple(scaled), ("alpha", "a1t")))
+    rec = recover(GRScheme(vf.model, tuple(scaled), ("alpha", "a1t"), (), ""))
     big = union_context(rec.vf.ctx, ctx)
     assert rec.vf.dxdt.lift(big) == vf.dxdt.lift(big)
     assert rec.vf.dydt.lift(big) == vf.dydt.lift(big)
@@ -679,7 +678,6 @@ def test_piv_reference_reduces_to_the_classical_scalar_equation():
         q'' = q'^2/(2q) + (3/2) q^3 + 4t q^2 + 2(t^2 - a) q + b/q
 
     with a = alpha1 + 1 - 2*alpha2 and b = -2*alpha1^2."""
-    from grs.algebra import Sym
     general, _, _, _ = match_pair("gen-piv:piv")
     f1, f2 = general.components()
     ctx = f1.ctx.extend((Sym("qp", "parameter"),))
@@ -846,7 +844,7 @@ def test_the_matcher_solves_each_distinct_equation_once(monkeypatch, pair):
 
 
 def _square_system(texts):
-    ctx = Context.make(fiber=(), time=None, parameters=[], unknowns=["x", "y", "z"])
+    ctx = Context([Sym(n, "unknown") for n in ("x", "y", "z")])
     return [ctx.parse(text).num for text in texts], ["x", "y", "z"]
 
 

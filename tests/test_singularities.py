@@ -154,7 +154,7 @@ def test_alpha_test_pvi_origin_matches_display(pvi):
 
 def test_alpha_test_resonant_requires_zero():
     # local matrix [[1, 5], [0, 1]]: resonant with nonzero coupling
-    ctx = Context.make()
+    ctx = Context.make(parameters=[])
     x, y = ctx.var("x"), ctx.var("y")
     vf = PlaneVectorField(x * y + ctx.rat(5), -y * y, "U0",
                           sigma2_model(Context.make(parameters=["alpha2"])))
@@ -330,7 +330,7 @@ def test_linearization_matches_quotient_rule_on_generic_family():
     for chart, location in [("U2", ctx.rat(0)), ("U2", ctx.rat(1)),
                             ("U2", ctx.var("t")), ("U3", ctx.rat(0))]:
         _assert_same_linearization(divisor_chart_local(fam.vf, chart), location)
-    res = resolve_family(fam.vf, ctx.rat(0), 2, -ctx.var("t"), fam.unknowns)
+    res = resolve_family(fam.vf, ctx.rat(0), 2, -ctx.var("t"), fam.unknowns, "U2")
     _assert_same_linearization(res.trace.final_local_field(), res.trace.final_location)
 
 

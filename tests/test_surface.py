@@ -40,7 +40,7 @@ def test_chart_round_trips(ctx):
     ctx3 = Context.make(parameters=["g1", "g2"])
     model3 = SurfaceModel(3, (ctx3.var("g1"), ctx3.var("g2")))
     assert all(roundtrip_is_identity(ctx3, model3, c) for c in ("U1", "U2", "U3"))
-    ctx1 = Context.make()
+    ctx1 = Context.make(parameters=[])
     model1 = SurfaceModel(1, ())
     assert all(roundtrip_is_identity(ctx1, model1, c) for c in ("U1", "U2", "U3"))
 
@@ -153,20 +153,18 @@ def test_family_u2_rewrite_matches_transcription_and_golden_file(ctx, family):
 
 def test_log_condition_reports(ctx, family):
     # the generic family satisfies the condition identically in the unknowns
-    assert check_log_condition(family.vf).holds
+    assert check_log_condition(family.vf)
     # a quadratic y-term violates condition 2
     y = ctx.var("y")
     bad = PlaneVectorField(y * y, ctx.rat(0), "U0", sigma2_model(ctx))
-    rep = check_log_condition(bad)
-    assert not rep.holds
-    assert any("Y*dX/dt" in w for w in rep.witnesses)
+    assert not check_log_condition(bad)
 
 
 def test_log_condition_on_pvi():
     from grs.catalog import pvi_system
-    assert check_log_condition(pvi_system().admissible).holds
+    assert check_log_condition(pvi_system().admissible)
     # the raw five-parameter transcription holds only on the normalized slice
-    assert not check_log_condition(pvi_system().vf).holds
+    assert not check_log_condition(pvi_system().vf)
 
 
 def test_generic_family_sigma2_is_ten_dimensional(family):

@@ -89,7 +89,8 @@ def test_symbolic_mode_all_maps(sys_name, map_name):
 def test_probe_mode_needs_a_draw():
     entry, bmap = _get("gen-piii", "s")
     with pytest.raises(ValueError):
-        verify_symmetry(entry.vf, bmap, draws=0)
+        verify_symmetry(entry.vf, bmap, "numeric-probe", entry.relation, entry.eigenvalue_syms,
+                        draws=0)
 
 
 def test_pi3_verbatim_transcription_fails_and_is_reported():
@@ -182,7 +183,7 @@ def test_non_involution_detected():
     ctx = Context.make(parameters=["alpha0"])
     x, y, t = ctx.var("x"), ctx.var("y"), ctx.var("t")
     shift = BirationalMap("shift", x + ctx.rat(1), y, t, {})
-    assert not verify_involution(shift)
+    assert not verify_involution(shift, None, ())
 
 
 def test_singular_jacobian_rejected():
@@ -303,9 +304,9 @@ def _flip_case():
                          ids=["scaling", "flip"])
 def test_probe_matches_the_per_draw_loop_on_invariant_fields(case, seeds):
     vf, bmap = case()
-    assert verify_symmetry(vf, bmap, "symbolic").invariant
+    assert verify_symmetry(vf, bmap, "symbolic", None, ()).invariant
     for seed in seeds:
-        report = verify_symmetry(vf, bmap, draws=20, seed=seed)
+        report = verify_symmetry(vf, bmap, "numeric-probe", None, (), draws=20, seed=seed)
         assert report == _reference_probe(vf, bmap, draws=20, seed=seed), seed
 
 
@@ -403,7 +404,7 @@ def test_probe_continues_when_the_exact_residual_does_not_vanish(monkeypatch):
         a0 = symmetry.draw_parameters(ctx, random.Random(seed), {})["a"]
         bmap = BirationalMap("shear", x + (a - a0) * t, y, t, {})
         del log[:]
-        report = verify_symmetry(vf, bmap, draws=20, seed=seed)
+        report = verify_symmetry(vf, bmap, "numeric-probe", None, (), draws=20, seed=seed)
         assert not report.invariant and report.draws > 1
         assert report == _reference_probe(vf, bmap, draws=20, seed=seed)
         assert log[:2] == [("_screen", (0, 0)), ("_proved", False)]
@@ -420,9 +421,11 @@ def test_probe_raises_when_every_draw_is_excluded():
     relation = (n1 * n2 - ctx.rat(4)).num
     vf = PlaneVectorField(x, y, "U0", SurfaceModel(1, ()))
     bmap = BirationalMap("excluded", x / (n1 * n2 - ctx.rat(4)), y, t, {})
-    for call in (verify_symmetry, _reference_probe):
-        with pytest.raises(SymmetryError, match="kept hitting excluded loci"):
-            call(vf, bmap, relation=relation, eigenvalue_syms=("n1", "n2"), draws=3)
+    kwargs = dict(relation=relation, eigenvalue_syms=("n1", "n2"), draws=3)
+    with pytest.raises(SymmetryError, match="kept hitting excluded loci"):
+        verify_symmetry(vf, bmap, "numeric-probe", **kwargs)
+    with pytest.raises(SymmetryError, match="kept hitting excluded loci"):
+        _reference_probe(vf, bmap, **kwargs)
 
 
 def test_a_nonzero_screen_is_reported_without_a_proof(monkeypatch):
@@ -450,7 +453,7 @@ def test_an_undecided_screen_takes_the_exact_path(monkeypatch, seed):
     _spy(monkeypatch, log, "_screen", lambda r: r)
     _spy(monkeypatch, log, "_probe_residual", lambda r: "passed")
     _spy(monkeypatch, log, "_proved", bool)
-    assert verify_symmetry(vf, bmap, draws=20, seed=seed) \
+    assert verify_symmetry(vf, bmap, "numeric-probe", None, (), draws=20, seed=seed) \
         == _reference_probe(vf, bmap, draws=20, seed=seed)
     assert log == [("_screen", None), ("_probe_residual", "excluded"), ("_screen", (0, 0)),
                    ("_proved", True)]
@@ -471,7 +474,7 @@ def test_a_draw_value_the_prime_divides_takes_the_exact_path(monkeypatch):
                             (BirationalMap("shift", x, y + ctx.rat(1), t, {}), False)):
         for seed in (1, 2, 3):
             kwargs = dict(relation=relation, eigenvalue_syms=("n1", "n2"), draws=20, seed=seed)
-            report = verify_symmetry(vf, bmap, **kwargs)
+            report = verify_symmetry(vf, bmap, "numeric-probe", **kwargs)
             assert report.invariant == invariant
             assert report == _reference_probe(vf, bmap, **kwargs)
     assert log and all(screen is None for _, screen in log)
