@@ -26,7 +26,7 @@ bits are clear; when m does not divide k, the lowest field in which m
 exceeds k borrows and sets its guard bit (the degree field's, if the
 difference is negative).  Every field of a key is at most its total degree,
 so a product whose total degree would pass ``MAX_DEGREE`` is refused with
-:class:`DegreeOverflow` before it is formed: no key ever wraps into another.
+an :class:`AlgebraError` before it is formed: no key ever wraps into another.
 Operations that lower or clear a field (derivative, coefficient views,
 substitution of constants) lower the degree field with it.
 
@@ -151,12 +151,10 @@ class DivisionByZero(AlgebraError):
     """Division of an MRat by zero."""
 
 
-class DegreeOverflow(AlgebraError):
-    """A monomial whose total degree a packed exponent key cannot hold."""
-
-    def __init__(self, degree: int):
-        super().__init__(f"total degree {degree} exceeds the largest degree {MAX_DEGREE} "
-                         "a polynomial may have")
+def _degree_overflow(degree: int) -> AlgebraError:
+    """The error for a monomial whose total degree a packed key cannot hold."""
+    return AlgebraError(f"total degree {degree} exceeds the largest degree {MAX_DEGREE} "
+                        "a polynomial may have")
 
 
 class StuckSystem(AlgebraError):
@@ -362,7 +360,7 @@ class MPoly:
                              f"below 2^{FIELD_BITS}") from None
         # the largest key has the largest degree
         if packed and max(packed) >> top > MAX_DEGREE:
-            raise DegreeOverflow(max(packed) >> top)
+            raise _degree_overflow(max(packed) >> top)
         self.ctx = ctx
         self.packed = packed
         self.den = den
@@ -445,7 +443,7 @@ class MPoly:
         # every field of a product key is at most its total degree
         degree = (max(self.packed) >> top) + (max(other.packed) >> top)
         if degree > MAX_DEGREE:
-            raise DegreeOverflow(degree)
+            raise _degree_overflow(degree)
         out: dict[int, int] = {}
         get = out.get
         right = other.packed.items()
@@ -523,7 +521,7 @@ class MPoly:
         i = self.ctx.index(name)
         s, unit = self.ctx._shifts[i], self.ctx._units[i]
         if self.total_degree() + top > MAX_DEGREE:
-            raise DegreeOverflow(self.total_degree() + top)
+            raise _degree_overflow(self.total_degree() + top)
         return _canonical(self.ctx, {k + (top - 2 * (k >> s & _FIELD)) * unit: c
                                      for k, c in self.packed.items()}, self.den)
 
@@ -650,7 +648,36 @@ def render_poly(p: MPoly) -> str:
 
 
 def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    num = int_to_text(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{int_to_text(q.denominator)}"
+
+
+# Python converts no int of more digits than sys.get_int_max_str_digits() to or
+# from text, a limit never below 640 (sys.int_info.str_digits_check_threshold):
+# integers pass through text in chunks of at most 640 digits, at any length
+_CHUNK_DIGITS = 640
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def int_to_text(n: int) -> str:
+    """The decimal text of an integer of any length."""
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    if n < 0:
+        return "-" + int_to_text(-n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(str(low).zfill(_CHUNK_DIGITS))
+    return str(n) + "".join(reversed(chunks))
+
+
+def text_to_int(digits: str) -> int:
+    """The integer whose decimal digits, any number of them, are ``digits``."""
+    if len(digits) <= _CHUNK_DIGITS:
+        return int(digits)
+    half = len(digits) // 2
+    return text_to_int(digits[:half]) * 10 ** (len(digits) - half) + text_to_int(digits[half:])
 
 
 # ---------------------------------------------------------------------------
@@ -1418,7 +1445,7 @@ class _Pending:
         return self.unsolved
 
 
-def solve_triangular(equations: Sequence[MPoly | MRat],
+def solve_triangular(equations: Sequence[MPoly],
                      unknowns: Sequence[str],
                      *,
                      nonzero_forms: Sequence[MPoly] = (),
@@ -1458,9 +1485,8 @@ def solve_triangular(equations: Sequence[MPoly | MRat],
     """
     unknowns = list(unknowns)
     unknown_set = set(unknowns)
-    polys = [eq.num if isinstance(eq, MRat) else eq for eq in equations]
-    tags = sources or [f"eq{k}" for k in range(len(polys))]
-    pending = [_Pending(tag, p) for tag, p in zip(tags, polys, strict=True) if not p.is_zero()]
+    tags = sources or [f"eq{k}" for k in range(len(equations))]
+    pending = [_Pending(tag, p) for tag, p in zip(tags, equations, strict=True) if not p.is_zero()]
     # a nonzero form is only used through its unknown-primitive part; its
     # parameter content is generically nonzero anyway
     forms = []
@@ -1594,10 +1620,6 @@ def solve_rational_linear(equations: Sequence[MPoly],
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|(\*\*|[()+\-*/^]))")
 
 
-class ParseError(AlgebraError):
-    pass
-
-
 # deepest parenthesis nesting parse_rat accepts; each level takes four
 # frames of its recursive descent, well inside Python's recursion limit
 MAX_NESTING = 100
@@ -1616,7 +1638,7 @@ def _tokenize(text: str) -> list[str]:
         if not m or m.end() == pos:
             if text[pos:].strip() == "":
                 break
-            raise ParseError(f"bad token at {text[pos:]!r}")
+            raise AlgebraError(f"bad token at {text[pos:]!r}")
         out.append(m.group(m.lastindex))
         pos = m.end()
     return out
@@ -1627,7 +1649,7 @@ def parse_rat(ctx: Context, text: str) -> MRat:
     parser = _Parser(ctx, text)
     node = parser.parse_expr()
     if parser.pos != len(parser.tokens):
-        raise ParseError(f"trailing input in {text!r}")
+        raise AlgebraError(f"trailing input in {text!r}")
     return node
 
 
@@ -1653,9 +1675,9 @@ class _Parser:
     def take(self, expected=None):
         tok = self.peek()
         if tok is None:
-            raise ParseError(f"unexpected end of input in {self.text!r}")
+            raise AlgebraError(f"unexpected end of input in {self.text!r}")
         if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected!r}, found {tok!r} in {self.text!r}")
+            raise AlgebraError(f"expected {expected!r}, found {tok!r} in {self.text!r}")
         self.pos += 1
         return tok
 
@@ -1689,9 +1711,9 @@ class _Parser:
                 neg = True
             exp_tok = self.take()
             if not exp_tok.isdigit():
-                raise ParseError(f"expected integer exponent in {self.text!r}")
+                raise AlgebraError(f"expected integer exponent in {self.text!r}")
             if len(exp_tok) > len(str(MAX_EXPONENT)) or int(exp_tok) * inner > MAX_EXPONENT:
-                raise ParseError(f"power above MAX_EXPONENT = {MAX_EXPONENT} in {self.text!r}")
+                raise AlgebraError(f"power above MAX_EXPONENT = {MAX_EXPONENT} in {self.text!r}")
             e = int(exp_tok)
             self.powers[-1] = max(self.powers[-1], e * inner)
             node = node ** (-e if neg else e)
@@ -1705,16 +1727,16 @@ class _Parser:
         if tok == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}")
+                raise AlgebraError(f"parentheses nested deeper than {MAX_NESTING}")
             self.powers.append(1)
             node = self.parse_expr()
             self.take(")")
             self.depth -= 1
             return node, self.powers.pop()
         if tok.isdigit():
-            return ctx.rat(int(tok)), 1
+            return ctx.rat(text_to_int(tok)), 1
         if tok in ctx:
             return ctx.var(tok), 1
         if not tok.isidentifier():
-            raise ParseError(f"unexpected {tok!r} in {self.text!r}")
-        raise ParseError(f"unknown symbol {tok!r} (context: {ctx.names})")
+            raise AlgebraError(f"unexpected {tok!r} in {self.text!r}")
+        raise AlgebraError(f"unknown symbol {tok!r} (context: {ctx.names})")

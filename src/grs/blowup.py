@@ -197,18 +197,11 @@ def resolve_multiplicity(vf: PlaneVectorField, point: AccessiblePoint,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FamilyResolution:
-    """Resolution of a symbolic family, conditions collected along the way."""
-
-    trace: ResolutionTrace
-    conditions: list[tuple[str, MPoly]]
-
-
 def resolve_family(vf: PlaneVectorField, location: MRat, multiplicity: int,
                    resolved_location: MRat, unknowns: Sequence[str],
-                   chart: str) -> FamilyResolution:
-    """Resolve a multiple point of a coefficient family symbolically.
+                   chart: str) -> tuple[ResolutionTrace, list[tuple[str, MPoly]]]:
+    """Resolve a multiple point of a coefficient family symbolically: the
+    trace, and the (source tag, condition) pairs collected along the way.
 
     Every accessibility requirement that fails to hold identically is
     emitted as a polynomial condition on the unknowns; conditions that are
@@ -251,4 +244,4 @@ def resolve_family(vf: PlaneVectorField, location: MRat, multiplicity: int,
     at = resolved_location.subs(assignments) if assignments else resolved_location
     emit("resolved-point accessibility", restricted_numerator(final).subs({final.along: at}).num)
     chart_obj = _with(chart_obj, assignments)
-    return FamilyResolution(ResolutionTrace(steps, chart_obj, resolved_location), conditions)
+    return ResolutionTrace(steps, chart_obj, resolved_location), conditions

@@ -17,19 +17,19 @@ import sys
 from fractions import Fraction
 
 from . import io as gio
-from .algebra import AlgebraError, DivisionByZero, InconsistentSystem, StuckSystem
+from .algebra import (AlgebraError, DivisionByZero, InconsistentSystem, StuckSystem,
+                      text_to_int)
 from .blowup import NotResolvable, ResolutionError, resolve_multiplicity
 from .catalog import (MATCH_PAIRS, get_maps, get_scheme, get_system, match_pair,
                       scheme_names, system_names, HVI_TEXT)
-from .diophantine import (RELATIONS, bounded_integer_search, enumerate_natural)
+from .diophantine import RELATIONS, RelationError, bounded_integer_search, enumerate_natural
 from .recovery import (NoRelation, SchemeError, VerificationMismatch, eigenvalue_relation,
                        construct_existence_system, match_specialization, recover,
                        relation_substitution)
-from .singularities import (SingularityError, UnresolvedFactor, accessible_points,
-                            alpha_test, divisor_chart_local, linearization,
-                            linearization_matrix)
+from .singularities import (SingularityError, accessible_points, alpha_test,
+                            divisor_chart_local, linearization, linearization_matrix)
 from .surface import SurfaceError
-from .symmetry import verify_involution, verify_symmetry
+from .symmetry import SymmetryError, verify_involution, verify_symmetry
 
 USAGE_ERROR, SOLVER_FAILURE, VERIFY_MISMATCH = 1, 2, 3
 
@@ -273,26 +273,38 @@ def cmd_symmetry(args) -> int:
     return 0 if (rep.invariant and inv) else VERIFY_MISMATCH
 
 
-# A command-line number may not have a decimal exponent above this: Fraction
-# computes 10**e before anything could check it, and a value with more digits
-# could not be printed (Python refuses integer text of more than 4300 digits).
+# A command-line number may not have a decimal exponent above this: it costs
+# the work of computing 10**e.
 MAX_DECIMAL_EXPONENT = 4300
-_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+# a number in a form Fraction reads: sign, integer part or numerator,
+# denominator, decimals, exponent
+_DIGITS = r"\d+(?:_\d+)*"
+_NUMBER = re.compile(rf"\s*([-+]?)(?=\d|\.\d)(\d*|{_DIGITS})(?:/({_DIGITS})|"
+                     rf"(?:\.(\d*|{_DIGITS}))?(?:e([-+]?{_DIGITS}))?)\s*\Z", re.IGNORECASE)
 
 
 def _fractions(text: str) -> list[Fraction]:
+    """The comma-separated numbers of an option, read exactly at any length."""
     values = []
     for v in text.split(","):
-        exponent = _EXPONENT.search(v)
-        digits = exponent and exponent[1].replace("_", "").lstrip("0")
-        if digits and (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
-                       or int(digits) > MAX_DECIMAL_EXPONENT):
+        match = _NUMBER.match(v)
+        if not match:
+            raise ValueError(f"Invalid literal for Fraction: {v!r}")
+        sign, whole, den, decimals, exponent = (g and g.replace("_", "") for g in match.groups())
+        digits = (exponent or "").lstrip("+-").lstrip("0")
+        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
             raise ValueError(f"exponent above MAX_DECIMAL_EXPONENT = "
                              f"{MAX_DECIMAL_EXPONENT} in {v!r}")
         try:
-            values.append(Fraction(v))
+            if den:
+                value = Fraction(text_to_int(whole), text_to_int(den))
+            else:
+                decimals = decimals or ""
+                value = text_to_int(whole + decimals or "0") * Fraction(10) ** (
+                    int(exponent or 0) - len(decimals))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {text!r}") from None
+        values.append(-value if sign == "-" else value)
     return values
 
 
@@ -404,8 +416,8 @@ def main(argv=None) -> int:
         return _fail("solver failure", exc, SOLVER_FAILURE)
     except (VerificationMismatch, NotResolvable) as exc:
         return _fail("verification mismatch", exc, VERIFY_MISMATCH)
-    except (SchemeError, SingularityError, SurfaceError, UnresolvedFactor, AlgebraError,
-            ResolutionError, OSError, KeyError, ValueError) as exc:
+    except (SchemeError, SingularityError, SurfaceError, AlgebraError, ResolutionError,
+            SymmetryError, RelationError, OSError, KeyError, ValueError) as exc:
         # str() of a KeyError is the repr of its message, quotes and all
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         return _fail("error", message, USAGE_ERROR)

@@ -40,14 +40,6 @@ class RelationError(Exception):
     pass
 
 
-class ZeroEntry(RelationError):
-    pass
-
-
-class ShapeMismatch(RelationError):
-    pass
-
-
 def arity(rel: str) -> int:
     if rel not in _SOLVED:
         raise RelationError(f"unknown relation {rel!r}")
@@ -58,9 +50,9 @@ def check_relation(rel: str, values: Sequence[Fraction | int]) -> bool:
     """Exact evaluation of the relation on a rational tuple."""
     vals = [Fraction(v) for v in values]
     if len(vals) != arity(rel):
-        raise ShapeMismatch(f"{rel} takes {arity(rel)} entries, got {len(vals)}")
+        raise RelationError(f"{rel} takes {arity(rel)} entries, got {len(vals)}")
     if rel == "genVI" and 0 in vals:
-        raise ZeroEntry("reciprocals need nonzero entries")
+        raise RelationError("reciprocals need nonzero entries")
     num, den = _SOLVED[rel](*vals[:-1])
     return den * vals[-1] == num
 
@@ -101,8 +93,6 @@ def enumerate_natural(rel: str, convention: str) -> list[tuple[int, ...]]:
     the classical list has (2,2) and (4,1) but not (1,4); pass convention="all"
     for the unordered solution set.
     """
-    if convention not in ("paper", "all"):
-        raise RelationError(f"unknown convention {convention!r}")
     return brute_force_box(rel, NATURAL_BOUND, convention)
 
 
@@ -135,6 +125,8 @@ def _box(rel: str, entries: Sequence[int]) -> list[tuple[int, ...]]:
 def brute_force_box(rel: str, bound: int, convention: str) -> list[tuple[int, ...]]:
     """Every natural tuple in [1, bound]^k satisfying the relation, listed
     under the convention of enumerate_natural."""
+    if convention not in ("paper", "all"):
+        raise RelationError(f"unknown convention {convention!r}")
     return [t for t in _box(rel, range(1, bound + 1))
             if _satisfies_convention(rel, t, convention)]
 

@@ -177,5 +177,17 @@ def dumps(data: Any) -> str:
     return json.dumps(data, indent=2, sort_keys=True)
 
 
+# the most digits of a JSON integer: system and scheme files hold only counts
+# (a surface index, a multiplicity), and these convert to text on any interpreter
+MAX_JSON_DIGITS = 640
+
+
+def _json_int(text: str) -> int:
+    if len(text.lstrip("-")) > MAX_JSON_DIGITS:
+        raise ValueError(f"JSON integer of {len(text.lstrip('-'))} digits, above "
+                         f"MAX_JSON_DIGITS = {MAX_JSON_DIGITS}")
+    return int(text)
+
+
 def loads(text: str) -> Any:
-    return json.loads(text)
+    return json.loads(text, parse_int=_json_int)

@@ -34,9 +34,8 @@ from .algebra import (Context, InconsistentSystem, MPoly, MRat, Mat2, StuckSyste
 from .blowup import resolve_family, resolve_multiplicity
 from .singularities import (AccessiblePoint, accessible_points, divisor_chart_local,
                             linearization, linearization_matrix)
-from .surface import (CoefficientFamily, PlaneVectorField, SurfaceModel,
-                      SIGMA2_UNKNOWNS, check_log_condition, family_context,
-                      generic_family, poly_block, _u1_pole_conditions)
+from .surface import (PlaneVectorField, SurfaceModel, SIGMA2_UNKNOWNS, check_log_condition,
+                      family_context, generic_family, poly_block, _u1_pole_conditions)
 
 
 class SchemeError(Exception):
@@ -48,14 +47,6 @@ class VerificationMismatch(SchemeError):
 
 
 class NoRelation(SchemeError):
-    pass
-
-
-class RelationViolated(SchemeError):
-    pass
-
-
-class DegeneratePoints(SchemeError):
     pass
 
 
@@ -171,14 +162,13 @@ def matrix_residuals(computed: Mat2,
                  for i in range(2) for j in range(2) if (i, j) != ref]
 
 
-def generate_constraints(family: CoefficientFamily, scheme: GRScheme) -> ConstraintSet:
-    """All polynomial constraints the scheme imposes on the family unknowns.
+def generate_constraints(vf: PlaneVectorField, scheme: GRScheme) -> ConstraintSet:
+    """All polynomial constraints the scheme imposes on the family's unknowns.
 
     The scheme must already live in the family's context (``lift_scheme``).
     Both diagonal entries of each computed matrix are registered as nonzero
     forms, since scheme eigenvalues never vanish.
     """
-    vf = family.vf
     out = ConstraintSet([], [], [])
 
     def emit(tag: str, poly: MPoly):
@@ -195,17 +185,16 @@ def generate_constraints(family: CoefficientFamily, scheme: GRScheme) -> Constra
             matrix, access = linearization_matrix(local, loc)
             emit(f"{label} accessibility", access.num)
         else:
-            fam = resolve_family(vf, loc, spec.multiplicity, spec.resolved.point[1],
-                                 family.unknowns, chart=chart)
-            for tag, poly in fam.conditions:
+            trace, conditions = resolve_family(vf, loc, spec.multiplicity, spec.resolved.point[1],
+                                               SIGMA2_UNKNOWNS, chart=chart)
+            for tag, poly in conditions:
                 emit(f"{label} {tag}", poly)
-            got, expect = fam.trace.final_chart_map, spec.resolved.patch_map
+            got, expect = trace.final_chart_map, spec.resolved.patch_map
             if got != expect:
                 raise SchemeError(
                     f"{label}: computed patching map {got} != scheme map {expect}")
             # accessibility at the resolved point was already emitted
-            matrix, _ = linearization_matrix(fam.trace.final_local_field(),
-                                             fam.trace.final_location)
+            matrix, _ = linearization_matrix(trace.final_local_field(), trace.final_location)
         _, residuals = matrix_residuals(matrix, spec.matrix)
         for i, j, residual in residuals:
             emit(f"{label} matrix entry ({i},{j})", residual.num)
@@ -229,7 +218,7 @@ def _solve_scheme(scheme: GRScheme):
     scheme = lift_scheme(scheme, ctx)
     family = generic_family(scheme.model, ctx)
     cons = generate_constraints(family, scheme)
-    sol = solve_triangular(cons.equations, family.unknowns,
+    sol = solve_triangular(cons.equations, SIGMA2_UNKNOWNS,
                            nonzero_forms=cons.nonzero_forms, sources=cons.sources)
     tidy = family_context(scheme.model, scheme.params, []).extend(
         tuple(Sym(u, "parameter") for u in sol.free))
@@ -248,7 +237,7 @@ def recover(scheme: GRScheme) -> RecoveredSystem:
     """
     scheme, family, sol, tidy, relations = _solve_scheme(scheme)
     # the solved unknowns projected out, the free ones kept as parameters
-    dxdt, dydt = (c.subs(sol.assignments).lift(tidy) for c in family.vf.components())
+    dxdt, dydt = (c.subs(sol.assignments).lift(tidy) for c in family.components())
     vf = PlaneVectorField(dxdt, dydt, "U0", scheme.model.lift(tidy))
     rec = RecoveredSystem(vf, tuple(sol.free), relations, sol, scheme)
     verify_recovered(rec)
@@ -419,19 +408,15 @@ def construct_existence_system(n: int, c: Sequence, m: Sequence) -> ExistenceSys
     for i, a in enumerate(locations):
         for b in locations[i + 1:]:
             if a == b:
-                raise DegeneratePoints(f"coincident singular locations {a} = {b}")
+                raise SchemeError(f"coincident singular locations {a} = {b}")
     for mi in ms:
         if mi.is_zero():
-            raise RelationViolated("all ratios must be nonzero")
+            raise SchemeError("all ratios must be nonzero")
     total = ctx.rat(0)
     for mi in ms:
         total = total + mi.inverse()
     if total != ctx.rat(n):
-        try:
-            shown = str(total)
-        except ValueError:  # more digits than the interpreter converts to text
-            shown = "a value too long to print"
-        raise RelationViolated(f"sum of reciprocal ratios is {shown}, expected {n}")
+        raise SchemeError(f"sum of reciprocal ratios is {total}, expected {n}")
 
     x, y = ctx.var("x"), ctx.var("y")
     a1 = ctx.var("a1t")

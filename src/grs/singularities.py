@@ -53,22 +53,6 @@ class SingularityError(Exception):
     pass
 
 
-class NotAccessible(SingularityError):
-    pass
-
-
-class UnresolvedFactor(SingularityError):
-    """A numerator factor of degree >= 2 has no root in the candidate set."""
-
-    def __init__(self, factor):
-        self.factor = factor
-        super().__init__(f"unresolved factor: {factor}")
-
-
-class ZeroLeadingEigenvalue(SingularityError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Local fields
 # ---------------------------------------------------------------------------
@@ -146,8 +130,8 @@ def find_divisor_roots(f: MRat, s: str,
     """All roots in s of f over Q(t, params), with multiplicity.
 
     Tries the candidate set, deflating each root found; a linear residual
-    factor is solved directly, a residual of degree >= 2 raises
-    UnresolvedFactor.
+    factor is solved directly, a residual of degree >= 2 raises a
+    SingularityError that names it.
     """
     if f.is_zero():
         raise SingularityError("numerator vanishes identically on the divisor")
@@ -161,8 +145,8 @@ def find_divisor_roots(f: MRat, s: str,
     if top == 1:
         roots.append((MRat(-coeffs.get(0, f.ctx.poly(0)), coeffs[1]), 1))
     elif top > 1:
-        raise UnresolvedFactor(" + ".join(f"({MRat(c, f.den)})*X^{k}"
-                                          for k, c in coeffs.items()))
+        raise SingularityError("unresolved factor: " + " + ".join(
+            f"({MRat(c, f.den)})*X^{k}" for k, c in coeffs.items()))
     return roots
 
 
@@ -299,14 +283,14 @@ def linearization(local: LocalField, location: MRat) -> LocalIndex:
     """
     matrix, access = linearization_matrix(local, location)
     if not access.is_zero():
-        raise NotAccessible(f"numerator {access} does not vanish at "
-                            f"{local.along} = {location} on {local.divisor} = 0")
+        raise SingularityError(f"numerator {access} does not vanish at "
+                               f"{local.along} = {location} on {local.divisor} = 0")
     if not matrix.is_triangular():
         raise SingularityError(f"linearization matrix is not triangular: {matrix}")
     di = ("x", "y").index(local.divisor)
     a11, a22 = matrix[di, di], matrix[1 - di, 1 - di]
     if a11.is_zero():
-        raise ZeroLeadingEigenvalue(f"divisor eigenvalue vanishes in {matrix}")
+        raise SingularityError(f"divisor eigenvalue vanishes in {matrix}")
     return LocalIndex(matrix, local.divisor, (a11, a22), a22 / a11)
 
 
@@ -356,7 +340,7 @@ def alpha_test(vf: PlaneVectorField, point: AccessiblePoint) -> AlphaTestResult:
     # single off-diagonal entry of the triangular matrix
     coupling = reduced[si, di]
     if a11.is_zero():
-        raise ZeroLeadingEigenvalue("a11(t0) = 0: ratio undefined")
+        raise SingularityError("a11(t0) = 0: ratio undefined")
     dname = "W" if index.divisor == "y" else "U"
     sname = "Z" if index.divisor == "y" else "V"
     first = f"{dname}(T) = ({a11})*T + C1"

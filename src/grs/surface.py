@@ -247,14 +247,6 @@ def check_log_condition(vf: PlaneVectorField) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoefficientFamily:
-    """A vector field whose coefficients still contain unknown symbols."""
-
-    vf: PlaneVectorField
-    unknowns: tuple[str, ...]
-
-
 SIGMA2_UNKNOWNS = tuple(f"a{i}" for i in range(1, 11))
 
 
@@ -279,9 +271,9 @@ def poly_block(ctx: Context, prefix: str, degree: int) -> MRat:
     return acc
 
 
-def generic_family(model: SurfaceModel, ctx: Context) -> CoefficientFamily:
+def generic_family(model: SurfaceModel, ctx: Context) -> PlaneVectorField:
     """The ten-coefficient family on S_2, the most general field satisfying
-    the log condition, in ctx (which holds the model's twist and a1..a10)."""
+    the log condition, in ctx (which holds the model's twist and ``SIGMA2_UNKNOWNS``)."""
     x, y = ctx.var("x"), ctx.var("y")
     a = {i: ctx.var(f"a{i}") for i in range(1, 11)}
     al = model.twist[0]
@@ -292,7 +284,7 @@ def generic_family(model: SurfaceModel, ctx: Context) -> CoefficientFamily:
             + a[5] * x * y + ((a[2] + a[9]) * al - a[6]) * x + a[7] * y + a[8])
     dydt = (a[3] * x ** 2 * y ** 2 + a[9] * x * y ** 2 + a[10] * y ** 2
             + a[4] * x * y + a[6] * y + half * (a[1] * al + a[4]) * al)
-    return CoefficientFamily(PlaneVectorField(dxdt, dydt, "U0", model), SIGMA2_UNKNOWNS)
+    return PlaneVectorField(dxdt, dydt, "U0", model)
 
 
 def _u1_pole_conditions(vf: PlaneVectorField) -> list[MPoly]:

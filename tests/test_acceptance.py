@@ -164,10 +164,10 @@ def test_acceptance_7_resolutions():
     ctx = Context.make(parameters=["alpha2"], unknowns=list(SIGMA2_UNKNOWNS))
     family = generic_family(sigma2_model(ctx), ctx)
     zero = ctx.rat(0)
-    res = resolve_family(family.vf, zero, 2, -ctx.var("t"), family.unknowns, "U2")
-    matrix, access = linearization_matrix(divisor_chart_local(family.vf, "U2"), zero)
+    _, collected = resolve_family(family, zero, 2, -ctx.var("t"), SIGMA2_UNKNOWNS, "U2")
+    matrix, access = linearization_matrix(divisor_chart_local(family, "U2"), zero)
     conditions = {"a5", "a7", "a10"}
-    assert {str(p) for _, p in res.conditions[:3]} == conditions
+    assert {str(p) for _, p in collected[:3]} == conditions
     assert {str(r.num.primitive()) for r in (access, matrix[0, 0], matrix[1, 1])} == conditions
     shaped = matrix.map(lambda r: r.subs({name: zero for name in conditions}))
     assert str(shaped) == "[[0, a8], [0, 0]]"

@@ -27,11 +27,11 @@ def _specialized(name):
 
 def test_blow_up_exposes_a10_condition(family):
     """With a5 = a7 = 0, the blown-up origin is accessible iff a10 = 0."""
-    ctx = family.vf.ctx
-    zeroed = family.vf.subs_params({"a5": ctx.rat(0), "a7": ctx.rat(0)})
-    res = resolve_family(zeroed, ctx.rat(0), 2, -ctx.var("t"), family.unknowns, "U2")
-    tags = [tag for tag, _ in res.conditions]
-    polys = [str(p) for _, p in res.conditions]
+    ctx = family.ctx
+    zeroed = family.subs_params({"a5": ctx.rat(0), "a7": ctx.rat(0)})
+    _, conditions = resolve_family(zeroed, ctx.rat(0), 2, -ctx.var("t"), SIGMA2_UNKNOWNS, "U2")
+    tags = [tag for tag, _ in conditions]
+    polys = [str(p) for _, p in conditions]
     assert any("blow-up step 1" in t for t in tags)
     assert "a10" in polys
 
@@ -41,10 +41,10 @@ def test_blow_up_exposes_a10_condition(family):
     ("a5*a10 + a5", "a5*a10 + a5"),  # linear only with coefficients in unknowns
 ])
 def test_resolve_family_rejects_a_condition_it_cannot_solve(family, a7, condition):
-    ctx = family.vf.ctx
-    vf = family.vf.subs_params({"a7": ctx.parse(a7)})
+    ctx = family.ctx
+    vf = family.subs_params({"a7": ctx.parse(a7)})
     with pytest.raises(ResolutionError) as exc:
-        resolve_family(vf, ctx.rat(0), 2, -ctx.var("t"), family.unknowns, "U2")
+        resolve_family(vf, ctx.rat(0), 2, -ctx.var("t"), SIGMA2_UNKNOWNS, "U2")
     assert str(exc.value) == f"cannot impose condition {condition} = 0 on the family"
 
 
@@ -59,10 +59,10 @@ def test_radial_field_blow_up_kills_fiber_component():
 
 def test_triple_point_conditions_in_paper_order(family):
     """Resolving the triple point collects a7, a5, a2, then a10, then a9."""
-    ctx = family.vf.ctx
+    ctx = family.ctx
     half = ctx.rat(1) / ctx.rat(2)
-    res = resolve_family(family.vf, ctx.rat(0), 3, -half, family.unknowns, "U2")
-    polys = [str(p) for _, p in res.conditions]
+    _, conditions = resolve_family(family, ctx.rat(0), 3, -half, SIGMA2_UNKNOWNS, "U2")
+    polys = [str(p) for _, p in conditions]
     assert polys[:5] == ["a7", "a5", "a2", "a10", "a9"]
 
 
@@ -105,11 +105,11 @@ def test_resolution_rejects_wrong_multiplicity():
 
 def test_blow_up_fails_when_a10_nonzero(family):
     """a10 != 0 obstructs the resolution: the exceptional origin is not accessible."""
-    ctx = family.vf.ctx
+    ctx = family.ctx
     values = {"a5": ctx.rat(0), "a7": ctx.rat(0), "a10": ctx.rat(3),
               "a1": ctx.rat(1), "a2": ctx.rat(1), "a3": ctx.rat(0), "a4": ctx.rat(0),
               "a6": ctx.rat(0), "a8": ctx.rat(0), "a9": ctx.rat(0)}
-    vf = family.vf.subs_params(values)
+    vf = family.subs_params(values)
     pts = {p.label: p for p in accessible_points(vf)}
     assert pts["0"].multiplicity == 2  # numerator order is 2, but ...
     with pytest.raises(NotResolvable):
@@ -121,11 +121,11 @@ def test_degenerate_matrix_criterion(family):
     the double point's resolution conditions, the accessibility value and
     diagonal of the linearization matrix, and a5 = a7 = a10 = 0.  Under them
     the matrix is nilpotent."""
-    ctx = family.vf.ctx
+    ctx = family.ctx
     zero = ctx.rat(0)
-    res = resolve_family(family.vf, zero, 2, -ctx.var("t"), family.unknowns, "U2")
-    assert {str(p) for _, p in res.conditions[:3]} == {"a5", "a7", "a10"}
-    matrix, access = linearization_matrix(divisor_chart_local(family.vf, "U2"), zero)
+    _, conditions = resolve_family(family, zero, 2, -ctx.var("t"), SIGMA2_UNKNOWNS, "U2")
+    assert {str(p) for _, p in conditions[:3]} == {"a5", "a7", "a10"}
+    matrix, access = linearization_matrix(divisor_chart_local(family, "U2"), zero)
     entries = (access, matrix[0, 0], matrix[1, 1])
     assert {str(r.num.primitive()) for r in entries} == {"a5", "a7", "a10"}
     shaped = matrix.map(lambda r: r.subs({"a5": zero, "a7": zero, "a10": zero}))
@@ -135,8 +135,8 @@ def test_degenerate_matrix_criterion(family):
 def test_triple_point_criterion(family):
     """Under a2 = a5 = a7 = a9 = a10 = 0, X=0 is a triple point; under the
     double-point conditions a5 = a7 = a10 = 0 alone it is double."""
-    zero = family.vf.ctx.rat(0)
+    zero = family.ctx.rat(0)
     for names, label in ((("a5", "a7", "a10"), "X=0 (2)"),
                          (("a2", "a5", "a7", "a9", "a10"), "X=0 (3)")):
-        vf = family.vf.subs_params({u: zero for u in names})
+        vf = family.subs_params({u: zero for u in names})
         assert label in [str(p) for p in accessible_points(vf)]

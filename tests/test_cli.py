@@ -4,15 +4,19 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grs import cli, io as gio
 from grs.catalog import (HVI_TEXT, MATCH_PAIRS, get_maps, get_scheme, get_system, match_pair,
                          scheme_names, system_names)
 from grs.cli import _fractions, main
+from grs.diophantine import RelationError
+from grs.symmetry import SymmetryError
 
 GOLDEN_CLI = Path(__file__).parent / "golden_cli"
 
@@ -119,7 +123,7 @@ def test_cli_resolve_unresolvable_point_exits_three(tmp_path, capsys):
     family = generic_family(sigma2_model(ctx), ctx)
     values = {"a1": 1, "a2": 1, "a3": 0, "a4": 0, "a5": 0, "a6": 0, "a7": 0,
               "a8": 0, "a9": 0, "a10": 3}
-    vf = family.vf.subs_params({k: ctx.rat(v) for k, v in values.items()})
+    vf = family.subs_params({k: ctx.rat(v) for k, v in values.items()})
     path = tmp_path / "double.json"
     path.write_text(gio.dumps(gio.vf_to_json(vf)))
     code, out, err = _run(capsys, "resolve", "--system", str(path), "--point", "0")
@@ -177,19 +181,93 @@ def test_cli_construct_reciprocal_sum_off_n_exits_one(capsys):
         1, "", "error: sum of reciprocal ratios is 11/6, expected 2\n")
 
 
-@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
-                    reason="this interpreter converts integers of any length to text")
-@pytest.mark.parametrize("ratios", ["1e4300,2,2,2", "1e-4300,2,2,2"])
-def test_cli_construct_unprintable_reciprocal_sum_exits_one(capsys, ratios):
-    """A sum with more digits than the interpreter converts to text is named
-    without its value."""
+def _decimal_text(q: Fraction) -> str:
+    """q as num/den text, its digits taken from Decimal, which converts
+    integers of any length to text."""
+    num = str(Decimal(q.numerator))
+    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+
+
+@pytest.mark.parametrize("ratios, total", [("1e4300,2,2,2", Fraction(3, 2) + Fraction(1, 10**4300)),
+                                           ("1e-4300,2,2,2", Fraction(3, 2) + 10**4300)],
+                         ids=["1e4300,2,2,2", "1e-4300,2,2,2"])
+def test_cli_construct_long_reciprocal_sum_prints_exactly(capsys, ratios, total):
+    """A sum of more digits than the interpreter converts to text at once
+    (4301 and 8601 here) is printed exactly."""
     assert _run(capsys, "construct", "--n", "2", "--points", "0,1", "--ratios", ratios) == (
-        1, "", "error: sum of reciprocal ratios is a value too long to print, expected 2\n")
+        1, "", f"error: sum of reciprocal ratios is {_decimal_text(total)}, expected 2\n")
 
 
 def test_cli_numbers_up_to_the_exponent_bound_parse_as_fractions():
     assert _fractions("1e4300, -3/4,1.5E-2,2_0,0e-0004300") == [
         Fraction(10) ** 4300, Fraction(-3, 4), Fraction(3, 200), Fraction(20), Fraction(0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("0123456789_./eE+-", max_size=12).map(lambda t: f" {t} "))
+def test_cli_numbers_read_as_fraction_reads_them(text):
+    """Below any digit limit, an option's number is the Fraction of its text,
+    and a text Fraction refuses is refused; an exponent above the bound is
+    refused on its own."""
+    try:
+        expected = [Fraction(text)]
+    except (ValueError, ZeroDivisionError):
+        expected = None
+    try:
+        got = _fractions(text)
+    except ValueError as exc:
+        if "MAX_DECIMAL_EXPONENT" in str(exc):
+            return
+        got = None
+    assert got == expected
+
+
+@pytest.mark.parametrize("text", ["7" * 4400, "-" + "7" * 4400 + "/3" + "0" * 4400,
+                                  "0." + "12" * 2200 + "e-5", "+" + "9_9" * 1500 + ".5"])
+def test_cli_numbers_of_any_length_parse_exactly(text):
+    """Numbers of more digits than the interpreter converts at once are read
+    exactly; Decimal, which reads text of any length, is the reference."""
+    num, _, den = text.replace("_", "").partition("/")
+    expected = Fraction(Decimal(num)) / Fraction(Decimal(den or "1"))
+    assert _fractions(text) == [expected]
+
+
+@pytest.mark.parametrize("fmt, golden", [("pretty", "construct_n2_1e4300.txt"),
+                                         ("json", "construct_n2_1e4300.json")])
+def test_cli_construct_at_a_point_of_4301_digits_matches_its_goldens(capsys, fmt, golden):
+    """The system at the point 10^4300 is the one at a symbolic point p with
+    p replaced by 10^4300, and prints its goldens byte for byte."""
+    assert _run(capsys, "construct", "--n", "2", "--points", "0,1e4300", "--ratios", "2,2,2,2",
+                "--format", fmt) == (0, (GOLDEN_CLI / golden).read_text(), "")
+    if fmt == "json":
+        from grs.algebra import Context
+        from grs.recovery import construct_existence_system
+        ctx = Context.make(parameters=["p"])
+        vf = construct_existence_system(2, [0, ctx.var("p")], [2, 2, 2, 2]).vf
+        vf = vf.subs_params({"p": vf.ctx.rat(10**4300)})
+        data = json.loads((GOLDEN_CLI / golden).read_text())
+        assert (data["dxdt"], data["dydt"]) == (str(vf.dxdt), str(vf.dydt))
+
+
+def test_cli_construct_at_a_point_of_4400_digits_prints_it(capsys):
+    point = "7" * 4400
+    code, out, err = _run(capsys, "construct", "--n", "2", "--points", f"0,{point}",
+                          "--ratios", "2,2,2,2")
+    assert (code, err) == (0, "")
+    assert f"accessible points: 0, t, {point}, inf\n" in out
+
+
+def test_cli_json_integer_over_the_digit_limit_exits_one(tmp_path, capsys):
+    """A JSON integer literal longer than MAX_JSON_DIGITS is refused with one
+    line that names the limit, not the interpreter's own."""
+    data = gio.scheme_to_json(get_scheme("gen-pv").scheme)
+    data["specs"][0]["multiplicity"] = 7
+    path = tmp_path / "long.json"
+    path.write_text(gio.dumps(data).replace('"multiplicity": 7', '"multiplicity": ' + "7" * 4400))
+    assert _run(capsys, "recover", "--scheme", str(path)) == (
+        1, "", "error: JSON integer of 4400 digits, above MAX_JSON_DIGITS = 640\n")
+    longest = "7" * gio.MAX_JSON_DIGITS
+    assert gio.loads(f"[-{longest}, {longest}]") == [-int(longest), int(longest)]
 
 
 @pytest.mark.parametrize("command, flag", [("show", "--system"), ("recover", "--scheme")])
@@ -316,6 +394,34 @@ def test_cli_singular_on_a_twisted_u3_field_ends_with_its_pole_error(capsys):
     assert (code, out) == (1, "")
     assert err.count("\n") == 1
     assert err.startswith("error: x-component has a pole of order > 1 along the divisor")
+
+
+@pytest.mark.parametrize("fmt, ext", [("pretty", "txt"), ("json", "json")])
+def test_cli_singular_lists_a_quadruple_point_that_scheme_of_refuses(capsys, fmt, ext):
+    """singular lists each accessible point and resolves none, so it prints a
+    point of multiplicity 4; scheme_of resolves every multiple point and
+    refuses this field, so singular does not derive its rows from it."""
+    from grs.blowup import ResolutionError
+    from grs.recovery import scheme_of
+    path = FIXTURES / "quadruple_point.json"
+    golden = (GOLDEN_CLI / f"singular_quadruple_point.{ext}").read_text()
+    assert _run(capsys, "singular", "--system", str(path), "--format", fmt) == (0, golden, "")
+    with pytest.raises(ResolutionError, match="^X=0 has multiplicity 4; resolution is "
+                                              "implemented for multiplicities 2 and 3$"):
+        scheme_of(gio.vf_from_json(gio.loads(path.read_text())), ())
+
+
+@pytest.mark.parametrize("command, name, error", [
+    (["symmetry", "--system", "gen-pvi", "--map", "pi2"], "verify_symmetry", SymmetryError),
+    (["classify", "--relation", "genIII"], "enumerate_natural", RelationError),
+])
+def test_cli_symmetry_and_relation_errors_exit_one(capsys, monkeypatch, command, name, error):
+    """No command-line input raises these today; one that did would end with
+    exit 1 and its message on one line, like every other module's error."""
+    def fail(*args, **kwargs):
+        raise error("the message")
+    monkeypatch.setattr(cli, name, fail)
+    assert _run(capsys, *command) == (1, "", "error: the message\n")
 
 
 def test_cli_construct_scheme_recovers_the_constructed_system(capsys, monkeypatch):

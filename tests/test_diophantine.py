@@ -8,9 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from grs.algebra import Context, Sym, solve_linear
 from grs.catalog import FAMILIES, get_system
-from grs.diophantine import (RELATIONS, _SOLVED, RelationError, ShapeMismatch, ZeroEntry,
-                             _last_entry, arity, bounded_integer_search, brute_force_box,
-                             check_relation, enumerate_natural, relation_polynomial)
+from grs.diophantine import (RELATIONS, _SOLVED, RelationError, _last_entry, arity,
+                             bounded_integer_search, brute_force_box, check_relation,
+                             enumerate_natural, relation_polynomial)
 
 
 def test_genVI_four_types():
@@ -51,9 +51,9 @@ def test_check_relation_examples():
 
 
 def test_check_relation_errors():
-    with pytest.raises(ZeroEntry):
+    with pytest.raises(RelationError, match="^reciprocals need nonzero entries$"):
         check_relation("genVI", (0, 2, 2, 2))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(RelationError, match="^genVI takes 4 entries, got 3$"):
         check_relation("genVI", (2, 2, 2))
 
 
@@ -65,6 +65,14 @@ def test_an_unknown_relation_is_refused_by_every_search():
             search()
         assert type(caught.value) is RelationError
         assert str(caught.value) == "unknown relation 'genII'"
+
+
+def test_an_unknown_convention_is_refused_by_both_natural_searches():
+    for search in (lambda: enumerate_natural("genIII", "bogus"),
+                   lambda: brute_force_box("genIII", 6, "bogus")):
+        with pytest.raises(RelationError) as caught:
+            search()
+        assert str(caught.value) == "unknown convention 'bogus'"
 
 
 def test_bounded_integer_search():

@@ -9,10 +9,13 @@ a setting or a member that only the tests reach fails it:
   and each dataclass field with a default that the constructor takes, is
   set by some call and left to its default by some other;
 - each method, property and dataclass field whose name is not a dunder is
-  read outside its own definition, by attribute or by a string name.
+  read outside its own definition, by attribute or by a string name;
+- each exception class is named by an ``except`` and is handled by
+  ``cli.main``, so it ends in a documented exit code.
 """
 
 import ast
+import builtins
 import importlib.util
 import inspect
 import re
@@ -157,6 +160,40 @@ def test_every_member_is_read_outside_the_tests():
                            for other, line in reads.get(name, [])):
                     unread.append(f"{path.name}:{node.lineno} {cls.name}.{name}")
     assert unread == []
+
+
+def _caught(node) -> list[str]:
+    """The class names that the except clauses inside node catch."""
+    names = []
+    for handler in ast.walk(node):
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+            types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            names += [getattr(t, "id", getattr(t, "attr", None)) for t in types]
+    return names
+
+
+def test_every_exception_class_is_caught_and_has_an_exit_code():
+    """Each exception class of the package is named by an ``except`` in the
+    package or the benchmark, so some caller tells it apart from its base,
+    and is a subclass of a class that a handler of ``cli.main`` names, so a
+    run that raises it ends with that handler's exit code and one line."""
+    caught = {name for tree in TREES.values() for name in _caught(tree)}
+    cli = importlib.import_module("grs.cli")
+    main = next(node for node in TREES[ROOT / "src" / "grs" / "cli.py"].body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    handled = tuple(getattr(cli, name, None) or getattr(builtins, name) for name in _caught(main))
+    flagged = []
+    for path in PACKAGE:
+        module = importlib.import_module(f"grs.{path.stem}")
+        for node in TREES[path].body:
+            cls = getattr(module, node.name, None) if isinstance(node, ast.ClassDef) else None
+            if not (isinstance(cls, type) and issubclass(cls, BaseException)):
+                continue
+            if node.name not in caught:
+                flagged.append(f"{path.name}:{node.lineno} {node.name}: no except names it")
+            if not issubclass(cls, handled):
+                flagged.append(f"{path.name}:{node.lineno} {node.name}: cli.main lets it escape")
+    assert flagged == []
 
 
 def test_the_benchmark_tracer_installs_and_uninstalls_in_process():

@@ -16,8 +16,7 @@ from grs.algebra import (Context, InconsistentSystem, MPoly, MRat, Mat2, StuckSy
                          _active, _relation_normal_form)
 from grs.catalog import (MATCH_PAIRS, get_scheme, get_system, match_pair, pvi_system,
                          scheme_gen_pv, scheme_pvi)
-from grs.recovery import (DegeneratePoints, GRScheme, NoRelation, RelationViolated,
-                          ResolvedData, SchemeError, SingularSpec,
+from grs.recovery import (GRScheme, NoRelation, ResolvedData, SchemeError, SingularSpec,
                           construct_existence_system, eigenvalue_relation,
                           generate_constraints, lift_scheme, match_specialization, recover,
                           relation_substitution, scheme_of, specialize_scheme, verify_recovered)
@@ -40,7 +39,7 @@ def test_generate_constraints_pvi_origin_column():
     origin_only = GRScheme(scheme.model, scheme.specs[:1], scheme.params,
                            scheme.eigenvalue_syms, "origin")
     cons = generate_constraints(family, origin_only)
-    ctx = family.vf.ctx
+    ctx = family.ctx
     expected = ["a7", "a5 + 2*a10", "a8 - alpha4*a10"]
     assert len(cons.equations) == 3
     for poly, text in zip(cons.equations, expected):
@@ -53,13 +52,13 @@ def test_generate_constraints_gen_pv_double_point_column():
     double_only = GRScheme(scheme.model, scheme.specs[:1], scheme.params,
                            scheme.eigenvalue_syms, "double")
     cons = generate_constraints(family, double_only)
-    ctx = family.vf.ctx
+    ctx = family.ctx
     for poly, text in zip(cons.equations[:4],
                           ["a7", "a5", "a10", "t*(a8 - 1/2*t*(2*a2 + a9))"]):
         assert _same_equation(poly, ctx, text)
     # solving the column reproduces the stated conditions: a5 = a7 = a10 = 0,
     # a8 = t(2 a2 + a9)/2 and a2 = -(n3 + 2) a9 / 4
-    sol = solve_triangular(cons.equations, family.unknowns,
+    sol = solve_triangular(cons.equations, SIGMA2_UNKNOWNS,
                            nonzero_forms=cons.nonzero_forms)
     for text in ["a7", "a5", "a10", "a8 - 1/2*t*(2*a2 + a9)",
                  "a2 + 1/4*(n3 + 2)*a9"]:
@@ -596,11 +595,11 @@ def test_existence_symbolic_ratios_reproduce_relation():
 
 
 def test_existence_violations():
-    with pytest.raises(RelationViolated):
+    with pytest.raises(SchemeError, match="^sum of reciprocal ratios is 11/6, expected 2$"):
         construct_existence_system(2, [0, 1], [2, 2, 2, 3])
-    with pytest.raises(DegeneratePoints):
+    with pytest.raises(SchemeError, match="^coincident singular locations 1 = 1$"):
         construct_existence_system(2, [1, 1], [2, 2, 2, 2])
-    with pytest.raises(RelationViolated):
+    with pytest.raises(SchemeError, match="^all ratios must be nonzero$"):
         construct_existence_system(2, [0, 1], [2, 2, 0, 2])
 
 

@@ -11,10 +11,10 @@ from grs.algebra import Context, DivisionByZero, MRat, Mat2
 from grs.blowup import resolve_family, resolve_multiplicity
 from grs.catalog import get_system, pvi_system, system_names
 from grs.recovery import relation_substitution
-from grs.singularities import (AccessiblePoint, LocalField, NotAccessible, UnresolvedFactor,
-                               accessible_points, alpha_test, default_candidates, deflate,
-                               divisor_chart_local, find_divisor_roots, linearization,
-                               linearization_matrix, restricted_numerator, root_multiplicity)
+from grs.singularities import (AccessiblePoint, LocalField, SingularityError, accessible_points,
+                               alpha_test, default_candidates, deflate, divisor_chart_local,
+                               find_divisor_roots, linearization, linearization_matrix,
+                               restricted_numerator, root_multiplicity)
 from grs.surface import (PlaneVectorField, SIGMA2_UNKNOWNS, SurfaceModel, generic_family,
                          sigma2_model)
 
@@ -106,8 +106,8 @@ def test_symbolic_family_origin_not_accessible_when_a7_nonzero():
     ctx = Context.make(parameters=["alpha2"], unknowns=list(SIGMA2_UNKNOWNS))
     fam = generic_family(sigma2_model(ctx), ctx)
     # the divisor numerator at X=0 is a7, nonzero as a symbol
-    assert not _accessible(fam.vf, ctx.rat(0))
-    a7_zero = fam.vf.subs_params({"a7": ctx.rat(0)})
+    assert not _accessible(fam, ctx.rat(0))
+    a7_zero = fam.subs_params({"a7": ctx.rat(0)})
     assert _accessible(a7_zero, ctx.rat(0))
 
 
@@ -121,7 +121,7 @@ def test_unresolved_factor():
     ctx = Context.make(parameters=["alpha2"])
     x, y = ctx.var("x"), ctx.var("y")
     vf = PlaneVectorField((x * x + ctx.rat(1)) * y, ctx.rat(0), "U0", sigma2_model(ctx))
-    with pytest.raises(UnresolvedFactor):
+    with pytest.raises(SingularityError, match="^unresolved factor: "):
         accessible_points(vf)
 
 
@@ -329,14 +329,14 @@ def test_linearization_matches_quotient_rule_on_generic_family():
     fam = generic_family(sigma2_model(ctx), ctx)
     for chart, location in [("U2", ctx.rat(0)), ("U2", ctx.rat(1)),
                             ("U2", ctx.var("t")), ("U3", ctx.rat(0))]:
-        _assert_same_linearization(divisor_chart_local(fam.vf, chart), location)
-    res = resolve_family(fam.vf, ctx.rat(0), 2, -ctx.var("t"), fam.unknowns, "U2")
-    _assert_same_linearization(res.trace.final_local_field(), res.trace.final_location)
+        _assert_same_linearization(divisor_chart_local(fam, chart), location)
+    trace, _ = resolve_family(fam, ctx.rat(0), 2, -ctx.var("t"), SIGMA2_UNKNOWNS, "U2")
+    _assert_same_linearization(trace.final_local_field(), trace.final_location)
 
 
 def test_linearization_refuses_a_divisor_point_that_is_not_accessible():
     vf = pvi_system().vf
-    with pytest.raises(NotAccessible) as exc:
+    with pytest.raises(SingularityError, match="does not vanish at") as exc:
         linearization(divisor_chart_local(vf, "U2"), vf.ctx.rat(5))
     assert "x = 5 on y = 0" in str(exc.value)
 
@@ -349,7 +349,7 @@ def test_linearization_refuses_a_resolved_chart_point_off_the_resolved_point():
     trace = resolve_multiplicity(vf, {p.label: p for p in accessible_points(vf)}["0"])
     local = trace.final_local_field()
     assert linearization(local, trace.final_location) == trace.index
-    with pytest.raises(NotAccessible) as exc:
+    with pytest.raises(SingularityError, match="does not vanish at") as exc:
         linearization(local, vf.ctx.var("t"))
     assert "y = t on x = 0" in str(exc.value)
 
@@ -457,15 +457,15 @@ def _ref_find_divisor_roots(coeffs, candidates):
             roots.append((root, 1))
     if len(coeffs) > 2:
         residual = " + ".join(f"({c})*X^{k}" for k, c in enumerate(coeffs) if not c.is_zero())
-        raise UnresolvedFactor(residual)
+        raise SingularityError(f"unresolved factor: {residual}")
     return roots
 
 
 def _outcome(find, *args):
-    """(roots as text with multiplicities, None) or (None, UnresolvedFactor text)."""
+    """(roots as text with multiplicities, None) or (None, unresolved factor text)."""
     try:
         return [(str(r), m) for r, m in find(*args)], None
-    except UnresolvedFactor as exc:
+    except SingularityError as exc:
         return None, str(exc)
 
 
@@ -530,7 +530,7 @@ def _assert_deflation_matches_reference(f, candidates):
 @settings(max_examples=60, deadline=None)
 @given(_planted())
 def test_deflation_matches_the_coefficient_list_reference(planted):
-    """Roots, multiplicities, deflated values and the UnresolvedFactor text of
+    """Roots, multiplicities, deflated values and the unresolved factor text of
     a planted F1 equal those of the coefficient-list loop."""
     _assert_deflation_matches_reference(*planted)
 
@@ -567,7 +567,7 @@ def test_deflation_multiplicities_match_sympy(planted):
             exponents[root] = exponents.get(root, 0) + power
     try:
         roots = find_divisor_roots(f, "x", candidates)
-    except UnresolvedFactor:
+    except SingularityError:
         roots = [(c, m) for c in candidates if (m := root_multiplicity(f, "x", c)[0])]
     for root, mult in roots:
         key = sp.cancel(sp.sympify(str(root).replace("^", "**"),
@@ -590,7 +590,7 @@ def test_values_involving_x_or_y_are_never_roots():
     vf = PlaneVectorField((x * x + ctx.rat(1)) * y, ctx.rat(0), "U0", sigma2_model(ctx))
     for text in FIBER_VALUES:
         assert not _accessible(vf, ctx.parse(text))
-        with pytest.raises(UnresolvedFactor) as exc:
+        with pytest.raises(SingularityError) as exc:
             accessible_points(vf, [ctx.parse(text)])
         assert str(exc.value) == "unresolved factor: (1)*X^0 + (1)*X^2"
 
