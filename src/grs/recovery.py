@@ -166,8 +166,10 @@ def generate_constraints(vf: PlaneVectorField, scheme: GRScheme) -> ConstraintSe
     """All polynomial constraints the scheme imposes on the family's unknowns.
 
     The scheme must already live in the family's context (``lift_scheme``).
-    Both diagonal entries of each computed matrix are registered as nonzero
-    forms, since scheme eigenvalues never vanish.
+    A multiple column resolves through ``resolve_family``, which raises
+    ResolutionError unless its multiplicity is 2 or 3.  Both diagonal entries
+    of each computed matrix are registered as nonzero forms, since scheme
+    eigenvalues never vanish.
     """
     out = ConstraintSet([], [], [])
 
@@ -177,16 +179,17 @@ def generate_constraints(vf: PlaneVectorField, scheme: GRScheme) -> ConstraintSe
             out.sources.append(tag)
 
     for spec in scheme.specs:
-        chart = "U3" if spec.location is None else "U2"
-        loc = vf.ctx.rat(0) if spec.location is None else spec.location
+        point = AccessiblePoint("U3" if spec.location is None else "U2",
+                                vf.ctx.rat(0) if spec.location is None else spec.location,
+                                spec.multiplicity)
         label = f"X={spec.label}"
         if spec.multiplicity == 1:
-            local = divisor_chart_local(vf, chart)
-            matrix, access = linearization_matrix(local, loc)
+            local = divisor_chart_local(vf, point.chart)
+            matrix, access = linearization_matrix(local, point.location)
             emit(f"{label} accessibility", access.num)
         else:
-            trace, conditions = resolve_family(vf, loc, spec.multiplicity, spec.resolved.point[1],
-                                               SIGMA2_UNKNOWNS, chart=chart)
+            trace, conditions = resolve_family(vf, point, spec.resolved.point[1],
+                                               SIGMA2_UNKNOWNS)
             for tag, poly in conditions:
                 emit(f"{label} {tag}", poly)
             got, expect = trace.final_chart_map, spec.resolved.patch_map
@@ -194,7 +197,7 @@ def generate_constraints(vf: PlaneVectorField, scheme: GRScheme) -> ConstraintSe
                 raise SchemeError(
                     f"{label}: computed patching map {got} != scheme map {expect}")
             # accessibility at the resolved point was already emitted
-            matrix, _ = linearization_matrix(trace.final_local_field(), trace.final_location)
+            matrix, _ = linearization_matrix(trace.final_field, trace.final_location)
         _, residuals = matrix_residuals(matrix, spec.matrix)
         for i, j, residual in residuals:
             emit(f"{label} matrix entry ({i},{j})", residual.num)

@@ -16,8 +16,8 @@ from grs.catalog import (get_maps, get_scheme, get_system, match_pair, pvi_syste
 from grs.diophantine import brute_force_box, enumerate_natural
 from grs.recovery import (construct_existence_system, eigenvalue_relation,
                           match_specialization, recover, relation_substitution)
-from grs.singularities import (accessible_points, alpha_test, divisor_chart_local,
-                               linearization, linearization_matrix)
+from grs.singularities import (AccessiblePoint, accessible_points, alpha_test,
+                               divisor_chart_local, linearization, linearization_matrix)
 from grs.surface import SIGMA2_UNKNOWNS, generic_family, sigma2_model
 from grs.symmetry import verify_involution, verify_symmetry
 
@@ -164,7 +164,8 @@ def test_acceptance_7_resolutions():
     ctx = Context.make(parameters=["alpha2"], unknowns=list(SIGMA2_UNKNOWNS))
     family = generic_family(sigma2_model(ctx), ctx)
     zero = ctx.rat(0)
-    _, collected = resolve_family(family, zero, 2, -ctx.var("t"), SIGMA2_UNKNOWNS, "U2")
+    _, collected = resolve_family(family, AccessiblePoint("U2", zero, 2), -ctx.var("t"),
+                                  SIGMA2_UNKNOWNS)
     matrix, access = linearization_matrix(divisor_chart_local(family, "U2"), zero)
     conditions = {"a5", "a7", "a10"}
     assert {str(p) for _, p in collected[:3]} == conditions

@@ -307,6 +307,21 @@ def test_cli_scheme_multiplicity_below_one_exits_one(tmp_path, capsys, multiplic
         1, "", f"error: scheme column X=0: multiplicity {multiplicity} is below 1\n")
 
 
+@pytest.mark.parametrize("multiplicity", [4, 200, 10 ** 639])
+@pytest.mark.parametrize("command", ["recover", "relation"])
+def test_cli_scheme_multiplicity_above_three_exits_one(tmp_path, capsys, command, multiplicity):
+    """A double-point column of gen-pv with any multiplicity above 3, up to
+    the 640 digits a JSON integer may have, is refused at once by the rule
+    resolve applies to accessible points."""
+    data = gio.scheme_to_json(get_scheme("gen-pv").scheme)
+    data["specs"][0]["multiplicity"] = multiplicity
+    path = tmp_path / "multiplicity.json"
+    path.write_text(gio.dumps(data))
+    assert _run(capsys, command, "--scheme", str(path)) == (
+        1, "", f"error: X=0 has multiplicity {multiplicity}; resolution is implemented "
+               "for multiplicities 2 and 3\n")
+
+
 @pytest.mark.parametrize("draws", ["0", "-3"])
 def test_cli_symmetry_without_probes_exits_one(capsys, draws):
     code, out, err = _run(capsys, "symmetry", "--system", "gen-pvi", "--map", "pi2",
@@ -555,6 +570,18 @@ def test_cli_resolve_json_matches_golden(capsys, system, point):
 def test_cli_resolve_pretty_matches_golden(capsys, system, point):
     golden = (GOLDEN_CLI / f"resolve_{system}_{point}.txt").read_text()
     assert _run(capsys, "resolve", "--system", system, "--point", point) == (0, golden, "")
+
+
+@pytest.mark.parametrize("fmt, ext", [("pretty", "txt"), ("json", "json")])
+@pytest.mark.parametrize("point", ["1", "t"])
+def test_cli_resolve_off_the_origin_matches_golden(capsys, point, fmt, ext):
+    """gen-pv's field with its double point moved to X = 1 and to X = t: the
+    resolution translates the point to the origin first, with the chain-rule
+    term -1 in the moving case."""
+    system = FIXTURES / f"gen-pv_point0_{point}.json"
+    golden = (GOLDEN_CLI / f"resolve_gen-pv_point0_{point}.{ext}").read_text()
+    assert _run(capsys, "resolve", "--system", str(system), "--point", point,
+                "--format", fmt) == (0, golden, "")
 
 
 _SHIPPED_MAPS = [("gen-piii", "s"), ("gen-piii", "pi"), ("gen-piv", "s"), ("gen-pv", "s"),

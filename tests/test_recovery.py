@@ -487,6 +487,23 @@ def test_scheme_of_a_builtin_recovery_gives_back_its_columns(name):
     assert gio.scheme_from_json(gio.loads(gio.dumps(gio.scheme_to_json(derived)))) == derived
 
 
+@pytest.mark.parametrize("point", ["1", "t"])
+def test_scheme_of_a_field_with_its_double_point_moved_recovers_it(point):
+    """gen-pv's field, relation substituted, with its double point moved to
+    X = 1 or X = t: its scheme, patching map (x - L, (x - L)^2*y) included,
+    recovers it exactly, with no free factor and no relation."""
+    path = Path(__file__).parent / "fixtures" / f"gen-pv_point0_{point}.json"
+    vf = gio.vf_from_json(gio.loads(path.read_text()))
+    params = tuple(s.name for s in vf.ctx.syms if s.kind == "parameter")
+    specs = scheme_of(vf, ())
+    assert [s.label for s in specs if s.multiplicity == 2] == [point]
+    rec = recover(GRScheme(vf.model, specs, params, (), ""))
+    big = union_context(rec.vf.ctx, vf.ctx)
+    assert rec.vf.dxdt.lift(big) == vf.dxdt.lift(big)
+    assert rec.vf.dydt.lift(big) == vf.dydt.lift(big)
+    assert (rec.free, rec.relations) == ((), ())
+
+
 def _with_column(scheme, index, **changes):
     """The scheme with its column ``index`` replaced field by field."""
     specs = list(scheme.specs)

@@ -319,7 +319,7 @@ def test_linearization_matches_quotient_rule_at_resolved_points(name, label):
                                                     entry.eigenvalue_syms))
     point = {p.label: p for p in accessible_points(vf)}[label]
     trace = resolve_multiplicity(vf, point)
-    _assert_same_linearization(trace.final_local_field(), trace.final_location)
+    _assert_same_linearization(trace.final_field, trace.final_location)
 
 
 def test_linearization_matches_quotient_rule_on_generic_family():
@@ -330,8 +330,9 @@ def test_linearization_matches_quotient_rule_on_generic_family():
     for chart, location in [("U2", ctx.rat(0)), ("U2", ctx.rat(1)),
                             ("U2", ctx.var("t")), ("U3", ctx.rat(0))]:
         _assert_same_linearization(divisor_chart_local(fam, chart), location)
-    trace, _ = resolve_family(fam, ctx.rat(0), 2, -ctx.var("t"), SIGMA2_UNKNOWNS, "U2")
-    _assert_same_linearization(trace.final_local_field(), trace.final_location)
+    trace, _ = resolve_family(fam, AccessiblePoint("U2", ctx.rat(0), 2), -ctx.var("t"),
+                              SIGMA2_UNKNOWNS)
+    _assert_same_linearization(trace.final_field, trace.final_location)
 
 
 def test_linearization_refuses_a_divisor_point_that_is_not_accessible():
@@ -347,7 +348,7 @@ def test_linearization_refuses_a_resolved_chart_point_off_the_resolved_point():
     vf = entry.vf.subs_params(relation_substitution([entry.relation],
                                                     entry.eigenvalue_syms))
     trace = resolve_multiplicity(vf, {p.label: p for p in accessible_points(vf)}["0"])
-    local = trace.final_local_field()
+    local = trace.final_field
     assert linearization(local, trace.final_location) == trace.index
     with pytest.raises(SingularityError, match="does not vanish at") as exc:
         linearization(local, vf.ctx.var("t"))

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from grs.algebra import Context, MPoly, MRat
-from grs.surface import (CHARTS, PlaneVectorField, SIGMA2_UNKNOWNS, SurfaceModel, _walk,
-                         chart_from_u0, chart_transform, check_log_condition,
-                         generic_family, sigma2_model)
+from grs.surface import (CHARTS, PlaneVectorField, SIGMA2_UNKNOWNS, SurfaceError,
+                         SurfaceModel, _walk, chart_from_u0, chart_transform,
+                         check_log_condition, generic_family, sigma2_model)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -206,7 +206,7 @@ def test_generic_family_general_path_agrees_on_sigma2(ctx, family):
 
 def test_sigma_model_twist_arity():
     ctx = Context.make(parameters=["g1"])
-    with pytest.raises(Exception):
+    with pytest.raises(SurfaceError, match="S_3 needs 2 twist coefficients, got 1"):
         SurfaceModel(3, (ctx.var("g1"),))
 
 
